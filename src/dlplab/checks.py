@@ -303,29 +303,37 @@ class FuzzReport:
 
 
 def shrink_program(p: Program, still_fails: Callable[[Program], bool]) -> Program:
-    """Greedy rule removal: drop rules one at a time while the check keeps
-    failing."""
+    """Greedy rule removal: drop rules one at a time while the predicate
+    says the failure persists."""
     current = p
     changed = True
     while changed:
         changed = False
         for k in range(len(current.rules)):
             cand = Program(current.rules[:k] + current.rules[k + 1:])
-            try:
-                if still_fails(cand):
-                    current = cand
-                    changed = True
-                    break
-            except Exception:
-                continue
+            if still_fails(cand):
+                current = cand
+                changed = True
+                break
     return current
+
+
+def _outcome(fn: CheckFn, p: Program) -> tuple[str | None, type | None]:
+    """The check's message, or for a check that raises a message naming
+    the exception, together with the exception's type."""
+    try:
+        return fn(p), None
+    except Exception as exc:
+        return f"raised {type(exc).__name__}: {exc}", type(exc)
 
 
 def run_fuzz(cfg: GenConfig, iterations: int,
              checks: Sequence[str] = DEFAULT_CHECKS,
              max_failures: int = 5) -> FuzzReport:
     """Generate programs with seeds cfg.seed, cfg.seed+1, ... and run the
-    selected checks on each; failures are shrunk by rule removal."""
+    selected checks on each; failures are shrunk by rule removal.  A check
+    that raises is a failure too, shrunk while the same exception type is
+    raised."""
     unknown = [c for c in checks if c not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; "
@@ -337,12 +345,16 @@ def run_fuzz(cfg: GenConfig, iterations: int,
         program = gen_program(replace(cfg, seed=seed))
         for name in checks:
             fn, _ = CHECKS[name]
-            message = fn(program)
+            message, raised = _outcome(fn, program)
             if message is None:
                 report.passes += 1
                 continue
-            shrunk = shrink_program(program,
-                                    lambda q: fn(q) is not None)
+
+            def same_failure(q: Program) -> bool:
+                m, r = _outcome(fn, q)
+                return m is not None and r is raised
+
+            shrunk = shrink_program(program, same_failure)
             report.failures.append(FuzzFailure(seed, name, message,
                                                program, shrunk))
             if len(report.failures) >= max_failures:

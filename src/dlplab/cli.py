@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -25,6 +26,7 @@ _DEFAULTS = GenConfig()
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT_ERROR = 2
+EXIT_BROKEN_PIPE = 141  # what the shell reports for a process killed by SIGPIPE
 
 
 def _read(path: str) -> str:
@@ -222,7 +224,16 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away.  Point stdout at devnull so that
+        # the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

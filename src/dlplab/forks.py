@@ -15,15 +15,24 @@ supports; this keeps equality and inclusion tests exact at any base size,
 while explicit member enumeration (needed only for printing and for the
 projection operator) is guarded at 4 base atoms.
 
-Support members are bitmasks over the sorted base; use
-:meth:`Support.member_sets` to get them back as atom sets.
+Computation runs on truth tables (Knuth, TAOCP 4A, 7.1.3).  Over a base
+of width w a support is an int of 2^w bits whose bit m is set iff the
+here-mask m (bit i standing for the i-th atom of the sorted base) is a
+member; an atom's support is the column of its truth table, and the
+connectives become single big-int operations.  A view is a list of such
+ints.  :func:`fork_stable_models` and :func:`strongly_entails` compile
+their forks once into a flat list of register operations and run it for
+each T, so no formula is hashed or dispatched on per T.  The public
+:class:`Support` and :class:`View` keep their members as frozensets of
+here-masks; :meth:`Support.member_sets` gives them back as atom sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from itertools import combinations
+from typing import Iterable, Iterator, Sequence
 
 from . import ht
 from .syntax import (And, Atom, ExtendedRule, Falsum, Fork, ForkAnd,
@@ -41,9 +50,80 @@ def _canon_base(atoms: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(set(atoms)))
 
 
+# ---------------------------------------------------------------------------
+# Int supports
+# ---------------------------------------------------------------------------
+
+def _universe(width: int) -> int:
+    """The support holding every subset of a base of the given width."""
+    return (1 << (1 << width)) - 1
+
+
+def _full_bit(width: int) -> int:
+    """The support member standing for the base set itself."""
+    return 1 << ((1 << width) - 1)
+
+
 @lru_cache(maxsize=None)
-def _all_masks(width: int) -> frozenset[int]:
-    return frozenset(range(1 << width))
+def _columns(width: int) -> tuple[int, ...]:
+    """The support of each base atom: its column of the truth table, which
+    repeats 2^i clear bits followed by 2^i set bits for the i-th atom."""
+    out = []
+    for i in range(width):
+        col, span = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while span < 1 << width:
+            col |= col << span
+            span <<= 1
+        out.append(col)
+    return tuple(out)
+
+
+def _pack(members: frozenset[int]) -> int:
+    return sum(1 << m for m in members)
+
+
+def _unpack(x: int) -> frozenset[int]:
+    return frozenset(_member_list(x))
+
+
+def _member_list(x: int) -> list[int]:
+    """The members of an int support, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
+def _support_order(x: int) -> tuple[int, list[int]]:
+    """Size, then the sorted member masks: the order supports print in."""
+    return x.bit_count(), _member_list(x)
+
+
+def _complement(s: int, everything: int, full_bit: int) -> int:
+    """Empty when the support holds all subsets; otherwise the missing
+    subsets together with the base set."""
+    return 0 if s == everything else everything ^ s | full_bit
+
+
+def _minimal(cands: list[int]) -> list[int]:
+    """Inclusion-minimal supports among nonempty candidates."""
+    if len(cands) == 1:
+        return cands
+    if len(cands) == 2:
+        x, y = cands
+        if not x & ~y:
+            return [x]
+        return [y] if not y & ~x else cands
+    kept: list[int] = []
+    for c in sorted(set(cands), key=int.bit_count):
+        for k in kept:
+            if not k & ~c:
+                break
+        else:
+            kept.append(c)
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +170,7 @@ class Support:
     @classmethod
     def all_subsets(cls, base: Iterable[str]) -> "Support":
         b = _canon_base(base)
-        return cls(b, _all_masks(len(b)))
+        return cls(b, frozenset(range(1 << len(b))))
 
     @property
     def full_mask(self) -> int:
@@ -145,11 +225,8 @@ def complement(h: Support) -> Support:
     """Empty when the support holds all subsets; otherwise the missing
     subsets together with the base set."""
     width = len(h.base)
-    everything = _all_masks(width)
-    if h.members == everything:
-        return Support(h.base, frozenset())
-    members = (everything - h.members) | {h.full_mask}
-    return Support(h.base, members)
+    c = _complement(_pack(h.members), _universe(width), _full_bit(width))
+    return Support(h.base, _unpack(c))
 
 
 def restrict_support(h: Support, vocab: Iterable[str]) -> Support:
@@ -179,61 +256,8 @@ def is_vocab_feasible(h: Support, vocab: Iterable[str]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Formula supports
-# ---------------------------------------------------------------------------
-
-def support_of_formula(phi: Formula, t_atoms: Iterable[str]) -> Support:
-    """The here-components within T that satisfy the formula at T."""
-    base = _canon_base(t_atoms)
-    return Support(base, _den(phi, base))
-
-
-def _den(phi: Formula, base: tuple[str, ...]) -> frozenset[int]:
-    """Satisfying here-masks, computed by set algebra over subformulas."""
-    index = {a: i for i, a in enumerate(base)}
-    everything = _all_masks(len(base))
-    full = (1 << len(base)) - 1
-    memo: dict[Formula, frozenset[int]] = {}
-
-    def go(f: Formula) -> frozenset[int]:
-        got = memo.get(f)
-        if got is not None:
-            return got
-        if isinstance(f, Falsum):
-            out: frozenset[int] = frozenset()
-        elif isinstance(f, Atom):
-            if f.name in index:
-                bit = 1 << index[f.name]
-                out = frozenset(m for m in everything if m & bit)
-            else:
-                out = frozenset()
-        elif isinstance(f, And):
-            out = go(f.left) & go(f.right)
-        elif isinstance(f, Or):
-            out = go(f.left) | go(f.right)
-        elif isinstance(f, Implies):
-            s = (everything - go(f.left)) | go(f.right)
-            out = s if full in s else frozenset()
-        else:
-            raise TypeError(f"cannot evaluate {type(f).__name__}")
-        memo[f] = out
-        return out
-
-    return go(phi)
-
-
-# ---------------------------------------------------------------------------
 # Views
 # ---------------------------------------------------------------------------
-
-def _minimize(cands: Iterable[frozenset[int]]) -> frozenset[frozenset[int]]:
-    """Inclusion-minimal nonempty supports among the candidates."""
-    kept: list[frozenset[int]] = []
-    for c in sorted(set(cands), key=lambda s: (len(s), sorted(s))):
-        if c and not any(k <= c for k in kept):
-            kept.append(c)
-    return frozenset(kept)
-
 
 @dataclass(frozen=True, slots=True)
 class View:
@@ -244,7 +268,12 @@ class View:
 
     @classmethod
     def closed(cls, base: Iterable[str], supports: Iterable[frozenset[int]]) -> "View":
-        return cls(_canon_base(base), _minimize(supports))
+        return cls._of_ints(_canon_base(base),
+                            _minimal([x for x in map(_pack, supports) if x]))
+
+    @classmethod
+    def _of_ints(cls, base: tuple[str, ...], gens: Iterable[int]) -> "View":
+        return cls(base, frozenset(_unpack(g) for g in gens))
 
     @classmethod
     def nothing(cls, base: Iterable[str]) -> "View":
@@ -278,14 +307,11 @@ class View:
             raise ht.CapacityError(
                 f"explicit view enumeration needs a base of at most "
                 f"{MAX_EXPLICIT_BASE} atoms, got {width}")
-        universe = sorted(_all_masks(width))
-        out = []
-        for bits in range(1 << len(universe)):
-            members = frozenset(universe[i] for i in range(len(universe))
-                                if bits >> i & 1)
-            if any(g <= members for g in self.gens):
-                out.append(Support(self.base, members))
-        return sorted(out, key=lambda s: (len(s.members), sorted(s.members)))
+        gens = [_pack(g) for g in self.gens]
+        members = [x for x in range(_universe(width) + 1)
+                   if any(not g & ~x for g in gens)]
+        return [Support(self.base, _unpack(x))
+                for x in sorted(members, key=_support_order)]
 
     def __str__(self) -> str:
         return "{" + " ".join(str(s) for s in self.supports()) + "}"
@@ -311,55 +337,172 @@ def closure(supports: Iterable[Support]) -> View:
 
 
 # ---------------------------------------------------------------------------
+# The compiled kernel
+# ---------------------------------------------------------------------------
+
+# Register operations.  Formula operations leave an int support in their
+# register, fork operations a view (a list of int supports).
+_AND, _OR, _IMP, _LEAF, _FAND, _FPAIR, _FIMP = range(7)
+
+Op = tuple[int, int, int]
+
+
+def _compile(forks: Sequence[Fork],
+             pool: Sequence[str]) -> tuple[list[Op], list[int], set[str]]:
+    """Flatten forks over a sorted pool into register operations.
+
+    Registers 0..n-1 hold the supports of the pool atoms and register n the
+    empty support; operation k writes register n+1+k.  Operations are keyed
+    by opcode and operand registers, so equal subformulas share a register
+    without a formula ever being hashed.  Returns the operations, each
+    fork's register, and the atoms outside the pool (read as false).
+    """
+    index = {a: i for i, a in enumerate(pool)}
+    empty = len(pool)
+    ops: list[Op] = []
+    regs: dict[Op, int] = {}
+    outside: set[str] = set()
+
+    def emit(op: int, a: int, b: int = 0) -> int:
+        key = (op, a, b)
+        reg = regs.get(key)
+        if reg is None:
+            ops.append(key)
+            reg = regs[key] = empty + len(ops)
+        return reg
+
+    def formula(phi: Formula) -> int:
+        if isinstance(phi, Atom):
+            reg = index.get(phi.name)
+            if reg is None:
+                outside.add(phi.name)
+                return empty
+            return reg
+        if isinstance(phi, And):
+            return emit(_AND, formula(phi.left), formula(phi.right))
+        if isinstance(phi, Implies):
+            return emit(_IMP, formula(phi.left), formula(phi.right))
+        if isinstance(phi, Or):
+            return emit(_OR, formula(phi.left), formula(phi.right))
+        if isinstance(phi, Falsum):
+            return empty
+        raise TypeError(f"cannot evaluate {type(phi).__name__}")
+
+    def view(f: Fork) -> int:
+        # a plain formula denotes the ideal of its support
+        if isinstance(f, Formula):
+            return emit(_LEAF, formula(f))
+        if isinstance(f, ForkAnd):
+            return emit(_FAND, view(f.left), view(f.right))
+        if isinstance(f, ForkPair):
+            return emit(_FPAIR, view(f.left), view(f.right))
+        if isinstance(f, ForkImplies):
+            return emit(_FIMP, formula(f.left), view(f.right))
+        raise TypeError(f"cannot evaluate {type(f).__name__}")
+
+    roots = [view(f) for f in forks]
+    return ops, roots, outside
+
+
+def _compile_over(forks: Sequence[Fork],
+                  atoms: Iterable[str] | None) -> tuple[list[str], list[Op], list[int]]:
+    """Compile forks for enumeration over the given atoms, by default
+    their alphabet, which must cover every atom of the forks."""
+    if atoms is None:
+        pool = sorted(frozenset().union(*(alphabet(f) for f in forks)))
+    else:
+        pool = sorted(set(atoms))
+    ops, roots, outside = _compile(forks, pool)
+    if outside:
+        raise ValueError(f"alphabet is missing atoms {sorted(outside)}")
+    if len(pool) > ht.MAX_ENUM_ATOMS:
+        raise ht.CapacityError(
+            f"{len(pool)} atoms exceed the enumeration bound of {ht.MAX_ENUM_ATOMS}")
+    return pool, ops, roots
+
+
+def _run(ops: list[Op], regs: list, width: int) -> list:
+    """Execute the operations at one T of the given width; ``regs`` holds
+    the atom supports and the empty support and is extended in place."""
+    everything = _universe(width)
+    full_bit = _full_bit(width)
+    push = regs.append
+    for op, a, b in ops:
+        if op == _AND:
+            push(regs[a] & regs[b])
+        elif op == _OR:
+            push(regs[a] | regs[b])
+        elif op == _IMP:
+            s = everything ^ regs[a] | regs[b]
+            push(s if s & full_bit else 0)
+        elif op == _LEAF:
+            s = regs[a]
+            push([s] if s else [])
+        elif op == _FAND:
+            push(_minimal([x & y for x in regs[a] for y in regs[b]]))
+        elif op == _FPAIR:
+            push(_minimal(regs[a] + regs[b]))
+        else:
+            s = regs[a]
+            c = _complement(s, everything, full_bit)
+            if not s:
+                push([everything])
+            elif c:
+                push(_minimal([c | g for g in regs[b]]))
+            else:
+                push(regs[b])
+    return regs
+
+
+def _runs(ops: list[Op], n: int) -> Iterator[tuple[tuple[int, ...], list]]:
+    """The registers at every T over a pool of n atoms, with T given by its
+    pool indices, in the order of :func:`ht.subsets`."""
+    for width in range(n + 1):
+        cols = _columns(width)
+        for combo in combinations(range(n), width):
+            regs = [0] * (n + 1)
+            for i, j in enumerate(combo):
+                regs[j] = cols[i]
+            yield combo, _run(ops, regs, width)
+
+
+def _view_at(f: Fork, base: tuple[str, ...]) -> list[int]:
+    """The view of the fork at T = base, as int supports."""
+    ops, (root,), _ = _compile([f], base)
+    return _run(ops, [*_columns(len(base)), 0], len(base))[root]
+
+
+# ---------------------------------------------------------------------------
+# Formula supports
+# ---------------------------------------------------------------------------
+
+def support_of_formula(phi: Formula, t_atoms: Iterable[str]) -> Support:
+    """The here-components within T that satisfy the formula at T."""
+    if not isinstance(phi, Formula):
+        raise TypeError(f"cannot evaluate {type(phi).__name__}")
+    base = _canon_base(t_atoms)
+    # a formula's view is the ideal of its support
+    gens = _view_at(phi, base)
+    return Support(base, _unpack(gens[0]) if gens else frozenset())
+
+
+# ---------------------------------------------------------------------------
 # Denotation of forks
 # ---------------------------------------------------------------------------
 
 def denotation(f: Fork, t_atoms: Iterable[str]) -> View:
     """The view of a fork at T, computed clause by clause."""
     base = _canon_base(t_atoms)
-    width = len(base)
-    everything = _all_masks(width)
-    full = (1 << width) - 1
-
-    def go(f: Fork) -> frozenset[frozenset[int]]:
-        if isinstance(f, Falsum):
-            return frozenset()
-        if isinstance(f, Atom):
-            s = _den(f, base)
-            return frozenset((s,)) if s else frozenset()
-        if isinstance(f, (And, ForkAnd)):
-            gl, gr = go(f.left), go(f.right)
-            return _minimize(a & b for a in gl for b in gr)
-        if isinstance(f, Or):
-            gl = go(f.left) or frozenset((frozenset(),))
-            gr = go(f.right) or frozenset((frozenset(),))
-            return _minimize(a | b for a in gl for b in gr)
-        if isinstance(f, (Implies, ForkImplies)):
-            s = _den(f.left, base)
-            if not s:
-                return frozenset((frozenset(everything),))
-            comp = complement(Support(base, s)).members
-            return _minimize(comp | g for g in go(f.right))
-        if isinstance(f, ForkPair):
-            return _minimize(go(f.left) | go(f.right))
-        raise TypeError(f"cannot evaluate {type(f).__name__}")
-
-    return View(base, go(f))
+    return View._of_ints(base, _view_at(f, base))
 
 
 def fork_stable_models(f: Fork, atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
     """All T over the alphabet whose view contains the singleton support [T]."""
-    pool = sorted(alphabet(f) if atoms is None else set(atoms))
-    if atoms is not None and not alphabet(f) <= set(pool):
-        raise ValueError(f"alphabet is missing atoms {sorted(alphabet(f) - set(pool))}")
-    if len(pool) > ht.MAX_ENUM_ATOMS:
-        raise ht.CapacityError(
-            f"{len(pool)} atoms exceed the enumeration bound of {ht.MAX_ENUM_ATOMS}")
+    pool, ops, (root,) = _compile_over([f], atoms)
     out = []
-    for t in ht.subsets(pool):
-        view = denotation(f, t)
-        if frozenset(((1 << len(view.base)) - 1,)) in view.gens:
-            out.append(t)
+    for combo, regs in _runs(ops, len(pool)):
+        if _full_bit(len(combo)) in regs[root]:
+            out.append(frozenset(pool[j] for j in combo))
     return ht.sort_models(out)
 
 
@@ -377,19 +520,15 @@ def strongly_entails(f: Fork, g: Fork,
                      atoms: Iterable[str] | None = None) -> EntailmentResult:
     """View inclusion at every T over the alphabet; on failure reports a
     T and a support of the left view missing from the right one."""
-    pool = sorted((alphabet(f) | alphabet(g)) if atoms is None else set(atoms))
-    if atoms is not None and not (alphabet(f) | alphabet(g)) <= set(pool):
-        missing = (alphabet(f) | alphabet(g)) - set(pool)
-        raise ValueError(f"alphabet is missing atoms {sorted(missing)}")
-    if len(pool) > ht.MAX_ENUM_ATOMS:
-        raise ht.CapacityError(
-            f"{len(pool)} atoms exceed the enumeration bound of {ht.MAX_ENUM_ATOMS}")
-    for t in ht.subsets(pool):
-        vf = denotation(f, t)
-        vg = denotation(g, t)
-        for gen in sorted(vf.gens, key=lambda s: (len(s), sorted(s))):
-            if not vg.contains(Support(vf.base, gen)):
-                return EntailmentResult(False, t, Support(vf.base, gen))
+    pool, ops, (rf, rg) = _compile_over([f, g], atoms)
+    for combo, regs in _runs(ops, len(pool)):
+        right = regs[rg]
+        missing = [h for h in regs[rf] if all(k & ~h for k in right)]
+        if missing:
+            base = tuple(pool[j] for j in combo)
+            h = min(missing, key=_support_order)
+            return EntailmentResult(False, frozenset(base),
+                                    Support(base, _unpack(h)))
     return EntailmentResult(True)
 
 

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from dlplab.checks import CHECKS, DEFAULT_CHECKS, run_fuzz, shrink_program
 from dlplab.cli import main
 from dlplab.compare import ComparisonReport, compute_report
-from dlplab.gen import GenConfig
+from dlplab.gen import GenConfig, gen_program
 from dlplab.parser import parse_program
 
 P1_TEXT = "a | b.\na | c.\n"
@@ -145,3 +150,64 @@ def test_shrink_program_reaches_fixed_point():
     p = parse_program("a. b. a | b.")
     shrunk = shrink_program(p, lambda q: any(len(r.head) > 1 for r in q.rules))
     assert [r.head for r in shrunk.rules] == [("a", "b")]
+
+
+def test_shrink_program_lets_a_raising_predicate_raise():
+    p = parse_program("a. b. c :- not d. d :- not c. e | f.")
+
+    def crashes(q):
+        raise ZeroDivisionError("predicate bug")
+
+    with pytest.raises(ZeroDivisionError):
+        shrink_program(p, crashes)
+
+
+def test_run_fuzz_records_and_shrinks_a_raising_check(monkeypatch):
+    def boom(q):
+        if any(r.bneg for r in q.rules):
+            raise RuntimeError("negation not supported")
+        return None
+
+    monkeypatch.setitem(CHECKS, "boom", (boom, "raises on negation"))
+    report = run_fuzz(GenConfig(seed=0), 20, checks=("boom",), max_failures=1)
+    [failure] = report.failures
+    assert failure.check == "boom"
+    assert failure.message == "raised RuntimeError: negation not supported"
+    with pytest.raises(RuntimeError):
+        boom(failure.program)
+    # shrunk to the single rule with a negated body literal
+    assert len(failure.program.rules) > 1
+    assert len(failure.shrunk.rules) == 1 and failure.shrunk.rules[0].bneg
+    assert gen_program(replace(GenConfig(seed=0), seed=failure.seed)) \
+        == failure.program
+
+
+def test_run_fuzz_shrinks_a_message_failure_past_raising_candidates(monkeypatch):
+    # candidates that raise are a different failure, not this one
+    def picky(q):
+        if len(q.rules) == 1:
+            raise RuntimeError("one rule")
+        return "fails" if q.rules else None
+
+    monkeypatch.setitem(CHECKS, "picky", (picky, "fails unless one rule"))
+    report = run_fuzz(GenConfig(seed=0), 1, checks=("picky",))
+    [failure] = report.failures
+    assert failure.message == "fails"
+    assert len(failure.shrunk.rules) == 2
+
+
+def test_cli_exits_quietly_on_a_closed_pipe(p1_file):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dlplab.cli", "models", p1_file, "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.stderr.decode() == ""
+    assert proc.returncode == 141

@@ -9,8 +9,10 @@ from dlplab.forks import (BaseMismatchError, Support, View, closure,
                           project_models, projected_denotation,
                           restrict_support, strongly_entails,
                           support_of_formula)
+from dlplab.di import csm_models
 from dlplab.gen import GenConfig, gen_fork, gen_formula, gen_program
 from dlplab.ht import CapacityError, ht_sat, stable_models, subsets
+from dlplab.justify import justified_models
 from dlplab.parser import parse_fork, parse_formula, parse_program
 from dlplab.syntax import (FALSUM, And, Atom, ForkAnd, ForkImplies,
                            ForkPair, Formula, Implies, Or, fork_and,
@@ -196,10 +198,92 @@ def view_members(v):
 
 def test_denotation_matches_naive_oracle():
     rng = random.Random(23)
-    for _ in range(150):
-        f = gen_fork(rng, ("a", "b"), 3)
-        for t in subsets(("a", "b")):
-            assert view_members(denotation(f, t)) == naive_denotation(f, t), f
+    for pool, count in ((("a", "b"), 150), (("a", "b", "c"), 40)):
+        for _ in range(count):
+            f = gen_fork(rng, pool, 3)
+            for t in subsets(pool):
+                assert view_members(denotation(f, t)) \
+                    == naive_denotation(f, t), f
+
+
+# --- generator-level reference: frozenset set algebra ---------------------
+
+def _mask(base, h):
+    return sum(1 << i for i, a in enumerate(base) if a in h)
+
+
+def _support_key(s):
+    return len(s), sorted(s)
+
+
+def ref_minimize(cands):
+    kept = []
+    for c in sorted(set(cands), key=_support_key):
+        if c and not any(k <= c for k in kept):
+            kept.append(c)
+    return frozenset(kept)
+
+
+def ref_gens(f, t):
+    """The minimal supports of the view at T, computed clause by clause on
+    frozensets of here-masks, with formula supports from naive_den."""
+    t = frozenset(t)
+    base = tuple(sorted(t))
+    everything = frozenset(range(1 << len(base)))
+    full = (1 << len(base)) - 1
+
+    def support(phi):
+        return frozenset(_mask(base, h) for h in naive_den(phi, t))
+
+    def go(f):
+        if f == FALSUM:
+            return frozenset()
+        if isinstance(f, Atom):
+            s = support(f)
+            return frozenset((s,)) if s else frozenset()
+        if isinstance(f, (And, ForkAnd)):
+            return ref_minimize(a & b for a in go(f.left) for b in go(f.right))
+        if isinstance(f, Or):
+            gl = go(f.left) or frozenset((frozenset(),))
+            gr = go(f.right) or frozenset((frozenset(),))
+            return ref_minimize(a | b for a in gl for b in gr)
+        if isinstance(f, (Implies, ForkImplies)):
+            s = support(f.left)
+            if not s:
+                return frozenset((everything,))
+            comp = frozenset() if s == everything else everything - s | {full}
+            return ref_minimize(comp | g for g in go(f.right))
+        if isinstance(f, ForkPair):
+            return ref_minimize(go(f.left) | go(f.right))
+        raise TypeError(f)
+
+    return go(f)
+
+
+def ref_entails(f, g, pool):
+    """Strong entailment as a loop over the reference views: the verdict,
+    and on failure the first T and its first missing support."""
+    for t in subsets(pool):
+        left, right = ref_gens(f, t), ref_gens(g, t)
+        for gen in sorted(left, key=_support_key):
+            if not any(k <= gen for k in right):
+                return False, t, gen
+    return True, None, None
+
+
+def entailment_key(res):
+    support = res.witness_support
+    return res.holds, res.witness_t, support and support.members
+
+
+def test_denotation_generators_match_reference():
+    rng = random.Random(43)
+    pool = ("a", "b", "c", "d", "e", "f")
+    for _ in range(200):
+        f = gen_fork(rng, pool, 4)
+        for width in range(len(pool) + 1):
+            t = rng.sample(pool, width)
+            assert denotation(f, t).gens == ref_gens(f, t), (f, t)
 
 
 def test_formula_denotation_is_ideal_of_support():
@@ -239,6 +323,38 @@ def test_strong_entailment_examples():
     assert res.witness_t == frozenset("ab")
     assert split == parse_fork("a ; b")
     assert strongly_entails(split, split)
+
+
+def programs_6x8():
+    return [gen_program(GenConfig(seed=seed, atoms=6, rules=8))
+            for seed in range(200)]
+
+
+def test_fork_stable_models_equal_justified_and_candidate_models():
+    for p in programs_6x8():
+        al = p.atoms()
+        assert fork_stable_models(forked(p), al) == justified_models(p, al) \
+            == csm_models(p, al), p
+
+
+def test_strong_entailment_matches_reference_loop():
+    rng = random.Random(47)
+    failing = 0
+    for k, p in enumerate(programs_6x8()):
+        al = p.atoms()
+        f = forked(p)
+        res = strongly_entails(p.to_formula(), f, al)
+        assert res, p
+        if k % 20 == 0:
+            assert entailment_key(res) == ref_entails(p.to_formula(), f, al)
+        # splitting a head loses the disjunction, so the reverse direction
+        # fails on disjunctive programs, often with several missing supports
+        for g in (p.to_formula(), gen_fork(rng, sorted(al), 3) if al else FALSUM):
+            res = strongly_entails(f, g, al)
+            if not res:
+                failing += 1
+                assert entailment_key(res) == ref_entails(f, g, al), (p, g)
+    assert failing > 300
 
 
 def test_entailment_implies_stable_model_inclusion():
