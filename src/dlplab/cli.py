@@ -2,7 +2,8 @@
 
 Subcommands: models, entails, translate, explain, fuzz.  Inputs are files
 in the program or fork grammar of the parser module; exit code 0 means no
-input errors (and, under --strict, no violated inclusion relation).
+input errors and no violated relation, 1 a violated relation (an inclusion
+under models --strict, or a failing or raising fuzz check).
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def cmd_fuzz(args) -> int:
         }, indent=2, sort_keys=True))
     else:
         print(report.summary())
-    return EXIT_OK
+    return EXIT_VIOLATION if report.failures else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

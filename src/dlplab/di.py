@@ -51,8 +51,39 @@ class HeadSelection:
 
 
 def _triggered(p: Program, i: frozenset[str]) -> list[int]:
-    return [k for k, r in enumerate(p.rules)
-            if ht.classical_sat(i, r.body_formula())]
+    cp = ht.CompiledProgram(p, i | p.atoms())
+    return cp.triggered(cp.mask(i))
+
+
+Slot = tuple[list[int], list["int | None"]]
+
+
+def _slots(cp: ht.CompiledProgram, t: int, closed: bool) -> list[Slot]:
+    """The choice points of the selections for the model t, in enumeration
+    order: the triggered rules sharing one choice, and the choices (their
+    true head atoms as indices, or None if they have none).
+
+    Open selections choose per triggered rule; closed ones per head set,
+    taken in the order of the sorted head sets.
+    """
+    trig = cp.triggered(t)
+    if closed:
+        groups: dict[int, list[int]] = {}
+        for k in trig:
+            groups.setdefault(cp.rules[k][0], []).append(k)
+        heads = sorted(groups, key=ht.set_bits)
+        members = [groups[h] for h in heads]
+    else:
+        heads = [cp.rules[k][0] for k in trig]
+        members = [[k] for k in trig]
+    return [(ks, ht.set_bits(h & t) or [None]) for h, ks in zip(heads, members)]
+
+
+def _selection(cp: ht.CompiledProgram, slots: list[Slot],
+               combo: Iterable["int | None"], closed: bool) -> HeadSelection:
+    pairs = [(k, None if a is None else cp.atoms[a])
+             for (ks, _), a in zip(slots, combo) for k in ks]
+    return HeadSelection(tuple(sorted(pairs)), closed=closed)
 
 
 def selections(p: Program, model: Iterable[str],
@@ -64,29 +95,44 @@ def selections(p: Program, model: Iterable[str],
     and every group member receives the same choice.
     """
     i = frozenset(model)
-    trig = _triggered(p, i)
-    if not closed:
-        options = []
-        for k in trig:
-            hits = sorted(p.rules[k].head_set & i)
-            options.append([(k, a) for a in hits] if hits else [(k, None)])
-        for combo in product(*options):
-            yield HeadSelection(tuple(combo), closed=False)
-        return
+    cp = ht.CompiledProgram(p, i | p.atoms())
+    slots = _slots(cp, cp.mask(i), closed)
+    for combo in product(*(choices for _, choices in slots)):
+        yield _selection(cp, slots, combo, closed)
 
-    groups: dict[frozenset[str], list[int]] = {}
-    for k in trig:
-        groups.setdefault(p.rules[k].head_set, []).append(k)
-    keys = sorted(groups, key=lambda s: tuple(sorted(s)))
-    options = []
-    for key in keys:
-        hits = sorted(key & i)
-        options.append(list(hits) if hits else [None])
-    for combo in product(*options):
-        pairs = []
-        for key, atom in zip(keys, combo):
-            pairs.extend((k, atom) for k in groups[key])
-        yield HeadSelection(tuple(sorted(pairs)), closed=True)
+
+def _first_cover(options: list[list[int]], target: int) -> list[int] | None:
+    """The first choice of one value per slot, in the order of
+    :func:`itertools.product`, whose union is the target, as the index
+    picked in each slot; None if there is none.
+
+    Unions only grow along a choice, so a branch whose union together with
+    every value still on offer misses part of the target is cut.
+    """
+    n = len(options)
+    reach = [0] * (n + 1)
+    for d in range(n - 1, -1, -1):
+        reach[d] = reach[d + 1]
+        for v in options[d]:
+            reach[d] |= v
+    picks = [-1] * n
+    acc = [0] * (n + 1)  # acc[d]: the union of the values picked before slot d
+    d = 0
+    while d >= 0:
+        if d == n:
+            if acc[n] == target:
+                return picks
+            d -= 1
+            continue
+        j = picks[d] + 1
+        if j == len(options[d]) or target & ~(acc[d] | reach[d]):
+            picks[d] = -1
+            d -= 1
+            continue
+        picks[d] = j
+        acc[d + 1] = acc[d] | options[d][j]
+        d += 1
+    return None
 
 
 def reduct(p: Program, model: Iterable[str], sel: HeadSelection) -> Program:
@@ -129,13 +175,32 @@ def candidate_stable_models(p: Program, atoms: Iterable[str] | None = None,
                             closed: bool = False
                             ) -> list[tuple[frozenset[str], HeadSelection]]:
     """Classical models stable under the reduct of some selection, paired
-    with the first witnessing selection found."""
+    with the first witnessing selection found.
+
+    A selection's reduct gives each triggered rule the chosen head atom, so
+    its violation table over the here-components of the model is the union
+    of one table per slot: the positive bodies of the slot's rules minus
+    the chosen atom's column.  The model is stable for the reduct iff that
+    union is every here-component but the model (as in
+    :meth:`ht.CompiledProgram.is_stable`).
+    """
+    cp = ht.CompiledProgram(p, atoms)
     out = []
-    for i in ht.classical_models(p, atoms):
-        for sel in selections(p, i, closed=closed):
-            if ht.is_stable_model(reduct(p, i, sel), i):
-                out.append((i, sel))
-                break
+    for t in ht.model_order(cp.model_table()):
+        cols = cp.here_columns(t)
+        everything = ht._universe(t.bit_count())
+        slots = _slots(cp, t, closed)
+        options = []
+        for ks, choices in slots:
+            pos = 0
+            for k in ks:
+                pos |= cp.positive_table(k, cols, everything)
+            options.append([pos if a is None else pos & ~cols[a]
+                            for a in choices])
+        picks = _first_cover(options, ht.below_top(t.bit_count()))
+        if picks is not None:
+            combo = [choices[j] for (_, choices), j in zip(slots, picks)]
+            out.append((cp.unmask(t), _selection(cp, slots, combo, closed)))
     return out
 
 
@@ -161,20 +226,26 @@ def immediate_consequences(p: Program, model: Iterable[str]) -> frozenset[str]:
         raise NonNormalProgramError(
             "the immediate-consequences step needs an extended normal program")
     i = frozenset(model)
-    return frozenset(r.head[0] for r in p.rules
-                     if r.head and ht.classical_sat(i, r.body_formula()))
+    cp = ht.CompiledProgram(p, i | p.atoms())
+    return frozenset(p.rules[k].head[0] for k in cp.triggered(cp.mask(i))
+                     if p.rules[k].head)
 
 
 def supported_models_fixpoint(p: Program,
                               atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
-    """Models fixed by the immediate consequences of some selection reduct."""
+    """Models fixed by the immediate consequences of some selection reduct.
+
+    A reduct's immediate consequences at the model are the chosen atoms,
+    so the model is fixed iff some selection chooses every atom of it.
+    """
+    cp = ht.CompiledProgram(p, atoms)
     out = []
-    for i in ht.classical_models(p, atoms):
-        for sel in selections(p, i):
-            if immediate_consequences(reduct(p, i, sel), i) == i:
-                out.append(i)
-                break
-    return ht.sort_models(out)
+    for t in ht.model_order(cp.model_table()):
+        options = [[0 if a is None else 1 << a for a in choices]
+                   for _, choices in _slots(cp, t, closed=False)]
+        if _first_cover(options, t) is not None:
+            out.append(cp.unmask(t))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,21 +20,23 @@ of width w a support is an int of 2^w bits whose bit m is set iff the
 here-mask m (bit i standing for the i-th atom of the sorted base) is a
 member; an atom's support is the column of its truth table, and the
 connectives become single big-int operations.  A view is a list of such
-ints.  :func:`fork_stable_models` and :func:`strongly_entails` compile
-their forks once into a flat list of register operations and run it for
-each T, so no formula is hashed or dispatched on per T.  The public
-:class:`Support` and :class:`View` keep their members as frozensets of
-here-masks; :meth:`Support.member_sets` gives them back as atom sets.
+ints.  The atom columns (``_columns``) and the bit reader are shared
+with the program tables of :mod:`dlplab.ht`.  :func:`fork_stable_models`
+and :func:`strongly_entails` compile their forks once into a flat list of
+register operations and run it for each T, so no formula is hashed or
+dispatched on per T.  The public :class:`Support` and :class:`View` keep
+their members as frozensets of here-masks; :meth:`Support.member_sets`
+gives them back as atom sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from . import ht
+from .ht import _columns, _full_bit, _universe, set_bits
 from .syntax import (And, Atom, ExtendedRule, Falsum, Fork, ForkAnd,
                      ForkImplies, ForkPair, Formula, Implies, Or, Program,
                      alphabet, rule)
@@ -54,51 +56,17 @@ def _canon_base(atoms: Iterable[str]) -> tuple[str, ...]:
 # Int supports
 # ---------------------------------------------------------------------------
 
-def _universe(width: int) -> int:
-    """The support holding every subset of a base of the given width."""
-    return (1 << (1 << width)) - 1
-
-
-def _full_bit(width: int) -> int:
-    """The support member standing for the base set itself."""
-    return 1 << ((1 << width) - 1)
-
-
-@lru_cache(maxsize=None)
-def _columns(width: int) -> tuple[int, ...]:
-    """The support of each base atom: its column of the truth table, which
-    repeats 2^i clear bits followed by 2^i set bits for the i-th atom."""
-    out = []
-    for i in range(width):
-        col, span = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
-        while span < 1 << width:
-            col |= col << span
-            span <<= 1
-        out.append(col)
-    return tuple(out)
-
-
 def _pack(members: frozenset[int]) -> int:
     return sum(1 << m for m in members)
 
 
 def _unpack(x: int) -> frozenset[int]:
-    return frozenset(_member_list(x))
-
-
-def _member_list(x: int) -> list[int]:
-    """The members of an int support, ascending."""
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return out
+    return frozenset(set_bits(x))
 
 
 def _support_order(x: int) -> tuple[int, list[int]]:
     """Size, then the sorted member masks: the order supports print in."""
-    return x.bit_count(), _member_list(x)
+    return x.bit_count(), set_bits(x)
 
 
 def _complement(s: int, everything: int, full_bit: int) -> int:
@@ -415,9 +383,7 @@ def _compile_over(forks: Sequence[Fork],
     ops, roots, outside = _compile(forks, pool)
     if outside:
         raise ValueError(f"alphabet is missing atoms {sorted(outside)}")
-    if len(pool) > ht.MAX_ENUM_ATOMS:
-        raise ht.CapacityError(
-            f"{len(pool)} atoms exceed the enumeration bound of {ht.MAX_ENUM_ATOMS}")
+    ht._check_width(len(pool))
     return pool, ops, roots
 
 

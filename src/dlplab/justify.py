@@ -83,9 +83,11 @@ def check_support_graph(g: SupportGraph, p: Program,
     if g.vertices != i:
         raise ModelMismatchError(
             f"graph vertices {sorted(g.vertices)} differ from model {sorted(i)}")
-    if not ht.classical_sat(i, p):
-        raise ValueError("the interpretation is not a classical model of the program")
     p = p.labelled()
+    cp = ht.CompiledProgram(p, i | p.atoms())
+    t = cp.mask(i)
+    if not cp.sat_classical(t):
+        raise ValueError("the interpretation is not a classical model of the program")
     lab = g.labelling
     if set(lab) != i:
         return GraphVerdict("invalid", "labelling does not cover exactly the model")
@@ -96,15 +98,16 @@ def check_support_graph(g: SupportGraph, p: Program,
         if a not in i or b not in i:
             return GraphVerdict("invalid", f"edge ({a},{b}) leaves the model")
         incoming[b].add(a)
+    rule_at = {r.label: k for k, r in enumerate(p.rules)}
     for atom in sorted(i):
-        try:
-            r = p.rule_by_label(lab[atom])
-        except KeyError:
+        k = rule_at.get(lab[atom])
+        if k is None:
             return GraphVerdict("invalid", f"unknown rule label {lab[atom]!r}")
+        r = p.rules[k]
         if atom not in r.head_set:
             return GraphVerdict("invalid",
                                 f"{atom} is not in the head of rule {lab[atom]}")
-        if not ht.classical_sat(i, r.body_formula()):
+        if not cp.body_classical(k, t):
             return GraphVerdict("invalid", f"body of rule {lab[atom]} does not hold")
         if incoming[atom] != set(r.bpos):
             return GraphVerdict(
@@ -128,17 +131,20 @@ def _graph_from_labelling(p: Program, model: frozenset[str],
                            {a: r.label for a, r in chosen.items()})
 
 
-def _labellings(p: Program, model: frozenset[str]) -> Iterator[dict[str, ExtendedRule]]:
-    """Injective assignments of firing rules to the atoms of the model.
+def _labellings(p: Program, cp: ht.CompiledProgram,
+                t: int) -> Iterator[dict[str, ExtendedRule]]:
+    """Injective assignments of firing rules to the atoms of the model t.
 
-    Atoms are processed in lexicographic order, candidate rules in program
-    order, which makes the enumeration deterministic.
+    ``cp`` is the labelled program ``p`` compiled.  Atoms are processed in
+    lexicographic order, candidate rules in program order, which makes the
+    enumeration deterministic.
     """
-    atoms = sorted(model)
+    fired = cp.triggered(t)
+    indices = ht.set_bits(t)
+    atoms = [cp.atoms[a] for a in indices]
     candidates: list[list[ExtendedRule]] = []
-    for a in atoms:
-        cand = [r for r in p.rules
-                if a in r.head_set and ht.classical_sat(model, r.body_formula())]
+    for a in indices:
+        cand = [p.rules[k] for k in fired if cp.rules[k][0] >> a & 1]
         if not cand:
             return
         candidates.append(cand)
@@ -165,10 +171,12 @@ def _labellings(p: Program, model: frozenset[str]) -> Iterator[dict[str, Extende
 def support_graphs_of(p: Program, model: Iterable[str]) -> list[SupportGraph]:
     """All support graphs of the model, cyclic ones included."""
     i = frozenset(model)
-    if not ht.classical_sat(i, p):
-        raise ValueError("the interpretation is not a classical model of the program")
     p = p.labelled()
-    return [_graph_from_labelling(p, i, c) for c in _labellings(p, i)]
+    cp = ht.CompiledProgram(p, i | p.atoms())
+    t = cp.mask(i)
+    if not cp.sat_classical(t):
+        raise ValueError("the interpretation is not a classical model of the program")
+    return [_graph_from_labelling(p, i, c) for c in _labellings(p, cp, t)]
 
 
 def explanations_of(p: Program, model: Iterable[str]) -> list[SupportGraph]:
@@ -176,51 +184,37 @@ def explanations_of(p: Program, model: Iterable[str]) -> list[SupportGraph]:
     return [g for g in support_graphs_of(p, model) if g.is_acyclic()]
 
 
-def _models(p: Program, atoms: Iterable[str] | None) -> list[frozenset[str]]:
-    return ht.classical_models(p, atoms)
-
-
 def supported_models_graph(p: Program,
                            atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
     """Classical models admitting some support graph."""
-    p2 = p.labelled()
-    out = []
-    for i in _models(p, atoms):
-        if next(iter(_labellings(p2, i)), None) is not None:
-            out.append(i)
-    return ht.sort_models(out)
+    p = p.labelled()
+    cp = ht.CompiledProgram(p, atoms)
+    return [cp.unmask(t) for t in ht.model_order(cp.model_table())
+            if next(_labellings(p, cp, t), None) is not None]
 
 
 def justified_models(p: Program,
                      atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
     """Classical models admitting some acyclic support graph."""
-    p2 = p.labelled()
+    p = p.labelled()
+    cp = ht.CompiledProgram(p, atoms)
     out = []
-    for i in _models(p, atoms):
-        for chosen in _labellings(p2, i):
-            if _graph_from_labelling(p2, i, chosen).is_acyclic():
+    for t in ht.model_order(cp.model_table()):
+        i = cp.unmask(t)
+        for chosen in _labellings(p, cp, t):
+            if _graph_from_labelling(p, i, chosen).is_acyclic():
                 out.append(i)
                 break
-    return ht.sort_models(out)
+    return out
 
 
 def ad_supported_models(p: Program,
                         atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
     """Completion-style supported models: every atom of the model needs a
     firing rule whose other head atoms are all false."""
-    out = []
-    for i in _models(p, atoms):
-        def supported(a: str) -> bool:
-            for r in p.rules:
-                if (a in r.head_set
-                        and ht.classical_sat(i, r.body_formula())
-                        and not (r.head_set - {a}) & i):
-                    return True
-            return False
-
-        if all(supported(a) for a in i):
-            out.append(i)
-    return ht.sort_models(out)
+    cp = ht.CompiledProgram(p, atoms)
+    return [cp.unmask(t)
+            for t in ht.model_order(cp.model_table() & cp.support_table())]
 
 
 # ---------------------------------------------------------------------------

@@ -70,10 +70,10 @@ def check_chain(chain: SsmChain, p: Program) -> ChainVerdict:
     """Verify both chain conditions stage by stage; reports the first
     violation found."""
     t = chain.target
-    if not ht.classical_sat(t, p):
-        raise ValueError("the target is not a classical model of the program")
     cp = ht.CompiledProgram(p, t | p.atoms())
     tmask = cp.mask(t)
+    if not cp.sat_classical(tmask):
+        raise ValueError("the target is not a classical model of the program")
     prev: int | None = None
     for idx, stage in enumerate(chain.stages):
         smask = cp.mask(stage)
@@ -157,10 +157,10 @@ def strongly_supported_models(p: Program, atoms: Iterable[str] | None = None
     """Classical models reachable by a valid chain, each with one witness."""
     cp = ht.CompiledProgram(p, atoms)
     out = []
-    for t in ht.classical_models(p, atoms):
-        chain = _find_chain(cp, cp.mask(t))
+    for t in ht.model_order(cp.model_table()):
+        chain = _find_chain(cp, t)
         if chain is not None:
-            out.append((t, chain))
+            out.append((chain.target, chain))
     return out
 
 

@@ -126,6 +126,22 @@ def test_cli_fuzz(capsys):
     assert data["passes"] == 5 * len(DEFAULT_CHECKS)
 
 
+def test_cli_fuzz_exits_1_when_a_check_fails(capsys, monkeypatch):
+    argv = ["fuzz", "--checks", "ssm-min-strict", "--iterations", "30",
+            "--seed", "0"]
+    assert main(argv) == 1
+    assert "27 checks passed, 3 failed" in capsys.readouterr().out
+    assert main(argv + ["--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["passes"] == 27 and len(data["failures"]) == 3
+
+    def boom(q):
+        raise RuntimeError("check bug")
+
+    monkeypatch.setitem(CHECKS, "boom", (boom, "always raises"))
+    assert main(["fuzz", "--checks", "boom", "--iterations", "1"]) == 1
+
+
 def test_cli_fuzz_rejects_unknown_check(capsys):
     assert main(["fuzz", "--iterations", "1", "--checks", "bogus"]) == 2
 

@@ -195,3 +195,14 @@ def test_selection_never_picks_falsum_on_models():
             for sel in selections(p, i):
                 assert all(a is not None for _, a in sel.choices)
                 break
+
+
+def test_selection_search_is_not_bounded_by_recursion_depth():
+    # one choice point per triggered rule, more than the interpreter's
+    # default recursion limit; {a,b} needs b chosen at the last one
+    p = Program((rule(head=("a", "b")),) * 1500)
+    pairs = candidate_stable_models(p)
+    assert [m for m, _ in pairs] == [frozenset("a"), frozenset("b"),
+                                     frozenset("ab")]
+    assert pairs[-1][1].choices[-2:] == ((1498, "a"), (1499, "b"))
+    assert supported_models_fixpoint(p) == [m for m, _ in pairs]

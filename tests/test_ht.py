@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from dlplab.di import immediate_consequences, reduct, selections
 from dlplab.gen import GenConfig, gen_formula, gen_program
 from dlplab.ht import (CapacityError, CompiledProgram, classical_models,
                        classical_sat, ht_equivalent, ht_sat, is_stable_model,
                        stable_models, subsets)
+from dlplab.justify import support_graphs_of
 from dlplab.parser import parse_formula, parse_program
 from dlplab.syntax import Atom, Program, neg
 
@@ -164,10 +166,45 @@ def test_extra_alphabet_atoms_are_forced_false():
     assert classical_models(p, p.atoms() | {"z"}) != classical_models(p)
 
 
+def test_wide_alphabet_closed_form():
+    # a | b over 18 atoms: a or b or both, the other 16 atoms free
+    p = parse_program("a | b.")
+    atoms = p.atoms() | {f"z{i:02d}" for i in range(16)}
+    assert len(classical_models(p, atoms)) == 3 * 2 ** 16
+    assert stable_models(p, atoms) == [frozenset("a"), frozenset("b")]
+
+
+def cyclic(n):
+    return parse_program("".join(
+        f"x{i:02d} | x{(i + 1) % n:02d} :- not x{(i + 2) % n:02d}.\n"
+        for i in range(n)))
+
+
+def test_cyclic_family_stable_models_count_perrin():
+    # x_i | x_{i+1} :- not x_{i+2} around a cycle of n atoms has P(n)
+    # stable models, P the Perrin numbers 3, 0, 2, P(n) = P(n-2) + P(n-3)
+    perrin = [3, 0, 2]
+    while len(perrin) <= 12:
+        perrin.append(perrin[-2] + perrin[-3])
+    assert perrin[12] == 29
+    for n in range(6, 13):
+        assert len(stable_models(cyclic(n))) == perrin[n], n
+
+
 def test_capacity_guard():
     atoms = {f"x{i}" for i in range(21)}
     with pytest.raises(CapacityError):
         classical_models(Program(()), atoms)
+    # the guard is on tables; tests at one interpretation take any alphabet
+    p = parse_program("a | b. " + " ".join(f"z{i:02d}." for i in range(20)))
+    m = frozenset({"a"} | {f"z{i:02d}" for i in range(20)})
+    assert len(list(selections(p, m))) == 1
+    assert immediate_consequences(reduct(p, m, next(selections(p, m))), m) == m
+    assert len(support_graphs_of(p, m)) == 1
+    with pytest.raises(CapacityError):
+        stable_models(p)
+    with pytest.raises(CapacityError):
+        is_stable_model(p, m)
 
 
 def test_subset_enumeration_order():
