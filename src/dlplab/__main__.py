@@ -1,0 +1,8 @@
+"""``python -m dlplab``: the dlplab command."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,7 +3,10 @@
 Each check takes a program and returns None on success or a short
 description of the violated relation.  The default selection covers the
 coincidence and inclusion results between the semantics; the remaining
-checks cover the translations and the parser round trip.
+checks cover the translations and the parser round trip.  The lattice
+checks read their edges from ``compare.INCLUSION_EDGES`` and the semantics
+from ``compare.model_tables``, so the checks on one program compute each
+semantics once; only the conditional relations are written out here.
 
 One deliberate restriction: the minimality link between strongly supported
 and stable models is only asserted for negation-free programs.  The
@@ -22,7 +25,8 @@ from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from . import forks as deno
-from . import di, ht, justify, ssm
+from . import di, ht, ssm
+from .compare import ModelTables, edges_of, model_tables
 from .gen import ATOM_POOL, GenConfig, gen_program
 from .parser import parse_program, render_program
 from .syntax import ExtendedRule, Program, fork_and, forked, rule
@@ -35,121 +39,77 @@ def _fmt(models: Iterable[frozenset[str]]) -> str:
                            for m in ht.sort_models(models)) + "}"
 
 
+_LABELS = {"sm": "SM", "fork": "fork SM", "jm": "JM", "spm": "SPM",
+           "spm-fixpoint": "fixpoint SPM", "ad": "AD", "csm": "CSM", "ssm": "SSM"}
+
+
+def _show(m: ModelTables, name: str, check: str = "") -> str:
+    """A semantics and its models as failure messages name them."""
+    if name == "classical":
+        return "classical models"
+    label = "graph SPM" if (check, name) == ("th8", "spm") else _LABELS[name]
+    return f"{label} {_fmt(m.models(name))}"
+
+
+def _lattice(p: Program, check: str) -> str | None:
+    """The first of the check's lattice edges that fails.  A failing
+    equality (an edge whose reverse is listed too) reads "a != b" in the
+    direction of its later edge."""
+    m = model_tables(p)
+    edges = edges_of(check)
+    for lhs, rhs in edges:
+        if not m.includes(lhs, rhs):
+            if (rhs, lhs) in edges:
+                a, b = max((lhs, rhs), (rhs, lhs), key=edges.index)
+                return f"{_show(m, a, check)} != {_show(m, b, check)}"
+            return f"{_show(m, lhs, check)} not within {_show(m, rhs, check)}"
+    return None
+
+
+def _equal_unless_disjunctive(p: Program, a: str, b: str) -> str | None:
+    m = model_tables(p)
+    if not p.is_disjunctive and m.table(a) != m.table(b):
+        return f"non-disjunctive program has {_show(m, a)} != {_show(m, b)}"
+    return None
+
+
+def _minimal_ssm(p: Program, prefix: str = "") -> str | None:
+    m = model_tables(p)
+    mins = ssm.minimal_elements(m.models("ssm"))
+    if mins != m.models("sm"):
+        return f"{prefix}minimal SSM {_fmt(mins)} != {_show(m, 'sm')}"
+    return None
+
+
 def check_sm_subset_jm(p: Program) -> str | None:
     """Stable models are justified; equal for non-disjunctive programs."""
-    al = p.atoms()
-    sm = ht.stable_models(p, al)
-    jm = justify.justified_models(p, al)
-    if not set(sm) <= set(jm):
-        return f"SM {_fmt(sm)} not within JM {_fmt(jm)}"
-    if not p.is_disjunctive and sm != jm:
-        return f"non-disjunctive program has SM {_fmt(sm)} != JM {_fmt(jm)}"
-    return None
-
-
-def check_jm_equals_fork(p: Program) -> str | None:
-    """Justified models coincide with the stable models of the forked program."""
-    al = p.atoms()
-    jm = justify.justified_models(p, al)
-    fk = deno.fork_stable_models(forked(p), al)
-    if jm != fk:
-        return f"JM {_fmt(jm)} != fork SM {_fmt(fk)}"
-    return None
-
-
-def check_csm_equals_fork(p: Program) -> str | None:
-    """Candidate stable models coincide with fork stable models."""
-    al = p.atoms()
-    cs = di.csm_models(p, al)
-    fk = deno.fork_stable_models(forked(p), al)
-    if cs != fk:
-        return f"CSM {_fmt(cs)} != fork SM {_fmt(fk)}"
-    return None
-
-
-def check_csm_subset_ssm(p: Program) -> str | None:
-    """Candidate stable models are strongly supported."""
-    al = p.atoms()
-    cs = di.csm_models(p, al)
-    sm_s = ssm.ssm_models(p, al)
-    if not set(cs) <= set(sm_s):
-        return f"CSM {_fmt(cs)} not within SSM {_fmt(sm_s)}"
-    return None
-
-
-def check_spm_fixpoint(p: Program) -> str | None:
-    """Graph-based supported models match the fixpoint characterisation."""
-    al = p.atoms()
-    gr = justify.supported_models_graph(p, al)
-    fx = di.supported_models_fixpoint(p, al)
-    if gr != fx:
-        return f"graph SPM {_fmt(gr)} != fixpoint SPM {_fmt(fx)}"
-    return None
+    return _lattice(p, "th3") or _equal_unless_disjunctive(p, "sm", "jm")
 
 
 def check_fork_replacement(p: Program) -> str | None:
     """The program strongly entails its forked version, so its stable
     models survive the replacement."""
-    al = p.atoms()
-    f = forked(p)
-    res = deno.strongly_entails(p.to_formula(), f, al)
+    res = deno.strongly_entails(p.to_formula(), forked(p), p.atoms())
     if not res:
         return (f"no strong entailment into the forked program; witness "
                 f"T={{{','.join(sorted(res.witness_t))}}}")
-    sm = ht.stable_models(p, al)
-    fk = deno.fork_stable_models(f, al)
-    if not set(sm) <= set(fk):
-        return f"SM {_fmt(sm)} not within fork SM {_fmt(fk)}"
-    return None
-
-
-def _negation_free(p: Program) -> bool:
-    return all(not r.bneg and not r.bnegneg for r in p.rules)
+    return _lattice(p, "cor1")
 
 
 def check_ssm_vs_sm(p: Program) -> str | None:
     """Stable models are strongly supported; for negation-free programs the
     minimal strongly supported models are exactly the stable ones, and for
     non-disjunctive programs the two semantics coincide."""
-    al = p.atoms()
-    sm = ht.stable_models(p, al)
-    sm_s = ssm.ssm_models(p, al)
-    cl = ht.classical_models(p, al)
-    if not set(sm) <= set(sm_s):
-        return f"SM {_fmt(sm)} not within SSM {_fmt(sm_s)}"
-    if not set(sm_s) <= set(cl):
-        return f"SSM {_fmt(sm_s)} not within classical models"
-    if _negation_free(p) and ssm.minimal_elements(sm_s) != sm:
-        return (f"negation-free program has minimal SSM "
-                f"{_fmt(ssm.minimal_elements(sm_s))} != SM {_fmt(sm)}")
-    if not p.is_disjunctive and sm_s != sm:
-        return f"non-disjunctive program has SSM {_fmt(sm_s)} != SM {_fmt(sm)}"
-    return None
+    negation_free = all(not r.bneg and not r.bnegneg for r in p.rules)
+    return (_lattice(p, "ssm-sm")
+            or (negation_free and _minimal_ssm(p, "negation-free program has "))
+            or _equal_unless_disjunctive(p, "ssm", "sm"))
 
 
 def check_ssm_minimality_strict(p: Program) -> str | None:
     """The unconditional minimality claim; refuted on programs whose
     candidate stable models outrun their stable models."""
-    al = p.atoms()
-    sm = ht.stable_models(p, al)
-    mins = ssm.minimal_elements(ssm.ssm_models(p, al))
-    if mins != sm:
-        return f"minimal SSM {_fmt(mins)} != SM {_fmt(sm)}"
-    return None
-
-
-def check_ad_sandwich(p: Program) -> str | None:
-    """Completion-style supported models sit between stable and graph-based
-    supported models."""
-    al = p.atoms()
-    sm = ht.stable_models(p, al)
-    ad = justify.ad_supported_models(p, al)
-    sp = justify.supported_models_graph(p, al)
-    if not set(sm) <= set(ad):
-        return f"SM {_fmt(sm)} not within AD {_fmt(ad)}"
-    if not set(ad) <= set(sp):
-        return f"AD {_fmt(ad)} not within SPM {_fmt(sp)}"
-    return None
+    return _minimal_ssm(p)
 
 
 def check_t1(p: Program) -> str | None:
@@ -249,13 +209,13 @@ def check_roundtrip(p: Program) -> str | None:
 
 CHECKS: dict[str, tuple[CheckFn, str]] = {
     "th3": (check_sm_subset_jm, "stable models are justified"),
-    "th4": (check_jm_equals_fork, "justified models = fork stable models"),
-    "th5": (check_csm_equals_fork, "candidate stable models = fork stable models"),
-    "th7": (check_csm_subset_ssm, "candidates are strongly supported"),
-    "th8": (check_spm_fixpoint, "graph supported = fixpoint supported"),
+    "th4": (lambda p: _lattice(p, "th4"), "justified models = fork stable models"),
+    "th5": (lambda p: _lattice(p, "th5"), "candidate stable models = fork stable models"),
+    "th7": (lambda p: _lattice(p, "th7"), "candidates are strongly supported"),
+    "th8": (lambda p: _lattice(p, "th8"), "graph supported = fixpoint supported"),
     "cor1": (check_fork_replacement, "forking heads keeps every stable model"),
     "ssm-sm": (check_ssm_vs_sm, "stable vs strongly supported relations"),
-    "ad": (check_ad_sandwich, "SM within AD within SPM"),
+    "ad": (lambda p: _lattice(p, "ad"), "SM within AD within SPM"),
     "t1": (check_t1, "double negation removal preserves SM"),
     "t2": (check_t2, "head disambiguation preserves CSM"),
     "th1": (check_pf_projection, "head splitting is invisible modulo alphabet"),
@@ -281,25 +241,55 @@ class FuzzFailure:
 
 
 @dataclass(slots=True)
+class CheckStats:
+    """One check's verdicts and seconds, shrinking included.  The seconds
+    include the semantics that the check is the first to need on a
+    program; later checks read them from the memo of compare."""
+    passes: int = 0
+    failures: int = 0
+    elapsed: float = 0.0
+
+
+@dataclass(slots=True)
 class FuzzReport:
     iterations: int
     checks: tuple[str, ...]
-    passes: int = 0
     failures: list[FuzzFailure] = field(default_factory=list)
     elapsed: float = 0.0
+    per_check: dict[str, CheckStats] = field(default_factory=dict)
+    programs: int = 0  # programs checked, fewer on an early stop
+    interrupted: bool = False
+
+    @property
+    def passes(self) -> int:
+        return sum(s.passes for s in self.per_check.values())
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def summary(self) -> str:
-        lines = [f"{self.passes} checks passed, {len(self.failures)} failed "
-                 f"over {self.iterations} programs ({self.elapsed:.2f}s)"]
+        over = (f"{self.programs} of {self.iterations}"
+                if self.programs < self.iterations else self.iterations)
+        lines = [f"{self.passes} checks passed, {len(self.failures)} failed over "
+                 f"{over} programs ({self.elapsed:.2f}s)"
+                 + (", interrupted" if self.interrupted else "")]
+        lines += [f"  {name}: {s.passes} passed, {s.failures} failed ({s.elapsed:.2f}s)"
+                  for name, s in self.per_check.items()]
         for f in self.failures:
             lines.append(f"seed {f.seed} [{f.check}]: {f.message}")
             lines.append("minimal failing program:")
             lines.append(render_program(f.shrunk).rstrip())
         return "\n".join(lines)
+
+
+class FuzzInterrupted(KeyboardInterrupt):
+    """A KeyboardInterrupt in run_fuzz, with the report of the programs
+    checked before it."""
+
+    def __init__(self, report: FuzzReport):
+        super().__init__()
+        self.report = report
 
 
 def shrink_program(p: Program, still_fails: Callable[[Program], bool]) -> Program:
@@ -333,32 +323,47 @@ def run_fuzz(cfg: GenConfig, iterations: int,
     """Generate programs with seeds cfg.seed, cfg.seed+1, ... and run the
     selected checks on each; failures are shrunk by rule removal.  A check
     that raises is a failure too, shrunk while the same exception type is
-    raised."""
+    raised.  A KeyboardInterrupt leaves as FuzzInterrupted, carrying the
+    report so far."""
     unknown = [c for c in checks if c not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; "
                          f"available: {sorted(CHECKS)}")
-    report = FuzzReport(iterations=iterations, checks=tuple(checks))
+    if not checks or iterations < 1:
+        raise ValueError(f"nothing to run: {iterations} iterations of "
+                         f"{len(checks)} checks")
+    report = FuzzReport(iterations, tuple(checks),
+                        per_check={name: CheckStats() for name in checks})
     t0 = time.perf_counter()
-    for i in range(iterations):
-        seed = cfg.seed + i
-        program = gen_program(replace(cfg, seed=seed))
-        for name in checks:
-            fn, _ = CHECKS[name]
-            message, raised = _outcome(fn, program)
-            if message is None:
-                report.passes += 1
-                continue
+    try:
+        for i in range(iterations):
+            seed = cfg.seed + i
+            program = gen_program(replace(cfg, seed=seed))
+            for name in checks:
+                fn, _ = CHECKS[name]
+                stats = report.per_check[name]
+                t1 = time.perf_counter()
+                message, raised = _outcome(fn, program)
+                if message is None:
+                    stats.passes += 1
+                else:
+                    def same_failure(q: Program) -> bool:
+                        m, r = _outcome(fn, q)
+                        return m is not None and r is raised
 
-            def same_failure(q: Program) -> bool:
-                m, r = _outcome(fn, q)
-                return m is not None and r is raised
-
-            shrunk = shrink_program(program, same_failure)
-            report.failures.append(FuzzFailure(seed, name, message,
-                                               program, shrunk))
+                    shrunk = shrink_program(program, same_failure)
+                    report.failures.append(FuzzFailure(seed, name, message,
+                                                       program, shrunk))
+                    stats.failures += 1
+                stats.elapsed += time.perf_counter() - t1
+                if len(report.failures) >= max_failures:
+                    break
+            report.programs = i + 1
             if len(report.failures) >= max_failures:
-                report.elapsed = time.perf_counter() - t0
-                return report
-    report.elapsed = time.perf_counter() - t0
+                break
+    except KeyboardInterrupt as exc:
+        report.interrupted = True
+        raise FuzzInterrupted(report) from exc
+    finally:
+        report.elapsed = time.perf_counter() - t0
     return report

@@ -3,7 +3,8 @@
 Subcommands: models, entails, translate, explain, fuzz.  Inputs are files
 in the program or fork grammar of the parser module; exit code 0 means no
 input errors and no violated relation, 1 a violated relation (an inclusion
-under models --strict, or a failing or raising fuzz check).
+under models --strict, or a failing or raising fuzz check), 130 a fuzz
+run stopped by Ctrl-C (after printing the report of the programs checked).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from . import forks as deno
 from . import di, ht, justify
-from .checks import CHECKS, DEFAULT_CHECKS, run_fuzz
+from .checks import CHECKS, DEFAULT_CHECKS, FuzzInterrupted, run_fuzz
 from .compare import SEMANTICS_ORDER, compute_report
 from .gen import GenConfig, InvalidConfigError
 from .parser import ParseError, parse_fork, parse_program, render_program
@@ -27,6 +28,7 @@ _DEFAULTS = GenConfig()
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERRUPTED = 130  # what the shell reports for a process killed by SIGINT
 EXIT_BROKEN_PIPE = 141  # what the shell reports for a process killed by SIGPIPE
 
 
@@ -143,7 +145,10 @@ def cmd_fuzz(args) -> int:
     checks = DEFAULT_CHECKS
     if args.checks:
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-    report = run_fuzz(cfg, args.iterations, checks)
+    try:
+        report = run_fuzz(cfg, args.iterations, checks)
+    except FuzzInterrupted as exc:
+        report = exc.report
     if args.json:
         print(json.dumps({
             "iterations": report.iterations,
@@ -155,9 +160,16 @@ def cmd_fuzz(args) -> int:
                           "shrunk": render_program(f.shrunk)}
                          for f in report.failures],
             "elapsed": round(report.elapsed, 3),
+            "per_check": {name: {"passes": s.passes, "failures": s.failures,
+                                 "elapsed": round(s.elapsed, 3)}
+                          for name, s in report.per_check.items()},
+            "programs": report.programs,
+            "interrupted": report.interrupted,
         }, indent=2, sort_keys=True))
     else:
         print(report.summary())
+    if report.interrupted:
+        return EXIT_INTERRUPTED
     return EXIT_VIOLATION if report.failures else EXIT_OK
 
 

@@ -1,13 +1,14 @@
 """Side-by-side computation of all semantics for one program, with the
 expected inclusion lattice checked edge by edge and witnesses collected
-where a semantics provides them.
+where a semantics provides them.  ``model_tables`` computes each semantics
+of the most recent program once, for the report and the fuzz checks alike.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import forks as deno
 from . import di, ht, justify, ssm
@@ -16,19 +17,101 @@ from .syntax import Program, forked
 SEMANTICS_ORDER = ("classical", "sm", "fork", "jm", "spm", "ad", "csm",
                    "csm-closed", "di", "ssm")
 
-# lhs must be included in rhs; the three-way coincidence is encoded as
-# subset edges in both directions.
+# name -> the models, or for WITNESSED the (model, witness) pairs, of the
+# program of a ModelTables.  Enumerators are looked up on their modules at
+# call time, so a wrapper put there (a tracer, a test double) sees every
+# call.  The fixpoint reading of supported models is in no report.
+SEMANTICS: dict[str, Callable[["ModelTables"], list]] = {
+    "classical": lambda m: ht.classical_models(m.program, m.atoms),
+    "sm": lambda m: ht.stable_models(m.program, m.atoms),
+    "fork": lambda m: deno.fork_stable_models(forked(m.program), m.atoms),
+    "jm": lambda m: justify.justified_models(m.program, m.atoms),
+    "spm": lambda m: justify.supported_models_graph(m.program, m.atoms),
+    "ad": lambda m: justify.ad_supported_models(m.program, m.atoms),
+    "csm": lambda m: di.candidate_stable_models(m.program, m.atoms),
+    "csm-closed": lambda m: di.candidate_stable_models(m.program, m.atoms, closed=True),
+    "di": lambda m: ssm.minimal_elements(m.models("csm-closed")),
+    "ssm": lambda m: ssm.strongly_supported_models(m.program, m.atoms),
+    "spm-fixpoint": lambda m: di.supported_models_fixpoint(m.program, m.atoms),
+}
+WITNESSED = ("csm", "csm-closed", "ssm")
+
+# The expected lattice, and the only place it is written: lhs is included
+# in rhs.  Each edge names who asserts it, "models" for the report or fuzz
+# checks; an equality is two edges.  The report keeps its edge order.
 INCLUSION_EDGES = (
-    ("sm", "fork"), ("sm", "jm"), ("sm", "csm"),
-    ("fork", "jm"), ("jm", "fork"),
-    ("jm", "csm"), ("csm", "jm"),
-    ("fork", "csm"), ("csm", "fork"),
-    ("fork", "ssm"), ("jm", "ssm"), ("csm", "ssm"),
-    ("fork", "spm"), ("jm", "spm"), ("csm", "spm"),
-    ("ssm", "classical"), ("spm", "classical"),
-    ("sm", "ad"), ("ad", "spm"),
-    ("csm-closed", "csm"), ("di", "csm-closed"),
+    ("sm", "fork", ("models", "cor1")), ("sm", "jm", ("models", "th3")),
+    ("sm", "csm", ("models",)),
+    ("fork", "jm", ("models", "th4")), ("jm", "fork", ("models", "th4")),
+    ("jm", "csm", ("models",)), ("csm", "jm", ("models",)),
+    ("fork", "csm", ("models", "th5")), ("csm", "fork", ("models", "th5")),
+    ("fork", "ssm", ("models",)), ("jm", "ssm", ("models",)),
+    ("csm", "ssm", ("models", "th7")), ("fork", "spm", ("models",)),
+    ("jm", "spm", ("models",)), ("csm", "spm", ("models",)),
+    ("sm", "ssm", ("ssm-sm",)), ("ssm", "classical", ("models", "ssm-sm")),
+    ("spm", "classical", ("models",)),
+    ("sm", "ad", ("models", "ad")), ("ad", "spm", ("models", "ad")),
+    ("spm-fixpoint", "spm", ("th8",)), ("spm", "spm-fixpoint", ("th8",)),
+    ("csm-closed", "csm", ("models",)), ("di", "csm-closed", ("models",)),
 )
+
+
+def edges_of(user: str) -> list[tuple[str, str]]:
+    return [(lhs, rhs) for lhs, rhs, users in INCLUSION_EDGES if user in users]
+
+
+def _table(masks: Iterable[int], width: int) -> int:
+    """The table of 2^width bits holding the given interpretation masks,
+    built in a byte buffer: or-ing bits into an int copies the whole int."""
+    buf = bytearray(((1 << width) + 7) // 8)
+    for t in masks:
+        buf[t >> 3] |= 1 << (t & 7)
+    return int.from_bytes(buf, "little")
+
+
+class ModelTables:
+    """The semantics of one program over one sorted alphabet, each computed
+    on first use and kept as a table of 2^n bits: bit t is set iff the
+    interpretation of mask t (bit i for atoms[i]) is a model.  Witnesses of
+    the WITNESSED semantics are kept by model."""
+
+    def __init__(self, program: Program, atoms: tuple[str, ...]):
+        self.program, self.atoms = program, atoms
+        self.tables: dict[str, int] = {}
+        self.witnesses: dict[str, dict] = {}
+
+    def table(self, name: str) -> int:
+        if name not in self.tables:
+            found = SEMANTICS[name](self)
+            if name in WITNESSED:
+                found = self.witnesses[name] = dict(found)
+            bit = {a: 1 << i for i, a in enumerate(self.atoms)}
+            self.tables[name] = _table((sum(bit[a] for a in m) for m in found),
+                                       len(self.atoms))
+        return self.tables[name]
+
+    def models(self, name: str) -> list[frozenset[str]]:
+        """The models of a semantics, in the order of ht.sort_models."""
+        return [frozenset(self.atoms[i] for i in ht.set_bits(t))
+                for t in ht.model_order(self.table(name))]
+
+    def includes(self, lhs: str, rhs: str) -> bool:
+        return not self.table(lhs) & ~self.table(rhs)
+
+
+_last: ModelTables | None = None
+
+
+def model_tables(p: Program, atoms: Iterable[str] | None = None) -> ModelTables:
+    """The tables of p over the sorted alphabet, p's own atoms by default.
+    Only the latest program is kept, held and matched by identity, so a run
+    over many programs keeps one program's tables at a time.  Code that
+    swaps an enumerator (a test double) passes a new program object."""
+    global _last
+    pool = tuple(sorted(p.atoms() if atoms is None else set(atoms)))
+    if _last is None or _last.program is not p or _last.atoms != pool:
+        _last = ModelTables(p, pool)
+    return _last
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,8 +172,25 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def _model_list(m: frozenset[str]) -> list[str]:
-    return sorted(m)
+def _witness_fields(m: ModelTables, name: str, models: list) -> list[dict]:
+    """Per model, its witness: the chosen heads, the chain, or the labels of
+    the first support graph (the first acyclic one for jm), searched on one
+    compiled program for all the models."""
+    if name in WITNESSED:
+        found = [m.witnesses[name][x] for x in models]
+        if name == "ssm":
+            return [{"chain": [sorted(s) for s in w.stages]} for w in found]
+        return [{"selection": {f"rule#{k + 1}": "bot" if a is None else a
+                               for k, a in w.choices}} for w in found]
+    p = m.program.labelled()
+    cp = ht.CompiledProgram(p, m.atoms)
+    out = []
+    for x in models:
+        graphs = (justify._graph_from_labelling(p, x, chosen)
+                  for chosen in justify._labellings(p, cp, cp.mask(x)))
+        g = next(g for g in graphs if name == "spm" or g.is_acyclic())
+        out.append({"labels": dict(g.labels)})
+    return out
 
 
 def compute_report(p: Program, selectors: Iterable[str] | None = None,
@@ -102,65 +202,18 @@ def compute_report(p: Program, selectors: Iterable[str] | None = None,
     if unknown:
         raise ValueError(f"unknown semantics: {unknown}; "
                          f"available: {list(SEMANTICS_ORDER)}")
-    pool = tuple(sorted(p.atoms() if atoms is None else set(atoms)))
+    m = model_tables(p, atoms)
     results: dict[str, list[frozenset[str]]] = {}
     witnesses: dict[str, list[dict]] = {}
     timings: dict[str, float] = {}
-
-    for name in SEMANTICS_ORDER:
-        if name not in names:
-            continue
+    for name in (n for n in SEMANTICS_ORDER if n in names):
         t0 = time.perf_counter()
-        if name == "classical":
-            results[name] = ht.classical_models(p, pool)
-        elif name == "sm":
-            results[name] = ht.stable_models(p, pool)
-        elif name == "fork":
-            results[name] = deno.fork_stable_models(forked(p), pool)
-        elif name == "jm":
-            results[name] = justify.justified_models(p, pool)
-            witnesses[name] = [
-                {"model": _model_list(m),
-                 "labels": dict(justify.explanations_of(p, m)[0].labels)}
-                for m in results[name]]
-        elif name == "spm":
-            results[name] = justify.supported_models_graph(p, pool)
-            witnesses[name] = [
-                {"model": _model_list(m),
-                 "labels": dict(justify.support_graphs_of(p, m)[0].labels)}
-                for m in results[name]]
-        elif name == "ad":
-            results[name] = justify.ad_supported_models(p, pool)
-        elif name == "csm":
-            pairs = di.candidate_stable_models(p, pool)
-            results[name] = ht.sort_models(m for m, _ in pairs)
-            witnesses[name] = [
-                {"model": _model_list(m),
-                 "selection": {f"rule#{k + 1}": (a if a is not None else "bot")
-                               for k, a in sel.choices}}
-                for m, sel in sorted(pairs, key=lambda x: (len(x[0]), sorted(x[0])))]
-        elif name == "csm-closed":
-            pairs = di.candidate_stable_models(p, pool, closed=True)
-            results[name] = ht.sort_models(m for m, _ in pairs)
-            witnesses[name] = [
-                {"model": _model_list(m),
-                 "selection": {f"rule#{k + 1}": (a if a is not None else "bot")
-                               for k, a in sel.choices}}
-                for m, sel in sorted(pairs, key=lambda x: (len(x[0]), sorted(x[0])))]
-        elif name == "di":
-            results[name] = di.di_stable_models(p, pool)
-        elif name == "ssm":
-            pairs = ssm.strongly_supported_models(p, pool)
-            results[name] = ht.sort_models(m for m, _ in pairs)
-            witnesses[name] = [
-                {"model": _model_list(m),
-                 "chain": [sorted(stage) for stage in chain.stages]}
-                for m, chain in sorted(pairs, key=lambda x: (len(x[0]), sorted(x[0])))]
+        models = results[name] = m.models(name)
+        if name in WITNESSED or name in ("jm", "spm"):
+            witnesses[name] = [{"model": sorted(x), **w} for x, w in
+                               zip(models, _witness_fields(m, name, models))]
         timings[name] = time.perf_counter() - t0
-
-    inclusions = []
-    for lhs, rhs in INCLUSION_EDGES:
-        if lhs in results and rhs in results:
-            inclusions.append(InclusionCheck(
-                lhs, rhs, set(results[lhs]) <= set(results[rhs])))
-    return ComparisonReport(pool, results, inclusions, witnesses, timings)
+    inclusions = [InclusionCheck(lhs, rhs, m.includes(lhs, rhs))
+                  for lhs, rhs in edges_of("models")
+                  if lhs in results and rhs in results]
+    return ComparisonReport(m.atoms, results, inclusions, witnesses, timings)

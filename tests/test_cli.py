@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from dlplab.checks import CHECKS, DEFAULT_CHECKS, run_fuzz, shrink_program
+from dlplab.checks import (CHECKS, DEFAULT_CHECKS, FuzzInterrupted, run_fuzz,
+                           shrink_program)
 from dlplab.cli import main
 from dlplab.compare import ComparisonReport, compute_report
 from dlplab.gen import GenConfig, gen_program
@@ -212,11 +213,16 @@ def test_run_fuzz_shrinks_a_message_failure_past_raising_candidates(monkeypatch)
     assert len(failure.shrunk.rules) == 2
 
 
-def test_cli_exits_quietly_on_a_closed_pipe(p1_file):
+def _env_with_src():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_cli_exits_quietly_on_a_closed_pipe(p1_file):
+    env = _env_with_src()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -227,3 +233,69 @@ def test_cli_exits_quietly_on_a_closed_pipe(p1_file):
         os.close(write_end)
     assert proc.stderr.decode() == ""
     assert proc.returncode == 141
+
+
+def test_fuzz_rejects_empty_runs(capsys):
+    for iterations, checks in ((-3, DEFAULT_CHECKS), (0, DEFAULT_CHECKS), (5, ())):
+        with pytest.raises(ValueError):
+            run_fuzz(GenConfig(), iterations, checks)
+    assert main(["fuzz", "--iterations", "-3"]) == 2
+    assert main(["fuzz", "--iterations", "2", "--checks", ","]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_fuzz_counts_and_times_each_check(capsys):
+    report = run_fuzz(GenConfig(seed=0), 30, ("th3", "ssm-min-strict"))
+    stats = report.per_check
+    assert list(stats) == ["th3", "ssm-min-strict"]
+    assert (stats["th3"].passes, stats["th3"].failures) == (30, 0)
+    assert (stats["ssm-min-strict"].passes, stats["ssm-min-strict"].failures) == (27, 3)
+    assert report.passes == 57 and report.programs == 30
+    assert all(s.elapsed > 0 for s in stats.values())
+    assert "  ssm-min-strict: 27 passed, 3 failed (" in report.summary()
+
+    argv = ["fuzz", "--checks", "th3,ssm-min-strict", "--iterations", "30"]
+    assert main(argv + ["--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert {"iterations", "checks", "passes", "failures", "elapsed"} <= set(data)
+    assert data["passes"] == 57 and data["interrupted"] is False
+    assert {k: (v["passes"], v["failures"]) for k, v in data["per_check"].items()} \
+        == {"th3": (30, 0), "ssm-min-strict": (27, 3)}
+    assert main(argv) == 1
+    assert "  th3: 30 passed, 0 failed (" in capsys.readouterr().out
+
+
+def test_fuzz_keeps_the_partial_report_on_interrupt(capsys, monkeypatch):
+    seen = []
+
+    def interrupted_on_the_third(q):
+        seen.append(q)
+        if len(seen) == 3:
+            raise KeyboardInterrupt
+        return None
+
+    monkeypatch.setitem(CHECKS, "slow", (interrupted_on_the_third, "stops"))
+    with pytest.raises(KeyboardInterrupt) as info:
+        run_fuzz(GenConfig(seed=0), 10, ("th3", "slow"))
+    report = info.value.report
+    assert isinstance(info.value, FuzzInterrupted)
+    assert report.interrupted and report.programs == 2
+    assert (report.per_check["th3"].passes, report.per_check["slow"].passes) == (3, 2)
+
+    seen.clear()
+    assert main(["fuzz", "--checks", "th3,slow", "--iterations", "10"]) == 130
+    out = capsys.readouterr().out
+    assert "5 checks passed, 0 failed over 2 of 10 programs" in out
+    assert out.splitlines()[0].endswith(", interrupted")
+    seen.clear()
+    assert main(["fuzz", "--checks", "slow", "--iterations", "10", "--json"]) == 130
+    data = json.loads(capsys.readouterr().out)
+    assert data["interrupted"] is True and data["programs"] == 2
+
+
+def test_python_dash_m_runs_the_command():
+    proc = subprocess.run([sys.executable, "-m", "dlplab", "fuzz", "--iterations", "3"],
+                          capture_output=True, env=_env_with_src(), timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert f"{3 * len(DEFAULT_CHECKS)} checks passed, 0 failed over 3 programs" \
+        in proc.stdout.decode()
