@@ -6,7 +6,11 @@ coincidence and inclusion results between the semantics; the remaining
 checks cover the translations and the parser round trip.  The lattice
 checks read their edges from ``compare.INCLUSION_EDGES`` and the semantics
 from ``compare.model_tables``, so the checks on one program compute each
-semantics once; only the conditional relations are written out here.
+semantics once; only the conditional relations are written out here.  The
+translation checks read the source program's semantics from the same memo
+and compute only the translation's.  The head-splitting check ``th1``
+sweeps its whole context family in one call per engine
+(``ht.stable_models_in_contexts``, ``forks.fork_stable_models_each``).
 
 One deliberate restriction: the minimality link between strongly supported
 and stable models is only asserted for negation-free programs.  The
@@ -29,7 +33,7 @@ from . import di, ht, ssm
 from .compare import ModelTables, edges_of, model_tables
 from .gen import ATOM_POOL, GenConfig, gen_program
 from .parser import parse_program, render_program
-from .syntax import ExtendedRule, Program, fork_and, forked, rule
+from .syntax import ExtendedRule, Formula, Program, fork_and, forked, rule
 
 CheckFn = Callable[[Program], "str | None"]
 
@@ -116,7 +120,7 @@ def check_t1(p: Program) -> str | None:
     """Double-negation removal preserves stable models modulo fresh atoms."""
     q = di.eliminate_double_negation(p)
     al = p.atoms()
-    lhs = ht.stable_models(p, al)
+    lhs = model_tables(p).models("sm")
     rhs = deno.project_models(ht.stable_models(q, q.atoms() | al), al)
     if lhs != rhs:
         return f"SM changed: {_fmt(lhs)} vs projected {_fmt(rhs)}"
@@ -128,7 +132,7 @@ def check_t2(p: Program) -> str | None:
     closed candidates of the result equal the open ones of the source."""
     q = di.disambiguate_head_sets(p)
     al = p.atoms()
-    lhs = di.csm_models(p, al)
+    lhs = model_tables(p).models("csm")
     rhs_open = deno.project_models(di.csm_models(q, q.atoms() | al), al)
     if lhs != rhs_open:
         return f"open CSM changed: {_fmt(lhs)} vs {_fmt(rhs_open)}"
@@ -156,14 +160,33 @@ def _remap(p: Program, pool: Sequence[str]) -> Program:
     return Program(tuple(out))
 
 
-def context_family(atoms: Iterable[str], extra: int = 50) -> list[Program]:
+# The family of the latest alphabet: its key, the contexts, and each
+# context read as a formula.
+_family: tuple[tuple[tuple[str, ...], int], tuple[Program, ...],
+               tuple[Formula, ...]] | None = None
+
+
+def context_family(atoms: Iterable[str], extra: int = 50) -> tuple[Program, ...]:
     """Contexts over the given atoms: the empty program, every program of
     at most two rules built from facts and constraints, and a fixed set of
-    seeded random programs of at most two rules."""
-    pool = sorted(set(atoms))
+    seeded random programs of at most two rules.  Only the family of the
+    latest alphabet is kept, like the one-program memo of compare."""
+    return _family_of(atoms, extra)[1]
+
+
+def _family_of(atoms: Iterable[str], extra: int = 50):
+    global _family
+    key = (tuple(sorted(set(atoms))), extra)
+    if _family is None or _family[0] != key:
+        contexts = _make_family(*key)
+        _family = key, contexts, tuple(c.to_formula() for c in contexts)
+    return _family
+
+
+def _make_family(pool: tuple[str, ...], extra: int) -> tuple[Program, ...]:
     out = [Program(())]
     if not pool:
-        return out
+        return tuple(out)
     shapes = []
     for a in pool:
         shapes.append(rule(head=(a,)))
@@ -175,27 +198,32 @@ def context_family(atoms: Iterable[str], extra: int = 50) -> list[Program]:
         cfg = GenConfig(atoms=min(len(pool), 6), rules=rng.randint(1, 2),
                         max_head=2, seed=rng.getrandbits(32))
         out.append(_remap(gen_program(cfg), pool))
-    return out
+    return tuple(out)
 
 
 def check_pf_projection(p: Program) -> str | None:
     """Splitting heads through fresh atoms leaves the projected stable
     models equal to the fork stable models, also under every sampled
-    context over the source alphabet."""
+    context over the source alphabet.
+
+    The whole family is swept at once: one call computes the fork stable
+    models of the forked program and of its conjunction with every
+    context, one the stable models of pf alone and with every context.
+    The bare program is compared first, then the contexts in family order.
+    """
     al = p.atoms()
     f = forked(p)
     pf = deno.pf_translate(p)
-    rhs = deno.fork_stable_models(f, al)
-    lhs = deno.project_models(ht.stable_models(pf, pf.atoms() | al), al)
-    if lhs != rhs:
-        return f"projected SM {_fmt(lhs)} != fork SM {_fmt(rhs)}"
-    for c in context_family(al):
-        joint = Program(pf.rules + c.rules)
-        lhs = deno.project_models(ht.stable_models(joint, joint.atoms() | al), al)
-        rhs = deno.fork_stable_models(fork_and(f, c.to_formula()), al)
-        if lhs != rhs:
-            return (f"context {render_program(c)!r}: projected SM {_fmt(lhs)} "
-                    f"!= fork SM {_fmt(rhs)}")
+    _, contexts, formulas = _family_of(al)
+    rhs = deno.fork_stable_models_each([f] + [fork_and(f, c) for c in formulas], al)
+    lhs = ht.stable_models_in_contexts(pf, (Program(()),) + contexts, pf.atoms() | al)
+    for k, (sm, fork_sm) in enumerate(zip(lhs, rhs)):
+        sm = deno.project_models(sm, al)
+        if sm != fork_sm:
+            if k == 0:
+                return f"projected SM {_fmt(sm)} != fork SM {_fmt(fork_sm)}"
+            return (f"context {render_program(contexts[k - 1])!r}: projected SM "
+                    f"{_fmt(sm)} != fork SM {_fmt(fork_sm)}")
     return None
 
 

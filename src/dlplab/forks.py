@@ -21,10 +21,14 @@ here-mask m (bit i standing for the i-th atom of the sorted base) is a
 member; an atom's support is the column of its truth table, and the
 connectives become single big-int operations.  A view is a list of such
 ints.  The atom columns (``_columns``) and the bit reader are shared
-with the program tables of :mod:`dlplab.ht`.  :func:`fork_stable_models`
+with the program tables of :mod:`dlplab.ht`.  :func:`fork_stable_models_each`
 and :func:`strongly_entails` compile their forks once into a flat list of
 register operations and run it for each T, so no formula is hashed or
-dispatched on per T.  The public :class:`Support` and :class:`View` keep
+dispatched on per T.  The compiler walks each node object once, so forks
+that share a subfork (a program's fork conjoined with each of many
+contexts) run its registers once per T for all of them;
+:func:`fork_stable_models` is the one-fork case.  The public
+:class:`Support` and :class:`View` keep
 their members as frozensets of here-masks; :meth:`Support.member_sets`
 gives them back as atom sets.
 """
@@ -314,6 +318,9 @@ _AND, _OR, _IMP, _LEAF, _FAND, _FPAIR, _FIMP = range(7)
 
 Op = tuple[int, int, int]
 
+_FORMULA_OPS = {And: _AND, Or: _OR, Implies: _IMP}
+_FORK_OPS = {ForkAnd: _FAND, ForkPair: _FPAIR}
+
 
 def _compile(forks: Sequence[Fork],
              pool: Sequence[str]) -> tuple[list[Op], list[int], set[str]]:
@@ -322,13 +329,19 @@ def _compile(forks: Sequence[Fork],
     Registers 0..n-1 hold the supports of the pool atoms and register n the
     empty support; operation k writes register n+1+k.  Operations are keyed
     by opcode and operand registers, so equal subformulas share a register
-    without a formula ever being hashed.  Returns the operations, each
-    fork's register, and the atoms outside the pool (read as false).
+    without a formula ever being hashed.  The walk is memoised by node
+    identity, once for nodes read as formulas (a support) and once for
+    nodes read as forks (a view), so a subfork that several forks share is
+    walked once.  Returns the operations, each fork's register, and the
+    atoms outside the pool (read as false).
     """
+    forks = list(forks)  # holds every node, so no id is reused in the walk
     index = {a: i for i, a in enumerate(pool)}
     empty = len(pool)
     ops: list[Op] = []
     regs: dict[Op, int] = {}
+    formulas: dict[int, int] = {}
+    views: dict[int, int] = {}
     outside: set[str] = set()
 
     def emit(op: int, a: int, b: int = 0) -> int:
@@ -339,6 +352,8 @@ def _compile(forks: Sequence[Fork],
             reg = regs[key] = empty + len(ops)
         return reg
 
+    # Leaves cost less to walk again than to look up, so only inner nodes
+    # are memoised.
     def formula(phi: Formula) -> int:
         if isinstance(phi, Atom):
             reg = index.get(phi.name)
@@ -346,27 +361,35 @@ def _compile(forks: Sequence[Fork],
                 outside.add(phi.name)
                 return empty
             return reg
-        if isinstance(phi, And):
-            return emit(_AND, formula(phi.left), formula(phi.right))
-        if isinstance(phi, Implies):
-            return emit(_IMP, formula(phi.left), formula(phi.right))
-        if isinstance(phi, Or):
-            return emit(_OR, formula(phi.left), formula(phi.right))
         if isinstance(phi, Falsum):
             return empty
-        raise TypeError(f"cannot evaluate {type(phi).__name__}")
+        key = id(phi)
+        reg = formulas.get(key)
+        if reg is None:
+            op = _FORMULA_OPS.get(type(phi))
+            if op is None:
+                raise TypeError(f"cannot evaluate {type(phi).__name__}")
+            reg = formulas[key] = emit(op, formula(phi.left), formula(phi.right))
+        return reg
 
     def view(f: Fork) -> int:
-        # a plain formula denotes the ideal of its support
-        if isinstance(f, Formula):
+        if isinstance(f, Atom):
             return emit(_LEAF, formula(f))
-        if isinstance(f, ForkAnd):
-            return emit(_FAND, view(f.left), view(f.right))
-        if isinstance(f, ForkPair):
-            return emit(_FPAIR, view(f.left), view(f.right))
-        if isinstance(f, ForkImplies):
-            return emit(_FIMP, formula(f.left), view(f.right))
-        raise TypeError(f"cannot evaluate {type(f).__name__}")
+        key = id(f)
+        reg = views.get(key)
+        if reg is None:
+            op = _FORK_OPS.get(type(f))
+            if op is not None:
+                reg = emit(op, view(f.left), view(f.right))
+            elif isinstance(f, Formula):
+                # a plain formula denotes the ideal of its support
+                reg = emit(_LEAF, formula(f))
+            elif isinstance(f, ForkImplies):
+                reg = emit(_FIMP, formula(f.left), view(f.right))
+            else:
+                raise TypeError(f"cannot evaluate {type(f).__name__}")
+            views[key] = reg
+        return reg
 
     roots = [view(f) for f in forks]
     return ops, roots, outside
@@ -394,20 +417,21 @@ def _run(ops: list[Op], regs: list, width: int) -> list:
     full_bit = _full_bit(width)
     push = regs.append
     for op, a, b in ops:
+        # the most frequent operations of forked programs first
         if op == _AND:
             push(regs[a] & regs[b])
-        elif op == _OR:
-            push(regs[a] | regs[b])
         elif op == _IMP:
             s = everything ^ regs[a] | regs[b]
             push(s if s & full_bit else 0)
         elif op == _LEAF:
             s = regs[a]
             push([s] if s else [])
-        elif op == _FAND:
-            push(_minimal([x & y for x in regs[a] for y in regs[b]]))
         elif op == _FPAIR:
             push(_minimal(regs[a] + regs[b]))
+        elif op == _FAND:
+            push(_minimal([x & y for x in regs[a] for y in regs[b]]))
+        elif op == _OR:
+            push(regs[a] | regs[b])
         else:
             s = regs[a]
             c = _complement(s, everything, full_bit)
@@ -463,13 +487,29 @@ def denotation(f: Fork, t_atoms: Iterable[str]) -> View:
 
 
 def fork_stable_models(f: Fork, atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
-    """All T over the alphabet whose view contains the singleton support [T]."""
-    pool, ops, (root,) = _compile_over([f], atoms)
-    out = []
+    """All T over the alphabet whose view contains the singleton support
+    [T]: the one-fork case of :func:`fork_stable_models_each`."""
+    return fork_stable_models_each((f,), atoms)[0]
+
+
+def fork_stable_models_each(forks: Sequence[Fork], atoms: Iterable[str] | None = None
+                            ) -> list[list[frozenset[str]]]:
+    """The fork stable models of each fork, sorted, over one alphabet: by
+    default the atoms of all the forks.  The forks are compiled together
+    and run in one sweep over T, so the registers of a subfork they share
+    run once per T for all of them.  The sweep visits T in the order of
+    :func:`ht.sort_models`."""
+    pool, ops, roots = _compile_over(forks, atoms)
+    found = [(root, []) for root in roots]
     for combo, regs in _runs(ops, len(pool)):
-        if _full_bit(len(combo)) in regs[root]:
-            out.append(frozenset(pool[j] for j in combo))
-    return ht.sort_models(out)
+        top = _full_bit(len(combo))
+        t = None
+        for root, models in found:
+            if top in regs[root]:
+                if t is None:
+                    t = frozenset(pool[j] for j in combo)
+                models.append(t)
+    return [models for _, models in found]
 
 
 @dataclass(frozen=True, slots=True)

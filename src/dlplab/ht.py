@@ -14,16 +14,24 @@ model T is one table over the 2^|T| here-components of T.  The AST path
 and the per-interpretation mask tests (:meth:`CompiledProgram.sat_classical`,
 :meth:`CompiledProgram.sat_ht`) are the reference the tables are tested
 against.
+
+:func:`stable_models_in_contexts` sweeps a program under many contexts (the
+head-splitting check adds each of its context family to one translated
+program): the program and the distinct context rules are compiled once,
+every rule's tables are built once, each context folds its own rules into
+copies of the program's tables, and the program's violation table at a
+model is shared by every context reaching that model.
+:func:`stable_models` of a program is its one-context case.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
-from .syntax import (And, Atom, Falsum, Formula, Implies, Or, Program,
-                     alphabet, rule_to_formula)
+from .syntax import (And, Atom, ExtendedRule, Falsum, Formula, Implies, Or,
+                     Program, alphabet, rule_to_formula)
 
 MAX_ENUM_ATOMS = 20
 
@@ -288,24 +296,49 @@ class CompiledProgram:
             bodies.append(body & ~_disj(bneg, cols))
         return cols, bodies, everything
 
+    def _holds(self, cols: list[int], bodies: list[int]) -> list[int]:
+        """Per rule, the interpretations where it holds: its body is false
+        or its head true.  Only ever and-ed into a table, so it may be
+        negative."""
+        return [~body | _disj(head, cols)
+                for (head, _, _, _), body in zip(self.lists, bodies)]
+
+    def _supports(self, cols: list[int], bodies: list[int]) -> list[int]:
+        """Per rule, the interpretations where it supports each true atom
+        of its head: the body holds and no other head atom is true, that
+        is at most one head atom is."""
+        out = []
+        for (head, _, _, _), body in zip(self.lists, bodies):
+            one = two = 0
+            for a in head:
+                two |= one & cols[a]
+                one |= cols[a]
+            out.append(body & ~two)
+        return out
+
+    def _add_supports(self, supported: list[int], supports: list[int],
+                      rules: Iterable[int]) -> list[int]:
+        """Or the given rules' supports into the supported column of each
+        of their head atoms, in place."""
+        for k in rules:
+            for a in self.lists[k][0]:
+                supported[a] |= supports[k]
+        return supported
+
     def model_table(self) -> int:
         """The classical models: no rule has a true body and a false head."""
         cols, bodies, out = self._tables()
-        for (head, _, _, _), body in zip(self.lists, bodies):
-            out &= ~body | _disj(head, cols)
+        for holds in self._holds(cols, bodies):
+            out &= holds
         return out
 
     def support_table(self) -> int:
         """The interpretations in which every true atom heads a rule whose
         body holds and whose other head atoms are false."""
-        cols, bodies, out = self._tables()
-        supported = [0] * len(cols)
-        for (head, _, _, _), body in zip(self.lists, bodies):
-            for a in head:
-                supported[a] |= body & ~_disj((b for b in head if b != a), cols)
-        for col, sup in zip(cols, supported):
-            out &= ~col | sup
-        return out
+        cols, bodies, everything = self._tables()
+        supported = self._add_supports([0] * len(cols), self._supports(cols, bodies),
+                                       range(len(bodies)))
+        return _supported(cols, supported, everything)
 
     # -- tables over the 2^|t| here-components of t -------------------------
 
@@ -321,30 +354,49 @@ class CompiledProgram:
         positive body of the rule."""
         return _conj(self.lists[ri][1], cols, everything)
 
+    def violations(self, t: int, rules: Iterable[int]) -> int:
+        """The here-components of t, as a table of 2^|t| bits, at which one
+        of the given rules whose body holds in t fails: they hold its
+        positive body and none of its head."""
+        trig = [ri for ri in rules if self.body_classical(ri, t)]
+        if not trig:
+            return 0
+        everything = _universe(t.bit_count())
+        cols = self.here_columns(t)
+        out = 0
+        for ri in trig:
+            out |= (self.positive_table(ri, cols, everything)
+                    & ~_disj(self.lists[ri][0], cols))
+        return out
+
     def is_stable(self, t: int) -> bool:
         """A classical model with no here-and-there model below it.
 
-        Only the rules whose body holds in t can fail at a pair (h, t), and
-        one does exactly when h holds its positive body and none of its
-        head; t is stable iff those violations cover every h but t.
+        Only the rules whose body holds in t can fail at a pair (h, t); t is
+        stable iff their violations cover every h but t.
         """
-        trig = self.triggered(t)
-        if any(not self.rules[ri][0] & t for ri in trig):
+        if not self.sat_classical(t):
             return False
-        width = t.bit_count()
-        everything = _universe(width)
-        cols = self.here_columns(t)
-        violated = 0
-        for ri in trig:
-            violated |= (self.positive_table(ri, cols, everything)
-                         & ~_disj(self.lists[ri][0], cols))
-        return violated == below_top(width)
+        return self.violations(t, range(len(self.rules))) == below_top(t.bit_count())
 
 
 def below_top(width: int) -> int:
     """The table of every here-component of a width-w model but the model
     itself: the violation table of a stable model."""
     return _full_bit(width) - 1
+
+
+def _and_tables(out: int, tables: list[int], rules: Iterable[int]) -> int:
+    for k in rules:
+        out &= tables[k]
+    return out
+
+
+def _supported(cols: list[int], supported: list[int], everything: int) -> int:
+    """The interpretations in which every true atom is supported."""
+    for col, sup in zip(cols, supported):
+        everything &= ~col | sup
+    return everything
 
 
 # ---------------------------------------------------------------------------
@@ -372,16 +424,16 @@ def is_stable_model(x: Theory, t: Iterable[str]) -> bool:
     return all(not _htsat(h, tset, x) for h in subsets(tset) if h != tset)
 
 
+_NO_CONTEXT = (Program(()),)
+
+
 def stable_models(x: Theory, atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
     """All stable (equilibrium) models over the alphabet, sorted.
 
-    For programs only the completion-supported classical models reach the
-    minimality test: every stable model is one.
+    A program is the one-context case of :func:`stable_models_in_contexts`.
     """
     if isinstance(x, Program):
-        cp = CompiledProgram(x, atoms)
-        survivors = cp.model_table() & cp.support_table()
-        return [cp.unmask(t) for t in model_order(survivors) if cp.is_stable(t)]
+        return stable_models_in_contexts(x, _NO_CONTEXT, atoms)[0]
     pool = _sorted_alphabet(x, atoms)
     _check_width(len(pool))
     out = []
@@ -391,3 +443,58 @@ def stable_models(x: Theory, atoms: Iterable[str] | None = None) -> list[frozens
         if all(not _htsat(h, t, x) for h in subsets(t) if h != t):
             out.append(t)
     return sort_models(out)
+
+
+def stable_models_in_contexts(p: Program, contexts: Sequence[Program],
+                              atoms: Iterable[str] | None = None
+                              ) -> list[list[frozenset[str]]]:
+    """The stable models of p together with each context, sorted, over one
+    alphabet: by default the atoms of p and of every context.
+
+    p and the distinct context rules are compiled once, and the table where
+    each rule holds and its support of each head atom are built once.  The
+    model table and supported columns of p are built once too; a context
+    folds only its own rules into copies of them.  Only the
+    completion-supported classical models reach the minimality test (every
+    stable model is one), where the violation table of p's rules at a model
+    t is computed once and reused by every context that reaches t.
+    Contexts adding the same rules to p share their models.
+    """
+    rules = list(p.rules)
+    base = range(len(rules))
+    where: dict[ExtendedRule, int] = {}  # context rule -> compiled index
+    own = []  # per context, the compiled indices of its rules
+    for c in contexts:
+        for r in c.rules:
+            if r not in where:
+                where[r] = len(rules)
+                rules.append(r)
+        own.append(tuple(sorted({where[r] for r in c.rules})))
+    cp = CompiledProgram(p if len(rules) == len(base) else Program(tuple(rules)), atoms)
+    cols, bodies, everything = cp._tables()
+    holds, supports = cp._holds(cols, bodies), cp._supports(cols, bodies)
+    models = _and_tables(everything, holds, base)
+    supported = cp._add_supports([0] * len(cols), supports, base)
+    support = _supported(cols, supported, everything)
+    below: dict[int, int] = {}  # t -> violation table of p's rules at t
+    found: dict[tuple[int, ...], list[frozenset[str]]] = {}
+    out = []
+    for mine in own:
+        if mine not in found:
+            survivors = _and_tables(models, holds, mine)
+            if any(cp.lists[k][0] for k in mine):
+                survivors &= _supported(
+                    cols, cp._add_supports(list(supported), supports, mine), everything)
+            else:
+                survivors &= support
+            stable = found[mine] = []
+            for t in model_order(survivors):
+                v = below.get(t)
+                if v is None:
+                    v = below[t] = cp.violations(t, base)
+                if mine:
+                    v |= cp.violations(t, mine)
+                if v == below_top(t.bit_count()):
+                    stable.append(cp.unmask(t))
+        out.append(list(found[mine]))
+    return out

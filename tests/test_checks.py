@@ -16,7 +16,7 @@ import pytest
 
 from dlplab import di, ht, justify, ssm
 from dlplab import forks as deno
-from dlplab.checks import CHECKS, context_family
+from dlplab.checks import CHECKS, context_family, run_fuzz
 from dlplab.compare import (INCLUSION_EDGES, SEMANTICS, SEMANTICS_ORDER,
                             compute_report, model_tables)
 from dlplab.gen import GenConfig, gen_program
@@ -266,6 +266,63 @@ def test_head_splitting_matches_the_reference(cfg, count):
         p = gen_program(replace(cfg, seed=seed))
         got, want = outcomes(p, ["th1"])
         assert got == want, seed
+
+
+def drop_last_bridge(translate):
+    """A faulty pf: the translation less its last bridge rule."""
+    def faulty(p: Program) -> Program:
+        q = translate(p)
+        bridges = [k for k, r in enumerate(q.rules)
+                   if len(r.bpos) == 1 and min(r.bpos).startswith("__f")]
+        if not bridges:
+            return q
+        return Program(q.rules[:bridges[-1]] + q.rules[bridges[-1] + 1:])
+    return faulty
+
+
+@pytest.mark.parametrize("cfg, count", [
+    pytest.param(GenConfig(), 30, id="default"),
+    pytest.param(GenConfig(atoms=3, rules=3, max_head=3), 60, id="atoms3-rules3-head3")])
+def test_head_splitting_failures_match_the_reference(monkeypatch, cfg, count):
+    """With pf losing a bridge rule th1 fails, on the bare program or only
+    under a context; it must report the reference's first failure.  Only
+    programs whose pf has at most 12 atoms, to keep the reference quick."""
+    monkeypatch.setattr(deno, "pf_translate", drop_last_bridge(deno.pf_translate))
+    failed = {"bare": 0, "context": 0}
+    seed = checked = 0
+    while checked < count:
+        p = gen_program(replace(cfg, seed=seed))
+        seed += 1
+        if len(p.atoms() | deno.pf_translate(p).atoms()) > 12:
+            continue
+        checked += 1
+        got, want = outcomes(p, ["th1"])
+        assert got == want, seed - 1
+        if got["th1"] is not None:
+            failed["context" if got["th1"].startswith("context ") else "bare"] += 1
+    assert failed["bare"] and failed["context"], failed
+
+
+def test_translation_checks_read_the_source_semantics_from_the_memo(monkeypatch):
+    """t1 and t2 take the source program's SM and CSM from the memo that
+    the lattice checks filled, and compute only the translation's."""
+    calls = {"sm": 0, "csm": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ht, "stable_models", counted("sm", ht.stable_models))
+    monkeypatch.setattr(di, "candidate_stable_models",
+                        counted("csm", di.candidate_stable_models))
+    assert run_fuzz(GenConfig(seed=0), 50, ("th3", "t1")).ok
+    assert calls == {"sm": 100, "csm": 0}
+    calls["sm"] = 0
+    # th5 computes the source's CSM; t2 the translation's, open and closed
+    assert run_fuzz(GenConfig(seed=0), 50, ("th5", "t2")).ok
+    assert calls == {"sm": 0, "csm": 150}
 
 
 

@@ -299,3 +299,16 @@ def test_python_dash_m_runs_the_command():
     assert proc.returncode == 0, proc.stderr.decode()
     assert f"{3 * len(DEFAULT_CHECKS)} checks passed, 0 failed over 3 programs" \
         in proc.stdout.decode()
+
+
+def test_python_dash_m_fuzzes_the_translation_checks():
+    proc = subprocess.run(
+        [sys.executable, "-m", "dlplab", "fuzz", "--checks", "th1,t1,t2",
+         "--atoms", "3", "--rules", "3", "--max-head", "3", "--iterations", "20",
+         "--seed", "0", "--json"],
+        capture_output=True, env=_env_with_src(), timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    data = json.loads(proc.stdout)
+    assert set(data["per_check"]) == {"th1", "t1", "t2"}
+    for name, stats in data["per_check"].items():
+        assert (stats["passes"], stats["failures"]) == (20, 0), name

@@ -1,0 +1,176 @@
+"""The context sweeps against the one-program calls they generalise.
+
+``ht.stable_models_in_contexts`` gives the stable models of a program
+together with each of many contexts, and ``forks.fork_stable_models_each``
+the fork stable models of many forks, each in one pass over a source
+compiled once.  Every list they return must equal the one-program result:
+``ht.stable_models`` of the joined program and ``forks.fork_stable_models``
+of the conjoined fork.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from dlplab import forks as deno
+from dlplab import ht
+from dlplab.checks import context_family
+from dlplab.gen import GenConfig, gen_fork, gen_program
+from dlplab.parser import parse_program
+from dlplab.syntax import (FALSUM, Atom, Falsum, ForkAnd, ForkImplies, ForkPair,
+                           Or, Program, fork_and, forked, rule)
+
+
+def one_by_one(p: Program, contexts) -> tuple[list, list]:
+    """Per context, the stable models of pf(p) joined with it and the fork
+    stable models of p's fork conjoined with it, one call each."""
+    al = p.atoms()
+    f, pf = forked(p), deno.pf_translate(p)
+    return ([ht.stable_models(Program(pf.rules + c.rules), pf.atoms() | al)
+             for c in contexts],
+            [deno.fork_stable_models(fork_and(f, c.to_formula()), al)
+             for c in contexts])
+
+
+def swept(p: Program, contexts) -> tuple[list, list]:
+    """The same lists from one call of each sweep."""
+    al = p.atoms()
+    f, pf = forked(p), deno.pf_translate(p)
+    return (ht.stable_models_in_contexts(pf, contexts, pf.atoms() | al),
+            deno.fork_stable_models_each([fork_and(f, c.to_formula())
+                                          for c in contexts], al))
+
+
+def pf_width(p: Program) -> int:
+    return len(p.atoms() | deno.pf_translate(p).atoms())
+
+
+def seeded(cfg: GenConfig, count: int, max_width: int = 12) -> list[Program]:
+    """The first count programs of the config, by seed, whose pf
+    translation has at most max_width atoms."""
+    out, seed = [], 0
+    while len(out) < count:
+        p = gen_program(replace(cfg, seed=seed))
+        if pf_width(p) <= max_width:
+            out.append(p)
+        seed += 1
+    return out
+
+
+SEED_SETS = [pytest.param(GenConfig(), 40, id="default"),
+             pytest.param(GenConfig(atoms=3, rules=3, max_head=3), 100,
+                          id="atoms3-rules3-head3")]
+
+
+@pytest.mark.parametrize("cfg, count", SEED_SETS)
+def test_sweeps_match_one_call_per_context(cfg, count):
+    widths = set()
+    for p in seeded(cfg, count):
+        contexts = context_family(p.atoms())
+        assert swept(p, contexts) == one_by_one(p, contexts), p
+        widths.add(pf_width(p))
+    assert max(widths) == 12
+
+
+def test_the_one_context_calls_are_the_sweeps():
+    for seed in range(40):
+        p = gen_program(GenConfig(seed=seed))
+        assert ht.stable_models(p) == ht.stable_models_in_contexts(p, [Program(())])[0]
+        f = forked(p)
+        assert deno.fork_stable_models(f) == deno.fork_stable_models_each([f])[0]
+
+
+def test_no_contexts_give_no_lists():
+    p = parse_program("a | b :- not c. c :- a.")
+    assert ht.stable_models_in_contexts(p, []) == []
+    assert ht.stable_models_in_contexts(p, (), p.atoms() | {"z"}) == []
+    assert deno.fork_stable_models_each([]) == []
+    assert deno.fork_stable_models_each([], ("a", "b")) == []
+
+
+def test_duplicate_contexts_get_equal_lists_of_their_own():
+    p = gen_program(GenConfig(atoms=3, rules=3, max_head=3, seed=4))
+    c = context_family(p.atoms())[-1]
+    contexts = [c, Program(()), c, Program(c.rules), Program(c.rules[::-1])]
+    lists = swept(p, contexts)
+    assert lists == one_by_one(p, contexts)
+    sm = lists[0]
+    assert sm[0] == sm[2] == sm[3] == sm[4]
+    assert sm[0] is not sm[2]
+    sm[0].append(frozenset("z"))
+    assert sm[2] == sm[3] != sm[0]
+
+
+def test_contexts_repeating_the_programs_rules():
+    for seed in range(30):
+        p = gen_program(GenConfig(atoms=3, rules=3, max_head=3, seed=seed))
+        pf = deno.pf_translate(p)
+        first, last = pf.rules[0], pf.rules[-1]
+        a = min(p.atoms())
+        contexts = [Program((first,)), Program((last, rule(pos=(a,)))),
+                    Program(pf.rules), Program((first, first))]
+        # the context's own atoms are those of pf here, not of p
+        al = pf.atoms()
+        assert (ht.stable_models_in_contexts(pf, contexts, al)
+                == [ht.stable_models(Program(pf.rules + c.rules), al)
+                    for c in contexts]), seed
+        assert ht.stable_models_in_contexts(pf, contexts, al)[0] \
+            == ht.stable_models(pf, al)
+
+
+def test_contexts_of_constraints_only():
+    constraints = [rule(pos=("a",)), rule(pos=("b",), negated=("a",)),
+                   rule(negated=("c",)), rule(pos=("a", "b")), rule(negneg=("b",))]
+    contexts = [Program((r,)) for r in constraints]
+    contexts += [Program((r1, r2)) for r1 in constraints for r2 in constraints]
+    for seed in range(30):
+        p = gen_program(GenConfig(atoms=3, rules=3, max_head=3, seed=seed))
+        ctx = [c for c in contexts if c.atoms() <= p.atoms()]
+        assert swept(p, ctx) == one_by_one(p, ctx), seed
+
+
+def test_stable_models_of_a_wider_alphabet_in_contexts():
+    p = parse_program("a | b. c :- a, not b.")
+    contexts = [Program(()), parse_program(":- c."), parse_program("z :- not a.")]
+    atoms = {"a", "b", "c", "z", "y"}
+    assert ht.stable_models_in_contexts(p, contexts, atoms) \
+        == [ht.stable_models(Program(p.rules + c.rules), atoms) for c in contexts]
+    with pytest.raises(ValueError, match="missing atoms"):
+        ht.stable_models_in_contexts(p, contexts, {"a", "b", "c"})
+
+
+def unshared(f):
+    """A copy of the fork in which no node object occurs twice."""
+    if isinstance(f, Atom):
+        return Atom(f.name)
+    if isinstance(f, Falsum):
+        return Falsum()
+    return type(f)(unshared(f.left), unshared(f.right))
+
+
+def test_forks_sharing_nodes_in_both_readings():
+    """One node object read as a formula in one place and as a fork in
+    another must get a support register and a view register."""
+    a, b, c = Atom("a"), Atom("b"), Atom("c")
+    phi = Or(a, b)
+    pair = ForkPair(a, c)
+    forks = [ForkAnd(phi, ForkImplies(phi, pair)), ForkImplies(phi, a),
+             ForkAnd(pair, ForkImplies(a, ForkPair(b, FALSUM))),
+             ForkPair(FALSUM, ForkImplies(FALSUM, phi)), phi]
+    for order in (forks, forks[::-1]):
+        assert deno.fork_stable_models_each(order, "abc") \
+            == [deno.fork_stable_models(unshared(f), "abc") for f in order]
+
+
+def test_random_forks_sharing_subforks():
+    rng = random.Random(5)
+    atoms = ("a", "b", "c")
+    for _ in range(60):
+        g, h = gen_fork(rng, atoms, 3), gen_fork(rng, atoms, 3)
+        forks = [g, fork_and(g, h), ForkPair(h, g), fork_and(h, g), h,
+                 ForkImplies(Atom("a"), g)]
+        assert deno.fork_stable_models_each(forks, atoms) \
+            == [deno.fork_stable_models(unshared(f), atoms) for f in forks]
