@@ -206,7 +206,7 @@ def candidate_stable_models(p: Program, atoms: Iterable[str] | None = None,
 
 def csm_models(p: Program, atoms: Iterable[str] | None = None,
                closed: bool = False) -> list[frozenset[str]]:
-    return ht.sort_models(m for m, _ in candidate_stable_models(p, atoms, closed))
+    return [m for m, _ in candidate_stable_models(p, atoms, closed)]
 
 
 def di_stable_models(p: Program,

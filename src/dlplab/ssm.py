@@ -4,9 +4,16 @@ interpretations that ends at the model.
 Stage zero must hit the head of every rule with an empty body and may only
 use atoms from those heads.  Each later stage must hit the head of every
 rule whose body holds at the pair (previous stage, model), and may only use
-atoms from those heads.  Body satisfaction is monotone in the lower
-component, so the set of applicable rules only grows along a chain; the
-search below exploits that by memoizing reached stages per model.
+atoms from those heads.
+
+A chain to a model T exists iff the chain of maximal stages reaches T: each
+stage is every head atom, within T, of the rules applicable after the
+previous stage, and the chain stops at its first repeated stage.  A maximal
+stage hits every applicable head, because a body that holds at (S, T)
+holds at T and T is a model.  Body satisfaction is monotone in the lower
+component, so the applicable rules only grow along a chain, and by
+induction each maximal stage contains the matching stage of any valid
+chain; if any chain reaches T, so does this one.
 """
 
 from __future__ import annotations
@@ -66,6 +73,14 @@ def _stage_pool(cp: ht.CompiledProgram, prev: int | None, t: int) -> list[int]:
     return [k for k in range(len(cp.rules)) if cp.body_ht(k, prev, t)]
 
 
+def _heads(cp: ht.CompiledProgram, pool: list[int]) -> int:
+    """The atoms in the heads of the given rules, as a mask."""
+    out = 0
+    for k in pool:
+        out |= cp.rules[k][0]
+    return out
+
+
 def check_chain(chain: SsmChain, p: Program) -> ChainVerdict:
     """Verify both chain conditions stage by stage; reports the first
     violation found."""
@@ -83,9 +98,7 @@ def check_chain(chain: SsmChain, p: Program) -> ChainVerdict:
                 return ChainVerdict(
                     False,
                     f"stage {idx} misses the head of applicable rule #{k + 1}")
-        allowed = 0
-        for k in pool:
-            allowed |= cp.rules[k][0]
+        allowed = _heads(cp, pool)
         if smask & ~allowed:
             stray = sorted(cp.unmask(smask & ~allowed))
             return ChainVerdict(
@@ -95,61 +108,21 @@ def check_chain(chain: SsmChain, p: Program) -> ChainVerdict:
     return ChainVerdict(True)
 
 
-def _find_chain(cp: ht.CompiledProgram, tmask: int) -> SsmChain | None:
-    """Breadth-first search over reachable stages; returns a witness chain."""
-    pool0 = _stage_pool(cp, None, tmask)
-    allowed0 = 0
-    for k in pool0:
-        allowed0 |= cp.rules[k][0]
-    allowed0 &= tmask
-
-    def hits_all(s: int, pool: list[int]) -> bool:
-        return all(cp.rules[k][0] & s for k in pool)
-
-    starts = [s for s in _submasks(allowed0) if hits_all(s, pool0)]
-    parent: dict[int, int | None] = {}
-    frontier = []
-    for s in sorted(starts):
-        if s not in parent:
-            parent[s] = None
-            frontier.append(s)
-    while frontier:
-        nxt = []
-        for h in frontier:
-            if h == tmask:
-                return _rebuild(cp, parent, h)
-            pool = _stage_pool(cp, h, tmask)
-            allowed = 0
-            for k in pool:
-                allowed |= cp.rules[k][0]
-            allowed &= tmask
-            room = allowed & ~h
-            for extra in _submasks(room):
-                s = h | extra
-                if s in parent or not hits_all(s, pool):
-                    continue
-                parent[s] = h
-                nxt.append(s)
-        frontier = sorted(nxt)
-    return None
-
-
-def _submasks(m: int):
-    s = m
+def _greedy_chain(cp: ht.CompiledProgram, tmask: int) -> SsmChain | None:
+    """The chain of maximal stages: each holds every atom of the target
+    that heads a rule applicable at the previous stage.  It is a witness
+    iff it reaches the target; otherwise no chain does."""
+    stages: list[int] = []
+    prev: int | None = None
     while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & m
-
-
-def _rebuild(cp: ht.CompiledProgram, parent: dict[int, int | None],
-             last: int) -> SsmChain:
-    masks = [last]
-    while parent[masks[-1]] is not None:
-        masks.append(parent[masks[-1]])
-    stages = tuple(cp.unmask(m) for m in reversed(masks))
-    return SsmChain(stages, cp.unmask(last))
+        stage = _heads(cp, _stage_pool(cp, prev, tmask)) & tmask
+        if stage == prev:
+            break
+        stages.append(stage)
+        prev = stage
+    if prev != tmask:
+        return None
+    return SsmChain(tuple(cp.unmask(m) for m in stages), cp.unmask(tmask))
 
 
 def strongly_supported_models(p: Program, atoms: Iterable[str] | None = None
@@ -158,14 +131,14 @@ def strongly_supported_models(p: Program, atoms: Iterable[str] | None = None
     cp = ht.CompiledProgram(p, atoms)
     out = []
     for t in ht.model_order(cp.model_table()):
-        chain = _find_chain(cp, t)
+        chain = _greedy_chain(cp, t)
         if chain is not None:
             out.append((chain.target, chain))
     return out
 
 
 def ssm_models(p: Program, atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
-    return ht.sort_models(m for m, _ in strongly_supported_models(p, atoms))
+    return [m for m, _ in strongly_supported_models(p, atoms)]
 
 
 def minimal_elements(models: Iterable[frozenset[str]]) -> list[frozenset[str]]:

@@ -76,6 +76,15 @@ def test_cli_models_strict_json(capsys, p1_file):
     assert all(e["holds"] for e in data["inclusions"])
 
 
+def test_cli_models_ssm_witness_is_the_chain_of_maximal_stages(tmp_path, capsys):
+    f = tmp_path / "p.lp"
+    f.write_text("a | b.\nc :- a.\n")
+    assert main(["models", str(f), "--json", "--semantics", "ssm"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    chains = {tuple(w["model"]): w["chain"] for w in data["witnesses"]["ssm"]}
+    assert chains[("a", "b", "c")] == [["a", "b"], ["a", "b", "c"]]
+
+
 def test_cli_models_alphabet_flag(capsys, p1_file):
     assert main(["models", p1_file, "--alphabet", "z", "--semantics",
                  "classical,sm"]) == 0
