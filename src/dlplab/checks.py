@@ -33,7 +33,7 @@ from . import di, ht, ssm
 from .compare import ModelTables, edges_of, model_tables
 from .gen import ATOM_POOL, GenConfig, gen_program
 from .parser import parse_program, render_program
-from .syntax import ExtendedRule, Formula, Program, fork_and, forked, rule
+from .syntax import ExtendedRule, Formula, Program, fork_and, rule
 
 CheckFn = Callable[[Program], "str | None"]
 
@@ -93,7 +93,7 @@ def check_sm_subset_jm(p: Program) -> str | None:
 def check_fork_replacement(p: Program) -> str | None:
     """The program strongly entails its forked version, so its stable
     models survive the replacement."""
-    res = deno.strongly_entails(p.to_formula(), forked(p), p.atoms())
+    res = deno.strongly_entails(p.to_formula(), model_tables(p).forked, p.atoms())
     if not res:
         return (f"no strong entailment into the forked program; witness "
                 f"T={{{','.join(sorted(res.witness_t))}}}")
@@ -212,7 +212,7 @@ def check_pf_projection(p: Program) -> str | None:
     The bare program is compared first, then the contexts in family order.
     """
     al = p.atoms()
-    f = forked(p)
+    f = model_tables(p).forked
     pf = deno.pf_translate(p)
     _, contexts, formulas = _family_of(al)
     rhs = deno.fork_stable_models_each([f] + [fork_and(f, c) for c in formulas], al)
@@ -259,6 +259,9 @@ DEFAULT_CHECKS = ("th3", "th4", "th5", "th7", "th8", "cor1", "ssm-sm", "ad")
 # Fuzz driver
 # ---------------------------------------------------------------------------
 
+SHOWN_SKIPS = 5  # skips listed by the text summary; --json lists them all
+
+
 @dataclass(frozen=True, slots=True)
 class FuzzFailure:
     seed: int
@@ -266,6 +269,14 @@ class FuzzFailure:
     message: str
     program: Program
     shrunk: Program
+
+
+@dataclass(frozen=True, slots=True)
+class FuzzSkip:
+    """A check that refused a program as too large (a CapacityError)."""
+    seed: int
+    check: str
+    reason: str
 
 
 @dataclass(slots=True)
@@ -276,6 +287,12 @@ class CheckStats:
     passes: int = 0
     failures: int = 0
     elapsed: float = 0.0
+    skipped: int = 0
+
+
+def _skipped(count: int) -> str:
+    """The summary's skip count, shown only when there are skips."""
+    return f", {count} skipped" if count else ""
 
 
 @dataclass(slots=True)
@@ -283,6 +300,7 @@ class FuzzReport:
     iterations: int
     checks: tuple[str, ...]
     failures: list[FuzzFailure] = field(default_factory=list)
+    skips: list[FuzzSkip] = field(default_factory=list)
     elapsed: float = 0.0
     per_check: dict[str, CheckStats] = field(default_factory=dict)
     programs: int = 0  # programs checked, fewer on an early stop
@@ -299,11 +317,17 @@ class FuzzReport:
     def summary(self) -> str:
         over = (f"{self.programs} of {self.iterations}"
                 if self.programs < self.iterations else self.iterations)
-        lines = [f"{self.passes} checks passed, {len(self.failures)} failed over "
-                 f"{over} programs ({self.elapsed:.2f}s)"
+        lines = [f"{self.passes} checks passed, {len(self.failures)} failed"
+                 f"{_skipped(len(self.skips))} over {over} programs "
+                 f"({self.elapsed:.2f}s)"
                  + (", interrupted" if self.interrupted else "")]
-        lines += [f"  {name}: {s.passes} passed, {s.failures} failed ({s.elapsed:.2f}s)"
+        lines += [f"  {name}: {s.passes} passed, {s.failures} failed"
+                  f"{_skipped(s.skipped)} ({s.elapsed:.2f}s)"
                   for name, s in self.per_check.items()]
+        lines += [f"seed {s.seed} [{s.check}] skipped: {s.reason}"
+                  for s in self.skips[:SHOWN_SKIPS]]
+        if len(self.skips) > SHOWN_SKIPS:
+            lines.append(f"... and {len(self.skips) - SHOWN_SKIPS} more skips")
         for f in self.failures:
             lines.append(f"seed {f.seed} [{f.check}]: {f.message}")
             lines.append("minimal failing program:")
@@ -336,13 +360,13 @@ def shrink_program(p: Program, still_fails: Callable[[Program], bool]) -> Progra
     return current
 
 
-def _outcome(fn: CheckFn, p: Program) -> tuple[str | None, type | None]:
+def _outcome(fn: CheckFn, p: Program) -> tuple[str | None, Exception | None]:
     """The check's message, or for a check that raises a message naming
-    the exception, together with the exception's type."""
+    the exception, together with the exception."""
     try:
         return fn(p), None
     except Exception as exc:
-        return f"raised {type(exc).__name__}: {exc}", type(exc)
+        return f"raised {type(exc).__name__}: {exc}", exc
 
 
 def run_fuzz(cfg: GenConfig, iterations: int,
@@ -351,8 +375,9 @@ def run_fuzz(cfg: GenConfig, iterations: int,
     """Generate programs with seeds cfg.seed, cfg.seed+1, ... and run the
     selected checks on each; failures are shrunk by rule removal.  A check
     that raises is a failure too, shrunk while the same exception type is
-    raised.  A KeyboardInterrupt leaves as FuzzInterrupted, carrying the
-    report so far."""
+    raised, except that a CapacityError is a skip, unshrunk: the program is
+    too large to decide, which violates nothing.  A KeyboardInterrupt
+    leaves as FuzzInterrupted, carrying the report so far."""
     unknown = [c for c in checks if c not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; "
@@ -374,10 +399,13 @@ def run_fuzz(cfg: GenConfig, iterations: int,
                 message, raised = _outcome(fn, program)
                 if message is None:
                     stats.passes += 1
+                elif isinstance(raised, ht.CapacityError):
+                    report.skips.append(FuzzSkip(seed, name, str(raised)))
+                    stats.skipped += 1
                 else:
                     def same_failure(q: Program) -> bool:
                         m, r = _outcome(fn, q)
-                        return m is not None and r is raised
+                        return m is not None and type(r) is type(raised)
 
                     shrunk = shrink_program(program, same_failure)
                     report.failures.append(FuzzFailure(seed, name, message,

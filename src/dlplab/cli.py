@@ -3,7 +3,8 @@
 Subcommands: models, entails, translate, explain, fuzz.  Inputs are files
 in the program or fork grammar of the parser module; exit code 0 means no
 input errors and no violated relation, 1 a violated relation (an inclusion
-under models --strict, or a failing or raising fuzz check), 130 a fuzz
+under models --strict, or a failing or raising fuzz check; a check refused
+as too large, a CapacityError, is a skip and not a violation), 130 a fuzz
 run stopped by Ctrl-C (after printing the report of the programs checked).
 """
 
@@ -21,7 +22,7 @@ from .checks import CHECKS, DEFAULT_CHECKS, FuzzInterrupted, run_fuzz
 from .compare import SEMANTICS_ORDER, compute_report
 from .gen import GenConfig, InvalidConfigError
 from .parser import ParseError, parse_fork, parse_program, render_program
-from .syntax import Program
+from .syntax import Program, alphabet
 
 _DEFAULTS = GenConfig()
 
@@ -83,7 +84,8 @@ def cmd_models(args) -> int:
 def cmd_entails(args) -> int:
     left = parse_fork(_read(args.left))
     right = parse_fork(_read(args.right))
-    pool = _atom_list(args.alphabet)
+    extra = _atom_list(args.alphabet)
+    pool = None if extra is None else alphabet(left) | alphabet(right) | set(extra)
     res = deno.strongly_entails(left, right, pool)
     if args.json:
         out = {"entails": res.holds}
@@ -161,8 +163,11 @@ def cmd_fuzz(args) -> int:
                          for f in report.failures],
             "elapsed": round(report.elapsed, 3),
             "per_check": {name: {"passes": s.passes, "failures": s.failures,
+                                 "skipped": s.skipped,
                                  "elapsed": round(s.elapsed, 3)}
                           for name, s in report.per_check.items()},
+            "skips": [{"seed": s.seed, "check": s.check, "reason": s.reason}
+                      for s in report.skips],
             "programs": report.programs,
             "interrupted": report.interrupted,
         }, indent=2, sort_keys=True))

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 from . import forks as deno
-from . import di, ht, justify, ssm
-from .syntax import Program, forked
+from . import di, ht, justify, ssm, syntax
+from .syntax import Fork, Program
 
 SEMANTICS_ORDER = ("classical", "sm", "fork", "jm", "spm", "ad", "csm",
                    "csm-closed", "di", "ssm")
@@ -24,7 +25,7 @@ SEMANTICS_ORDER = ("classical", "sm", "fork", "jm", "spm", "ad", "csm",
 SEMANTICS: dict[str, Callable[["ModelTables"], list]] = {
     "classical": lambda m: ht.classical_models(m.program, m.atoms),
     "sm": lambda m: ht.stable_models(m.program, m.atoms),
-    "fork": lambda m: deno.fork_stable_models(forked(m.program), m.atoms),
+    "fork": lambda m: deno.fork_stable_models(m.forked, m.atoms),
     "jm": lambda m: justify.justified_models(m.program, m.atoms),
     "spm": lambda m: justify.supported_models_graph(m.program, m.atoms),
     "ad": lambda m: justify.ad_supported_models(m.program, m.atoms),
@@ -89,6 +90,12 @@ class ModelTables:
             self.tables[name] = _table((sum(bit[a] for a in m) for m in found),
                                        len(self.atoms))
         return self.tables[name]
+
+    @cached_property
+    def forked(self) -> Fork:
+        """The program with its disjunctive heads forked, built once for
+        the fork semantics and the checks that read the fork."""
+        return syntax.forked(self.program)
 
     def models(self, name: str) -> list[frozenset[str]]:
         """The models of a semantics, in the order of ht.sort_models."""

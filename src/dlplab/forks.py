@@ -31,12 +31,54 @@ contexts) run its registers once per T for all of them;
 :class:`Support` and :class:`View` keep
 their members as frozensets of here-masks; :meth:`Support.member_sets`
 gives them back as atom sets.
+
+Before the sweep, a pre-pass runs the same registers once over tables of
+2^n bits, one bit per T of the n-atom pool, and the sweep then visits only
+the T it leaves open, still in the order of :func:`ht.subsets`.  It reads
+no table of :mod:`dlplab.ht`, so the fork engine stays an oracle
+independent of the program engine.  Its first pass gives, per register,
+the T where the support or the view is nonempty (``_nonempty_tables``).
+A support is nonempty iff it holds T, that is iff the formula is
+classically true at T, so formula registers are the classical tables.  A
+view is nonempty iff it has a generator: a leaf iff its formula's support
+is nonempty, a fork conjunction iff both sides are (the intersection of
+two nonempty supports holds T), a pair iff either side is, and an implication
+iff its antecedent's support is empty (the view of all subsets) or its
+consequent's view is nonempty; so the fork connectives read as the formula
+ones.  :func:`strongly_entails` visits only the T where the left view is
+nonempty, because an empty view has no support to miss.
+
+T is a fork stable model iff the view holds the support [T], which for
+every atom d of T excludes T minus d.  So the second pass
+(``_open_table``), once per atom d, zeroes d's column and asks of every
+fork register E_d: does some support of the view exclude T minus d?  A
+view holds every superset of its member supports, so this holds iff some
+generator excludes it.
+Formula registers then hold the here-and-there truth at (T minus d, T)
+(the bit of T minus d in the support), with an implication true iff it is
+true at T and its here-antecedent is false or its here-consequent true.
+The fork rules, at T holding d, where T minus d is a proper subset:
+
+- a leaf: the support is nonempty and lacks T minus d;
+- a pair: the union of two views excludes it iff either does;
+- a fork conjunction: its supports are the intersections x & y, which
+  exclude T minus d iff x or y does, so some support does iff both views
+  are nonempty and one of them excludes it;
+- an implication phi -> V: with phi's support empty the view is all
+  subsets, which excludes nothing; otherwise its supports are c | g, with
+  c the complement of phi's support plus T, which excludes T minus d iff
+  phi holds there and g excludes it; with phi's support everything the
+  view is V and phi holds everywhere, so the same rule holds.
+
+A root leaves T open iff it is nonempty there and, for each atom d, d is
+not in T or E_d holds.  Every rule is exact for its own question, and the
+open set is only necessary for stability, so the sweep finds the same
+models and witnesses as a sweep over every T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from . import ht
@@ -444,16 +486,71 @@ def _run(ops: list[Op], regs: list, width: int) -> list:
     return regs
 
 
-def _runs(ops: list[Op], n: int) -> Iterator[tuple[tuple[int, ...], list]]:
-    """The registers at every T over a pool of n atoms, with T given by its
-    pool indices, in the order of :func:`ht.subsets`."""
-    for width in range(n + 1):
-        cols = _columns(width)
-        for combo in combinations(range(n), width):
-            regs = [0] * (n + 1)
-            for i, j in enumerate(combo):
-                regs[j] = cols[i]
-            yield combo, _run(ops, regs, width)
+def _nonempty_tables(ops: list[Op], n: int) -> list[int]:
+    """Per register, the table over every T of a pool of n atoms (bit t for
+    the T of pool mask t) where its support (formula registers) or its
+    view (fork registers) is nonempty: the classical reading of the
+    registers, one big-int operation each."""
+    everything = _universe(n)
+    nonempty = [*_columns(n), 0]
+    push = nonempty.append
+    for op, a, b in ops:
+        if op == _AND or op == _FAND:
+            push(nonempty[a] & nonempty[b])
+        elif op == _OR or op == _FPAIR:
+            push(nonempty[a] | nonempty[b])
+        elif op == _LEAF:
+            push(nonempty[a])
+        else:
+            push(everything ^ nonempty[a] | nonempty[b])
+    return nonempty
+
+
+def _open_table(ops: list[Op], roots: list[int], n: int) -> int:
+    """The table of the T over a pool of n atoms that can be a fork stable
+    model of some root: its view is nonempty there and, for every atom d of
+    T, holds a support that excludes T minus d.  One pass per atom d runs
+    the operations with d's column zeroed, so that a formula register holds
+    the here-and-there truth at (T minus d, T) and a fork register whether
+    some support of its view excludes T minus d (the module docstring
+    gives the rules)."""
+    everything = _universe(n)
+    cols = _columns(n)
+    nonempty = _nonempty_tables(ops, n)
+    opened = [nonempty[r] for r in roots]
+    for d, col in enumerate(cols):
+        regs = [*cols, 0]
+        regs[d] = 0
+        push = regs.append
+        for k, (op, a, b) in enumerate(ops, start=n + 1):
+            if op == _AND or op == _FIMP:
+                push(regs[a] & regs[b])
+            elif op == _IMP:
+                push((everything ^ regs[a] | regs[b]) & nonempty[k])
+            elif op == _LEAF:
+                push(nonempty[a] & ~regs[a])
+            elif op == _FAND:
+                push(nonempty[k] & (regs[a] | regs[b]))
+            else:
+                push(regs[a] | regs[b])
+        lacking = everything ^ col
+        opened = [o & (lacking | regs[r]) for o, r in zip(opened, roots)]
+    out = 0
+    for o in opened:
+        out |= o
+    return out
+
+
+def _runs(ops: list[Op], n: int, table: int) -> Iterator[tuple[list[int], list]]:
+    """The registers at every T of the table over a pool of n atoms, with T
+    given by its pool indices, in the order of :func:`ht.subsets`."""
+    for t in ht.model_order(table):
+        combo = set_bits(t)
+        cols = _columns(len(combo))
+        regs = [0] * (n + 1)
+        for i, j in enumerate(combo):
+            regs[j] = cols[i]
+        yield combo, _run(ops, regs, len(combo))
 
 
 def _view_at(f: Fork, base: tuple[str, ...]) -> list[int]:
@@ -497,11 +594,12 @@ def fork_stable_models_each(forks: Sequence[Fork], atoms: Iterable[str] | None =
     """The fork stable models of each fork, sorted, over one alphabet: by
     default the atoms of all the forks.  The forks are compiled together
     and run in one sweep over T, so the registers of a subfork they share
-    run once per T for all of them.  The sweep visits T in the order of
-    :func:`ht.sort_models`."""
+    run once per T for all of them.  The sweep visits, in the order of
+    :func:`ht.sort_models`, only the T that the pre-pass leaves open for
+    some fork."""
     pool, ops, roots = _compile_over(forks, atoms)
     found = [(root, []) for root in roots]
-    for combo, regs in _runs(ops, len(pool)):
+    for combo, regs in _runs(ops, len(pool), _open_table(ops, roots, len(pool))):
         top = _full_bit(len(combo))
         t = None
         for root, models in found:
@@ -524,10 +622,13 @@ class EntailmentResult:
 
 def strongly_entails(f: Fork, g: Fork,
                      atoms: Iterable[str] | None = None) -> EntailmentResult:
-    """View inclusion at every T over the alphabet; on failure reports a
-    T and a support of the left view missing from the right one."""
+    """View inclusion at every T over the alphabet; on failure reports the
+    first T, in the order of :func:`ht.subsets`, and the least support of
+    its left view missing from the right one."""
     pool, ops, (rf, rg) = _compile_over([f, g], atoms)
-    for combo, regs in _runs(ops, len(pool)):
+    # an empty left view has no support to miss
+    left = _nonempty_tables(ops, len(pool))[rf]
+    for combo, regs in _runs(ops, len(pool), left):
         right = regs[rg]
         missing = [h for h in regs[rf] if all(k & ~h for k in right)]
         if missing:

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from dlplab import di, ht, justify, ssm
+from dlplab import di, ht, justify, ssm, syntax
 from dlplab import forks as deno
 from dlplab.checks import CHECKS, context_family, run_fuzz
 from dlplab.compare import (INCLUSION_EDGES, SEMANTICS, SEMANTICS_ORDER,
@@ -323,6 +323,25 @@ def test_translation_checks_read_the_source_semantics_from_the_memo(monkeypatch)
     # th5 computes the source's CSM; t2 the translation's, open and closed
     assert run_fuzz(GenConfig(seed=0), 50, ("th5", "t2")).ok
     assert calls == {"sm": 0, "csm": 150}
+
+
+def test_the_forked_program_is_built_once_per_program(monkeypatch):
+    """The fork semantics, cor1 and th1 read one forked program from the
+    memo."""
+    calls = 0
+    original = syntax.forked
+
+    def counted(p):
+        nonlocal calls
+        calls += 1
+        return original(p)
+
+    monkeypatch.setattr(syntax, "forked", counted)
+    assert run_fuzz(GenConfig(seed=0), 50).ok
+    assert calls == 50
+    calls = 0
+    assert run_fuzz(GenConfig(seed=0), 10, ("cor1", "th4", "th1", "th5")).ok
+    assert calls == 10
 
 
 

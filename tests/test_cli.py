@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from dlplab import checks
 from dlplab.checks import (CHECKS, DEFAULT_CHECKS, FuzzInterrupted, run_fuzz,
                            shrink_program)
 from dlplab.cli import main
@@ -110,6 +111,24 @@ def test_cli_entails(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["entails"] is False
     assert data["witness_t"] == ["a", "b"]
+
+
+def test_cli_entails_alphabet_widens_the_forks_atoms(tmp_path, capsys):
+    left = tmp_path / "l.fk"
+    right = tmp_path / "r.fk"
+    left.write_text("a v b")
+    right.write_text("a ; b")
+    # a narrower flag still quantifies over the forks' own atoms
+    assert main(["entails", str(right), str(left), "--alphabet", "a", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["entails"] is False and data["witness_t"] == ["a", "b"]
+    # a wider one adds its atoms: the first failing T is the same, and z
+    # is quantified over too
+    assert main(["entails", str(left), str(right), "--alphabet", "z"]) == 0
+    assert capsys.readouterr().out == "entails\n"
+    assert main(["entails", str(right), str(left), "--alphabet", "z,a",
+                 "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["witness_t"] == ["a", "b"]
 
 
 def test_cli_translate(capsys, p1_file):
@@ -272,6 +291,34 @@ def test_fuzz_counts_and_times_each_check(capsys):
         == {"th3": (30, 0), "ssm-min-strict": (27, 3)}
     assert main(argv) == 1
     assert "  th3: 30 passed, 0 failed (" in capsys.readouterr().out
+
+
+def test_fuzz_counts_capacity_refusals_as_skips(capsys, monkeypatch):
+    """Program seed 3 of atoms=6, rules=8 splits into 25 atoms, more than
+    the enumeration bound: th1 skips it, unshrunk, and the run exits 0."""
+    def no_shrinking(p, still_fails):
+        raise AssertionError("a skip is not shrunk")
+
+    monkeypatch.setattr(checks, "shrink_program", no_shrinking)
+    argv = ["fuzz", "--atoms", "6", "--rules", "8", "--checks", "th1",
+            "--iterations", "4", "--seed", "0"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("3 checks passed, 0 failed, 1 skipped over 4 programs (")
+    assert "  th1: 3 passed, 0 failed, 1 skipped (" in out
+    assert ("seed 3 [th1] skipped: 25 atoms exceed the enumeration bound of 20"
+            in out)
+    assert "minimal failing program" not in out
+    assert main(argv + ["--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["passes"] == 3 and data["failures"] == []
+    assert data["per_check"]["th1"] == {"passes": 3, "failures": 0, "skipped": 1,
+                                        "elapsed": data["per_check"]["th1"]["elapsed"]}
+    assert data["skips"] == [{"seed": 3, "check": "th1", "reason":
+                              "25 atoms exceed the enumeration bound of 20"}]
+    # a run without skips prints no skip count
+    assert main(["fuzz", "--iterations", "2"]) == 0
+    assert "skipped" not in capsys.readouterr().out
 
 
 def test_fuzz_keeps_the_partial_report_on_interrupt(capsys, monkeypatch):

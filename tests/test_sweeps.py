@@ -174,3 +174,133 @@ def test_random_forks_sharing_subforks():
                  ForkImplies(Atom("a"), g)]
         assert deno.fork_stable_models_each(forks, atoms) \
             == [deno.fork_stable_models(unshared(f), atoms) for f in forks]
+
+
+# ---------------------------------------------------------------------------
+# The pruned fork sweep against the sweep over every T
+# ---------------------------------------------------------------------------
+
+def every_t(forks, atoms=None):
+    """The roots of the compiled forks, and their registers at every T of
+    ht.subsets: the fork sweep without the pre-pass that prunes it."""
+    pool, ops, roots = deno._compile_over(forks, atoms)
+
+    def runs():
+        for t in ht.subsets(pool):
+            combo = [pool.index(a) for a in sorted(t)]
+            regs = [0] * (len(pool) + 1)
+            for i, j in enumerate(combo):
+                regs[j] = ht._columns(len(combo))[i]
+            yield t, deno._run(ops, regs, len(combo))
+    return roots, runs()
+
+
+def unpruned_fork_stable_models_each(forks, atoms=None):
+    roots, runs = every_t(forks, atoms)
+    found = [[] for _ in roots]
+    for t, regs in runs:
+        for models, root in zip(found, roots):
+            if ht._full_bit(len(t)) in regs[root]:
+                models.append(t)
+    return found
+
+
+def unpruned_strongly_entails(f, g, atoms=None):
+    (rf, rg), runs = every_t([f, g], atoms)
+    for t, regs in runs:
+        missing = [h for h in regs[rf] if all(k & ~h for k in regs[rg])]
+        if missing:
+            h = min(missing, key=deno._support_order)
+            return deno.EntailmentResult(
+                False, t, deno.Support(tuple(sorted(t)), deno._unpack(h)))
+    return deno.EntailmentResult(True)
+
+
+def assert_prune_is_exact(p, atoms=None):
+    f, phi = forked(p), p.to_formula()
+    assert deno.fork_stable_models(f, atoms) \
+        == unpruned_fork_stable_models_each([f], atoms)[0], p
+    for left, right in ((phi, f), (f, phi)):
+        # equal verdict, witness_t and witness_support
+        assert deno.strongly_entails(left, right, atoms) \
+            == unpruned_strongly_entails(left, right, atoms), p
+
+
+def cyclic(n):
+    """x_i | x_{i+1} :- not x_{i+2}, indices mod n."""
+    return parse_program("".join(
+        f"x{i:02d} | x{(i + 1) % n:02d} :- not x{(i + 2) % n:02d}.\n"
+        for i in range(n)))
+
+
+@pytest.mark.parametrize("cfg, count", [
+    pytest.param(GenConfig(), 300, id="default"),
+    pytest.param(GenConfig(atoms=6, rules=8), 100, id="atoms6-rules8")])
+def test_pruned_fork_sweep_matches_every_t(cfg, count):
+    failing = 0
+    for seed in range(count):
+        p = gen_program(replace(cfg, seed=seed))
+        assert_prune_is_exact(p, p.atoms())
+        failing += not deno.strongly_entails(forked(p), p.to_formula())
+    assert failing > count // 4
+
+
+@pytest.mark.parametrize("cfg", [GenConfig(), GenConfig(atoms=3, rules=3, max_head=3)],
+                         ids=["default", "atoms3-rules3-head3"])
+def test_pruned_fork_sweep_matches_every_t_on_context_families(cfg):
+    for p in seeded(cfg, 25):
+        al = p.atoms()
+        f = forked(p)
+        forks = [f] + [fork_and(f, c.to_formula()) for c in context_family(al)]
+        assert deno.fork_stable_models_each(forks, al) \
+            == unpruned_fork_stable_models_each(forks, al), p
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_pruned_fork_sweep_matches_every_t_on_cyclic_family(n):
+    assert_prune_is_exact(cyclic(n))
+
+
+def test_pruned_fork_sweep_visits_pinned_counts(monkeypatch):
+    """The T that the pre-pass leaves open on the cyclic family: a prune
+    weakened in any of its rules visits more of them."""
+    visits = 0
+    run = deno._run
+
+    def counted(*args):
+        nonlocal visits
+        visits += 1
+        return run(*args)
+
+    monkeypatch.setattr(deno, "_run", counted)
+    counts = []
+    for n in range(6, 13):
+        visits = 0
+        deno.fork_stable_models(forked(cyclic(n)))
+        counts.append(visits)
+    assert counts == [20, 28, 46, 78, 122, 198, 324]
+    # random forks reach a fork conjunction with one empty side
+    visits = 0
+    rng = random.Random(5)
+    for _ in range(200):
+        deno.fork_stable_models(gen_fork(rng, "abcd", 4), "abcd")
+    assert visits == 520
+    visits = 0
+    for seed in range(300):
+        p = gen_program(GenConfig(seed=seed))
+        deno.fork_stable_models(forked(p), p.atoms())
+    assert visits == 1131
+
+
+def test_fork_engine_reads_no_program_table(monkeypatch):
+    """The fork sweep prunes on its own registers, so it stays an oracle
+    independent of the truth tables of ht.CompiledProgram."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fork engine compiled a program table")
+
+    p = parse_program("a | b :- not c. c :- not a. b :- c, not not b.")
+    models = deno.fork_stable_models(forked(p))
+    monkeypatch.setattr(ht, "CompiledProgram", refuse)
+    assert deno.fork_stable_models(forked(p)) == models
+    assert not deno.strongly_entails(forked(p), p.to_formula())
+    assert deno.strongly_entails(p.to_formula(), forked(p))
