@@ -26,8 +26,8 @@ SEMANTICS: dict[str, Callable[["ModelTables"], list]] = {
     "classical": lambda m: ht.classical_models(m.program, m.atoms),
     "sm": lambda m: ht.stable_models(m.program, m.atoms),
     "fork": lambda m: deno.fork_stable_models(m.forked, m.atoms),
-    "jm": lambda m: justify.justified_models(m.program, m.atoms),
-    "spm": lambda m: justify.supported_models_graph(m.program, m.atoms),
+    "jm": lambda m: justify.justified_labellings(m.program, m.atoms),
+    "spm": lambda m: justify.supported_labellings(m.program, m.atoms),
     "ad": lambda m: justify.ad_supported_models(m.program, m.atoms),
     "csm": lambda m: di.candidate_stable_models(m.program, m.atoms),
     "csm-closed": lambda m: di.candidate_stable_models(m.program, m.atoms, closed=True),
@@ -35,7 +35,18 @@ SEMANTICS: dict[str, Callable[["ModelTables"], list]] = {
     "ssm": lambda m: ssm.strongly_supported_models(m.program, m.atoms),
     "spm-fixpoint": lambda m: di.supported_models_fixpoint(m.program, m.atoms),
 }
-WITNESSED = ("csm", "csm-closed", "ssm")
+WITNESSED = ("jm", "spm", "csm", "csm-closed", "ssm")
+
+# name -> the tables of ht.CompiledProgram its enumerator keeps or prunes by:
+# "models" the classical models, "headed" the models whose true atoms each
+# head a firing rule, "support" the completion-supported interpretations.
+# A semantics reading none of them is an oracle independent of those tables.
+READS: dict[str, tuple[str, ...]] = {
+    "classical": ("models",), "sm": ("models", "support"), "fork": (),
+    "jm": ("headed",), "spm": ("headed",), "ad": ("models", "support"),
+    "csm": ("headed",), "csm-closed": ("headed",), "di": ("headed",),
+    "ssm": ("headed",), "spm-fixpoint": ("models",),
+}
 
 # The expected lattice, and the only place it is written: lhs is included
 # in rhs.  Each edge names who asserts it, "models" for the report or fuzz
@@ -180,24 +191,16 @@ class ComparisonReport:
 
 
 def _witness_fields(m: ModelTables, name: str, models: list) -> list[dict]:
-    """Per model, its witness: the chosen heads, the chain, or the labels of
-    the first support graph (the first acyclic one for jm), searched on one
-    compiled program for all the models."""
-    if name in WITNESSED:
-        found = [m.witnesses[name][x] for x in models]
-        if name == "ssm":
-            return [{"chain": [sorted(s) for s in w.stages]} for w in found]
-        return [{"selection": {f"rule#{k + 1}": "bot" if a is None else a
-                               for k, a in w.choices}} for w in found]
-    p = m.program.labelled()
-    cp = ht.CompiledProgram(p, m.atoms)
-    out = []
-    for x in models:
-        graphs = (justify._graph_from_labelling(p, x, chosen)
-                  for chosen in justify._labellings(p, cp, cp.mask(x)))
-        g = next(g for g in graphs if name == "spm" or g.is_acyclic())
-        out.append({"labels": dict(g.labels)})
-    return out
+    """Per model, its witness: the chain, the labels of the first support
+    graph (the first acyclic one for jm), or the chosen heads."""
+    found = [m.witnesses[name][x] for x in models]
+    if name == "ssm":
+        return [{"chain": [sorted(s) for s in w.stages]} for w in found]
+    if name in ("jm", "spm"):
+        return [{"labels": {a: r.label for a, r in sorted(w.items())}}
+                for w in found]
+    return [{"selection": {f"rule#{k + 1}": "bot" if a is None else a
+                           for k, a in w.choices}} for w in found]
 
 
 def compute_report(p: Program, selectors: Iterable[str] | None = None,
@@ -216,7 +219,7 @@ def compute_report(p: Program, selectors: Iterable[str] | None = None,
     for name in (n for n in SEMANTICS_ORDER if n in names):
         t0 = time.perf_counter()
         models = results[name] = m.models(name)
-        if name in WITNESSED or name in ("jm", "spm"):
+        if name in WITNESSED:
             witnesses[name] = [{"model": sorted(x), **w} for x, w in
                                zip(models, _witness_fields(m, name, models))]
         timings[name] = time.perf_counter() - t0

@@ -183,10 +183,16 @@ def candidate_stable_models(p: Program, atoms: Iterable[str] | None = None,
     the chosen atom's column.  The model is stable for the reduct iff that
     union is every here-component but the model (as in
     :meth:`ht.CompiledProgram.is_stable`).
+
+    Only the models of :meth:`ht.CompiledProgram.headed_table` are
+    searched.  For an atom a of a candidate T, some slot must violate the
+    here-component T minus a.  A slot violates only the components that
+    miss its chosen atom, a true head atom of its firing rules, so that
+    atom is a.  This holds for closed selections too.
     """
     cp = ht.CompiledProgram(p, atoms)
     out = []
-    for t in ht.model_order(cp.model_table()):
+    for t in ht.model_order(cp.headed_table()):
         cols = cp.here_columns(t)
         everything = ht._universe(t.bit_count())
         slots = _slots(cp, t, closed)

@@ -10,7 +10,12 @@ column of its truth table, and a rule's body or head is a single big-int
 operation per atom.  The classical models are one table, the
 completion-supported ones (every true atom heads a firing rule whose other
 head atoms are false) another, and the here-and-there minimality of a
-model T is one table over the 2^|T| here-components of T.  The AST path
+model T is one table over the 2^|T| here-components of T.  The headed
+models (:meth:`CompiledProgram.headed_table`: classical models in which
+every true atom heads a firing rule, whatever its other head atoms) are a
+third table; the semantics whose every model meets that condition (the
+graph-supported, justified, candidate stable and strongly supported
+models) search only its members.  The AST path
 and the per-interpretation mask tests (:meth:`CompiledProgram.sat_classical`,
 :meth:`CompiledProgram.sat_ht`) are the reference the tables are tested
 against.
@@ -19,7 +24,8 @@ against.
 head-splitting check adds each of its context family to one translated
 program): the program and the distinct context rules are compiled once,
 every rule's tables are built once, each context folds its own rules into
-copies of the program's tables, and the program's violation table at a
+copies of the program's tables, re-checking the support of only the atoms
+its rules head, and the program's violation table at a
 model is shared by every context reaching that model.
 :func:`stable_models` of a program is its one-context case.
 """
@@ -340,6 +346,15 @@ class CompiledProgram:
                                        range(len(bodies)))
         return _supported(cols, supported, everything)
 
+    def headed_table(self) -> int:
+        """The classical models in which every true atom heads a rule whose
+        body holds, whatever its other head atoms: a rule's body table is
+        its support of every head atom."""
+        cols, bodies, everything = self._tables()
+        models = _and_tables(everything, self._holds(cols, bodies), range(len(bodies)))
+        headed = self._add_supports([0] * len(cols), bodies, range(len(bodies)))
+        return _supported(cols, headed, models)
+
     # -- tables over the 2^|t| here-components of t -------------------------
 
     def here_columns(self, t: int) -> list[int]:
@@ -454,7 +469,9 @@ def stable_models_in_contexts(p: Program, contexts: Sequence[Program],
     p and the distinct context rules are compiled once, and the table where
     each rule holds and its support of each head atom are built once.  The
     model table and supported columns of p are built once too; a context
-    folds only its own rules into copies of them.  Only the
+    folds only its own rules into copies of them, and re-ands only the
+    support terms of the atoms its rules head, against the AND of the other
+    atoms' terms, built once per set of head atoms.  Only the
     completion-supported classical models reach the minimality test (every
     stable model is one), where the violation table of p's rules at a model
     t is computed once and reused by every context that reaches t.
@@ -475,18 +492,22 @@ def stable_models_in_contexts(p: Program, contexts: Sequence[Program],
     holds, supports = cp._holds(cols, bodies), cp._supports(cols, bodies)
     models = _and_tables(everything, holds, base)
     supported = cp._add_supports([0] * len(cols), supports, base)
-    support = _supported(cols, supported, everything)
+    # atom a's term: a is false or supported by p
+    terms = [~col | sup for col, sup in zip(cols, supported)]
+    rest: dict[tuple[int, ...], int] = {}  # head atoms -> AND of the others' terms
     below: dict[int, int] = {}  # t -> violation table of p's rules at t
     found: dict[tuple[int, ...], list[frozenset[str]]] = {}
     out = []
     for mine in own:
         if mine not in found:
             survivors = _and_tables(models, holds, mine)
-            if any(cp.lists[k][0] for k in mine):
-                survivors &= _supported(
-                    cols, cp._add_supports(list(supported), supports, mine), everything)
-            else:
-                survivors &= support
+            heads = tuple(sorted({a for k in mine for a in cp.lists[k][0]}))
+            if heads not in rest:
+                rest[heads] = _and_tables(everything, terms,
+                                          (a for a in range(len(cols)) if a not in heads))
+            fresh = cp._add_supports(list(supported), supports, mine)
+            survivors &= _supported([cols[a] for a in heads], [fresh[a] for a in heads],
+                                    rest[heads])
             stable = found[mine] = []
             for t in model_order(survivors):
                 v = below.get(t)

@@ -184,28 +184,53 @@ def explanations_of(p: Program, model: Iterable[str]) -> list[SupportGraph]:
     return [g for g in support_graphs_of(p, model) if g.is_acyclic()]
 
 
+def _first_labellings(p: Program, atoms: Iterable[str] | None, acyclic: bool
+                      ) -> list[tuple[frozenset[str], dict[str, ExtendedRule]]]:
+    """The models with a support graph, acyclic if asked, each paired with
+    the labelling of its first such graph.
+
+    Every true atom of such a model labels a distinct rule that fires and
+    heads it, so only the models of :meth:`ht.CompiledProgram.headed_table`
+    are searched.
+    """
+    p = p.labelled()
+    cp = ht.CompiledProgram(p, atoms)
+    out = []
+    for t in ht.model_order(cp.headed_table()):
+        i = cp.unmask(t)
+        for chosen in _labellings(p, cp, t):
+            if not acyclic or _graph_from_labelling(p, i, chosen).is_acyclic():
+                out.append((i, chosen))
+                break
+    return out
+
+
+def supported_labellings(p: Program, atoms: Iterable[str] | None = None
+                         ) -> list[tuple[frozenset[str], dict[str, ExtendedRule]]]:
+    """Classical models admitting some support graph, each paired with the
+    labelling of the first one.  The labelling gives every true atom a
+    firing rule that heads it."""
+    return _first_labellings(p, atoms, acyclic=False)
+
+
+def justified_labellings(p: Program, atoms: Iterable[str] | None = None
+                         ) -> list[tuple[frozenset[str], dict[str, ExtendedRule]]]:
+    """Classical models admitting some acyclic support graph, each paired
+    with the labelling of the first one.  An acyclic graph is a support
+    graph too."""
+    return _first_labellings(p, atoms, acyclic=True)
+
+
 def supported_models_graph(p: Program,
                            atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
     """Classical models admitting some support graph."""
-    p = p.labelled()
-    cp = ht.CompiledProgram(p, atoms)
-    return [cp.unmask(t) for t in ht.model_order(cp.model_table())
-            if next(_labellings(p, cp, t), None) is not None]
+    return [m for m, _ in supported_labellings(p, atoms)]
 
 
 def justified_models(p: Program,
                      atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
     """Classical models admitting some acyclic support graph."""
-    p = p.labelled()
-    cp = ht.CompiledProgram(p, atoms)
-    out = []
-    for t in ht.model_order(cp.model_table()):
-        i = cp.unmask(t)
-        for chosen in _labellings(p, cp, t):
-            if _graph_from_labelling(p, i, chosen).is_acyclic():
-                out.append(i)
-                break
-    return out
+    return [m for m, _ in justified_labellings(p, atoms)]
 
 
 def ad_supported_models(p: Program,

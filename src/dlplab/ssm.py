@@ -127,10 +127,15 @@ def _greedy_chain(cp: ht.CompiledProgram, tmask: int) -> SsmChain | None:
 
 def strongly_supported_models(p: Program, atoms: Iterable[str] | None = None
                               ) -> list[tuple[frozenset[str], SsmChain]]:
-    """Classical models reachable by a valid chain, each with one witness."""
+    """Classical models reachable by a valid chain, each with one witness.
+
+    Only the models of :meth:`ht.CompiledProgram.headed_table` are
+    searched: an atom enters the maximal stage through a rule applicable at
+    (previous stage, T), whose body then holds at T.
+    """
     cp = ht.CompiledProgram(p, atoms)
     out = []
-    for t in ht.model_order(cp.model_table()):
+    for t in ht.model_order(cp.headed_table()):
         chain = _greedy_chain(cp, t)
         if chain is not None:
             out.append((chain.target, chain))

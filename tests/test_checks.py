@@ -346,8 +346,8 @@ def test_the_forked_program_is_built_once_per_program(monkeypatch):
 
 
 ENUMERATORS = [(ht, "classical_models"), (ht, "stable_models"),
-               (deno, "fork_stable_models"), (justify, "justified_models"),
-               (justify, "supported_models_graph"), (justify, "ad_supported_models"),
+               (deno, "fork_stable_models"), (justify, "justified_labellings"),
+               (justify, "supported_labellings"), (justify, "ad_supported_models"),
                (di, "candidate_stable_models"), (di, "supported_models_fixpoint"),
                (ssm, "strongly_supported_models")]
 
