@@ -84,12 +84,14 @@ def _table(masks: Iterable[int], width: int) -> int:
 class ModelTables:
     """The semantics of one program over one sorted alphabet, each computed
     on first use and kept as a table of 2^n bits: bit t is set iff the
-    interpretation of mask t (bit i for atoms[i]) is a model.  Witnesses of
-    the WITNESSED semantics are kept by model."""
+    interpretation of mask t (bit i for atoms[i]) is a model.  Each model
+    the enumerator returned is kept by its mask, and the witnesses of the
+    WITNESSED semantics by model."""
 
     def __init__(self, program: Program, atoms: tuple[str, ...]):
         self.program, self.atoms = program, atoms
         self.tables: dict[str, int] = {}
+        self.decoded: dict[str, dict[int, frozenset[str]]] = {}
         self.witnesses: dict[str, dict] = {}
 
     def table(self, name: str) -> int:
@@ -98,8 +100,8 @@ class ModelTables:
             if name in WITNESSED:
                 found = self.witnesses[name] = dict(found)
             bit = {a: 1 << i for i, a in enumerate(self.atoms)}
-            self.tables[name] = _table((sum(bit[a] for a in m) for m in found),
-                                       len(self.atoms))
+            decoded = self.decoded[name] = {sum(bit[a] for a in m): m for m in found}
+            self.tables[name] = _table(decoded, len(self.atoms))
         return self.tables[name]
 
     @cached_property
@@ -110,26 +112,29 @@ class ModelTables:
 
     def models(self, name: str) -> list[frozenset[str]]:
         """The models of a semantics, in the order of ht.sort_models."""
-        return [frozenset(self.atoms[i] for i in ht.set_bits(t))
-                for t in ht.model_order(self.table(name))]
+        table = self.table(name)
+        decoded = self.decoded[name]
+        return [decoded[t] for t in ht.model_order(table)]
 
     def includes(self, lhs: str, rhs: str) -> bool:
         return not self.table(lhs) & ~self.table(rhs)
 
 
-_last: ModelTables | None = None
+_last: tuple[Program, frozenset[str] | None, ModelTables] | None = None
 
 
 def model_tables(p: Program, atoms: Iterable[str] | None = None) -> ModelTables:
     """The tables of p over the sorted alphabet, p's own atoms by default.
-    Only the latest program is kept, held and matched by identity, so a run
-    over many programs keeps one program's tables at a time.  Code that
-    swaps an enumerator (a test double) passes a new program object."""
+    Only the latest program is kept, held and matched by identity together
+    with the alphabet argument, so a run over many programs keeps one
+    program's tables at a time.  Code that swaps an enumerator (a test
+    double) passes a new program object."""
     global _last
-    pool = tuple(sorted(p.atoms() if atoms is None else set(atoms)))
-    if _last is None or _last.program is not p or _last.atoms != pool:
-        _last = ModelTables(p, pool)
-    return _last
+    given = None if atoms is None else frozenset(atoms)
+    if _last is None or _last[0] is not p or _last[1] != given:
+        pool = tuple(sorted(p.atoms() if given is None else given))
+        _last = (p, given, ModelTables(p, pool))
+    return _last[2]
 
 
 @dataclass(frozen=True, slots=True)

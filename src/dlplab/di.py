@@ -51,7 +51,7 @@ class HeadSelection:
 
 
 def _triggered(p: Program, i: frozenset[str]) -> list[int]:
-    cp = ht.CompiledProgram(p, i | p.atoms())
+    cp = ht.compiled(p, i | p.atoms())
     return cp.triggered(cp.mask(i))
 
 
@@ -95,7 +95,7 @@ def selections(p: Program, model: Iterable[str],
     and every group member receives the same choice.
     """
     i = frozenset(model)
-    cp = ht.CompiledProgram(p, i | p.atoms())
+    cp = ht.compiled(p, i | p.atoms())
     slots = _slots(cp, cp.mask(i), closed)
     for combo in product(*(choices for _, choices in slots)):
         yield _selection(cp, slots, combo, closed)
@@ -190,7 +190,7 @@ def candidate_stable_models(p: Program, atoms: Iterable[str] | None = None,
     miss its chosen atom, a true head atom of its firing rules, so that
     atom is a.  This holds for closed selections too.
     """
-    cp = ht.CompiledProgram(p, atoms)
+    cp = ht.compiled(p, atoms)
     out = []
     for t in ht.model_order(cp.headed_table()):
         cols = cp.here_columns(t)
@@ -232,7 +232,7 @@ def immediate_consequences(p: Program, model: Iterable[str]) -> frozenset[str]:
         raise NonNormalProgramError(
             "the immediate-consequences step needs an extended normal program")
     i = frozenset(model)
-    cp = ht.CompiledProgram(p, i | p.atoms())
+    cp = ht.compiled(p, i | p.atoms())
     return frozenset(p.rules[k].head[0] for k in cp.triggered(cp.mask(i))
                      if p.rules[k].head)
 
@@ -244,7 +244,7 @@ def supported_models_fixpoint(p: Program,
     A reduct's immediate consequences at the model are the chosen atoms,
     so the model is fixed iff some selection chooses every atom of it.
     """
-    cp = ht.CompiledProgram(p, atoms)
+    cp = ht.compiled(p, atoms)
     out = []
     for t in ht.model_order(cp.model_table()):
         options = [[0 if a is None else 1 << a for a in choices]

@@ -20,6 +20,12 @@ and the per-interpretation mask tests (:meth:`CompiledProgram.sat_classical`,
 :meth:`CompiledProgram.sat_ht`) are the reference the tables are tested
 against.
 
+:func:`compiled` keeps the compile of the latest program, held and matched
+by identity together with its alphabet, and a compile builds each of its
+tables once, so the enumerators of one program share them.  Code that
+patches a :class:`CompiledProgram` method after a program was compiled
+must pass a new program object, or it gets the tables already built.
+
 :func:`stable_models_in_contexts` sweeps a program under many contexts (the
 head-splitting check adds each of its context family to one translated
 program): the program and the distinct context rules are compiled once,
@@ -32,9 +38,9 @@ model is shared by every context reaching that model.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .syntax import (And, Atom, ExtendedRule, Falsum, Formula, Implies, Or,
                      Program, alphabet, rule_to_formula)
@@ -207,14 +213,14 @@ def _mask_of(indices: Iterable[int]) -> int:
     return m
 
 
-def _disj(atoms: Iterable[int], cols: list[int]) -> int:
+def _disj(atoms: Iterable[int], cols: Sequence[int]) -> int:
     out = 0
     for i in atoms:
         out |= cols[i]
     return out
 
 
-def _conj(atoms: Iterable[int], cols: list[int], everything: int) -> int:
+def _conj(atoms: Iterable[int], cols: Sequence[int], everything: int) -> int:
     out = everything
     for i in atoms:
         out &= cols[i]
@@ -224,6 +230,21 @@ def _conj(atoms: Iterable[int], cols: list[int], everything: int) -> int:
 # ---------------------------------------------------------------------------
 # Compiled programs
 # ---------------------------------------------------------------------------
+
+def _built_once(method: Callable) -> Callable:
+    """A table method of CompiledProgram that builds its table on the first
+    call and keeps it.  The cache sits inside the method, so patching the
+    method on the class still replaces what every caller reads."""
+    name = method.__name__
+
+    @wraps(method)
+    def once(self):
+        built = self._built.get(name)
+        if built is None:
+            built = self._built[name] = method(self)
+        return built
+    return once
+
 
 class CompiledProgram:
     """Rules packed into bitmasks over a fixed, sorted alphabet.
@@ -235,7 +256,7 @@ class CompiledProgram:
     the same four parts as lists of atom indices.
     """
 
-    __slots__ = ("atoms", "index", "full", "rules", "lists")
+    __slots__ = ("atoms", "index", "full", "rules", "lists", "_built")
 
     def __init__(self, program: Program, atoms: Iterable[str] | None = None):
         self.atoms = _sorted_alphabet(program, atoms)
@@ -250,6 +271,7 @@ class CompiledProgram:
             rules.append(tuple(map(_mask_of, parts)))
         self.lists = tuple(lists)
         self.rules = tuple(rules)
+        self._built: dict[str, object] = {}  # method name -> its table
 
     def mask(self, atoms: Iterable[str]) -> int:
         m = 0
@@ -290,26 +312,28 @@ class CompiledProgram:
 
     # -- tables over all 2^n interpretations ---------------------------------
 
-    def _tables(self) -> tuple[list[int], list[int], int]:
-        """The atom columns, each rule's body table, and the universe."""
+    @_built_once
+    def _tables(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """The atom columns, each rule's body table, and the universe;
+        tuples, as every table of this program shares them."""
         n = len(self.atoms)
         _check_width(n)
-        cols = list(_columns(n))
+        cols = _columns(n)
         everything = _universe(n)
         bodies = []
         for _, bpos, bneg, bnegneg in self.lists:
             body = _conj(bpos, cols, everything) & _conj(bnegneg, cols, everything)
             bodies.append(body & ~_disj(bneg, cols))
-        return cols, bodies, everything
+        return cols, tuple(bodies), everything
 
-    def _holds(self, cols: list[int], bodies: list[int]) -> list[int]:
+    def _holds(self, cols: Sequence[int], bodies: Sequence[int]) -> list[int]:
         """Per rule, the interpretations where it holds: its body is false
         or its head true.  Only ever and-ed into a table, so it may be
         negative."""
         return [~body | _disj(head, cols)
                 for (head, _, _, _), body in zip(self.lists, bodies)]
 
-    def _supports(self, cols: list[int], bodies: list[int]) -> list[int]:
+    def _supports(self, cols: Sequence[int], bodies: Sequence[int]) -> list[int]:
         """Per rule, the interpretations where it supports each true atom
         of its head: the body holds and no other head atom is true, that
         is at most one head atom is."""
@@ -322,7 +346,7 @@ class CompiledProgram:
             out.append(body & ~two)
         return out
 
-    def _add_supports(self, supported: list[int], supports: list[int],
+    def _add_supports(self, supported: list[int], supports: Sequence[int],
                       rules: Iterable[int]) -> list[int]:
         """Or the given rules' supports into the supported column of each
         of their head atoms, in place."""
@@ -331,6 +355,7 @@ class CompiledProgram:
                 supported[a] |= supports[k]
         return supported
 
+    @_built_once
     def model_table(self) -> int:
         """The classical models: no rule has a true body and a false head."""
         cols, bodies, out = self._tables()
@@ -338,6 +363,7 @@ class CompiledProgram:
             out &= holds
         return out
 
+    @_built_once
     def support_table(self) -> int:
         """The interpretations in which every true atom heads a rule whose
         body holds and whose other head atoms are false."""
@@ -346,14 +372,14 @@ class CompiledProgram:
                                        range(len(bodies)))
         return _supported(cols, supported, everything)
 
+    @_built_once
     def headed_table(self) -> int:
         """The classical models in which every true atom heads a rule whose
         body holds, whatever its other head atoms: a rule's body table is
         its support of every head atom."""
-        cols, bodies, everything = self._tables()
-        models = _and_tables(everything, self._holds(cols, bodies), range(len(bodies)))
+        cols, bodies, _ = self._tables()
         headed = self._add_supports([0] * len(cols), bodies, range(len(bodies)))
-        return _supported(cols, headed, models)
+        return _supported(cols, headed, self.model_table())
 
     # -- tables over the 2^|t| here-components of t -------------------------
 
@@ -395,6 +421,21 @@ class CompiledProgram:
         return self.violations(t, range(len(self.rules))) == below_top(t.bit_count())
 
 
+_last: tuple[Program, frozenset[str], CompiledProgram] | None = None
+
+
+def compiled(p: Program, atoms: Iterable[str] | None = None) -> CompiledProgram:
+    """p compiled over the alphabet, p's own atoms by default, with the
+    tables it has built so far.  Only the latest program is kept, held and
+    matched by identity together with its alphabet, so the enumerators of
+    one program share one compile and each table is built once."""
+    global _last
+    alpha = p.atoms() if atoms is None else frozenset(atoms)
+    if _last is None or _last[0] is not p or _last[1] != alpha:
+        _last = (p, alpha, CompiledProgram(p, alpha))
+    return _last[2]
+
+
 def below_top(width: int) -> int:
     """The table of every here-component of a width-w model but the model
     itself: the violation table of a stable model."""
@@ -407,7 +448,7 @@ def _and_tables(out: int, tables: list[int], rules: Iterable[int]) -> int:
     return out
 
 
-def _supported(cols: list[int], supported: list[int], everything: int) -> int:
+def _supported(cols: Sequence[int], supported: Sequence[int], everything: int) -> int:
     """The interpretations in which every true atom is supported."""
     for col, sup in zip(cols, supported):
         everything &= ~col | sup
@@ -421,7 +462,7 @@ def _supported(cols: list[int], supported: list[int], everything: int) -> int:
 def classical_models(x: Theory, atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
     """All classical models over the alphabet, sorted."""
     if isinstance(x, Program):
-        cp = CompiledProgram(x, atoms)
+        cp = compiled(x, atoms)
         return [cp.unmask(t) for t in model_order(cp.model_table())]
     pool = _sorted_alphabet(x, atoms)
     _check_width(len(pool))
@@ -487,7 +528,8 @@ def stable_models_in_contexts(p: Program, contexts: Sequence[Program],
                 where[r] = len(rules)
                 rules.append(r)
         own.append(tuple(sorted({where[r] for r in c.rules})))
-    cp = CompiledProgram(p if len(rules) == len(base) else Program(tuple(rules)), atoms)
+    cp = (compiled(p, atoms) if len(rules) == len(base)
+          else CompiledProgram(Program(tuple(rules)), atoms))
     cols, bodies, everything = cp._tables()
     holds, supports = cp._holds(cols, bodies), cp._supports(cols, bodies)
     models = _and_tables(everything, holds, base)

@@ -83,8 +83,8 @@ def check_support_graph(g: SupportGraph, p: Program,
     if g.vertices != i:
         raise ModelMismatchError(
             f"graph vertices {sorted(g.vertices)} differ from model {sorted(i)}")
+    cp = ht.compiled(p, i | p.atoms())
     p = p.labelled()
-    cp = ht.CompiledProgram(p, i | p.atoms())
     t = cp.mask(i)
     if not cp.sat_classical(t):
         raise ValueError("the interpretation is not a classical model of the program")
@@ -135,9 +135,10 @@ def _labellings(p: Program, cp: ht.CompiledProgram,
                 t: int) -> Iterator[dict[str, ExtendedRule]]:
     """Injective assignments of firing rules to the atoms of the model t.
 
-    ``cp`` is the labelled program ``p`` compiled.  Atoms are processed in
-    lexicographic order, candidate rules in program order, which makes the
-    enumeration deterministic.
+    ``p`` is labelled and ``cp`` is ``p`` compiled; labels change no
+    mask, so the unlabelled program's compile serves.  Atoms are processed
+    in lexicographic order, candidate rules in program order, which makes
+    the enumeration deterministic.
     """
     fired = cp.triggered(t)
     indices = ht.set_bits(t)
@@ -171,8 +172,8 @@ def _labellings(p: Program, cp: ht.CompiledProgram,
 def support_graphs_of(p: Program, model: Iterable[str]) -> list[SupportGraph]:
     """All support graphs of the model, cyclic ones included."""
     i = frozenset(model)
+    cp = ht.compiled(p, i | p.atoms())
     p = p.labelled()
-    cp = ht.CompiledProgram(p, i | p.atoms())
     t = cp.mask(i)
     if not cp.sat_classical(t):
         raise ValueError("the interpretation is not a classical model of the program")
@@ -193,8 +194,8 @@ def _first_labellings(p: Program, atoms: Iterable[str] | None, acyclic: bool
     heads it, so only the models of :meth:`ht.CompiledProgram.headed_table`
     are searched.
     """
+    cp = ht.compiled(p, atoms)
     p = p.labelled()
-    cp = ht.CompiledProgram(p, atoms)
     out = []
     for t in ht.model_order(cp.headed_table()):
         i = cp.unmask(t)
@@ -237,7 +238,7 @@ def ad_supported_models(p: Program,
                         atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
     """Completion-style supported models: every atom of the model needs a
     firing rule whose other head atoms are all false."""
-    cp = ht.CompiledProgram(p, atoms)
+    cp = ht.compiled(p, atoms)
     return [cp.unmask(t)
             for t in ht.model_order(cp.model_table() & cp.support_table())]
 

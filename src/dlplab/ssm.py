@@ -85,7 +85,7 @@ def check_chain(chain: SsmChain, p: Program) -> ChainVerdict:
     """Verify both chain conditions stage by stage; reports the first
     violation found."""
     t = chain.target
-    cp = ht.CompiledProgram(p, t | p.atoms())
+    cp = ht.compiled(p, t | p.atoms())
     tmask = cp.mask(t)
     if not cp.sat_classical(tmask):
         raise ValueError("the target is not a classical model of the program")
@@ -133,7 +133,7 @@ def strongly_supported_models(p: Program, atoms: Iterable[str] | None = None
     searched: an atom enters the maximal stage through a rule applicable at
     (previous stage, T), whose body then holds at T.
     """
-    cp = ht.CompiledProgram(p, atoms)
+    cp = ht.compiled(p, atoms)
     out = []
     for t in ht.model_order(cp.headed_table()):
         chain = _greedy_chain(cp, t)
