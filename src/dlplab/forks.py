@@ -79,7 +79,7 @@ models and witnesses as a sweep over every T.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import ht
 from .ht import _columns, _full_bit, _universe, set_bits
@@ -411,26 +411,59 @@ def _compile(forks: Sequence[Fork],
             op = _FORMULA_OPS.get(type(phi))
             if op is None:
                 raise TypeError(f"cannot evaluate {type(phi).__name__}")
-            reg = formulas[key] = emit(op, formula(phi.left), formula(phi.right))
+            if op == _AND and type(phi.right) is And:
+                return conjunction(phi, formula, formulas)
+            # emit, inlined: this and the view walk below are the hot paths
+            op = (op, formula(phi.left), formula(phi.right))
+            reg = regs.get(op)
+            if reg is None:
+                ops.append(op)
+                reg = regs[op] = empty + len(ops)
+            formulas[key] = reg
         return reg
 
     def view(f: Fork) -> int:
         if isinstance(f, Atom):
-            return emit(_LEAF, formula(f))
+            reg = index.get(f.name)
+            return emit(_LEAF, formula(f) if reg is None else reg)
         key = id(f)
         reg = views.get(key)
         if reg is None:
             op = _FORK_OPS.get(type(f))
+            if op == _FAND and type(f.right) is ForkAnd:
+                return conjunction(f, view, views)
             if op is not None:
-                reg = emit(op, view(f.left), view(f.right))
+                op = (op, view(f.left), view(f.right))
             elif isinstance(f, Formula):
                 # a plain formula denotes the ideal of its support
-                reg = emit(_LEAF, formula(f))
+                op = (_LEAF, formula(f), 0)
             elif isinstance(f, ForkImplies):
-                reg = emit(_FIMP, formula(f.left), view(f.right))
+                op = (_FIMP, formula(f.left), view(f.right))
             else:
                 raise TypeError(f"cannot evaluate {type(f).__name__}")
+            reg = regs.get(op)
+            if reg is None:
+                ops.append(op)
+                reg = regs[op] = empty + len(ops)
             views[key] = reg
+        return reg
+
+    # A program is a conjunction nested to the right, one level per rule,
+    # and a body one level per atom, so a conjunction's right spine is
+    # walked in a loop; its nodes emit their operations on the way back,
+    # innermost first, as the recursive walk would.
+    def conjunction(node: Fork, walk: Callable[[Fork], int],
+                    memo: dict[int, int]) -> int:
+        kind = type(node)
+        op = _AND if kind is And else _FAND
+        spine = []
+        while type(node) is kind and id(node) not in memo:
+            spine.append((id(node), walk(node.left)))
+            node = node.right
+        reg = walk(node)
+        while spine:
+            key, left = spine.pop()
+            reg = memo[key] = emit(op, left, reg)
         return reg
 
     roots = [view(f) for f in forks]
@@ -445,10 +478,10 @@ def _compile_over(forks: Sequence[Fork],
         pool = sorted(frozenset().union(*(alphabet(f) for f in forks)))
     else:
         pool = sorted(set(atoms))
+    ht._check_width(len(pool))
     ops, roots, outside = _compile(forks, pool)
     if outside:
         raise ValueError(f"alphabet is missing atoms {sorted(outside)}")
-    ht._check_width(len(pool))
     return pool, ops, roots
 
 

@@ -5,6 +5,36 @@ distinct rule that fires and has the atom in its head; the incoming edges of
 an atom are exactly the positive body of its rule.  Explanations are the
 acyclic support graphs.  Since the edges are determined by the labelling,
 graphs are searched by enumerating injective atom-to-rule labellings.
+
+One enumerator, :func:`_labellings`, serves every search.  It works on the
+masks of :class:`ht.CompiledProgram`, depth first and without recursion,
+and takes the atoms in ascending order and for each the firing rules that
+head it in program order.
+
+The graph-supported models (``spm``) and the justified models (``jm``) come
+from one walk over the headed table (:meth:`ht.CompiledProgram.headed_table`),
+model by model:
+
+- the first labelling is ``spm``'s witness;
+- if it is acyclic, it is ``jm``'s witness too;
+- otherwise, if the model passes the derivability check (the least
+  fixpoint of adding the true head atoms of a firing rule whose positive
+  body is already derived reaches the model), the enumerator runs again
+  from the root with a cycle cut, which drops every partial labelling
+  that closes a cycle, and its first labelling is ``jm``'s witness.
+
+Both are exact.  An acyclic labelling, read in a topological order,
+derives every atom of the model one by one, so a model failing the check
+has none.  A cycle is made of edges fixed by the labels of its atoms, so
+every completion of a cut partial labelling keeps it, and the cut leaves
+the order of the labellings that remain as it was: the first labelling of
+the cut pass is the first acyclic one.  The pass restarts from the root
+because the labellings already walked share prefixes with the ones still
+to come, and such a prefix may already hold a cycle.
+
+The walk of the latest program is kept, matched by the identity of its
+compile and of the headed table it walked, so ``jm`` and ``spm`` of one
+program share it and the labelled program is built once.
 """
 
 from __future__ import annotations
@@ -46,21 +76,22 @@ class SupportGraph:
         return self.labelling[atom]
 
     def is_acyclic(self) -> bool:
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
+        """Whether peeling the vertices without incoming edges, in a loop,
+        removes them all."""
+        succ: dict[str, list[str]] = {v: [] for v in self.vertices}
+        missing = dict.fromkeys(self.vertices, 0)  # incoming edges not peeled
         for a, b in self.edges:
-            adj[a].append(b)
-        state: dict[str, int] = {}
-
-        def visit(v: str) -> bool:
-            state[v] = 1
-            for w in adj[v]:
-                s = state.get(w, 0)
-                if s == 1 or (s == 0 and not visit(w)):
-                    return False
-            state[v] = 2
-            return True
-
-        return all(visit(v) for v in sorted(self.vertices) if state.get(v, 0) == 0)
+            succ[a].append(b)
+            missing[b] += 1
+        ready = [v for v, k in missing.items() if not k]
+        peeled = 0
+        while ready:
+            peeled += 1
+            for w in succ[ready.pop()]:
+                missing[w] -= 1
+                if not missing[w]:
+                    ready.append(w)
+        return peeled == len(self.vertices)
 
     def __str__(self) -> str:
         return "{" + ", ".join(f"{p} -> {l}" for p, l in self.labels) + "}"
@@ -121,7 +152,117 @@ def check_support_graph(g: SupportGraph, p: Program,
 # Search
 # ---------------------------------------------------------------------------
 
-def _graph_from_labelling(p: Program, model: frozenset[str],
+def _candidates(cp: ht.CompiledProgram, t: int) -> list[list[int]] | None:
+    """Per atom of the model t, ascending, the indices of the rules that
+    fire in t and head it, in program order; None if an atom has none."""
+    fired = cp.triggered(t)
+    out = []
+    for a in ht.set_bits(t):
+        cand = [k for k in fired if cp.rules[k][0] >> a & 1]
+        if not cand:
+            return None
+        out.append(cand)
+    return out
+
+
+def _labellings(cp: ht.CompiledProgram, atoms: list[int], candidates: list[list[int]],
+                cut: bool = False) -> Iterator[list[int]]:
+    """Injective assignments of the candidate rules to the atoms: per
+    atom, the index of its rule.
+
+    Atoms are taken in the given order, the candidates of each in theirs,
+    depth first, which makes the enumeration deterministic.  With ``cut``,
+    a partial labelling that closes a cycle of its support graph is
+    dropped together with all its completions.
+    """
+    n = len(atoms)
+    if not n:
+        yield []
+        return
+    bpos = [r[1] for r in cp.rules]
+    preds = [0] * len(cp.atoms)  # per labelled atom, the positive body of its rule
+    chosen = [0] * n
+    tried = [0] * n  # per depth, the candidates tried so far
+    used = 0  # the chosen rules, as a mask over rule indices
+    d = 0
+    while True:
+        if d == n:
+            yield list(chosen)
+            d -= 1
+            used ^= 1 << chosen[d]
+        cand = candidates[d]
+        i = tried[d]
+        while i < len(cand):
+            k = cand[i]
+            i += 1
+            if not (used >> k & 1
+                    or cut and _closes_cycle(atoms[d], bpos[k], preds)):
+                break
+        else:
+            tried[d] = preds[atoms[d]] = 0
+            if not d:
+                return
+            d -= 1
+            used ^= 1 << chosen[d]
+            continue
+        tried[d] = i
+        chosen[d] = k
+        preds[atoms[d]] = bpos[k]
+        used |= 1 << k
+        d += 1
+
+
+def _closes_cycle(a: int, body: int, preds: list[int]) -> bool:
+    """Whether labelling atom a with a rule of the given positive body
+    closes a cycle, the labelled atoms having the positive bodies of their
+    rules in preds: whether a is in the body or among its ancestors."""
+    seen = 0
+    todo = body
+    while todo:
+        if todo >> a & 1:
+            return True
+        seen |= todo
+        up = 0
+        for q in ht.set_bits(todo):
+            up |= preds[q]
+        todo = up & ~seen
+    return False
+
+
+def _is_acyclic(cp: ht.CompiledProgram, atoms: list[int], labelling: list[int]) -> bool:
+    """Whether the support graph of a labelling of the atoms is acyclic:
+    whether repeatedly dropping the atoms whose rule's positive body
+    misses every atom left drops them all."""
+    left = [(1 << a, cp.rules[k][1]) for a, k in zip(atoms, labelling)]
+    while left:
+        among = 0
+        for bit, _ in left:
+            among |= bit
+        kept = [(bit, body) for bit, body in left if body & among]
+        if len(kept) == len(left):
+            return False
+        left = kept
+    return True
+
+
+def _derivable(cp: ht.CompiledProgram, t: int, candidates: list[list[int]]) -> bool:
+    """Whether the least fixpoint of adding the true head atoms of a
+    candidate rule whose positive body is derived reaches the model t; it
+    does if t has an acyclic labelling."""
+    rules = [cp.rules[k] for k in set().union(*candidates)]
+    derived = 0
+    grew = True
+    while grew:
+        grew = False
+        for head, bpos, _, _ in rules:
+            new = head & t & ~derived
+            if new and not bpos & ~derived:
+                derived |= new
+                grew = True
+    return derived == t
+
+
+def _graph_from_labelling(model: frozenset[str],
                           chosen: dict[str, ExtendedRule]) -> SupportGraph:
     edges = set()
     for atom, r in chosen.items():
@@ -131,53 +272,21 @@ def _graph_from_labelling(p: Program, model: frozenset[str],
                            {a: r.label for a, r in chosen.items()})
 
 
-def _labellings(p: Program, cp: ht.CompiledProgram,
-                t: int) -> Iterator[dict[str, ExtendedRule]]:
-    """Injective assignments of firing rules to the atoms of the model t.
-
-    ``p`` is labelled and ``cp`` is ``p`` compiled; labels change no
-    mask, so the unlabelled program's compile serves.  Atoms are processed
-    in lexicographic order, candidate rules in program order, which makes
-    the enumeration deterministic.
-    """
-    fired = cp.triggered(t)
-    indices = ht.set_bits(t)
-    atoms = [cp.atoms[a] for a in indices]
-    candidates: list[list[ExtendedRule]] = []
-    for a in indices:
-        cand = [p.rules[k] for k in fired if cp.rules[k][0] >> a & 1]
-        if not cand:
-            return
-        candidates.append(cand)
-
-    used: set[str] = set()
-    chosen: dict[str, ExtendedRule] = {}
-
-    def assign(k: int) -> Iterator[dict[str, ExtendedRule]]:
-        if k == len(atoms):
-            yield dict(chosen)
-            return
-        for r in candidates[k]:
-            if r.label in used:
-                continue
-            used.add(r.label)
-            chosen[atoms[k]] = r
-            yield from assign(k + 1)
-            del chosen[atoms[k]]
-            used.remove(r.label)
-
-    yield from assign(0)
-
-
 def support_graphs_of(p: Program, model: Iterable[str]) -> list[SupportGraph]:
     """All support graphs of the model, cyclic ones included."""
     i = frozenset(model)
     cp = ht.compiled(p, i | p.atoms())
-    p = p.labelled()
+    rules = p.labelled().rules
     t = cp.mask(i)
     if not cp.sat_classical(t):
         raise ValueError("the interpretation is not a classical model of the program")
-    return [_graph_from_labelling(p, i, c) for c in _labellings(p, cp, t)]
+    atoms = ht.set_bits(t)
+    candidates = _candidates(cp, t)
+    if candidates is None:
+        return []
+    names = [cp.atoms[a] for a in atoms]
+    return [_graph_from_labelling(i, {a: rules[k] for a, k in zip(names, lab)})
+            for lab in _labellings(cp, atoms, candidates)]
 
 
 def explanations_of(p: Program, model: Iterable[str]) -> list[SupportGraph]:
@@ -185,41 +294,55 @@ def explanations_of(p: Program, model: Iterable[str]) -> list[SupportGraph]:
     return [g for g in support_graphs_of(p, model) if g.is_acyclic()]
 
 
-def _first_labellings(p: Program, atoms: Iterable[str] | None, acyclic: bool
-                      ) -> list[tuple[frozenset[str], dict[str, ExtendedRule]]]:
-    """The models with a support graph, acyclic if asked, each paired with
-    the labelling of its first such graph.
+Labelled = list[tuple[frozenset[str], dict[str, ExtendedRule]]]
 
-    Every true atom of such a model labels a distinct rule that fires and
-    heads it, so only the models of :meth:`ht.CompiledProgram.headed_table`
-    are searched.
-    """
+# the compile and headed table of the latest walk, and its spm and jm pairs
+_last: tuple[ht.CompiledProgram, int, Labelled, Labelled] | None = None
+
+
+def _walk(p: Program, atoms: Iterable[str] | None) -> tuple[Labelled, Labelled]:
+    """The graph-supported and the justified models of p, each paired with
+    the labelling of its first graph, the first acyclic one for jm: one
+    walk over the headed table, kept for the latest program."""
+    global _last
     cp = ht.compiled(p, atoms)
-    p = p.labelled()
-    out = []
-    for t in ht.model_order(cp.headed_table()):
-        i = cp.unmask(t)
-        for chosen in _labellings(p, cp, t):
-            if not acyclic or _graph_from_labelling(p, i, chosen).is_acyclic():
-                out.append((i, chosen))
-                break
-    return out
+    headed = cp.headed_table()
+    if _last is None or _last[0] is not cp or _last[1] is not headed:
+        rules = p.labelled().rules
+        supported, justified = [], []
+        for t in ht.model_order(headed):
+            candidates = _candidates(cp, t)
+            if candidates is None:
+                continue
+            atoms_of_t = ht.set_bits(t)
+            first = next(_labellings(cp, atoms_of_t, candidates), None)
+            if first is None:
+                continue
+            names = [cp.atoms[a] for a in atoms_of_t]
+            model = frozenset(names)
+            supported.append((model, {a: rules[k] for a, k in zip(names, first)}))
+            acyclic = first
+            if not _is_acyclic(cp, atoms_of_t, first):
+                acyclic = (next(_labellings(cp, atoms_of_t, candidates, cut=True), None)
+                           if _derivable(cp, t, candidates) else None)
+            if acyclic is not None:
+                justified.append((model, {a: rules[k] for a, k in zip(names, acyclic)}))
+        _last = (cp, headed, supported, justified)
+    return _last[2], _last[3]
 
 
-def supported_labellings(p: Program, atoms: Iterable[str] | None = None
-                         ) -> list[tuple[frozenset[str], dict[str, ExtendedRule]]]:
+def supported_labellings(p: Program, atoms: Iterable[str] | None = None) -> Labelled:
     """Classical models admitting some support graph, each paired with the
     labelling of the first one.  The labelling gives every true atom a
     firing rule that heads it."""
-    return _first_labellings(p, atoms, acyclic=False)
+    return [(m, dict(w)) for m, w in _walk(p, atoms)[0]]
 
 
-def justified_labellings(p: Program, atoms: Iterable[str] | None = None
-                         ) -> list[tuple[frozenset[str], dict[str, ExtendedRule]]]:
+def justified_labellings(p: Program, atoms: Iterable[str] | None = None) -> Labelled:
     """Classical models admitting some acyclic support graph, each paired
     with the labelling of the first one.  An acyclic graph is a support
     graph too."""
-    return _first_labellings(p, atoms, acyclic=True)
+    return [(m, dict(w)) for m, w in _walk(p, atoms)[1]]
 
 
 def supported_models_graph(p: Program,

@@ -380,14 +380,17 @@ def forked(p: Program) -> Fork:
 
 def alphabet(x) -> frozenset[str]:
     """The set of atoms occurring in a formula, fork, rule or program."""
-    if isinstance(x, Program):
+    if isinstance(x, (Program, ExtendedRule)):
         return x.atoms()
-    if isinstance(x, ExtendedRule):
-        return x.atoms()
-    if isinstance(x, Falsum):
-        return frozenset()
-    if isinstance(x, Atom):
-        return frozenset((x.name,))
-    if isinstance(x, (And, Or, Implies, ForkPair, ForkAnd, ForkImplies)):
-        return alphabet(x.left) | alphabet(x.right)
-    raise TypeError(f"no alphabet for {type(x).__name__}")
+    # a loop, not recursion: a program's conjunction nests one level per rule
+    out: set[str] = set()
+    todo = [x]
+    while todo:
+        y = todo.pop()
+        if isinstance(y, Atom):
+            out.add(y.name)
+        elif isinstance(y, (And, Or, Implies, ForkPair, ForkAnd, ForkImplies)):
+            todo += (y.left, y.right)
+        elif not isinstance(y, Falsum):
+            raise TypeError(f"no alphabet for {type(y).__name__}")
+    return frozenset(out)

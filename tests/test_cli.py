@@ -86,6 +86,25 @@ def test_cli_models_ssm_witness_is_the_chain_of_maximal_stages(tmp_path, capsys)
     assert chains[("a", "b", "c")] == [["a", "b"], ["a", "b", "c"]]
 
 
+def test_cli_models_long_program_every_semantics(tmp_path, capsys):
+    """1200 rules over three atoms: the fork's conjunction nests 1200
+    levels deep, and the report still finishes with fork = JM."""
+    f = tmp_path / "long.lp"
+    f.write_text("a | b :- not c.\n" * 600 + "c :- not a.\n" * 600)
+    assert main(["models", str(f), "--json", "--strict"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["semantics"]["fork"] == data["semantics"]["jm"] \
+        == [["a"], ["c"], ["a", "b"]]
+
+
+def test_cli_models_fork_refuses_a_wide_head_as_input_error(tmp_path, capsys):
+    """A head of 1500 atoms is refused as too wide before it is compiled."""
+    f = tmp_path / "wide.lp"
+    f.write_text(" | ".join(f"a{i}" for i in range(1500)) + ".\n")
+    assert main(["models", str(f), "--semantics", "fork"]) == 2
+    assert "exceed the enumeration bound" in capsys.readouterr().err
+
+
 def test_cli_models_alphabet_flag(capsys, p1_file):
     assert main(["models", p1_file, "--alphabet", "z", "--semantics",
                  "classical,sm"]) == 0

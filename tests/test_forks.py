@@ -444,3 +444,75 @@ def test_project_models():
     ms = [frozenset({"a", "x"}), frozenset({"a"}), frozenset({"b"})]
     assert project_models(ms, {"a", "b"}) \
         == [frozenset("a"), frozenset("b")]
+
+
+# ---------------------------------------------------------------------------
+# The compile walk
+# ---------------------------------------------------------------------------
+
+def recursive_compile(forks, pool):
+    """The compile walk as plain recursion on both operands: the reference
+    for the loop down the right spine."""
+    from dlplab.forks import _FIMP, _FORK_OPS, _FORMULA_OPS, _LEAF
+    index = {a: i for i, a in enumerate(pool)}
+    empty = len(pool)
+    ops, regs, formulas, views, outside = [], {}, {}, {}, set()
+
+    def emit(op, a, b=0):
+        key = (op, a, b)
+        if key not in regs:
+            ops.append(key)
+            regs[key] = empty + len(ops)
+        return regs[key]
+
+    def formula(phi):
+        if isinstance(phi, Atom):
+            if phi.name not in index:
+                outside.add(phi.name)
+                return empty
+            return index[phi.name]
+        if phi == FALSUM:
+            return empty
+        if id(phi) not in formulas:
+            formulas[id(phi)] = emit(_FORMULA_OPS[type(phi)],
+                                     formula(phi.left), formula(phi.right))
+        return formulas[id(phi)]
+
+    def view(f):
+        if isinstance(f, Atom):
+            return emit(_LEAF, formula(f))
+        if id(f) not in views:
+            if type(f) in _FORK_OPS:
+                views[id(f)] = emit(_FORK_OPS[type(f)], view(f.left), view(f.right))
+            elif isinstance(f, Formula):
+                views[id(f)] = emit(_LEAF, formula(f))
+            else:
+                views[id(f)] = emit(_FIMP, formula(f.left), view(f.right))
+        return views[id(f)]
+
+    roots = [view(f) for f in forks]
+    return ops, roots, outside
+
+
+def test_compile_emits_what_the_recursive_walk_emits():
+    from dlplab.forks import _compile
+    rng = random.Random(11)
+    cases = []
+    for _ in range(300):
+        f = gen_fork(rng, ("a", "b", "c", "d"), rng.randint(1, 6))
+        g = gen_fork(rng, ("a", "b", "c", "d"), rng.randint(1, 6))
+        shared = fork_and(f, fork_and(g, f))
+        cases += [[f], [f, g, shared], [shared, f]]
+    cases += [[forked(gen_program(GenConfig(atoms=6, rules=8, seed=s)))]
+              for s in range(100)]
+    for forks in cases:
+        for pool in (("a", "b", "c", "d", "e", "f"), ("a", "c")):
+            assert _compile(forks, pool) == recursive_compile(forks, pool), forks
+
+
+def test_compile_walks_a_long_program_without_recursing_per_rule():
+    # 1200 rules: the forked conjunction is 600 levels of fork conjunction
+    # over a plain conjunction 600 levels deep
+    p = parse_program("a | b :- not c.\n" * 600 + "c :- not a.\n" * 600)
+    assert fork_stable_models(forked(p)) == justified_models(p) \
+        == [frozenset("a"), frozenset("c"), frozenset("ab")]

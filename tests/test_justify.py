@@ -1,12 +1,19 @@
+import itertools
+
 import pytest
 
+from dlplab import ht, justify
+from dlplab.checks import run_fuzz
 from dlplab.gen import GenConfig, gen_program
 from dlplab.ht import classical_models, classical_sat, stable_models
 from dlplab.justify import (ModelMismatchError, SupportGraph,
                             ad_supported_models, check_support_graph,
-                            explanations_of, justified_models, node_forget,
-                            support_graphs_of, supported_models_graph, to_dot)
+                            explanations_of, justified_labellings,
+                            justified_models, node_forget, support_graphs_of,
+                            supported_labellings, supported_models_graph,
+                            to_dot)
 from dlplab.parser import parse_program
+from dlplab.syntax import Program
 
 
 P4 = parse_program("l1: a | b.\nl2: a | c.")
@@ -172,3 +179,104 @@ def test_unlabelled_program_gets_deterministic_labels():
     p = parse_program("a | b. a | c.")
     assert [g.labels for g in explanations_of(p, {"a"})] \
         == [(("a", "r1"),), (("a", "r2"),)]
+
+
+def test_support_graphs_are_not_bounded_by_recursion_depth():
+    # a0. a_i :- a_{i-1}.  for 1500 atoms: one graph, a chain
+    p = parse_program("a0.\n" + "".join(f"a{i} :- a{i - 1}.\n" for i in range(1, 1500)))
+    model = p.atoms()
+    graphs = support_graphs_of(p, model)
+    assert len(graphs) == 1 and len(graphs[0].edges) == 1499
+    assert graphs[0].is_acyclic()
+    assert explanations_of(p, model) == graphs
+    assert check_support_graph(graphs[0], p, model).kind == "valid-acyclic"
+    ring = SupportGraph.of(graphs[0].vertices, graphs[0].edges | {("a1499", "a0")},
+                           graphs[0].labels)
+    assert not ring.is_acyclic()
+
+
+# ---------------------------------------------------------------------------
+# The labelling walk shared by jm and spm
+# ---------------------------------------------------------------------------
+
+def all_pairs(n):
+    """a_i :- a_j for every i != j over n atoms."""
+    return parse_program("".join(f"a{i:02d} :- a{j:02d}.\n"
+                                 for i in range(n) for j in range(n) if i != j))
+
+
+def test_all_pairs_program_has_only_the_empty_justified_model():
+    # every labelling of the full model is cyclic, and there are 10^11 of
+    # them; the derivability check rejects the model without walking them
+    p = all_pairs(11)
+    assert justified_models(p) == [frozenset()]
+    assert supported_models_graph(p) == [frozenset(), p.atoms()]
+
+
+def test_negated_triples_program():
+    # h :- b, not c over the first 1200 ordered triples of 12 atoms
+    names = [f"x{i:02d}" for i in range(12)]
+    p = parse_program("".join(f"{h} :- {b}, not {c}.\n" for h, b, c in
+                              itertools.islice(itertools.permutations(names, 3), 1200)))
+    assert justified_models(p) == [frozenset()]
+    spm = supported_models_graph(p)
+    assert len(spm) == 2 and spm[0] == frozenset()
+
+
+def test_the_battery_labels_each_program_once(monkeypatch):
+    calls = 0
+    original = Program.labelled
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return original(self)
+
+    monkeypatch.setattr(Program, "labelled", counted)
+    assert run_fuzz(GenConfig(seed=0), 50).ok
+    assert calls == 50
+
+
+def test_the_walk_is_not_served_for_another_headed_table(monkeypatch):
+    p = parse_program("a | b. c :- a. a :- c.")
+    assert justified_labellings(p) and supported_labellings(p)
+    monkeypatch.setattr(ht.CompiledProgram, "headed_table", lambda self: 0)
+    assert justified_labellings(p) == [] and supported_labellings(p) == []
+
+
+def test_callers_cannot_change_the_kept_walk():
+    p = parse_program("a | b. c :- a. a :- c.")
+    jm, spm = justified_labellings(p), supported_labellings(p)
+    want = (repr(jm), repr(spm))
+    for found in (jm, spm):
+        found[0][1].clear()
+        found.pop()
+    assert (repr(justified_labellings(p)), repr(supported_labellings(p))) == want
+
+
+def test_mask_tests_agree_with_the_graphs():
+    """On every labelling of every classical model: the mask acyclicity
+    test agrees with SupportGraph.is_acyclic, the cut pass keeps exactly
+    the acyclic labellings in their order, and a model with an acyclic
+    labelling passes the derivability check."""
+    for seed in range(200):
+        p = gen_program(GenConfig(seed=seed) if seed % 2
+                        else GenConfig(atoms=5, rules=7, seed=seed))
+        cp = ht.compiled(p)
+        for t in ht.model_order(cp.model_table()):
+            atoms, candidates = ht.set_bits(t), justify._candidates(cp, t)
+            graphs = support_graphs_of(p, cp.unmask(t))
+            if candidates is None:
+                assert graphs == [], seed
+                continue
+            found = list(justify._labellings(cp, atoms, candidates))
+            assert len(found) == len(graphs), seed
+            acyclic = []
+            for lab, g in zip(found, graphs):
+                assert justify._is_acyclic(cp, atoms, lab) == g.is_acyclic(), seed
+                if g.is_acyclic():
+                    acyclic.append(lab)
+            assert list(justify._labellings(cp, atoms, candidates, cut=True)) \
+                == acyclic, seed
+            if acyclic:
+                assert justify._derivable(cp, t, candidates), seed
