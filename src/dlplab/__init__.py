@@ -5,7 +5,8 @@ relate them.
 """
 
 from .forks import (EntailmentResult, Support, View, closure, complement,
-                         denotation, fork_stable_models, ideal,
+                         denotation, entails_forked, equilibrium_models,
+                         fork_stable_models, forked_stable_models, ideal,
                          is_vocab_feasible, pf_translate, preceq,
                          project_models, projected_denotation,
                          restrict_support, strongly_entails,

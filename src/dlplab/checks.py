@@ -2,10 +2,13 @@
 
 Each check takes a program and returns None on success or a short
 description of the violated relation.  The default selection covers the
-coincidence and inclusion results between the semantics; the remaining
-checks cover the translations and the parser round trip.  The lattice
-checks read their edges from ``compare.INCLUSION_EDGES`` and the semantics
-from ``compare.model_tables``, so the checks on one program compute each
+coincidence and inclusion results between the semantics; among them
+``sm-eq`` compares the stable models with the equilibrium models of the
+program read as a formula, which the fork engine computes without any
+table of the program engine.  The remaining checks cover the translations
+and the parser round trip.  The lattice checks read their edges from
+``compare.INCLUSION_EDGES`` and the semantics from
+``compare.model_tables``, so the checks on one program compute each
 semantics once; only the conditional relations are written out here.  The
 translation checks read the source program's semantics from the same memo
 and compute only the translation's.  The head-splitting check ``th1``
@@ -29,7 +32,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from . import forks as deno
-from . import di, ht, ssm
+from . import di, ht, ssm, syntax
 from .compare import ModelTables, edges_of, model_tables
 from .gen import ATOM_POOL, GenConfig, gen_program
 from .parser import parse_program, render_program
@@ -44,7 +47,8 @@ def _fmt(models: Iterable[frozenset[str]]) -> str:
 
 
 _LABELS = {"sm": "SM", "fork": "fork SM", "jm": "JM", "spm": "SPM",
-           "spm-fixpoint": "fixpoint SPM", "ad": "AD", "csm": "CSM", "ssm": "SSM"}
+           "spm-fixpoint": "fixpoint SPM", "ad": "AD", "csm": "CSM", "ssm": "SSM",
+           "sm-formula": "equilibrium models"}
 
 
 def _show(m: ModelTables, name: str, check: str = "") -> str:
@@ -93,7 +97,7 @@ def check_sm_subset_jm(p: Program) -> str | None:
 def check_fork_replacement(p: Program) -> str | None:
     """The program strongly entails its forked version, so its stable
     models survive the replacement."""
-    res = deno.strongly_entails(p.to_formula(), model_tables(p).forked, p.atoms())
+    res = deno.entails_forked(p, p.atoms())
     if not res:
         return (f"no strong entailment into the forked program; witness "
                 f"T={{{','.join(sorted(res.witness_t))}}}")
@@ -212,7 +216,7 @@ def check_pf_projection(p: Program) -> str | None:
     The bare program is compared first, then the contexts in family order.
     """
     al = p.atoms()
-    f = model_tables(p).forked
+    f = syntax.forked(p)
     pf = deno.pf_translate(p)
     _, contexts, formulas = _family_of(al)
     rhs = deno.fork_stable_models_each([f] + [fork_and(f, c) for c in formulas], al)
@@ -244,6 +248,8 @@ CHECKS: dict[str, tuple[CheckFn, str]] = {
     "cor1": (check_fork_replacement, "forking heads keeps every stable model"),
     "ssm-sm": (check_ssm_vs_sm, "stable vs strongly supported relations"),
     "ad": (lambda p: _lattice(p, "ad"), "SM within AD within SPM"),
+    "sm-eq": (lambda p: _lattice(p, "sm-eq"),
+              "stable models = equilibrium models of the program as a formula"),
     "t1": (check_t1, "double negation removal preserves SM"),
     "t2": (check_t2, "head disambiguation preserves CSM"),
     "th1": (check_pf_projection, "head splitting is invisible modulo alphabet"),
@@ -252,7 +258,8 @@ CHECKS: dict[str, tuple[CheckFn, str]] = {
                        "unconditional minimal-SSM claim (known to fail)"),
 }
 
-DEFAULT_CHECKS = ("th3", "th4", "th5", "th7", "th8", "cor1", "ssm-sm", "ad")
+DEFAULT_CHECKS = ("th3", "th4", "th5", "th7", "th8", "cor1", "ssm-sm", "ad",
+                  "sm-eq")
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable
 
 from . import forks as deno
-from . import di, ht, justify, ssm, syntax
-from .syntax import Fork, Program
+from . import di, ht, justify, ssm
+from .syntax import Program
 
 SEMANTICS_ORDER = ("classical", "sm", "fork", "jm", "spm", "ad", "csm",
                    "csm-closed", "di", "ssm")
@@ -21,11 +20,12 @@ SEMANTICS_ORDER = ("classical", "sm", "fork", "jm", "spm", "ad", "csm",
 # name -> the models, or for WITNESSED the (model, witness) pairs, of the
 # program of a ModelTables.  Enumerators are looked up on their modules at
 # call time, so a wrapper put there (a tracer, a test double) sees every
-# call.  The fixpoint reading of supported models is in no report.
+# call.  The fixpoint reading of supported models and the equilibrium
+# models of the program read as a formula are in no report.
 SEMANTICS: dict[str, Callable[["ModelTables"], list]] = {
     "classical": lambda m: ht.classical_models(m.program, m.atoms),
     "sm": lambda m: ht.stable_models(m.program, m.atoms),
-    "fork": lambda m: deno.fork_stable_models(m.forked, m.atoms),
+    "fork": lambda m: deno.forked_stable_models(m.program, m.atoms),
     "jm": lambda m: justify.justified_labellings(m.program, m.atoms),
     "spm": lambda m: justify.supported_labellings(m.program, m.atoms),
     "ad": lambda m: justify.ad_supported_models(m.program, m.atoms),
@@ -34,6 +34,7 @@ SEMANTICS: dict[str, Callable[["ModelTables"], list]] = {
     "di": lambda m: ssm.minimal_elements(m.models("csm-closed")),
     "ssm": lambda m: ssm.strongly_supported_models(m.program, m.atoms),
     "spm-fixpoint": lambda m: di.supported_models_fixpoint(m.program, m.atoms),
+    "sm-formula": lambda m: deno.equilibrium_models(m.program, m.atoms),
 }
 WITNESSED = ("jm", "spm", "csm", "csm-closed", "ssm")
 
@@ -45,7 +46,7 @@ READS: dict[str, tuple[str, ...]] = {
     "classical": ("models",), "sm": ("models", "support"), "fork": (),
     "jm": ("headed",), "spm": ("headed",), "ad": ("models", "support"),
     "csm": ("headed",), "csm-closed": ("headed",), "di": ("headed",),
-    "ssm": ("headed",), "spm-fixpoint": ("models",),
+    "ssm": ("headed",), "spm-fixpoint": ("models",), "sm-formula": (),
 }
 
 # The expected lattice, and the only place it is written: lhs is included
@@ -69,6 +70,8 @@ INCLUSION_EDGES = (
     ("sm", "ad", ("models", "ad")), ("ad", "spm", ("models", "ad")),
     ("spm-fixpoint", "spm", ("th8",)), ("spm", "spm-fixpoint", ("th8",)),
     ("csm-closed", "csm", ("models",)), ("di", "csm-closed", ("models",)),
+    # the fork engine's reading of sm, sharing no table with ht
+    ("sm", "sm-formula", ("sm-eq",)), ("sm-formula", "sm", ("sm-eq",)),
 )
 
 
@@ -107,12 +110,6 @@ class ModelTables:
             decoded = self.decoded[name] = {sum(bit[a] for a in m): m for m in found}
             self.tables[name] = _table(decoded, len(self.atoms))
         return self.tables[name]
-
-    @cached_property
-    def forked(self) -> Fork:
-        """The program with its disjunctive heads forked, built once for
-        the fork semantics and the checks that read the fork."""
-        return syntax.forked(self.program)
 
     def models(self, name: str) -> list[frozenset[str]]:
         """The models of a semantics, in the order of ht.sort_models."""

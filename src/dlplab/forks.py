@@ -27,8 +27,12 @@ register operations and run it for each T, so no formula is hashed or
 dispatched on per T.  The compiler walks each node object once, so forks
 that share a subfork (a program's fork conjoined with each of many
 contexts) run its registers once per T for all of them;
-:func:`fork_stable_models` is the one-fork case.  The public
-:class:`Support` and :class:`View` keep
+:func:`fork_stable_models` is the one-fork case.  A program needs no
+tree: :func:`forked_stable_models`, :func:`equilibrium_models` and
+:func:`entails_forked` emit the registers of ``syntax.forked(p)`` and of
+``p.to_formula()`` straight from its rules (``_compile_program``), the
+operations and roots the tree compile would give, and run the same sweeps
+as the tree entries.  The public :class:`Support` and :class:`View` keep
 their members as frozensets of here-masks; :meth:`Support.member_sets`
 gives them back as atom sets.
 
@@ -475,14 +479,123 @@ def _compile_over(forks: Sequence[Fork],
     """Compile forks for enumeration over the given atoms, by default
     their alphabet, which must cover every atom of the forks."""
     if atoms is None:
-        pool = sorted(frozenset().union(*(alphabet(f) for f in forks)))
-    else:
-        pool = sorted(set(atoms))
-    ht._check_width(len(pool))
+        atoms = frozenset().union(*(alphabet(f) for f in forks))
+    pool = _pool_of(atoms)
     ops, roots, outside = _compile(forks, pool)
     if outside:
         raise ValueError(f"alphabet is missing atoms {sorted(outside)}")
     return pool, ops, roots
+
+
+def _program_over(p: Program, readings: Sequence[str],
+                  atoms: Iterable[str] | None) -> tuple[list[str], list[Op], list[int]]:
+    """Compile readings of a program for enumeration over the given atoms,
+    by default the program's, which must cover them."""
+    own = p.atoms()
+    pool = _pool_of(own if atoms is None else atoms)
+    outside = own.difference(pool)
+    if outside:
+        raise ValueError(f"alphabet is missing atoms {sorted(outside)}")
+    return (pool, *_compile_program(p, pool, readings))
+
+
+def _pool_of(atoms: Iterable[str]) -> list[str]:
+    pool = sorted(set(atoms))
+    ht._check_width(len(pool))
+    return pool
+
+
+def _compile_program(p: Program, pool: Sequence[str], readings: Sequence[str]
+                     ) -> tuple[list[Op], list[int]]:
+    """Flatten readings of a program over a sorted pool that covers it into
+    register operations, straight from its rules: "formula" reads the
+    program as ``p.to_formula()``, "forked" as ``syntax.forked(p)``.
+
+    Per rule the body comes first: its positive atoms, each ``not a`` as
+    a -> falsum and each ``not not a`` as (a -> falsum) -> falsum, sorted
+    within each part, and their right-nested conjunction; then the head,
+    a right-nested disjunction for the formula or a split of atom leaves
+    for a disjunctive rule's fork; then the implication from the body.
+    The formula conjoins every rule; the fork conjoins the rule forks up to
+    the last disjunctive rule, each normal rule as the leaf of its formula,
+    with one leaf of the conjunction of the normal rules after it, as
+    ``syntax.fork_and`` collapses them.  A conjunction emits its parts in
+    order and then its connectives innermost first, which is the order of
+    :func:`_compile` walking the trees, so the operations and roots are the
+    ones it returns for the readings' trees, without a node being built.
+    """
+    index = {a: i for i, a in enumerate(pool)}
+    empty = len(pool)
+    ops: list[Op] = []
+    regs: dict[Op, int] = {}
+    rules = p.rules
+
+    def emit(op: int, a: int, b: int = 0) -> int:
+        key = (op, a, b)
+        reg = regs.get(key)
+        if reg is None:
+            ops.append(key)
+            reg = regs[key] = empty + len(ops)
+        return reg
+
+    def chain(op: int, parts: list[int]) -> int:
+        """The right-nested connective over nonempty parts."""
+        reg = parts[-1]
+        for left in parts[-2::-1]:
+            # emit, inlined: a program's connectives are mostly chained
+            key = (op, left, reg)
+            reg = regs.get(key)
+            if reg is None:
+                ops.append(key)
+                reg = regs[key] = empty + len(ops)
+        return reg
+
+    def conj(parts: list[int]) -> int:
+        # the empty conjunction is verum, falsum -> falsum
+        return chain(_AND, parts) if parts else emit(_IMP, empty, empty)
+
+    bodies: list[int | None] = [None] * len(rules)
+    formulas: list[int | None] = [None] * len(rules)
+
+    def body(k: int, r: ExtendedRule) -> int | None:
+        """The body's register, None for an empty body."""
+        reg = bodies[k]
+        if reg is None and (r.bpos or r.bneg or r.bnegneg):
+            parts = [index[a] for a in sorted(r.bpos)]
+            parts += [emit(_IMP, index[a], empty) for a in sorted(r.bneg)]
+            parts += [emit(_IMP, emit(_IMP, index[a], empty), empty)
+                      for a in sorted(r.bnegneg)]
+            reg = bodies[k] = chain(_AND, parts)
+        return reg
+
+    def formula(k: int, r: ExtendedRule) -> int:
+        reg = formulas[k]
+        if reg is None:
+            b = body(k, r)
+            head = chain(_OR, [index[a] for a in r.head]) if r.head else empty
+            reg = formulas[k] = head if b is None else emit(_IMP, b, head)
+        return reg
+
+    def fork(k: int, r: ExtendedRule) -> int:
+        b = body(k, r)
+        split = chain(_FPAIR, [emit(_LEAF, index[a]) for a in r.head])
+        return split if b is None else emit(_FIMP, b, split)
+
+    def as_forked() -> int:
+        last = max((k for k, r in enumerate(rules) if not r.is_normal), default=-1)
+        views = [emit(_LEAF, formula(k, r)) if r.is_normal else fork(k, r)
+                 for k, r in enumerate(rules[:last + 1])]
+        if last + 1 < len(rules) or not views:
+            views.append(emit(_LEAF, conj([formula(k, rules[k])
+                                           for k in range(last + 1, len(rules))])))
+        return chain(_FAND, views)
+
+    def as_formula() -> int:
+        return emit(_LEAF, conj([formula(k, r) for k, r in enumerate(rules)]))
+
+    readers = {"formula": as_formula, "forked": as_forked}
+    roots = [readers[name]() for name in readings]
+    return ops, roots
 
 
 def _run(ops: list[Op], regs: list, width: int) -> list:
@@ -627,10 +740,31 @@ def fork_stable_models_each(forks: Sequence[Fork], atoms: Iterable[str] | None =
     """The fork stable models of each fork, sorted, over one alphabet: by
     default the atoms of all the forks.  The forks are compiled together
     and run in one sweep over T, so the registers of a subfork they share
-    run once per T for all of them.  The sweep visits, in the order of
-    :func:`ht.sort_models`, only the T that the pre-pass leaves open for
-    some fork."""
-    pool, ops, roots = _compile_over(forks, atoms)
+    run once per T for all of them."""
+    return _stable_sweep(*_compile_over(forks, atoms))
+
+
+def forked_stable_models(p: Program, atoms: Iterable[str] | None = None
+                         ) -> list[frozenset[str]]:
+    """The fork stable models of ``syntax.forked(p)``, over p's atoms by
+    default, compiled straight from the rules."""
+    return _stable_sweep(*_program_over(p, ("forked",), atoms))[0]
+
+
+def equilibrium_models(p: Program, atoms: Iterable[str] | None = None
+                       ) -> list[frozenset[str]]:
+    """The fork stable models of ``p.to_formula()``, that is its
+    equilibrium models, over p's atoms by default, compiled straight from
+    the rules: an oracle for the stable models that shares no table with
+    :mod:`dlplab.ht`."""
+    return _stable_sweep(*_program_over(p, ("formula",), atoms))[0]
+
+
+def _stable_sweep(pool: list[str], ops: list[Op], roots: list[int]
+                  ) -> list[list[frozenset[str]]]:
+    """The fork stable models of each root.  The sweep visits, in the order
+    of :func:`ht.sort_models`, only the T that the pre-pass leaves open
+    for some root."""
     found = [(root, []) for root in roots]
     for combo, regs in _runs(ops, len(pool), _open_table(ops, roots, len(pool))):
         top = _full_bit(len(combo))
@@ -658,7 +792,20 @@ def strongly_entails(f: Fork, g: Fork,
     """View inclusion at every T over the alphabet; on failure reports the
     first T, in the order of :func:`ht.subsets`, and the least support of
     its left view missing from the right one."""
-    pool, ops, (rf, rg) = _compile_over([f, g], atoms)
+    return _entailment_sweep(*_compile_over([f, g], atoms))
+
+
+def entails_forked(p: Program, atoms: Iterable[str] | None = None) -> EntailmentResult:
+    """Whether ``p.to_formula()`` strongly entails ``syntax.forked(p)``,
+    over p's atoms by default, compiled straight from the rules, with the
+    witness :func:`strongly_entails` gives."""
+    return _entailment_sweep(*_program_over(p, ("formula", "forked"), atoms))
+
+
+def _entailment_sweep(pool: list[str], ops: list[Op], roots: list[int]
+                      ) -> EntailmentResult:
+    """Whether the view of the first root includes the second's at every T."""
+    rf, rg = roots
     # an empty left view has no support to miss
     left = _nonempty_tables(ops, len(pool))[rf]
     for combo, regs in _runs(ops, len(pool), left):

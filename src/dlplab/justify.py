@@ -274,24 +274,32 @@ def _graph_from_labelling(model: frozenset[str],
 
 def support_graphs_of(p: Program, model: Iterable[str]) -> list[SupportGraph]:
     """All support graphs of the model, cyclic ones included."""
-    i = frozenset(model)
-    cp = ht.compiled(p, i | p.atoms())
-    rules = p.labelled().rules
-    t = cp.mask(i)
-    if not cp.sat_classical(t):
-        raise ValueError("the interpretation is not a classical model of the program")
-    atoms = ht.set_bits(t)
-    candidates = _candidates(cp, t)
-    if candidates is None:
-        return []
-    names = [cp.atoms[a] for a in atoms]
-    return [_graph_from_labelling(i, {a: rules[k] for a, k in zip(names, lab)})
-            for lab in _labellings(cp, atoms, candidates)]
+    return _graphs(p, model, acyclic=False)
 
 
 def explanations_of(p: Program, model: Iterable[str]) -> list[SupportGraph]:
-    """All acyclic support graphs of the model."""
-    return [g for g in support_graphs_of(p, model) if g.is_acyclic()]
+    """All acyclic support graphs of the model, in the order of
+    :func:`support_graphs_of`."""
+    return _graphs(p, model, acyclic=True)
+
+
+def _graphs(p: Program, model: Iterable[str], acyclic: bool) -> list[SupportGraph]:
+    """The support graphs of the model, only the acyclic ones if asked: a
+    model failing the derivability check has none, and otherwise the
+    enumerator cuts every partial labelling that closes a cycle."""
+    i = frozenset(model)
+    cp = ht.compiled(p, i | p.atoms())
+    t = cp.mask(i)
+    if not cp.sat_classical(t):
+        raise ValueError("the interpretation is not a classical model of the program")
+    candidates = _candidates(cp, t)
+    if candidates is None or acyclic and not _derivable(cp, t, candidates):
+        return []
+    rules = p.labelled().rules
+    atoms = ht.set_bits(t)
+    names = [cp.atoms[a] for a in atoms]
+    return [_graph_from_labelling(i, {a: rules[k] for a, k in zip(names, lab)})
+            for lab in _labellings(cp, atoms, candidates, cut=acyclic)]
 
 
 Labelled = list[tuple[frozenset[str], dict[str, ExtendedRule]]]

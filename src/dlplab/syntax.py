@@ -177,7 +177,16 @@ class ExtendedRule:
         return disj(Atom(a) for a in self.head)
 
     def with_label(self, label: str | None) -> "ExtendedRule":
-        return ExtendedRule(self.head, self.bpos, self.bneg, self.bnegneg, label)
+        """The rule under another label.  The fields are already normalised,
+        so they are copied without running the constructor again."""
+        out = object.__new__(ExtendedRule)
+        put = object.__setattr__
+        put(out, "head", self.head)
+        put(out, "bpos", self.bpos)
+        put(out, "bneg", self.bneg)
+        put(out, "bnegneg", self.bnegneg)
+        put(out, "label", label)
+        return out
 
 
 def rule(head: Iterable[str] = (),
@@ -317,10 +326,6 @@ _FORK_TYPES = (Formula, ForkPair, ForkAnd, ForkImplies)
 def _require_fork(x) -> None:
     if not isinstance(x, _FORK_TYPES):
         raise TypeError(f"not a fork: {x!r}")
-
-
-def is_plain_formula(f: Fork) -> bool:
-    return isinstance(f, Formula)
 
 
 def fork_and(left: Fork, right: Fork) -> Fork:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -165,6 +166,20 @@ def test_cli_explain(capsys, p1_file):
     assert "{a}: {a -> r2}" in out
     assert main(["explain", p1_file, "--model", "a", "--dot"]) == 0
     assert "digraph" in capsys.readouterr().out
+
+
+def test_cli_explain_answers_a_model_with_only_cyclic_graphs_at_once(capsys, tmp_path):
+    # a_i :- a_j for all i != j over 8 atoms: the full model has 7^8
+    # support graphs and every one is cyclic
+    path = tmp_path / "pairs.lp"
+    path.write_text("".join(f"a{i} :- a{j}.\n" for i in range(8)
+                            for j in range(8) if i != j))
+    model = ",".join(f"a{i}" for i in range(8))
+    t0 = time.perf_counter()
+    assert main(["explain", str(path), "--model", model, "--all"]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().out == \
+        "% no explanation for {a0,a1,a2,a3,a4,a5,a6,a7}\n"
 
 
 def test_cli_fuzz(capsys):

@@ -1,13 +1,16 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 from dlplab.forks import (BaseMismatchError, Support, View, closure,
-                          complement, denotation, fork_stable_models, ideal,
-                          is_vocab_feasible, pf_translate, preceq,
-                          project_models, projected_denotation,
-                          restrict_support, strongly_entails,
+                          complement, denotation, entails_forked,
+                          equilibrium_models, fork_stable_models,
+                          forked_stable_models, ideal, is_vocab_feasible,
+                          pf_translate, preceq, project_models,
+                          projected_denotation, restrict_support,
+                          strongly_entails, strongly_equivalent,
                           support_of_formula)
 from dlplab.di import csm_models
 from dlplab.gen import GenConfig, gen_fork, gen_formula, gen_program
@@ -15,8 +18,8 @@ from dlplab.ht import CapacityError, ht_sat, stable_models, subsets
 from dlplab.justify import justified_models
 from dlplab.parser import parse_fork, parse_formula, parse_program
 from dlplab.syntax import (FALSUM, And, Atom, ForkAnd, ForkImplies,
-                           ForkPair, Formula, Implies, Or, fork_and,
-                           forked)
+                           ForkPair, Formula, Implies, Or, Program, fork_and,
+                           forked, rule)
 
 
 def sup(base, *member_sets):
@@ -325,6 +328,13 @@ def test_strong_entailment_examples():
     assert strongly_entails(split, split)
 
 
+def test_strong_equivalence_examples():
+    vee = parse_formula("a v b")
+    split = parse_fork("a ; b")
+    assert strongly_equivalent(split, split)
+    assert not strongly_equivalent(vee, split)
+
+
 def programs_6x8():
     return [gen_program(GenConfig(seed=seed, atoms=6, rules=8))
             for seed in range(200)]
@@ -516,3 +526,62 @@ def test_compile_walks_a_long_program_without_recursing_per_rule():
     p = parse_program("a | b :- not c.\n" * 600 + "c :- not a.\n" * 600)
     assert fork_stable_models(forked(p)) == justified_models(p) \
         == [frozenset("a"), frozenset("c"), frozenset("ab")]
+
+
+# ---------------------------------------------------------------------------
+# The program emitter
+# ---------------------------------------------------------------------------
+
+TREES = {("forked",): lambda p: [forked(p)],
+         ("formula",): lambda p: [p.to_formula()],
+         ("formula", "forked"): lambda p: [p.to_formula(), forked(p)]}
+
+
+def assert_emits_as_the_trees(p, pool=None):
+    from dlplab.forks import _compile, _compile_program
+    pool = sorted(p.atoms()) if pool is None else pool
+    for readings, trees in TREES.items():
+        ops, roots, outside = _compile(trees(p), pool)
+        assert not outside
+        assert _compile_program(p, pool, readings) == (ops, roots), (readings, p)
+
+
+@pytest.mark.parametrize("cfg", [GenConfig(), GenConfig(atoms=6, rules=8),
+                                 GenConfig(atoms=3, rules=3, max_head=3)],
+                         ids=["default", "atoms6-rules8", "atoms3-rules3-head3"])
+def test_program_emitter_emits_the_tree_compile(cfg):
+    for seed in range(300):
+        assert_emits_as_the_trees(gen_program(replace(cfg, seed=seed)))
+
+
+def test_program_emitter_emits_the_tree_compile_on_edge_programs():
+    programs = [parse_program("".join(
+        f"x{i:02d} | x{(i + 1) % n:02d} :- not x{(i + 2) % n:02d}.\n"
+        for i in range(n))) for n in range(3, 13)]
+    programs += [Program(()), Program((rule(),)), Program((rule(), rule()))]
+    programs += [parse_program(text) for text in (
+        "a.", "a. b. a.", ":- a.", ":- not a.", ":- not not a, b.",
+        "a | a.", "a | b | a :- c.", "a | b. a | b.", "c | b | a :- not d.",
+        "a | b. c.", "c. a | b.", "a :- b. c | d :- not e, not not f. g.",
+        "a :- not not a.", "a | b :- a, b, not c, not not c.")]
+    for p in programs:
+        assert_emits_as_the_trees(p)
+        assert_emits_as_the_trees(p, sorted(p.atoms() | {"zz"}))
+
+
+def test_program_entries_equal_the_tree_entries():
+    for seed in range(60):
+        p = gen_program(GenConfig(seed=seed) if seed % 2
+                        else GenConfig(atoms=6, rules=8, seed=seed))
+        for al in (None, p.atoms() | {"zz"}):
+            f, phi = forked(p), p.to_formula()
+            assert forked_stable_models(p, al) == fork_stable_models(f, al)
+            assert equilibrium_models(p, al) == fork_stable_models(phi, al)
+            assert entails_forked(p, al) == strongly_entails(phi, f, al)
+    p = parse_program("a | b :- not c.")
+    for entry in (forked_stable_models, equilibrium_models, entails_forked):
+        with pytest.raises(ValueError, match=r"missing atoms \['a', 'c'\]"):
+            entry(p, {"b"})
+    wide = parse_program("".join(f"x{i} | y{i}.\n" for i in range(11)))
+    with pytest.raises(CapacityError):
+        forked_stable_models(wide)

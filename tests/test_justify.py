@@ -213,6 +213,21 @@ def test_all_pairs_program_has_only_the_empty_justified_model():
     assert supported_models_graph(p) == [frozenset(), p.atoms()]
 
 
+def test_explanations_are_the_acyclic_support_graphs():
+    """explanations_of cuts cyclic labellings instead of filtering every
+    graph: the same graphs, in the same order, as the filter."""
+    programs = [all_pairs(4), parse_program(
+        "a0 | a1. a2 :- a0. a2 :- a3. a3 :- a2. a3 :- a1, not a0. a0 :- a3.")]
+    programs += [gen_program(GenConfig(atoms=4, rules=6, seed=s)) for s in range(40)]
+    explained = 0
+    for p in programs:
+        for m in ht.classical_models(p):
+            want = [g for g in support_graphs_of(p, m) if g.is_acyclic()]
+            assert explanations_of(p, m) == want, (p, m)
+            explained += bool(want) and m != frozenset()
+    assert explained
+
+
 def test_negated_triples_program():
     # h :- b, not c over the first 1200 ordered triples of 12 atoms
     names = [f"x{i:02d}" for i in range(12)]

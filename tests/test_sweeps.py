@@ -293,14 +293,19 @@ def test_pruned_fork_sweep_visits_pinned_counts(monkeypatch):
 
 
 def test_fork_engine_reads_no_program_table(monkeypatch):
-    """The fork sweep prunes on its own registers, so it stays an oracle
-    independent of the truth tables of ht.CompiledProgram."""
+    """The fork sweep prunes on its own registers, and the program entries
+    compile the rules themselves, so the engine stays an oracle independent
+    of the truth tables of ht.CompiledProgram."""
     def refuse(*args, **kwargs):
         raise AssertionError("the fork engine compiled a program table")
 
     p = parse_program("a | b :- not c. c :- not a. b :- c, not not b.")
     models = deno.fork_stable_models(forked(p))
+    stable = ht.stable_models(p)
     monkeypatch.setattr(ht, "CompiledProgram", refuse)
     assert deno.fork_stable_models(forked(p)) == models
     assert not deno.strongly_entails(forked(p), p.to_formula())
     assert deno.strongly_entails(p.to_formula(), forked(p))
+    assert deno.forked_stable_models(p) == models
+    assert deno.equilibrium_models(p) == stable
+    assert deno.entails_forked(p)

@@ -98,6 +98,19 @@ def test_auto_labelling_preserves_existing_and_avoids_clashes():
     assert Program((rule(head=("a",)),)).labelled().rules[0].label == "r1"
 
 
+def test_labelling_keeps_every_field_of_the_rules():
+    p = Program((rule(head=("b", "a", "b"), pos=("c",), negated=("d",), negneg=("e",)),
+                 rule(head=("a",), label="r1"), rule()))
+    q = p.labelled()
+    assert [r.label for r in q.rules] == ["r1_", "r1", "r3"]
+    for r, s in zip(p.rules, q.rules):
+        assert (s.head, s.bpos, s.bneg, s.bnegneg) == (r.head, r.bpos, r.bneg, r.bnegneg)
+        built = ExtendedRule(r.head, r.bpos, r.bneg, r.bnegneg, s.label)
+        assert s == built and hash(s) == hash(built) and repr(s) == repr(built)
+    assert q.rules[0].head == ("b", "a")
+    assert q.rules[1] is p.rules[1]
+
+
 def test_fork_not_allowed_in_disjunction_or_antecedent():
     pair = ForkPair(Atom("a"), Atom("b"))
     with pytest.raises(ForkGrammarError):
