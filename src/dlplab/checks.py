@@ -13,7 +13,9 @@ semantics once; only the conditional relations are written out here.  The
 translation checks read the source program's semantics from the same memo
 and compute only the translation's.  The head-splitting check ``th1``
 sweeps its whole context family in one call per engine
-(``ht.stable_models_in_contexts``, ``forks.fork_stable_models_each``).
+(``ht.stable_masks_in_contexts``, ``forks.forked_masks_in_contexts``), each
+reading what the family memo compiled once for its alphabet, and compares
+the models of the two as masks; it builds no forked tree.
 
 One deliberate restriction: the minimality link between strongly supported
 and stable models is only asserted for negation-free programs.  The
@@ -32,11 +34,11 @@ from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from . import forks as deno
-from . import di, ht, ssm, syntax
+from . import di, ht, ssm
 from .compare import ModelTables, edges_of, model_tables
 from .gen import ATOM_POOL, GenConfig, gen_program
 from .parser import parse_program, render_program
-from .syntax import ExtendedRule, Formula, Program, fork_and, rule
+from .syntax import ExtendedRule, Program, rule
 
 CheckFn = Callable[[Program], "str | None"]
 
@@ -164,10 +166,19 @@ def _remap(p: Program, pool: Sequence[str]) -> Program:
     return Program(tuple(out))
 
 
-# The family of the latest alphabet: its key, the contexts, and each
-# context read as a formula.
-_family: tuple[tuple[tuple[str, ...], int], tuple[Program, ...],
-               tuple[Formula, ...]] | None = None
+@dataclass(frozen=True, slots=True)
+class _Family:
+    """A context family with what th1 reads of it for every program over its
+    alphabet: the contexts' rules for the HT sweep and their fork registers
+    for the fork sweep, each compiled once."""
+    key: tuple[tuple[str, ...], int]
+    contexts: tuple[Program, ...]
+    rules: ht.ContextRules
+    forks: deno.ContextRegisters
+
+
+# The family of the latest alphabet.
+_family: _Family | None = None
 
 
 def context_family(atoms: Iterable[str], extra: int = 50) -> tuple[Program, ...]:
@@ -175,15 +186,16 @@ def context_family(atoms: Iterable[str], extra: int = 50) -> tuple[Program, ...]
     at most two rules built from facts and constraints, and a fixed set of
     seeded random programs of at most two rules.  Only the family of the
     latest alphabet is kept, like the one-program memo of compare."""
-    return _family_of(atoms, extra)[1]
+    return _family_of(atoms, extra).contexts
 
 
-def _family_of(atoms: Iterable[str], extra: int = 50):
+def _family_of(atoms: Iterable[str], extra: int = 50) -> _Family:
     global _family
     key = (tuple(sorted(set(atoms))), extra)
-    if _family is None or _family[0] != key:
+    if _family is None or _family.key != key:
         contexts = _make_family(*key)
-        _family = key, contexts, tuple(c.to_formula() for c in contexts)
+        _family = _Family(key, contexts, ht.ContextRules(contexts),
+                          deno.ContextRegisters(contexts, key[0]))
     return _family
 
 
@@ -210,23 +222,31 @@ def check_pf_projection(p: Program) -> str | None:
     models equal to the fork stable models, also under every sampled
     context over the source alphabet.
 
-    The whole family is swept at once: one call computes the fork stable
-    models of the forked program and of its conjunction with every
-    context, one the stable models of pf alone and with every context.
-    The bare program is compared first, then the contexts in family order.
+    The whole family is swept at once, with the family's rules and fork
+    registers compiled once per alphabet: one call computes the stable
+    models of pf alone and with every context, projected onto the source
+    alphabet, one the fork stable models of the forked program and of its
+    conjunction with every context, and both give models as masks over the
+    sorted source alphabet.  The bare program is compared first, then the
+    contexts in family order; only a failing pair is decoded.  The HT sweep
+    runs first, so that a pf too wide to enumerate is refused before any
+    fork sweep, but a source too wide for the fork sweep is refused first,
+    on its own count.
     """
     al = p.atoms()
-    f = syntax.forked(p)
+    ht._check_width(len(al))
+    family = _family_of(al)
     pf = deno.pf_translate(p)
-    _, contexts, formulas = _family_of(al)
-    rhs = deno.fork_stable_models_each([f] + [fork_and(f, c) for c in formulas], al)
-    lhs = ht.stable_models_in_contexts(pf, (Program(()),) + contexts, pf.atoms() | al)
+    lhs = ht.stable_masks_in_contexts(pf, family.rules, pf.atoms() | al, al)
+    rhs = deno.forked_masks_in_contexts(p, family.forks)
     for k, (sm, fork_sm) in enumerate(zip(lhs, rhs)):
-        sm = deno.project_models(sm, al)
-        if sm != fork_sm:
+        if set(sm) != set(fork_sm):
+            pool = family.forks.pool
+            sm, fork_sm = ([frozenset(pool[i] for i in ht.set_bits(m)) for m in ms]
+                           for ms in (sm, fork_sm))
             if k == 0:
                 return f"projected SM {_fmt(sm)} != fork SM {_fmt(fork_sm)}"
-            return (f"context {render_program(contexts[k - 1])!r}: projected SM "
+            return (f"context {render_program(family.contexts[k - 1])!r}: projected SM "
                     f"{_fmt(sm)} != fork SM {_fmt(fork_sm)}")
     return None
 

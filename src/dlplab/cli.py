@@ -14,6 +14,8 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
+from itertools import islice
 from pathlib import Path
 
 from . import forks as deno
@@ -124,17 +126,19 @@ def cmd_explain(args) -> int:
     else:
         models = justify.justified_models(p, pool)
     for m in models:
-        graphs = justify.explanations_of(p, m)
-        shown = graphs if args.all else graphs[:1]
         name = "{" + ",".join(sorted(m)) + "}"
-        if not graphs:
-            print(f"% no explanation for {name}")
-            continue
-        for k, g in enumerate(shown):
+        # each graph is printed as it is found; without --all the
+        # enumeration stops at the first
+        graphs = justify.explanations(p, m)
+        shown = 0
+        for k, g in enumerate(graphs if args.all else islice(graphs, 1)):
             if args.dot:
                 print(justify.to_dot(g, f"explanation_{k}"))
             else:
                 print(f"{name}: {g}")
+            shown += 1
+        if not shown:
+            print(f"% no explanation for {name}")
     return EXIT_OK
 
 
@@ -238,9 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of :func:`main` and reused: a
+    parse fills a fresh namespace from it, so calls share no arguments."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()

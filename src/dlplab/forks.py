@@ -25,16 +25,20 @@ with the program tables of :mod:`dlplab.ht`.  :func:`fork_stable_models_each`
 and :func:`strongly_entails` compile their forks once into a flat list of
 register operations and run it for each T, so no formula is hashed or
 dispatched on per T.  The compiler walks each node object once, so forks
-that share a subfork (a program's fork conjoined with each of many
-contexts) run its registers once per T for all of them;
+that share a subfork run its registers once per T for all of them;
 :func:`fork_stable_models` is the one-fork case.  A program needs no
 tree: :func:`forked_stable_models`, :func:`equilibrium_models` and
 :func:`entails_forked` emit the registers of ``syntax.forked(p)`` and of
 ``p.to_formula()`` straight from its rules (``_compile_program``), the
 operations and roots the tree compile would give, and run the same sweeps
-as the tree entries.  The public :class:`Support` and :class:`View` keep
-their members as frozensets of here-masks; :meth:`Support.member_sets`
-gives them back as atom sets.
+as the tree entries.  The head-splitting check conjoins a program's fork
+with each of many contexts: :class:`ContextRegisters` emits the contexts'
+formula registers once, and keeps what a sweep computes of them alone,
+and :func:`forked_masks_in_contexts` emits the program's registers after
+them and one fork conjunction per context, so each program runs only its
+own registers and the conjunctions.  The public :class:`Support` and
+:class:`View` keep their members as frozensets of here-masks;
+:meth:`Support.member_sets` gives them back as atom sets.
 
 Before the sweep, a pre-pass runs the same registers once over tables of
 2^n bits, one bit per T of the n-atom pool, and the sweep then visits only
@@ -505,11 +509,15 @@ def _pool_of(atoms: Iterable[str]) -> list[str]:
     return pool
 
 
-def _compile_program(p: Program, pool: Sequence[str], readings: Sequence[str]
+def _compile_program(p: Program, pool: Sequence[str], readings: Sequence[str],
+                     ops: list[Op] | None = None, regs: dict[Op, int] | None = None
                      ) -> tuple[list[Op], list[int]]:
     """Flatten readings of a program over a sorted pool that covers it into
     register operations, straight from its rules: "formula" reads the
     program as ``p.to_formula()``, "forked" as ``syntax.forked(p)``.
+    Operations already emitted over the pool, with their registers, may be
+    passed in; the program's are appended to them, and an operation among
+    them is not emitted again.
 
     Per rule the body comes first: its positive atoms, each ``not a`` as
     a -> falsum and each ``not not a`` as (a -> falsum) -> falsum, sorted
@@ -526,8 +534,8 @@ def _compile_program(p: Program, pool: Sequence[str], readings: Sequence[str]
     """
     index = {a: i for i, a in enumerate(pool)}
     empty = len(pool)
-    ops: list[Op] = []
-    regs: dict[Op, int] = {}
+    ops = [] if ops is None else ops
+    regs = {} if regs is None else regs
     rules = p.rules
 
     def emit(op: int, a: int, b: int = 0) -> int:
@@ -632,13 +640,16 @@ def _run(ops: list[Op], regs: list, width: int) -> list:
     return regs
 
 
-def _nonempty_tables(ops: list[Op], n: int) -> list[int]:
+def _nonempty_tables(ops: Sequence[Op], n: int,
+                     start: Sequence[int] | None = None) -> list[int]:
     """Per register, the table over every T of a pool of n atoms (bit t for
     the T of pool mask t) where its support (formula registers) or its
     view (fork registers) is nonempty: the classical reading of the
-    registers, one big-int operation each."""
+    registers, one big-int operation each.  ``start`` holds the tables of
+    the registers before the operations, by default the atoms' and the
+    empty support's."""
     everything = _universe(n)
-    nonempty = [*_columns(n), 0]
+    nonempty = [*_columns(n), 0] if start is None else list(start)
     push = nonempty.append
     for op, a, b in ops:
         if op == _AND or op == _FAND:
@@ -652,33 +663,57 @@ def _nonempty_tables(ops: list[Op], n: int) -> list[int]:
     return nonempty
 
 
-def _open_table(ops: list[Op], roots: list[int], n: int) -> int:
+def _pass_start(n: int, d: int) -> list[int]:
+    """The tables of the atoms of a pool of n atoms, d's zeroed, and of the
+    empty support: the registers before the operations in the pass of
+    :func:`_open_table` for atom d."""
+    regs = [*_columns(n), 0]
+    regs[d] = 0
+    return regs
+
+
+def _excluding(ops: Sequence[Op], regs: list[int], nonempty: Sequence[int],
+               everything: int) -> list[int]:
+    """Run the operations in the pass of :func:`_open_table` for an atom d:
+    per register, the table over every T of the pool where, with d in T, a
+    formula holds at (T minus d, T) or some support of a view excludes T
+    minus d (the module docstring gives the rules).  ``regs`` holds the
+    pass's tables of the registers before the operations
+    (:func:`_pass_start` before any) and is extended in place;
+    ``nonempty`` holds every register's nonempty table."""
+    push = regs.append
+    for k, (op, a, b) in enumerate(ops, start=len(regs)):
+        if op == _AND or op == _FIMP:
+            push(regs[a] & regs[b])
+        elif op == _IMP:
+            push((everything ^ regs[a] | regs[b]) & nonempty[k])
+        elif op == _LEAF:
+            push(nonempty[a] & ~regs[a])
+        elif op == _FAND:
+            push(nonempty[k] & (regs[a] | regs[b]))
+        else:
+            push(regs[a] | regs[b])
+    return regs
+
+
+def _open_table(ops: Sequence[Op], roots: list[int], n: int,
+                start: "ContextRegisters | None" = None) -> int:
     """The table of the T over a pool of n atoms that can be a fork stable
     model of some root: its view is nonempty there and, for every atom d of
     T, holds a support that excludes T minus d.  One pass per atom d runs
-    the operations with d's column zeroed, so that a formula register holds
-    the here-and-there truth at (T minus d, T) and a fork register whether
-    some support of its view excludes T minus d (the module docstring
-    gives the rules)."""
+    the operations with d's column zeroed (:func:`_excluding`), so that a
+    formula register holds the here-and-there truth at (T minus d, T) and a
+    fork register whether some support of its view excludes T minus d.
+    With ``start``, the operations follow the compiled contexts', whose
+    tables it holds."""
     everything = _universe(n)
     cols = _columns(n)
-    nonempty = _nonempty_tables(ops, n)
+    first, passes = start.prepass() if start else (None, None)
+    nonempty = _nonempty_tables(ops, n, first)
     opened = [nonempty[r] for r in roots]
     for d, col in enumerate(cols):
-        regs = [*cols, 0]
-        regs[d] = 0
-        push = regs.append
-        for k, (op, a, b) in enumerate(ops, start=n + 1):
-            if op == _AND or op == _FIMP:
-                push(regs[a] & regs[b])
-            elif op == _IMP:
-                push((everything ^ regs[a] | regs[b]) & nonempty[k])
-            elif op == _LEAF:
-                push(nonempty[a] & ~regs[a])
-            elif op == _FAND:
-                push(nonempty[k] & (regs[a] | regs[b]))
-            else:
-                push(regs[a] | regs[b])
+        regs = _pass_start(n, d) if passes is None else list(passes[d])
+        _excluding(ops, regs, nonempty, everything)
         lacking = everything ^ col
         opened = [o & (lacking | regs[r]) for o, r in zip(opened, roots)]
     out = 0
@@ -687,16 +722,23 @@ def _open_table(ops: list[Op], roots: list[int], n: int) -> int:
     return out
 
 
-def _runs(ops: list[Op], n: int, table: int) -> Iterator[tuple[list[int], list]]:
+def _runs(ops: Sequence[Op], n: int, table: int,
+          start: "ContextRegisters | None" = None
+          ) -> Iterator[tuple[int, list[int], list]]:
     """The registers at every T of the table over a pool of n atoms, with T
-    given by its pool indices, in the order of :func:`ht.subsets`."""
+    given by its pool mask and its pool indices, in the order of
+    :func:`ht.subsets`.  With ``start``, the operations follow the compiled
+    contexts', whose registers at T it gives."""
     for t in ht.model_order(table):
         combo = set_bits(t)
-        cols = _columns(len(combo))
-        regs = [0] * (n + 1)
-        for i, j in enumerate(combo):
-            regs[j] = cols[i]
-        yield combo, _run(ops, regs, len(combo))
+        if start is None:
+            cols = _columns(len(combo))
+            regs = [0] * (n + 1)
+            for i, j in enumerate(combo):
+                regs[j] = cols[i]
+        else:
+            regs = start.registers_at(t)
+        yield t, combo, _run(ops, regs, len(combo))
 
 
 def _view_at(f: Fork, base: tuple[str, ...]) -> list[int]:
@@ -762,19 +804,100 @@ def equilibrium_models(p: Program, atoms: Iterable[str] | None = None
 
 def _stable_sweep(pool: list[str], ops: list[Op], roots: list[int]
                   ) -> list[list[frozenset[str]]]:
-    """The fork stable models of each root.  The sweep visits, in the order
-    of :func:`ht.sort_models`, only the T that the pre-pass leaves open
-    for some root."""
+    """The fork stable models of each root, as atom sets."""
+    return _stable_masks(len(pool), ops, roots,
+                         name=lambda combo: frozenset(pool[j] for j in combo))
+
+
+def _stable_masks(n: int, ops: Sequence[Op], roots: list[int],
+                  start: "ContextRegisters | None" = None,
+                  name: Callable[[list[int]], object] | None = None) -> list[list]:
+    """The fork stable models of each root over a pool of n atoms, as
+    masks, or as ``name`` makes them of their pool indices, once per model.
+    The sweep visits, in the order of :func:`ht.sort_models`, only the T
+    that the pre-pass leaves open for some root.  With ``start``, the
+    operations follow the compiled contexts'."""
     found = [(root, []) for root in roots]
-    for combo, regs in _runs(ops, len(pool), _open_table(ops, roots, len(pool))):
+    for t, combo, regs in _runs(ops, n, _open_table(ops, roots, n, start), start):
         top = _full_bit(len(combo))
-        t = None
+        m = None
         for root, models in found:
             if top in regs[root]:
-                if t is None:
-                    t = frozenset(pool[j] for j in combo)
-                models.append(t)
+                if m is None:
+                    m = t if name is None else name(combo)
+                models.append(m)
     return [models for _, models in found]
+
+
+class ContextRegisters:
+    """Contexts read as formulas (``c.to_formula()``), compiled once over a
+    sorted pool, straight from their rules; equal rules share their
+    operations.  It keeps the operations, the register of each operation,
+    each context's view register (the ideal of its formula's support), and
+    what a sweep computes of these registers alone, since it is the same
+    for every program swept with them: their tables in the pre-pass and
+    their registers at each T, each built on first use.
+    """
+
+    __slots__ = ("pool", "ops", "regs", "roots", "_prepass", "_at")
+
+    def __init__(self, contexts: Iterable[Program], atoms: Iterable[str]):
+        contexts = list(contexts)
+        self.pool = pool = tuple(sorted(set(atoms)))
+        outside = frozenset().union(*(c.atoms() for c in contexts)).difference(pool)
+        if outside:
+            raise ValueError(f"alphabet is missing atoms {sorted(outside)}")
+        self.ops: list[Op] = []
+        self.regs: dict[Op, int] = {}
+        self.roots = tuple(_compile_program(c, pool, ("formula",), self.ops, self.regs)[1][0]
+                           for c in contexts)
+        self._prepass: tuple[list[int], list[list[int]]] | None = None
+        self._at: dict[int, list] = {}
+
+    def prepass(self) -> tuple[list[int], list[list[int]]]:
+        """The registers' nonempty tables (:func:`_nonempty_tables`) and
+        their tables in the pass of each atom (:func:`_excluding`)."""
+        if self._prepass is None:
+            n = len(self.pool)
+            ht._check_width(n)
+            nonempty = _nonempty_tables(self.ops, n)
+            self._prepass = nonempty, [
+                _excluding(self.ops, _pass_start(n, d), nonempty, _universe(n))
+                for d in range(n)]
+        return self._prepass
+
+    def registers_at(self, t: int) -> list:
+        """A fresh list of the registers at the T of pool mask t."""
+        regs = self._at.get(t)
+        if regs is None:
+            # the registers of a sweep over the table of this T alone
+            [(_, _, regs)] = _runs(self.ops, len(self.pool), 1 << t)
+            self._at[t] = regs
+        return list(regs)
+
+
+def forked_masks_in_contexts(p: Program, contexts: ContextRegisters
+                             ) -> list[list[int]]:
+    """The fork stable models of ``syntax.forked(p)``, then of its fork
+    conjunction with each context, as masks over the contexts' pool, which
+    must cover p's atoms.  p's registers are emitted after the contexts',
+    each conjunction is one more operation, and one sweep serves them all."""
+    pool = contexts.pool
+    ht._check_width(len(pool))
+    outside = p.atoms().difference(pool)
+    if outside:
+        raise ValueError(f"alphabet is missing atoms {sorted(outside)}")
+    ops, regs = list(contexts.ops), dict(contexts.regs)
+    _, (root,) = _compile_program(p, pool, ("forked",), ops, regs)
+    roots = [root]
+    for c in contexts.roots:
+        key = (_FAND, root, c)
+        reg = regs.get(key)
+        if reg is None:
+            ops.append(key)
+            reg = regs[key] = len(pool) + len(ops)
+        roots.append(reg)
+    return _stable_masks(len(pool), ops[len(contexts.ops):], roots, contexts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -808,7 +931,7 @@ def _entailment_sweep(pool: list[str], ops: list[Op], roots: list[int]
     rf, rg = roots
     # an empty left view has no support to miss
     left = _nonempty_tables(ops, len(pool))[rf]
-    for combo, regs in _runs(ops, len(pool), left):
+    for _, combo, regs in _runs(ops, len(pool), left):
         right = regs[rg]
         missing = [h for h in regs[rf] if all(k & ~h for k in right)]
         if missing:

@@ -28,12 +28,17 @@ must pass a new program object, or it gets the tables already built.
 
 :func:`stable_models_in_contexts` sweeps a program under many contexts (the
 head-splitting check adds each of its context family to one translated
-program): the program and the distinct context rules are compiled once,
-every rule's tables are built once, each context folds its own rules into
-copies of the program's tables, re-checking the support of only the atoms
-its rules head, and the program's violation table at a
-model is shared by every context reaching that model.
-:func:`stable_models` of a program is its one-context case.
+program): the program is compiled once and the distinct context rules
+(:class:`ContextRules`) are added to it, packed once per placement of
+their atoms, every rule's tables are built once, each context folds its own
+rules into copies of the program's tables, re-checking the support of only
+the atoms its rules head, and what every context reaching a model shares
+(:class:`_Reached`: the model's here-columns, the program's violation
+table and each context rule's) is computed once per model.  One core
+(:func:`_sweep`) returns the models as masks: :func:`stable_models`, the
+one-context case, and :func:`stable_models_in_contexts` decode them, and
+:func:`stable_masks_in_contexts`, which the head-splitting check calls,
+projects them onto a vocabulary instead.
 """
 
 from __future__ import annotations
@@ -182,27 +187,45 @@ def _columns(width: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _byte_tables() -> tuple[bytes, tuple[tuple[int, ...], ...]]:
+    """Per byte value, 1 if it is nonzero, and the positions of its set
+    bits: the tables of :func:`set_bits`, built on its first call."""
+    return (bytes([0] + [1] * 255),
+            tuple(tuple(b for b in range(8) if v >> b & 1) for v in range(256)))
+
+
 def set_bits(x: int) -> list[int]:
-    """The positions of the set bits of x, ascending.  One scan over its
-    binary digits, so the cost is linear in the length of x however many
-    bits are set."""
-    digits = bin(x)[:1:-1]
+    """The positions of the set bits of x, ascending.  One scan of its
+    bytes finds the nonzero ones at the speed of a copy, and each of those
+    is read from a table, so a wide table with few members costs little
+    more than its length in bytes."""
+    nonzero_of, bits_of = _byte_tables()
+    data = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    nonzero = data.translate(nonzero_of)
     out = []
-    i = digits.find("1")
+    i = nonzero.find(1)
     while i >= 0:
-        out.append(i)
-        i = digits.find("1", i + 1)
+        base = 8 * i
+        for b in bits_of[data[i]]:
+            out.append(base + b)
+        i = nonzero.find(1, i + 1)
     return out
 
 
 def model_order(table: int) -> list[int]:
     """The members of a table as interpretation masks, in the order of
     :func:`sort_models`."""
+    return in_model_order(set_bits(table))
+
+
+def in_model_order(masks: Iterable[int]) -> list[int]:
+    """Interpretation masks in the order of :func:`sort_models`."""
     # Two sets of one size compare by the least atom in which they differ,
     # which is the first digit where their masks, read from bit 0, differ;
     # the set holding it has a "1" there and comes first.  So sort by those
     # digits, highest first, and then stably by size.
-    by_digits = sorted(set_bits(table), key=lambda t: bin(t)[:1:-1], reverse=True)
+    by_digits = sorted(masks, key=lambda t: bin(t)[:1:-1], reverse=True)
     return sorted(by_digits, key=int.bit_count)
 
 
@@ -272,6 +295,15 @@ class CompiledProgram:
         self.lists = tuple(lists)
         self.rules = tuple(rules)
         self._built: dict[str, object] = {}  # method name -> its table
+
+    def _with_rules(self, lists: tuple, rules: tuple) -> "CompiledProgram":
+        """A compile of more rules over the same alphabet: these, given as
+        ``lists`` and ``rules`` hold them, after this program's."""
+        out = object.__new__(CompiledProgram)
+        out.atoms, out.index, out.full = self.atoms, self.index, self.full
+        out.lists, out.rules = self.lists + lists, self.rules + rules
+        out._built = {}
+        return out
 
     def mask(self, atoms: Iterable[str]) -> int:
         m = 0
@@ -395,10 +427,24 @@ class CompiledProgram:
         positive body of the rule."""
         return _conj(self.lists[ri][1], cols, everything)
 
+    def violation(self, ri: int, t: int, cols: list[int], everything: int) -> int:
+        """The here-components of t, given by their columns and their
+        table, at which rule ri fails: none unless its body holds in t, else
+        those holding its positive body and none of its head."""
+        _, bpos, bneg, bnegneg = self.rules[ri]
+        if bpos & t != bpos or bneg & t or bnegneg & t != bnegneg:
+            return 0
+        head, pos, _, _ = self.lists[ri]
+        out = everything
+        for a in pos:
+            out &= cols[a]
+        for a in head:
+            out &= ~cols[a]
+        return out
+
     def violations(self, t: int, rules: Iterable[int]) -> int:
         """The here-components of t, as a table of 2^|t| bits, at which one
-        of the given rules whose body holds in t fails: they hold its
-        positive body and none of its head."""
+        of the given rules fails (:meth:`violation`)."""
         trig = [ri for ri in rules if self.body_classical(ri, t)]
         if not trig:
             return 0
@@ -406,8 +452,7 @@ class CompiledProgram:
         cols = self.here_columns(t)
         out = 0
         for ri in trig:
-            out |= (self.positive_table(ri, cols, everything)
-                    & ~_disj(self.lists[ri][0], cols))
+            out |= self.violation(ri, t, cols, everything)
         return out
 
     def is_stable(self, t: int) -> bool:
@@ -480,16 +525,16 @@ def is_stable_model(x: Theory, t: Iterable[str]) -> bool:
     return all(not _htsat(h, tset, x) for h in subsets(tset) if h != tset)
 
 
-_NO_CONTEXT = (Program(()),)
-
-
 def stable_models(x: Theory, atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
     """All stable (equilibrium) models over the alphabet, sorted.
 
-    A program is the one-context case of :func:`stable_models_in_contexts`.
+    A program is the one-context case of :func:`stable_models_in_contexts`:
+    the same sweep, with the empty context.
     """
     if isinstance(x, Program):
-        return stable_models_in_contexts(x, _NO_CONTEXT, atoms)[0]
+        cp = compiled(x, atoms)
+        [masks] = _sweep(cp, len(cp.rules), ((),))
+        return [cp.unmask(t) for t in in_model_order(masks)]
     pool = _sorted_alphabet(x, atoms)
     _check_width(len(pool))
     out = []
@@ -501,63 +546,171 @@ def stable_models(x: Theory, atoms: Iterable[str] | None = None) -> list[frozens
     return sort_models(out)
 
 
+class ContextRules:
+    """Contexts as their distinct rules, in order of first occurrence, and
+    per context the sorted indices of its rules among them (``own``).  The
+    rules are packed over their own sorted atoms once, and moved to each
+    placement of those atoms in a wider alphabet once, when first asked
+    for."""
+
+    __slots__ = ("rules", "own", "atoms", "_lists", "_placed")
+
+    def __init__(self, contexts: Iterable[Program]):
+        where: dict[ExtendedRule, int] = {}
+        own = []
+        for c in contexts:
+            for r in c.rules:
+                if r not in where:
+                    where[r] = len(where)
+            own.append(tuple(sorted({where[r] for r in c.rules})))
+        self.rules, self.own = tuple(where), tuple(own)
+        packed = CompiledProgram(Program(self.rules))
+        self.atoms, self._lists = packed.atoms, packed.lists
+        self._placed: dict[tuple[int, ...], tuple[tuple, tuple]] = {}
+
+    def joined(self, cp: CompiledProgram) -> CompiledProgram:
+        """cp with the rules added after its own, over cp's alphabet, which
+        must cover the rules."""
+        place = tuple(cp.index.get(a, -1) for a in self.atoms)
+        placed = self._placed.get(place)
+        if placed is None:
+            if -1 in place:
+                raise ValueError("alphabet is missing atoms "
+                                 f"{sorted(set(self.atoms).difference(cp.index))}")
+            lists = tuple(tuple([place[i] for i in part] for part in parts)
+                          for parts in self._lists)
+            placed = self._placed[place] = (
+                lists, tuple(tuple(map(_mask_of, parts)) for parts in lists))
+        return cp._with_rules(*placed)
+
+
 def stable_models_in_contexts(p: Program, contexts: Sequence[Program],
                               atoms: Iterable[str] | None = None
                               ) -> list[list[frozenset[str]]]:
     """The stable models of p together with each context, sorted, over one
-    alphabet: by default the atoms of p and of every context.
+    alphabet: by default the atoms of p and of every context.  Each model is
+    decoded once, however many contexts it is stable under."""
+    rules = ContextRules(contexts)
+    if not rules.rules:
+        cp = compiled(p, atoms)
+    else:
+        cp = rules.joined(CompiledProgram(
+            p, p.atoms().union(rules.atoms) if atoms is None else atoms))
+    names: dict[int, frozenset[str]] = {}
+    out = []
+    for masks in _sweep(cp, len(p.rules), rules.own):
+        models = []
+        for t in in_model_order(masks):
+            m = names.get(t)
+            if m is None:
+                m = names[t] = cp.unmask(t)
+            models.append(m)
+        out.append(models)
+    return out
 
-    p and the distinct context rules are compiled once, and the table where
-    each rule holds and its support of each head atom are built once.  The
-    model table and supported columns of p are built once too; a context
-    folds only its own rules into copies of them, and re-ands only the
-    support terms of the atoms its rules head, against the AND of the other
-    atoms' terms, built once per set of head atoms.  Only the
-    completion-supported classical models reach the minimality test (every
-    stable model is one), where the violation table of p's rules at a model
-    t is computed once and reused by every context that reaches t.
-    Contexts adding the same rules to p share their models.
+
+def stable_masks_in_contexts(p: Program, contexts: ContextRules,
+                             atoms: Iterable[str], vocab: Iterable[str]
+                             ) -> list[list[int]]:
+    """The stable models of p alone and then together with each context,
+    over the alphabet, each projected onto the vocabulary, which the
+    alphabet covers: a mask over the sorted vocabulary, so the projections
+    of two models may repeat."""
+    cp = contexts.joined(CompiledProgram(p, atoms))
+    vocab = sorted(set(vocab))
+    outside = [a for a in vocab if a not in cp.index]
+    if outside:
+        raise ValueError(f"vocabulary atoms {outside} outside the alphabet")
+    return _sweep(cp, len(p.rules), ((),) + contexts.own,
+                  [cp.index[a] for a in vocab])
+
+
+class _Reached:
+    """A classical model t that a context sweep reaches, with the work every
+    context reaching t shares: its mask as the sweep reports it, the
+    here-columns of t, the table of every here-component but t, the
+    violation table of the program's rules at t, and each context rule's
+    violation table at t, built on first use."""
+
+    __slots__ = ("cp", "t", "mask", "cols", "everything", "top", "below", "rules")
+
+    def __init__(self, cp: CompiledProgram, t: int, base: int,
+                 keep: Sequence[int] | None):
+        self.cp, self.t = cp, t
+        if keep is None:
+            self.mask = t
+        else:
+            self.mask = _mask_of(i for i, j in enumerate(keep) if t >> j & 1)
+        width = t.bit_count()
+        self.cols = cp.here_columns(t)
+        self.everything = _universe(width)
+        self.top = below_top(width)
+        below, cols, everything = 0, self.cols, self.everything
+        for ri in range(base):
+            below |= cp.violation(ri, t, cols, everything)
+        self.below = below
+        self.rules: dict[int, int] = {}
+
+    def stable_with(self, rules: Iterable[int]) -> bool:
+        """Whether t is stable for the program with the given rules."""
+        v = self.below
+        tables = self.rules
+        for ri in rules:
+            table = tables.get(ri)
+            if table is None:
+                table = tables[ri] = self.cp.violation(ri, self.t, self.cols,
+                                                       self.everything)
+            v |= table
+        return v == self.top
+
+
+def _sweep(cp: CompiledProgram, base: int, own: Sequence[Sequence[int]],
+           keep: Sequence[int] | None = None) -> list[list[int]]:
+    """The stable models, as masks in ascending order, of the program made
+    of the first ``base`` rules of cp together with each context, given by
+    the indices of its rules among the rest.  With ``keep``, a list of atom
+    indices, each mask is the model's projection onto those atoms, bit i
+    for ``keep[i]``.
+
+    The table where each rule holds and its support of each head atom are
+    built once.  The model table and supported columns of the program are
+    built once too; a context folds only its own rules into copies of them,
+    and re-ands only the support terms of the atoms its rules head, against
+    the AND of the other atoms' terms, built once per set of head atoms.
+    Only the completion-supported classical models reach the minimality
+    test (every stable model is one), where what every context reaching a
+    model t shares is computed once (:class:`_Reached`).  Contexts adding
+    the same rules share their models, each in a list of its own.
     """
-    rules = list(p.rules)
-    base = range(len(rules))
-    where: dict[ExtendedRule, int] = {}  # context rule -> compiled index
-    own = []  # per context, the compiled indices of its rules
-    for c in contexts:
-        for r in c.rules:
-            if r not in where:
-                where[r] = len(rules)
-                rules.append(r)
-        own.append(tuple(sorted({where[r] for r in c.rules})))
-    cp = (compiled(p, atoms) if len(rules) == len(base)
-          else CompiledProgram(Program(tuple(rules)), atoms))
     cols, bodies, everything = cp._tables()
     holds, supports = cp._holds(cols, bodies), cp._supports(cols, bodies)
-    models = _and_tables(everything, holds, base)
-    supported = cp._add_supports([0] * len(cols), supports, base)
-    # atom a's term: a is false or supported by p
+    program = range(base)
+    models = _and_tables(everything, holds, program)
+    supported = cp._add_supports([0] * len(cols), supports, program)
+    # atom a's term: a is false or supported by the program
     terms = [~col | sup for col, sup in zip(cols, supported)]
     rest: dict[tuple[int, ...], int] = {}  # head atoms -> AND of the others' terms
-    below: dict[int, int] = {}  # t -> violation table of p's rules at t
-    found: dict[tuple[int, ...], list[frozenset[str]]] = {}
+    reached: dict[int, _Reached] = {}
+    found: dict[tuple[int, ...], list[int]] = {}
     out = []
     for mine in own:
-        if mine not in found:
-            survivors = _and_tables(models, holds, mine)
-            heads = tuple(sorted({a for k in mine for a in cp.lists[k][0]}))
+        stable = found.get(mine)
+        if stable is None:
+            rules = [base + k for k in mine]
+            survivors = _and_tables(models, holds, rules)
+            heads = tuple(sorted({a for k in rules for a in cp.lists[k][0]}))
             if heads not in rest:
                 rest[heads] = _and_tables(everything, terms,
                                           (a for a in range(len(cols)) if a not in heads))
-            fresh = cp._add_supports(list(supported), supports, mine)
+            fresh = cp._add_supports(list(supported), supports, rules)
             survivors &= _supported([cols[a] for a in heads], [fresh[a] for a in heads],
                                     rest[heads])
             stable = found[mine] = []
-            for t in model_order(survivors):
-                v = below.get(t)
-                if v is None:
-                    v = below[t] = cp.violations(t, base)
-                if mine:
-                    v |= cp.violations(t, mine)
-                if v == below_top(t.bit_count()):
-                    stable.append(cp.unmask(t))
-        out.append(list(found[mine]))
+            for t in set_bits(survivors):
+                at = reached.get(t)
+                if at is None:
+                    at = reached[t] = _Reached(cp, t, base, keep)
+                if at.stable_with(rules):
+                    stable.append(at.mask)
+        out.append(list(stable))
     return out

@@ -274,19 +274,26 @@ def _graph_from_labelling(model: frozenset[str],
 
 def support_graphs_of(p: Program, model: Iterable[str]) -> list[SupportGraph]:
     """All support graphs of the model, cyclic ones included."""
-    return _graphs(p, model, acyclic=False)
+    return list(_graphs(p, model, acyclic=False))
 
 
 def explanations_of(p: Program, model: Iterable[str]) -> list[SupportGraph]:
     """All acyclic support graphs of the model, in the order of
     :func:`support_graphs_of`."""
+    return list(explanations(p, model))
+
+
+def explanations(p: Program, model: Iterable[str]) -> Iterator[SupportGraph]:
+    """The graphs of :func:`explanations_of`, each built only when it is
+    asked for."""
     return _graphs(p, model, acyclic=True)
 
 
-def _graphs(p: Program, model: Iterable[str], acyclic: bool) -> list[SupportGraph]:
+def _graphs(p: Program, model: Iterable[str], acyclic: bool) -> Iterator[SupportGraph]:
     """The support graphs of the model, only the acyclic ones if asked: a
     model failing the derivability check has none, and otherwise the
-    enumerator cuts every partial labelling that closes a cycle."""
+    enumerator cuts every partial labelling that closes a cycle.  Lazy: a
+    labelling becomes a graph when the caller asks for the next one."""
     i = frozenset(model)
     cp = ht.compiled(p, i | p.atoms())
     t = cp.mask(i)
@@ -294,12 +301,12 @@ def _graphs(p: Program, model: Iterable[str], acyclic: bool) -> list[SupportGrap
         raise ValueError("the interpretation is not a classical model of the program")
     candidates = _candidates(cp, t)
     if candidates is None or acyclic and not _derivable(cp, t, candidates):
-        return []
+        return
     rules = p.labelled().rules
     atoms = ht.set_bits(t)
     names = [cp.atoms[a] for a in atoms]
-    return [_graph_from_labelling(i, {a: rules[k] for a, k in zip(names, lab)})
-            for lab in _labellings(cp, atoms, candidates, cut=acyclic)]
+    for lab in _labellings(cp, atoms, candidates, cut=acyclic):
+        yield _graph_from_labelling(i, {a: rules[k] for a, k in zip(names, lab)})
 
 
 Labelled = list[tuple[frozenset[str], dict[str, ExtendedRule]]]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dlplab import checks
+from dlplab import checks, cli
 from dlplab.checks import (CHECKS, DEFAULT_CHECKS, FuzzInterrupted, run_fuzz,
                            shrink_program)
 from dlplab.cli import main
@@ -180,6 +180,62 @@ def test_cli_explain_answers_a_model_with_only_cyclic_graphs_at_once(capsys, tmp
     assert time.perf_counter() - t0 < 1.0
     assert capsys.readouterr().out == \
         "% no explanation for {a0,a1,a2,a3,a4,a5,a6,a7}\n"
+
+
+def pairs_file(tmp_path, n):
+    """a0. plus a_i :- a_j for all i != j over n atoms, and its full model:
+    n^(n-2) explanations."""
+    path = tmp_path / f"pairs{n}.lp"
+    path.write_text("a0.\n" + "".join(f"a{i} :- a{j}.\n" for i in range(n)
+                                       for j in range(n) if i != j))
+    return str(path), ",".join(f"a{i}" for i in range(n))
+
+
+def test_cli_explain_prints_the_first_line_of_all(capsys, tmp_path):
+    path, model = pairs_file(tmp_path, 5)
+    assert main(["explain", path, "--model", model, "--all"]) == 0
+    every = capsys.readouterr().out.splitlines()
+    assert len(every) == 125
+    assert main(["explain", path, "--model", model]) == 0
+    assert capsys.readouterr().out.splitlines() == every[:1]
+
+
+def test_cli_explain_stops_after_the_first_explanation(capsys, tmp_path):
+    # 262,144 explanations; the first is the first line of --all
+    path, model = pairs_file(tmp_path, 8)
+    t0 = time.perf_counter()
+    assert main(["explain", path, "--model", model]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().out == (
+        "{a0,a1,a2,a3,a4,a5,a6,a7}: {a0 -> r1, a1 -> r9, a2 -> r16, a3 -> r23, "
+        "a4 -> r30, a5 -> r37, a6 -> r44, a7 -> r51}\n")
+
+
+def test_main_calls_in_one_process_get_independent_arguments(capsys, monkeypatch):
+    """The parser is built once, and a call inherits no argument of an
+    earlier one."""
+    built = 0
+    build = cli.build_parser
+
+    def counted():
+        nonlocal built
+        built += 1
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        assert main(["fuzz", "--iterations", "3", "--seed", "4", "--checks", "th3",
+                     "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["iterations"], data["checks"]) == (3, ["th3"])
+        assert main(["fuzz", "--iterations", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"{2 * len(DEFAULT_CHECKS)} checks passed, 0 failed "
+                              f"over 2 programs")
+        assert built == 1
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_cli_fuzz(capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dlplab import ht
 from dlplab.di import immediate_consequences, reduct, selections
 from dlplab.gen import GenConfig, gen_formula, gen_program
 from dlplab.ht import (CapacityError, CompiledProgram, classical_models,
@@ -211,3 +212,14 @@ def test_subset_enumeration_order():
     got = list(subsets(("b", "a")))
     assert got == [frozenset(), frozenset("a"), frozenset("b"),
                    frozenset("ab")]
+
+
+def test_set_bits_reads_tables_of_every_width_and_density():
+    rng = random.Random(11)
+    for width in (0, 1, 7, 8, 9, 64, 4096, 1 << 16):
+        for density in (0, 1, 3, 8):
+            x = rng.getrandbits(width) if width else 0
+            for _ in range(density):
+                x &= rng.getrandbits(width) if width else 0
+            assert ht.set_bits(x) == [i for i in range(width) if x >> i & 1]
+    assert ht.set_bits(1 << 20) == [20]

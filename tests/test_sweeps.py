@@ -3,9 +3,14 @@
 ``ht.stable_models_in_contexts`` gives the stable models of a program
 together with each of many contexts, and ``forks.fork_stable_models_each``
 the fork stable models of many forks, each in one pass over a source
-compiled once.  Every list they return must equal the one-program result:
-``ht.stable_models`` of the joined program and ``forks.fork_stable_models``
-of the conjoined fork.
+compiled once.  The program entries that the head-splitting check calls
+give the same as masks: ``ht.stable_masks_in_contexts`` the stable models
+projected onto a vocabulary, and ``forks.forked_masks_in_contexts`` the
+fork stable models of a program's fork, bare and conjoined with each of
+the contexts compiled by ``forks.ContextRegisters``.  Every list they
+return must equal the one-program result: ``ht.stable_models`` of the
+joined program, projected by ``forks.project_models``, and
+``forks.fork_stable_models`` of the conjoined fork.
 """
 
 from __future__ import annotations
@@ -24,24 +29,41 @@ from dlplab.syntax import (FALSUM, Atom, Falsum, ForkAnd, ForkImplies, ForkPair,
                            Or, Program, fork_and, forked, rule)
 
 
-def one_by_one(p: Program, contexts) -> tuple[list, list]:
-    """Per context, the stable models of pf(p) joined with it and the fork
-    stable models of p's fork conjoined with it, one call each."""
+def one_by_one(p: Program, contexts) -> tuple[list, list, list, list]:
+    """Per context, one call each: the stable models of pf(p) joined with
+    it, those projected onto p's atoms, the fork stable models of p's fork
+    conjoined with it, and the last again.  The lists of projected and of
+    repeated fork stable models begin with pf's and p's fork's alone."""
     al = p.atoms()
     f, pf = forked(p), deno.pf_translate(p)
-    return ([ht.stable_models(Program(pf.rules + c.rules), pf.atoms() | al)
-             for c in contexts],
-            [deno.fork_stable_models(fork_and(f, c.to_formula()), al)
-             for c in contexts])
+    sm = [ht.stable_models(Program(pf.rules + c.rules), pf.atoms() | al)
+          for c in contexts]
+    fork = [deno.fork_stable_models(fork_and(f, c.to_formula()), al) for c in contexts]
+    bare = ht.stable_models(pf, pf.atoms() | al)
+    return (sm, [deno.project_models(models, al) for models in [bare] + sm], fork,
+            [deno.fork_stable_models(f, al)] + fork)
 
 
-def swept(p: Program, contexts) -> tuple[list, list]:
-    """The same lists from one call of each sweep."""
+def decoded(masks, pool) -> list:
+    """Masks over a sorted pool as sorted models, each once."""
+    return ht.sort_models(frozenset(pool[i] for i in ht.set_bits(m)) for m in masks)
+
+
+def swept(p: Program, contexts) -> tuple[list, list, list, list]:
+    """The same lists from one call of each sweep: the tree sweeps for the
+    first and third, the program entries, decoded, for the second and
+    fourth."""
     al = p.atoms()
+    pool = sorted(al)
     f, pf = forked(p), deno.pf_translate(p)
+    projected = ht.stable_masks_in_contexts(pf, ht.ContextRules(contexts),
+                                            pf.atoms() | al, al)
+    fork = deno.forked_masks_in_contexts(p, deno.ContextRegisters(contexts, al))
     return (ht.stable_models_in_contexts(pf, contexts, pf.atoms() | al),
+            [decoded(masks, pool) for masks in projected],
             deno.fork_stable_models_each([fork_and(f, c.to_formula())
-                                          for c in contexts], al))
+                                          for c in contexts], al),
+            [decoded(masks, pool) for masks in fork])
 
 
 def pf_width(p: Program) -> int:
@@ -87,8 +109,12 @@ def test_no_contexts_give_no_lists():
     p = parse_program("a | b :- not c. c :- a.")
     assert ht.stable_models_in_contexts(p, []) == []
     assert ht.stable_models_in_contexts(p, (), p.atoms() | {"z"}) == []
+    assert ht.stable_masks_in_contexts(p, ht.ContextRules([]), p.atoms(), p.atoms()) \
+        == [[0b010]]
     assert deno.fork_stable_models_each([]) == []
     assert deno.fork_stable_models_each([], ("a", "b")) == []
+    bare = deno.forked_masks_in_contexts(p, deno.ContextRegisters([], "abc"))
+    assert [decoded(masks, "abc") for masks in bare] == [deno.forked_stable_models(p)]
 
 
 def test_duplicate_contexts_get_equal_lists_of_their_own():
@@ -102,6 +128,14 @@ def test_duplicate_contexts_get_equal_lists_of_their_own():
     assert sm[0] is not sm[2]
     sm[0].append(frozenset("z"))
     assert sm[2] == sm[3] != sm[0]
+    # the masks entry: pf alone first, which the empty context repeats
+    pf, al = deno.pf_translate(p), p.atoms()
+    masks = ht.stable_masks_in_contexts(pf, ht.ContextRules(contexts), pf.atoms() | al, al)
+    assert masks[0] == masks[2] and masks[0] is not masks[2]
+    assert masks[1] == masks[3] == masks[4] == masks[5]
+    assert masks[1] is not masks[3]
+    masks[1].append(-1)
+    assert masks[3] == masks[4] != masks[1]
 
 
 def test_contexts_repeating_the_programs_rules():
@@ -309,3 +343,8 @@ def test_fork_engine_reads_no_program_table(monkeypatch):
     assert deno.forked_stable_models(p) == models
     assert deno.equilibrium_models(p) == stable
     assert deno.entails_forked(p)
+    contexts = [Program(()), parse_program("a."), parse_program(":- b. c :- a.")]
+    registers = deno.ContextRegisters(contexts, p.atoms())
+    assert [decoded(masks, "abc") for masks in deno.forked_masks_in_contexts(p, registers)] \
+        == [models] + [deno.fork_stable_models(fork_and(forked(p), c.to_formula()))
+                       for c in contexts]
