@@ -30,6 +30,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
+from functools import cache
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
@@ -85,9 +86,9 @@ def _equal_unless_disjunctive(p: Program, a: str, b: str) -> str | None:
 
 def _minimal_ssm(p: Program, prefix: str = "") -> str | None:
     m = model_tables(p)
-    mins = ssm.minimal_elements(m.models("ssm"))
-    if mins != m.models("sm"):
-        return f"{prefix}minimal SSM {_fmt(mins)} != {_show(m, 'sm')}"
+    mins = ssm.minimal_masks(m.masks("ssm"))
+    if mins != m.masks("sm"):
+        return f"{prefix}minimal SSM {_fmt(m.decode(t)[0] for t in mins)} != {_show(m, 'sm')}"
     return None
 
 
@@ -209,11 +210,20 @@ def _make_family(pool: tuple[str, ...], extra: int) -> tuple[Program, ...]:
         shapes.append(rule(pos=(a,)))
     out += [Program((r,)) for r in shapes]
     out += [Program((r1, r2)) for r1, r2 in combinations(shapes, 2)]
+    out += [_remap(c, pool) for c in _random_contexts(min(len(pool), 6), extra)]
+    return tuple(out)
+
+
+@cache
+def _random_contexts(width: int, extra: int) -> tuple[Program, ...]:
+    """The seeded random contexts of a family, over the first ``width``
+    atoms of ATOM_POOL; a family remaps them onto its alphabet."""
     rng = random.Random(CONTEXT_SEED)
+    out = []
     for _ in range(extra):
-        cfg = GenConfig(atoms=min(len(pool), 6), rules=rng.randint(1, 2),
-                        max_head=2, seed=rng.getrandbits(32))
-        out.append(_remap(gen_program(cfg), pool))
+        cfg = GenConfig(atoms=width, rules=rng.randint(1, 2), max_head=2,
+                        seed=rng.getrandbits(32))
+        out.append(gen_program(cfg))
     return tuple(out)
 
 

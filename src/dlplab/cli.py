@@ -16,6 +16,7 @@ import os
 import sys
 from functools import cache
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
 
 from . import forks as deno
@@ -33,6 +34,72 @@ EXIT_VIOLATION = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INTERRUPTED = 130  # what the shell reports for a process killed by SIGINT
 EXIT_BROKEN_PIPE = 141  # what the shell reports for a process killed by SIGPIPE
+
+
+_WORDS = {True: "true", False: "false", None: "null"}
+
+
+def to_json(obj) -> str:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, written
+    without the pure-Python encoder that ``indent`` selects: a list of
+    strings, a dict's string values and every key go through the C string
+    encoder, and dicts and other lists recurse.  Values of any other type
+    are left to ``json.dumps`` itself."""
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    return "".join(out)
+
+
+def _write_json(obj, nl: str, out: list[str]) -> None:
+    """Append the text of obj, its nested lines starting with nl."""
+    kind = type(obj)
+    if kind is str:
+        out.append(_encode(obj))
+    elif (kind is list or kind is dict) and not obj:
+        out.append("[]" if kind is list else "{}")
+    elif kind is list:
+        inner = nl + "  "
+        sep = "," + inner
+        if type(obj[0]) is str:
+            try:
+                out.append("[" + inner + sep.join(map(_encode, obj)) + nl + "]")
+                return
+            except TypeError:  # not every item is a string
+                pass
+        lead = "[" + inner
+        for x in obj:
+            out.append(lead)
+            _write_json(x, inner, out)
+            lead = sep
+        out.append(nl + "]")
+    elif kind is dict:
+        inner = nl + "  "
+        lead, sep = "{" + inner, "," + inner
+        start = len(out)
+        try:
+            for k in sorted(obj):
+                v = obj[k]
+                if type(v) is str:
+                    out.append(lead + _encode(k) + ": " + _encode(v))
+                else:
+                    out.append(lead + _encode(k) + ": ")
+                    _write_json(v, inner, out)
+                lead = sep
+        except TypeError:  # a key that is not a string, among others
+            del out[start:]
+            _write_other(obj, nl, out)
+        else:
+            out.append(nl + "}")
+    elif kind is bool or obj is None:
+        out.append(_WORDS[obj])
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    else:
+        _write_other(obj, nl, out)
+
+
+def _write_other(obj, nl: str, out: list[str]) -> None:
+    out.append(json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl))
 
 
 def _read(path: str) -> str:
@@ -61,7 +128,7 @@ def cmd_models(args) -> int:
         selectors = [s.strip() for s in args.semantics.split(",") if s.strip()]
     report = compute_report(p, selectors, pool)
     if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
+        print(to_json(report.to_json_dict()))
     else:
         print(report.render_text())
         if args.verbose:
@@ -94,7 +161,7 @@ def cmd_entails(args) -> int:
         if not res.holds:
             out["witness_t"] = sorted(res.witness_t)
             out["witness_support"] = str(res.witness_support)
-        print(json.dumps(out, indent=2, sort_keys=True))
+        print(to_json(out))
     elif res.holds:
         print("entails")
     else:
@@ -156,7 +223,7 @@ def cmd_fuzz(args) -> int:
     except FuzzInterrupted as exc:
         report = exc.report
     if args.json:
-        print(json.dumps({
+        print(to_json({
             "iterations": report.iterations,
             "checks": list(report.checks),
             "passes": report.passes,
@@ -174,7 +241,7 @@ def cmd_fuzz(args) -> int:
                       for s in report.skips],
             "programs": report.programs,
             "interrupted": report.interrupted,
-        }, indent=2, sort_keys=True))
+        }))
     else:
         print(report.summary())
     if report.interrupted:

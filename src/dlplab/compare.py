@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable
 
 from . import forks as deno
@@ -17,24 +18,26 @@ from .syntax import Program
 SEMANTICS_ORDER = ("classical", "sm", "fork", "jm", "spm", "ad", "csm",
                    "csm-closed", "di", "ssm")
 
-# name -> the models, or for WITNESSED the (model, witness) pairs, of the
-# program of a ModelTables.  Enumerators are looked up on their modules at
-# call time, so a wrapper put there (a tracer, a test double) sees every
-# call.  The fixpoint reading of supported models and the equilibrium
-# models of the program read as a formula are in no report.
+# name -> the models of the program of a ModelTables, as masks over its
+# alphabet in the order of ht.sort_models, or for WITNESSED the (mask,
+# witness) pairs with the witness in index form.  Enumerators are looked
+# up on their modules at call time, so a wrapper put there (a tracer, a
+# test double) sees every call.  The fixpoint reading of supported models
+# and the equilibrium models of the program read as a formula are in no
+# report.
 SEMANTICS: dict[str, Callable[["ModelTables"], list]] = {
-    "classical": lambda m: ht.classical_models(m.program, m.atoms),
-    "sm": lambda m: ht.stable_models(m.program, m.atoms),
-    "fork": lambda m: deno.forked_stable_models(m.program, m.atoms),
-    "jm": lambda m: justify.justified_labellings(m.program, m.atoms),
-    "spm": lambda m: justify.supported_labellings(m.program, m.atoms),
-    "ad": lambda m: justify.ad_supported_models(m.program, m.atoms),
-    "csm": lambda m: di.candidate_stable_models(m.program, m.atoms),
-    "csm-closed": lambda m: di.candidate_stable_models(m.program, m.atoms, closed=True),
-    "di": lambda m: ssm.minimal_elements(m.models("csm-closed")),
-    "ssm": lambda m: ssm.strongly_supported_models(m.program, m.atoms),
-    "spm-fixpoint": lambda m: di.supported_models_fixpoint(m.program, m.atoms),
-    "sm-formula": lambda m: deno.equilibrium_models(m.program, m.atoms),
+    "classical": lambda m: ht.classical_masks(m.program, m.atoms),
+    "sm": lambda m: ht.stable_masks(m.program, m.atoms),
+    "fork": lambda m: deno.forked_stable_masks(m.program, m.atoms),
+    "jm": lambda m: justify.justified_masks(m.program, m.atoms),
+    "spm": lambda m: justify.supported_masks(m.program, m.atoms),
+    "ad": lambda m: justify.ad_supported_masks(m.program, m.atoms),
+    "csm": lambda m: di.candidate_masks(m.program, m.atoms),
+    "csm-closed": lambda m: di.candidate_masks(m.program, m.atoms, closed=True),
+    "di": lambda m: ssm.minimal_masks(m.masks("csm-closed")),
+    "ssm": lambda m: ssm.strongly_supported_masks(m.program, m.atoms),
+    "spm-fixpoint": lambda m: di.supported_fixpoint_masks(m.program, m.atoms),
+    "sm-formula": lambda m: deno.equilibrium_masks(m.program, m.atoms),
 }
 WITNESSED = ("jm", "spm", "csm", "csm-closed", "ssm")
 
@@ -75,8 +78,9 @@ INCLUSION_EDGES = (
 )
 
 
-def edges_of(user: str) -> list[tuple[str, str]]:
-    return [(lhs, rhs) for lhs, rhs, users in INCLUSION_EDGES if user in users]
+@cache
+def edges_of(user: str) -> tuple[tuple[str, str], ...]:
+    return tuple((lhs, rhs) for lhs, rhs, users in INCLUSION_EDGES if user in users)
 
 
 def _table(masks: Iterable[int], width: int) -> int:
@@ -88,34 +92,67 @@ def _table(masks: Iterable[int], width: int) -> int:
     return int.from_bytes(buf, "little")
 
 
+def _byte_names(atoms: tuple[str, ...]) -> list[list[tuple[str, ...]]]:
+    """Per byte of a mask over the atoms, the atoms that each value of the
+    byte stands for, sorted."""
+    out = []
+    for j in range(0, len(atoms), 8):
+        names: list[tuple[str, ...]] = [()]
+        for a in atoms[j:j + 8]:
+            names += [x + (a,) for x in names]
+        out.append(names)
+    return out
+
+
 class ModelTables:
     """The semantics of one program over one sorted alphabet, each computed
-    on first use and kept as a table of 2^n bits: bit t is set iff the
-    interpretation of mask t (bit i for atoms[i]) is a model.  Each model
-    the enumerator returned is kept by its mask, and the witnesses of the
-    WITNESSED semantics by model."""
+    on first use and kept as its masks (bit i for atoms[i]) and as a table
+    of 2^n bits: bit t is set iff the interpretation of mask t is a model.
+    The witnesses of the WITNESSED semantics are kept in index form, by
+    model.  Each mask is decoded at most once, into its atom set and the
+    sorted tuple of its atoms, for every semantics and witness alike."""
 
     def __init__(self, program: Program, atoms: tuple[str, ...]):
         self.program, self.atoms = program, atoms
+        self.found: dict[str, list[int]] = {}
         self.tables: dict[str, int] = {}
-        self.decoded: dict[str, dict[int, frozenset[str]]] = {}
         self.witnesses: dict[str, dict] = {}
+        self._names: dict[int, tuple[frozenset[str], tuple[str, ...]]] = {}
+        self._bytes: list[list[tuple[str, ...]]] | None = None
 
-    def table(self, name: str) -> int:
-        if name not in self.tables:
+    def masks(self, name: str) -> list[int]:
+        """The models of a semantics as masks, in the order of
+        ht.sort_models: the memo's own list, which callers leave as it is."""
+        found = self.found.get(name)
+        if found is None:
             found = SEMANTICS[name](self)
             if name in WITNESSED:
-                found = self.witnesses[name] = dict(found)
-            bit = {a: 1 << i for i, a in enumerate(self.atoms)}
-            decoded = self.decoded[name] = {sum(bit[a] for a in m): m for m in found}
-            self.tables[name] = _table(decoded, len(self.atoms))
+                self.witnesses[name] = dict(found)
+                found = [t for t, _ in found]
+            self.found[name] = found
+            self.tables[name] = _table(found, len(self.atoms))
+        return found
+
+    def table(self, name: str) -> int:
+        self.masks(name)
         return self.tables[name]
+
+    def decode(self, t: int) -> tuple[frozenset[str], tuple[str, ...]]:
+        """The atom set of a mask and its atoms sorted, decoded once."""
+        names = self._names.get(t)
+        if names is None:
+            if self._bytes is None:
+                self._bytes = _byte_names(self.atoms)
+            listed, rest = (), t
+            for byte in self._bytes:
+                listed += byte[rest & 255]
+                rest >>= 8
+            names = self._names[t] = (frozenset(listed), listed)
+        return names
 
     def models(self, name: str) -> list[frozenset[str]]:
         """The models of a semantics, in the order of ht.sort_models."""
-        table = self.table(name)
-        decoded = self.decoded[name]
-        return [decoded[t] for t in ht.model_order(table)]
+        return [self.decode(t)[0] for t in self.masks(name)]
 
     def includes(self, lhs: str, rhs: str) -> bool:
         return not self.table(lhs) & ~self.table(rhs)
@@ -196,17 +233,18 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def _witness_fields(m: ModelTables, name: str, models: list) -> list[dict]:
+def _witness_fields(m: ModelTables, name: str, masks: list[int]) -> list[dict]:
     """Per model, its witness: the chain, the labels of the first support
     graph (the first acyclic one for jm), or the chosen heads."""
-    found = [m.witnesses[name][x] for x in models]
+    found = [m.witnesses[name][t] for t in masks]
     if name == "ssm":
-        return [{"chain": [sorted(s) for s in w.stages]} for w in found]
+        return [{"chain": [list(m.decode(s)[1]) for s in stages]} for stages in found]
     if name in ("jm", "spm"):
-        return [{"labels": {a: r.label for a, r in sorted(w.items())}}
-                for w in found]
-    return [{"selection": {f"rule#{k + 1}": "bot" if a is None else a
-                           for k, a in w.choices}} for w in found]
+        labels = [r.label for r in m.program.labelled().rules]
+        return [{"labels": {a: labels[k] for a, k in zip(m.decode(t)[1], labelling)}}
+                for t, labelling in zip(masks, found)]
+    return [{"selection": {f"rule#{k + 1}": "bot" if a is None else m.atoms[a]
+                           for k, a in choices}} for choices in found]
 
 
 def compute_report(p: Program, selectors: Iterable[str] | None = None,
@@ -224,10 +262,11 @@ def compute_report(p: Program, selectors: Iterable[str] | None = None,
     timings: dict[str, float] = {}
     for name in (n for n in SEMANTICS_ORDER if n in names):
         t0 = time.perf_counter()
-        models = results[name] = m.models(name)
+        masks = m.masks(name)
+        results[name] = [m.decode(t)[0] for t in masks]
         if name in WITNESSED:
-            witnesses[name] = [{"model": sorted(x), **w} for x, w in
-                               zip(models, _witness_fields(m, name, models))]
+            witnesses[name] = [{"model": list(m.decode(t)[1]), **w} for t, w in
+                               zip(masks, _witness_fields(m, name, masks))]
         timings[name] = time.perf_counter() - t0
     inclusions = [InclusionCheck(lhs, rhs, m.includes(lhs, rhs))
                   for lhs, rhs in edges_of("models")

@@ -56,34 +56,39 @@ def _triggered(p: Program, i: frozenset[str]) -> list[int]:
 
 
 Slot = tuple[list[int], list["int | None"]]
+# A selection in index form: (rule index, chosen atom index or None) per
+# triggered rule, ascending by rule.
+Choices = tuple[tuple[int, "int | None"], ...]
 
 
 def _slots(cp: ht.CompiledProgram, t: int, closed: bool) -> list[Slot]:
     """The choice points of the selections for the model t, in enumeration
     order: the triggered rules sharing one choice, and the choices (their
-    true head atoms as indices, or None if they have none).
+    true head atoms as indices, ascending, or None if they have none).
 
     Open selections choose per triggered rule; closed ones per head set,
     taken in the order of the sorted head sets.
     """
+    heads, rank = cp.head_order()
     trig = cp.triggered(t)
     if closed:
         groups: dict[int, list[int]] = {}
         for k in trig:
-            groups.setdefault(cp.rules[k][0], []).append(k)
-        heads = sorted(groups, key=ht.set_bits)
-        members = [groups[h] for h in heads]
+            groups.setdefault(rank[k], []).append(k)
+        members = [groups[r] for r in sorted(groups)]
     else:
-        heads = [cp.rules[k][0] for k in trig]
         members = [[k] for k in trig]
-    return [(ks, ht.set_bits(h & t) or [None]) for h, ks in zip(heads, members)]
+    return [(ks, [a for a in heads[ks[0]] if t >> a & 1] or [None])
+            for ks in members]
 
 
-def _selection(cp: ht.CompiledProgram, slots: list[Slot],
-               combo: Iterable["int | None"], closed: bool) -> HeadSelection:
-    pairs = [(k, None if a is None else cp.atoms[a])
-             for (ks, _), a in zip(slots, combo) for k in ks]
-    return HeadSelection(tuple(sorted(pairs)), closed=closed)
+def _choices(slots: list[Slot], combo: Iterable["int | None"]) -> Choices:
+    return tuple(sorted((k, a) for (ks, _), a in zip(slots, combo) for k in ks))
+
+
+def _selection(cp: ht.CompiledProgram, choices: Choices, closed: bool) -> HeadSelection:
+    return HeadSelection(tuple((k, None if a is None else cp.atoms[a])
+                               for k, a in choices), closed=closed)
 
 
 def selections(p: Program, model: Iterable[str],
@@ -98,7 +103,7 @@ def selections(p: Program, model: Iterable[str],
     cp = ht.compiled(p, i | p.atoms())
     slots = _slots(cp, cp.mask(i), closed)
     for combo in product(*(choices for _, choices in slots)):
-        yield _selection(cp, slots, combo, closed)
+        yield _selection(cp, _choices(slots, combo), closed)
 
 
 def _first_cover(options: list[list[int]], target: int) -> list[int] | None:
@@ -171,11 +176,11 @@ def reduct(p: Program, model: Iterable[str], sel: HeadSelection) -> Program:
     return Program(tuple(out))
 
 
-def candidate_stable_models(p: Program, atoms: Iterable[str] | None = None,
-                            closed: bool = False
-                            ) -> list[tuple[frozenset[str], HeadSelection]]:
-    """Classical models stable under the reduct of some selection, paired
-    with the first witnessing selection found.
+def candidate_masks(p: Program, atoms: Iterable[str] | None = None,
+                    closed: bool = False) -> list[tuple[int, Choices]]:
+    """The candidate stable models of :func:`candidate_stable_models` as
+    masks over the sorted alphabet, in the order of :func:`ht.sort_models`,
+    each paired with its first witnessing selection in index form.
 
     A selection's reduct gives each triggered rule the chosen head atom, so
     its violation table over the here-components of the model is the union
@@ -206,20 +211,33 @@ def candidate_stable_models(p: Program, atoms: Iterable[str] | None = None,
         picks = _first_cover(options, ht.below_top(t.bit_count()))
         if picks is not None:
             combo = [choices[j] for (_, choices), j in zip(slots, picks)]
-            out.append((cp.unmask(t), _selection(cp, slots, combo, closed)))
+            out.append((t, _choices(slots, combo)))
     return out
+
+
+def candidate_stable_models(p: Program, atoms: Iterable[str] | None = None,
+                            closed: bool = False
+                            ) -> list[tuple[frozenset[str], HeadSelection]]:
+    """Classical models stable under the reduct of some selection, paired
+    with the first witnessing selection found (:func:`candidate_masks`)."""
+    cp = ht.compiled(p, atoms)
+    return [(cp.unmask(t), _selection(cp, choices, closed))
+            for t, choices in candidate_masks(p, atoms, closed)]
 
 
 def csm_models(p: Program, atoms: Iterable[str] | None = None,
                closed: bool = False) -> list[frozenset[str]]:
-    return [m for m, _ in candidate_stable_models(p, atoms, closed)]
+    cp = ht.compiled(p, atoms)
+    return [cp.unmask(t) for t, _ in candidate_masks(p, atoms, closed)]
 
 
 def di_stable_models(p: Program,
                      atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
     """Subset-minimal closed candidate stable models."""
-    from .ssm import minimal_elements
-    return minimal_elements(csm_models(p, atoms, closed=True))
+    from .ssm import minimal_masks
+    cp = ht.compiled(p, atoms)
+    return [cp.unmask(t) for t in
+            minimal_masks([t for t, _ in candidate_masks(p, atoms, closed=True)])]
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +255,9 @@ def immediate_consequences(p: Program, model: Iterable[str]) -> frozenset[str]:
                      if p.rules[k].head)
 
 
-def supported_models_fixpoint(p: Program,
-                              atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
-    """Models fixed by the immediate consequences of some selection reduct.
+def supported_fixpoint_masks(p: Program, atoms: Iterable[str] | None = None) -> list[int]:
+    """The models of :func:`supported_models_fixpoint` as masks over the
+    sorted alphabet, in the order of :func:`ht.sort_models`.
 
     A reduct's immediate consequences at the model are the chosen atoms,
     so the model is fixed iff some selection chooses every atom of it.
@@ -250,8 +268,15 @@ def supported_models_fixpoint(p: Program,
         options = [[0 if a is None else 1 << a for a in choices]
                    for _, choices in _slots(cp, t, closed=False)]
         if _first_cover(options, t) is not None:
-            out.append(cp.unmask(t))
+            out.append(t)
     return out
+
+
+def supported_models_fixpoint(p: Program,
+                              atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
+    """Models fixed by the immediate consequences of some selection reduct."""
+    cp = ht.compiled(p, atoms)
+    return [cp.unmask(t) for t in supported_fixpoint_masks(p, atoms)]
 
 
 # ---------------------------------------------------------------------------

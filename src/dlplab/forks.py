@@ -786,20 +786,40 @@ def fork_stable_models_each(forks: Sequence[Fork], atoms: Iterable[str] | None =
     return _stable_sweep(*_compile_over(forks, atoms))
 
 
+def forked_stable_masks(p: Program, atoms: Iterable[str] | None = None) -> list[int]:
+    """The fork stable models of ``syntax.forked(p)``, over p's atoms by
+    default, compiled straight from the rules, as masks over the sorted
+    alphabet in the order of :func:`ht.sort_models`."""
+    pool, ops, roots = _program_over(p, ("forked",), atoms)
+    return _stable_masks(len(pool), ops, roots)[0]
+
+
+def equilibrium_masks(p: Program, atoms: Iterable[str] | None = None) -> list[int]:
+    """The fork stable models of ``p.to_formula()``, that is its
+    equilibrium models, over p's atoms by default, compiled straight from
+    the rules, as masks over the sorted alphabet in the order of
+    :func:`ht.sort_models`: an oracle for the stable models that shares no
+    table with :mod:`dlplab.ht`."""
+    pool, ops, roots = _program_over(p, ("formula",), atoms)
+    return _stable_masks(len(pool), ops, roots)[0]
+
+
+def _decoded(p: Program, atoms: Iterable[str] | None, masks: list[int]
+             ) -> list[frozenset[str]]:
+    pool = _pool_of(p.atoms() if atoms is None else atoms)
+    return [frozenset(pool[j] for j in set_bits(t)) for t in masks]
+
+
 def forked_stable_models(p: Program, atoms: Iterable[str] | None = None
                          ) -> list[frozenset[str]]:
-    """The fork stable models of ``syntax.forked(p)``, over p's atoms by
-    default, compiled straight from the rules."""
-    return _stable_sweep(*_program_over(p, ("forked",), atoms))[0]
+    """The models of :func:`forked_stable_masks` as atom sets."""
+    return _decoded(p, atoms, forked_stable_masks(p, atoms))
 
 
 def equilibrium_models(p: Program, atoms: Iterable[str] | None = None
                        ) -> list[frozenset[str]]:
-    """The fork stable models of ``p.to_formula()``, that is its
-    equilibrium models, over p's atoms by default, compiled straight from
-    the rules: an oracle for the stable models that shares no table with
-    :mod:`dlplab.ht`."""
-    return _stable_sweep(*_program_over(p, ("formula",), atoms))[0]
+    """The models of :func:`equilibrium_masks` as atom sets."""
+    return _decoded(p, atoms, equilibrium_masks(p, atoms))
 
 
 def _stable_sweep(pool: list[str], ops: list[Op], roots: list[int]

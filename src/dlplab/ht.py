@@ -35,10 +35,18 @@ rules into copies of the program's tables, re-checking the support of only
 the atoms its rules head, and what every context reaching a model shares
 (:class:`_Reached`: the model's here-columns, the program's violation
 table and each context rule's) is computed once per model.  One core
-(:func:`_sweep`) returns the models as masks: :func:`stable_models`, the
-one-context case, and :func:`stable_models_in_contexts` decode them, and
+(:func:`_sweep`) returns the models as masks: :func:`stable_masks`, the
+one-context case, sorts them, :func:`stable_models` and
+:func:`stable_models_in_contexts` decode them, and
 :func:`stable_masks_in_contexts`, which the head-splitting check calls,
 projects them onto a vocabulary instead.
+
+Each enumerator of a program has such a mask core (:func:`classical_masks`
+here, and ``*_masks`` in :mod:`dlplab.di`, :mod:`dlplab.justify`,
+:mod:`dlplab.ssm` and :mod:`dlplab.forks`): the models as masks over the
+sorted alphabet, in the order of :func:`sort_models`.  The comparison
+memo of :mod:`dlplab.compare` reads the cores, and the public
+enumerators decode them.
 """
 
 from __future__ import annotations
@@ -326,7 +334,8 @@ class CompiledProgram:
 
     def triggered(self, t: int) -> list[int]:
         """Indices of the rules whose body holds in t."""
-        return [k for k in range(len(self.rules)) if self.body_classical(k, t)]
+        return [k for k, (_, bpos, bneg, bnegneg) in enumerate(self.rules)
+                if bpos & t == bpos and not bneg & t and bnegneg & t == bnegneg]
 
     def sat_classical(self, t: int) -> bool:
         for ri, (head, _, _, _) in enumerate(self.rules):
@@ -341,6 +350,16 @@ class CompiledProgram:
             if self.body_ht(ri, h, t) and not head & h:
                 return False
         return True
+
+    @_built_once
+    def head_order(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """Per rule, its head atoms as ascending indices, and the rank of
+        its head set among the program's distinct head sets, which are
+        ordered by those index lists: what a search over head selections
+        reads of each rule at every model."""
+        heads = tuple(tuple(sorted(parts[0])) for parts in self.lists)
+        rank = {h: i for i, h in enumerate(sorted(set(heads)))}
+        return heads, tuple(rank[h] for h in heads)
 
     # -- tables over all 2^n interpretations ---------------------------------
 
@@ -504,11 +523,17 @@ def _supported(cols: Sequence[int], supported: Sequence[int], everything: int) -
 # Model enumeration
 # ---------------------------------------------------------------------------
 
+def classical_masks(p: Program, atoms: Iterable[str] | None = None) -> list[int]:
+    """The classical models of a program as masks over the sorted
+    alphabet, in the order of :func:`sort_models`."""
+    return model_order(compiled(p, atoms).model_table())
+
+
 def classical_models(x: Theory, atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
     """All classical models over the alphabet, sorted."""
     if isinstance(x, Program):
         cp = compiled(x, atoms)
-        return [cp.unmask(t) for t in model_order(cp.model_table())]
+        return [cp.unmask(t) for t in classical_masks(x, atoms)]
     pool = _sorted_alphabet(x, atoms)
     _check_width(len(pool))
     return sort_models(t for t in subsets(pool) if _csat(t, x))
@@ -533,8 +558,7 @@ def stable_models(x: Theory, atoms: Iterable[str] | None = None) -> list[frozens
     """
     if isinstance(x, Program):
         cp = compiled(x, atoms)
-        [masks] = _sweep(cp, len(cp.rules), ((),))
-        return [cp.unmask(t) for t in in_model_order(masks)]
+        return [cp.unmask(t) for t in stable_masks(x, atoms)]
     pool = _sorted_alphabet(x, atoms)
     _check_width(len(pool))
     out = []
@@ -544,6 +568,14 @@ def stable_models(x: Theory, atoms: Iterable[str] | None = None) -> list[frozens
         if all(not _htsat(h, t, x) for h in subsets(t) if h != t):
             out.append(t)
     return sort_models(out)
+
+
+def stable_masks(p: Program, atoms: Iterable[str] | None = None) -> list[int]:
+    """The stable models of a program as masks over the sorted alphabet,
+    in the order of :func:`sort_models`."""
+    cp = compiled(p, atoms)
+    [masks] = _sweep(cp, len(cp.rules), ((),))
+    return in_model_order(masks)
 
 
 class ContextRules:

@@ -34,7 +34,9 @@ to come, and such a prefix may already hold a cycle.
 
 The walk of the latest program is kept, matched by the identity of its
 compile and of the headed table it walked, so ``jm`` and ``spm`` of one
-program share it and the labelled program is built once.
+program share it.  It keeps the models as masks and each labelling as
+rule indices (:func:`supported_masks`, :func:`justified_masks`); the
+labelled program is built only to decode them.
 """
 
 from __future__ import annotations
@@ -310,12 +312,15 @@ def _graphs(p: Program, model: Iterable[str], acyclic: bool) -> Iterator[Support
 
 
 Labelled = list[tuple[frozenset[str], dict[str, ExtendedRule]]]
+# models as masks, each with a labelling: per true atom, ascending, the
+# index of its rule
+Walked = list[tuple[int, tuple[int, ...]]]
 
 # the compile and headed table of the latest walk, and its spm and jm pairs
-_last: tuple[ht.CompiledProgram, int, Labelled, Labelled] | None = None
+_last: tuple[ht.CompiledProgram, int, Walked, Walked] | None = None
 
 
-def _walk(p: Program, atoms: Iterable[str] | None) -> tuple[Labelled, Labelled]:
+def _walk(p: Program, atoms: Iterable[str] | None) -> tuple[Walked, Walked]:
     """The graph-supported and the justified models of p, each paired with
     the labelling of its first graph, the first acyclic one for jm: one
     walk over the headed table, kept for the latest program."""
@@ -323,7 +328,6 @@ def _walk(p: Program, atoms: Iterable[str] | None) -> tuple[Labelled, Labelled]:
     cp = ht.compiled(p, atoms)
     headed = cp.headed_table()
     if _last is None or _last[0] is not cp or _last[1] is not headed:
-        rules = p.labelled().rules
         supported, justified = [], []
         for t in ht.model_order(headed):
             candidates = _candidates(cp, t)
@@ -333,43 +337,75 @@ def _walk(p: Program, atoms: Iterable[str] | None) -> tuple[Labelled, Labelled]:
             first = next(_labellings(cp, atoms_of_t, candidates), None)
             if first is None:
                 continue
-            names = [cp.atoms[a] for a in atoms_of_t]
-            model = frozenset(names)
-            supported.append((model, {a: rules[k] for a, k in zip(names, first)}))
+            supported.append((t, tuple(first)))
             acyclic = first
             if not _is_acyclic(cp, atoms_of_t, first):
                 acyclic = (next(_labellings(cp, atoms_of_t, candidates, cut=True), None)
                            if _derivable(cp, t, candidates) else None)
             if acyclic is not None:
-                justified.append((model, {a: rules[k] for a, k in zip(names, acyclic)}))
+                justified.append((t, tuple(acyclic)))
         _last = (cp, headed, supported, justified)
     return _last[2], _last[3]
+
+
+def supported_masks(p: Program, atoms: Iterable[str] | None = None) -> Walked:
+    """The models of :func:`supported_labellings` as masks over the sorted
+    alphabet, in the order of :func:`ht.sort_models`, each with its
+    labelling as rule indices."""
+    return list(_walk(p, atoms)[0])
+
+
+def justified_masks(p: Program, atoms: Iterable[str] | None = None) -> Walked:
+    """The models of :func:`justified_labellings` as masks over the sorted
+    alphabet, in the order of :func:`ht.sort_models`, each with its
+    labelling as rule indices."""
+    return list(_walk(p, atoms)[1])
+
+
+def _decoded(p: Program, atoms: Iterable[str] | None, walked: Walked) -> Labelled:
+    """Masks and index labellings as atom sets and labelled rules."""
+    cp = ht.compiled(p, atoms)
+    rules = p.labelled().rules
+    out = []
+    for t, labelling in walked:
+        names = [cp.atoms[a] for a in ht.set_bits(t)]
+        out.append((frozenset(names), {a: rules[k] for a, k in zip(names, labelling)}))
+    return out
 
 
 def supported_labellings(p: Program, atoms: Iterable[str] | None = None) -> Labelled:
     """Classical models admitting some support graph, each paired with the
     labelling of the first one.  The labelling gives every true atom a
     firing rule that heads it."""
-    return [(m, dict(w)) for m, w in _walk(p, atoms)[0]]
+    return _decoded(p, atoms, supported_masks(p, atoms))
 
 
 def justified_labellings(p: Program, atoms: Iterable[str] | None = None) -> Labelled:
     """Classical models admitting some acyclic support graph, each paired
     with the labelling of the first one.  An acyclic graph is a support
     graph too."""
-    return [(m, dict(w)) for m, w in _walk(p, atoms)[1]]
+    return _decoded(p, atoms, justified_masks(p, atoms))
 
 
 def supported_models_graph(p: Program,
                            atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
     """Classical models admitting some support graph."""
-    return [m for m, _ in supported_labellings(p, atoms)]
+    cp = ht.compiled(p, atoms)
+    return [cp.unmask(t) for t, _ in supported_masks(p, atoms)]
 
 
 def justified_models(p: Program,
                      atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
     """Classical models admitting some acyclic support graph."""
-    return [m for m, _ in justified_labellings(p, atoms)]
+    cp = ht.compiled(p, atoms)
+    return [cp.unmask(t) for t, _ in justified_masks(p, atoms)]
+
+
+def ad_supported_masks(p: Program, atoms: Iterable[str] | None = None) -> list[int]:
+    """The models of :func:`ad_supported_models` as masks over the sorted
+    alphabet, in the order of :func:`ht.sort_models`."""
+    cp = ht.compiled(p, atoms)
+    return ht.model_order(cp.model_table() & cp.support_table())
 
 
 def ad_supported_models(p: Program,
@@ -377,8 +413,7 @@ def ad_supported_models(p: Program,
     """Completion-style supported models: every atom of the model needs a
     firing rule whose other head atoms are all false."""
     cp = ht.compiled(p, atoms)
-    return [cp.unmask(t)
-            for t in ht.model_order(cp.model_table() & cp.support_table())]
+    return [cp.unmask(t) for t in ad_supported_masks(p, atoms)]
 
 
 # ---------------------------------------------------------------------------

@@ -108,10 +108,10 @@ def check_chain(chain: SsmChain, p: Program) -> ChainVerdict:
     return ChainVerdict(True)
 
 
-def _greedy_chain(cp: ht.CompiledProgram, tmask: int) -> SsmChain | None:
-    """The chain of maximal stages: each holds every atom of the target
-    that heads a rule applicable at the previous stage.  It is a witness
-    iff it reaches the target; otherwise no chain does."""
+def _greedy_stages(cp: ht.CompiledProgram, tmask: int) -> tuple[int, ...] | None:
+    """The chain of maximal stages, as masks: each holds every atom of the
+    target that heads a rule applicable at the previous stage.  It is a
+    witness iff it reaches the target; otherwise no chain does."""
     stages: list[int] = []
     prev: int | None = None
     while True:
@@ -122,12 +122,14 @@ def _greedy_chain(cp: ht.CompiledProgram, tmask: int) -> SsmChain | None:
         prev = stage
     if prev != tmask:
         return None
-    return SsmChain(tuple(cp.unmask(m) for m in stages), cp.unmask(tmask))
+    return tuple(stages)
 
 
-def strongly_supported_models(p: Program, atoms: Iterable[str] | None = None
-                              ) -> list[tuple[frozenset[str], SsmChain]]:
-    """Classical models reachable by a valid chain, each with one witness.
+def strongly_supported_masks(p: Program, atoms: Iterable[str] | None = None
+                             ) -> list[tuple[int, tuple[int, ...]]]:
+    """The models of :func:`strongly_supported_models` as masks over the
+    sorted alphabet, in the order of :func:`ht.sort_models`, each with the
+    stages of its witness as masks.
 
     Only the models of :meth:`ht.CompiledProgram.headed_table` are
     searched: an atom enters the maximal stage through a rule applicable at
@@ -136,17 +138,42 @@ def strongly_supported_models(p: Program, atoms: Iterable[str] | None = None
     cp = ht.compiled(p, atoms)
     out = []
     for t in ht.model_order(cp.headed_table()):
-        chain = _greedy_chain(cp, t)
-        if chain is not None:
-            out.append((chain.target, chain))
+        stages = _greedy_stages(cp, t)
+        if stages is not None:
+            out.append((t, stages))
+    return out
+
+
+def strongly_supported_models(p: Program, atoms: Iterable[str] | None = None
+                              ) -> list[tuple[frozenset[str], SsmChain]]:
+    """Classical models reachable by a valid chain, each with one witness."""
+    cp = ht.compiled(p, atoms)
+    out = []
+    for t, stages in strongly_supported_masks(p, atoms):
+        target = cp.unmask(t)
+        out.append((target, SsmChain(tuple(cp.unmask(s) for s in stages), target)))
     return out
 
 
 def ssm_models(p: Program, atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
-    return [m for m, _ in strongly_supported_models(p, atoms)]
+    cp = ht.compiled(p, atoms)
+    return [cp.unmask(t) for t, _ in strongly_supported_masks(p, atoms)]
 
 
 def minimal_elements(models: Iterable[frozenset[str]]) -> list[frozenset[str]]:
     """The subset-minimal members of a family of interpretations."""
     pool = list(set(models))
     return ht.sort_models(m for m in pool if not any(o < m for o in pool))
+
+
+def minimal_masks(masks: Iterable[int]) -> list[int]:
+    """The subset-minimal members of a family of interpretation masks, in
+    the order given, stably sorted by size: the order of
+    :func:`ht.sort_models` for masks given in it.  A mask is compared only
+    with the minimal ones before it, since every smaller member of the
+    family holds a minimal one."""
+    out: list[int] = []
+    for t in sorted(dict.fromkeys(masks), key=int.bit_count):
+        if not any(o & t == o for o in out):
+            out.append(t)
+    return out

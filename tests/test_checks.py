@@ -14,15 +14,16 @@ programs, alphabets and the program values themselves.
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
 
-from dlplab import di, ht, justify, ssm, syntax
+from dlplab import checks, di, ht, justify, ssm, syntax
 from dlplab import forks as deno
-from dlplab.checks import CHECKS, context_family, run_fuzz
+from dlplab.checks import CHECKS, DEFAULT_CHECKS, context_family, run_fuzz
 from dlplab.compare import (INCLUSION_EDGES, SEMANTICS, SEMANTICS_ORDER,
-                            compute_report, model_tables)
+                            ModelTables, compute_report, model_tables)
 from dlplab.gen import GenConfig, gen_program
 from dlplab.parser import parse_program, render_program
 from dlplab.syntax import Program, fork_and, forked
@@ -284,6 +285,21 @@ def test_head_splitting_matches_the_reference(cfg, count):
         assert got == want, seed
 
 
+def test_context_families_are_the_seeded_ones_after_alphabet_switches():
+    """The seeded random contexts are generated once per width and remapped
+    per alphabet: each family ends with the contexts that generating them
+    afresh gives, whichever families were built before."""
+    def fresh(pool):
+        rng = random.Random(checks.CONTEXT_SEED)
+        return [checks._remap(gen_program(GenConfig(
+                    atoms=min(len(pool), 6), rules=rng.randint(1, 2), max_head=2,
+                    seed=rng.getrandbits(32))), pool) for _ in range(50)]
+
+    for atoms in ["abc", "stuvwxyz", "ab", "abc", "pq", "stuvwxyz"]:
+        pool = tuple(atoms)
+        assert list(context_family(pool)[-50:]) == fresh(pool), atoms
+
+
 def drop_last_bridge(translate):
     """A faulty pf: the translation less its last bridge rule."""
     def faulty(p: Program) -> Program:
@@ -330,15 +346,39 @@ def test_translation_checks_read_the_source_semantics_from_the_memo(monkeypatch)
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(ht, "stable_models", counted("sm", ht.stable_models))
-    monkeypatch.setattr(di, "candidate_stable_models",
-                        counted("csm", di.candidate_stable_models))
+    monkeypatch.setattr(ht, "stable_masks", counted("sm", ht.stable_masks))
+    monkeypatch.setattr(di, "candidate_masks", counted("csm", di.candidate_masks))
     assert run_fuzz(GenConfig(seed=0), 50, ("th3", "t1")).ok
     assert calls == {"sm": 100, "csm": 0}
     calls["sm"] = 0
     # th5 computes the source's CSM; t2 the translation's, open and closed
     assert run_fuzz(GenConfig(seed=0), 50, ("th5", "t2")).ok
     assert calls == {"sm": 0, "csm": 150}
+
+
+@pytest.mark.parametrize("cfg", [GenConfig(), GenConfig(atoms=6, rules=8)],
+                         ids=["default", "atoms6-rules8"])
+def test_passing_default_checks_decode_nothing(monkeypatch, cfg):
+    """On passing programs the default checks compare masks and tables
+    only: no mask is decoded, by a compile, the memo or the fork engine,
+    and no witness object (a head selection, a chain of stages or the
+    labelled program of a support graph) is built."""
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name in [(ht.CompiledProgram, "unmask"), (ModelTables, "decode"),
+                        (deno, "_decoded"), (justify, "_decoded"),
+                        (di, "HeadSelection"), (ssm, "SsmChain"),
+                        (syntax.Program, "labelled")]:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    report = run_fuzz(replace(cfg, seed=0), 50)
+    assert report.ok and report.passes == 50 * len(DEFAULT_CHECKS)
+    assert calls == {}
 
 
 def test_the_forked_program_is_built_once_per_program(monkeypatch):
@@ -361,15 +401,22 @@ def test_the_forked_program_is_built_once_per_program(monkeypatch):
 
 
 
-ENUMERATORS = [(ht, "classical_models"), (ht, "stable_models"),
-               (deno, "forked_stable_models"), (justify, "justified_labellings"),
-               (justify, "supported_labellings"), (justify, "ad_supported_models"),
-               (di, "candidate_stable_models"), (di, "supported_models_fixpoint"),
-               (ssm, "strongly_supported_models")]
+# The mask core of each enumerator, which compare.SEMANTICS calls and the
+# public enumerator named by the id decodes, so that a double put there
+# shows on the check side and on the reference side alike.
+ENUMERATORS = [(ht, "classical_masks", "classical_models"),
+               (ht, "stable_masks", "stable_models"),
+               (deno, "forked_stable_masks", "forked_stable_models"),
+               (justify, "justified_masks", "justified_labellings"),
+               (justify, "supported_masks", "supported_labellings"),
+               (justify, "ad_supported_masks", "ad_supported_models"),
+               (di, "candidate_masks", "candidate_stable_models"),
+               (di, "supported_fixpoint_masks", "supported_models_fixpoint"),
+               (ssm, "strongly_supported_masks", "strongly_supported_models")]
 
 
-@pytest.mark.parametrize("module, name", ENUMERATORS,
-                         ids=[name for _, name in ENUMERATORS])
+@pytest.mark.parametrize("module, name", [e[:2] for e in ENUMERATORS],
+                         ids=[public for _, _, public in ENUMERATORS])
 def test_checks_match_the_reference_on_a_faulty_enumerator(monkeypatch, module, name):
     """With one enumerator losing its first model, relations fail; the
     checks must then report the failures the reference reports."""

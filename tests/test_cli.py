@@ -458,3 +458,64 @@ def test_python_dash_m_fuzzes_the_translation_checks():
     assert set(data["per_check"]) == {"th1", "t1", "t2"}
     for name, stats in data["per_check"].items():
         assert (stats["passes"], stats["failures"]) == (20, 0), name
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer
+# ---------------------------------------------------------------------------
+
+def _same_as_json_dumps(obj):
+    assert cli.to_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _cyclic(n):
+    """x_i | x_{i+1} :- not x_{i+2}, indices mod n."""
+    return parse_program("".join(
+        f"x{i:02d} | x{(i + 1) % n:02d} :- not x{(i + 2) % n:02d}.\n"
+        for i in range(n)))
+
+
+def test_json_writer_matches_json_dumps_on_reports():
+    """The reports of the programs of tests/test_golden.py and of the
+    cyclic family n=1..12, timings included."""
+    programs = [_cyclic(n) for n in range(1, 13)]
+    programs += [gen_program(GenConfig(seed=s)) for s in range(100)]
+    programs += [gen_program(GenConfig(atoms=6, rules=8, seed=s)) for s in range(50)]
+    programs += [gen_program(GenConfig(atoms=3, rules=3, max_head=3, seed=s))
+                 for s in range(50)]
+    for p in programs:
+        _same_as_json_dumps(compute_report(p).to_json_dict())
+
+
+def test_json_writer_matches_json_dumps_on_a_fuzz_report(capsys):
+    """A fuzz report with a failure, shrunk, and skips."""
+    argv = ["fuzz", "--atoms", "6", "--rules", "8", "--checks",
+            "th1,ssm-min-strict", "--iterations", "12", "--seed", "0", "--json"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    data = json.loads(out)
+    assert data["failures"] and data["skips"]
+    assert out == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_writer_matches_json_dumps_on_edge_values():
+    edges = [
+        [], {}, [[]], [{}], {"a": []}, {"a": {}}, "", "plain",
+        "quote \" backslash \\ newline \n tab \t nul \0 bell \x07",
+        "non-ascii é ✓ 𝄞", ["é", "\n"], {"ключ": "значение", "\n": "\t"},
+        0, -1, 10 ** 30, True, False, None, 0.0, -0.0, 1.5, 1e-7, 1e300,
+        float("inf"), float("-inf"), float("nan"),
+        [True, None, 1, 2.5, "x"], ["x", 1], ["x", ["y"]], [1, "x"],
+        (1, "x"), ("a", "b"), [("a",), []],
+        {"b": 1, "a": [1, [2, {"c": None}]], "c": "s"},
+        {"z": {"y": {"x": ["w", "v"]}}, "empty": [[], {}]},
+        {1: "int key", 2: [3]}, {"k": {2: "nested int key"}},
+        [["a", "b"], ["a", "b"]],
+    ]
+    for obj in edges:
+        _same_as_json_dumps(obj)
+    _same_as_json_dumps(edges)
+    _same_as_json_dumps({"all": edges})
+    for bad in ({"a": object()}, [object()], ["x", object()], {"a": [1, object()]}):
+        with pytest.raises(TypeError):
+            cli.to_json(bad)

@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from dlplab import ht, justify
-from dlplab.checks import run_fuzz
 from dlplab.gen import GenConfig, gen_program
 from dlplab.ht import classical_models, classical_sat, stable_models
 from dlplab.justify import (ModelMismatchError, SupportGraph,
@@ -13,7 +12,6 @@ from dlplab.justify import (ModelMismatchError, SupportGraph,
                             supported_labellings, supported_models_graph,
                             to_dot)
 from dlplab.parser import parse_program
-from dlplab.syntax import Program
 
 
 P4 = parse_program("l1: a | b.\nl2: a | c.")
@@ -236,20 +234,6 @@ def test_negated_triples_program():
     assert justified_models(p) == [frozenset()]
     spm = supported_models_graph(p)
     assert len(spm) == 2 and spm[0] == frozenset()
-
-
-def test_the_battery_labels_each_program_once(monkeypatch):
-    calls = 0
-    original = Program.labelled
-
-    def counted(self):
-        nonlocal calls
-        calls += 1
-        return original(self)
-
-    monkeypatch.setattr(Program, "labelled", counted)
-    assert run_fuzz(GenConfig(seed=0), 50).ok
-    assert calls == 50
 
 
 def test_the_walk_is_not_served_for_another_headed_table(monkeypatch):

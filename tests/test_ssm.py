@@ -1,12 +1,14 @@
+import random
+
 import pytest
 
 from dlplab.di import csm_models
 from dlplab.gen import GenConfig, gen_program
-from dlplab.ht import (CompiledProgram, classical_models, stable_models,
-                       subsets)
+from dlplab.ht import (CompiledProgram, classical_models, in_model_order,
+                       stable_models, subsets)
 from dlplab.parser import parse_program
 from dlplab.ssm import (NonMonotoneChainError, SsmChain, check_chain,
-                        minimal_elements, ssm_models,
+                        minimal_elements, minimal_masks, ssm_models,
                         strongly_supported_models)
 
 P1 = parse_program("a | b. a | c.")
@@ -200,6 +202,21 @@ def test_minimal_elements():
     p7 = parse_program("p.  :- c.  a | b.  b | a :- p.")
     from dlplab.di import di_stable_models
     assert minimal_elements(csm_models(p7, closed=True)) == di_stable_models(p7)
+
+
+def test_minimal_masks_match_minimal_elements():
+    """The mask filter keeps the members minimal_elements keeps, in the
+    order of sort_models when the masks come in it."""
+    def named(masks):
+        return [frozenset(a for i, a in enumerate("abcdef") if t >> i & 1)
+                for t in masks]
+
+    rng = random.Random(5)
+    for _ in range(300):
+        masks = rng.sample(range(64), rng.randint(0, 20))
+        want = minimal_elements(named(masks))
+        assert set(named(minimal_masks(masks))) == set(want)
+        assert named(minimal_masks(in_model_order(masks))) == want
 
 
 def test_minimality_link_holds_without_negation():
