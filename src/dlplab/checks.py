@@ -10,12 +10,12 @@ and the parser round trip.  The lattice checks read their edges from
 ``compare.INCLUSION_EDGES`` and the semantics from
 ``compare.model_tables``, so the checks on one program compute each
 semantics once; only the conditional relations are written out here.  The
-translation checks read the source program's semantics from the same memo
-and compute only the translation's.  The head-splitting check ``th1``
-sweeps its whole context family in one call per engine
-(``ht.stable_masks_in_contexts``, ``forks.forked_masks_in_contexts``), each
-reading what the family memo compiled once for its alphabet, and compares
-the models of the two as masks; it builds no forked tree.
+translation checks read the source's and the translation's semantics from
+the same memo.  The head-splitting check ``th1`` sweeps its whole context
+family in one call per engine (``ht.stable_masks_in_contexts``,
+``forks.forked_masks_in_contexts``), each reading what the family memo
+compiled once for its alphabet, and compares the models of the two as
+masks; it builds no forked tree.
 
 One deliberate restriction: the minimality link between strongly supported
 and stable models is only asserted for negation-free programs.  The
@@ -128,7 +128,7 @@ def check_t1(p: Program) -> str | None:
     q = di.eliminate_double_negation(p)
     al = p.atoms()
     lhs = model_tables(p).models("sm")
-    rhs = deno.project_models(ht.stable_models(q, q.atoms() | al), al)
+    rhs = deno.project_models(model_tables(q, q.atoms() | al).models("sm"), al)
     if lhs != rhs:
         return f"SM changed: {_fmt(lhs)} vs projected {_fmt(rhs)}"
     return None
@@ -139,11 +139,11 @@ def check_t2(p: Program) -> str | None:
     closed candidates of the result equal the open ones of the source."""
     q = di.disambiguate_head_sets(p)
     al = p.atoms()
-    lhs = model_tables(p).models("csm")
-    rhs_open = deno.project_models(di.csm_models(q, q.atoms() | al), al)
+    lhs, m = model_tables(p).models("csm"), model_tables(q, q.atoms() | al)
+    rhs_open = deno.project_models(m.models("csm"), al)
     if lhs != rhs_open:
         return f"open CSM changed: {_fmt(lhs)} vs {_fmt(rhs_open)}"
-    rhs_closed = deno.project_models(di.csm_models(q, q.atoms() | al, closed=True), al)
+    rhs_closed = deno.project_models(m.models("csm-closed"), al)
     if lhs != rhs_closed:
         return f"closed CSM of the translation {_fmt(rhs_closed)} != open CSM {_fmt(lhs)}"
     return None

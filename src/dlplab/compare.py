@@ -1,14 +1,14 @@
 """Side-by-side computation of all semantics for one program, with the
 expected inclusion lattice checked edge by edge and witnesses collected
-where a semantics provides them.  ``model_tables`` computes each semantics
-of the most recent program once, for the report and the fuzz checks alike.
+where a semantics provides them.  ``model_tables`` compiles the most recent
+program once and computes each semantics of it once, for all checks alike.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable, Iterable
 
 from . import forks as deno
@@ -20,23 +20,23 @@ SEMANTICS_ORDER = ("classical", "sm", "fork", "jm", "spm", "ad", "csm",
 
 # name -> the models of the program of a ModelTables, as masks over its
 # alphabet in the order of ht.sort_models, or for WITNESSED the (mask,
-# witness) pairs with the witness in index form.  Enumerators are looked
-# up on their modules at call time, so a wrapper put there (a tracer, a
-# test double) sees every call.  The fixpoint reading of supported models
-# and the equilibrium models of the program read as a formula are in no
-# report.
+# witness) pairs with the witness in index form, from the memo's compile
+# (the fork engine's from the program).  Enumerators are looked up on their
+# modules at call time, so a wrapper put there (a tracer, a test double)
+# sees every call.  The fixpoint reading of supported models and the
+# equilibrium models of the program read as a formula are in no report.
 SEMANTICS: dict[str, Callable[["ModelTables"], list]] = {
-    "classical": lambda m: ht.classical_masks(m.program, m.atoms),
-    "sm": lambda m: ht.stable_masks(m.program, m.atoms),
+    "classical": lambda m: ht.classical_masks(m.cp),
+    "sm": lambda m: ht.stable_masks(m.cp),
     "fork": lambda m: deno.forked_stable_masks(m.program, m.atoms),
-    "jm": lambda m: justify.justified_masks(m.program, m.atoms),
-    "spm": lambda m: justify.supported_masks(m.program, m.atoms),
-    "ad": lambda m: justify.ad_supported_masks(m.program, m.atoms),
-    "csm": lambda m: di.candidate_masks(m.program, m.atoms),
-    "csm-closed": lambda m: di.candidate_masks(m.program, m.atoms, closed=True),
+    "jm": lambda m: justify.justified_masks(m.cp),
+    "spm": lambda m: justify.supported_masks(m.cp),
+    "ad": lambda m: justify.ad_supported_masks(m.cp),
+    "csm": lambda m: di.candidate_masks(m.cp),
+    "csm-closed": lambda m: di.candidate_masks(m.cp, closed=True),
     "di": lambda m: ssm.minimal_masks(m.masks("csm-closed")),
-    "ssm": lambda m: ssm.strongly_supported_masks(m.program, m.atoms),
-    "spm-fixpoint": lambda m: di.supported_fixpoint_masks(m.program, m.atoms),
+    "ssm": lambda m: ssm.strongly_supported_masks(m.cp),
+    "spm-fixpoint": lambda m: di.supported_fixpoint_masks(m.cp),
     "sm-formula": lambda m: deno.equilibrium_masks(m.program, m.atoms),
 }
 WITNESSED = ("jm", "spm", "csm", "csm-closed", "ssm")
@@ -105,12 +105,12 @@ def _byte_names(atoms: tuple[str, ...]) -> list[list[tuple[str, ...]]]:
 
 
 class ModelTables:
-    """The semantics of one program over one sorted alphabet, each computed
-    on first use and kept as its masks (bit i for atoms[i]) and as a table
-    of 2^n bits: bit t is set iff the interpretation of mask t is a model.
-    The witnesses of the WITNESSED semantics are kept in index form, by
-    model.  Each mask is decoded at most once, into its atom set and the
-    sorted tuple of its atoms, for every semantics and witness alike."""
+    """The semantics of one program over one sorted alphabet, read off one
+    compile of it (``cp``), each computed on first use and kept as its
+    masks (bit i for atoms[i]) and as a 2^n-bit table: bit t is set iff
+    the interpretation of mask t is a model.  Witnesses are kept in index
+    form, by model.  Each mask is decoded at most once, into its atom set
+    and the sorted tuple of its atoms, for every semantics and witness."""
 
     def __init__(self, program: Program, atoms: tuple[str, ...]):
         self.program, self.atoms = program, atoms
@@ -118,7 +118,9 @@ class ModelTables:
         self.tables: dict[str, int] = {}
         self.witnesses: dict[str, dict] = {}
         self._names: dict[int, tuple[frozenset[str], tuple[str, ...]]] = {}
-        self._bytes: list[list[tuple[str, ...]]] | None = None
+
+    cp = cached_property(lambda m: ht.CompiledProgram(m.program, m.atoms))
+    _bytes = cached_property(lambda m: _byte_names(m.atoms))
 
     def masks(self, name: str) -> list[int]:
         """The models of a semantics as masks, in the order of
@@ -141,8 +143,6 @@ class ModelTables:
         """The atom set of a mask and its atoms sorted, decoded once."""
         names = self._names.get(t)
         if names is None:
-            if self._bytes is None:
-                self._bytes = _byte_names(self.atoms)
             listed, rest = (), t
             for byte in self._bytes:
                 listed += byte[rest & 255]
@@ -158,21 +158,21 @@ class ModelTables:
         return not self.table(lhs) & ~self.table(rhs)
 
 
-_last: tuple[Program, frozenset[str] | None, ModelTables] | None = None
+# the latest program's tables, and their alphabet unless it is p's own atoms
+_last: tuple[ModelTables, tuple[str, ...] | None] | None = None
 
 
 def model_tables(p: Program, atoms: Iterable[str] | None = None) -> ModelTables:
-    """The tables of p over the sorted alphabet, p's own atoms by default.
-    Only the latest program is kept, held and matched by identity together
-    with the alphabet argument, so a run over many programs keeps one
-    program's tables at a time.  Code that swaps an enumerator (a test
-    double) passes a new program object."""
+    """The tables of p over the sorted alphabet, p's own atoms by default:
+    only the latest program's, matched by identity and alphabet, given or
+    not.  Code that patches an enumerator or a compile passes a new p."""
     global _last
-    given = None if atoms is None else frozenset(atoms)
-    if _last is None or _last[0] is not p or _last[1] != given:
-        pool = tuple(sorted(p.atoms() if given is None else given))
-        _last = (p, given, ModelTables(p, pool))
-    return _last[2]
+    pool = None if atoms is None else tuple(sorted(set(atoms)))
+    if _last is None or _last[0].program is not p or pool not in (_last[1], _last[0].atoms):
+        own = tuple(sorted(p.atoms()))
+        pool = None if pool == own else pool
+        _last = (ModelTables(p, own if pool is None else pool), pool)
+    return _last[0]
 
 
 @dataclass(frozen=True, slots=True)

@@ -51,7 +51,7 @@ class HeadSelection:
 
 
 def _triggered(p: Program, i: frozenset[str]) -> list[int]:
-    cp = ht.compiled(p, i | p.atoms())
+    cp = ht.CompiledProgram(p, i | p.atoms())
     return cp.triggered(cp.mask(i))
 
 
@@ -100,7 +100,7 @@ def selections(p: Program, model: Iterable[str],
     and every group member receives the same choice.
     """
     i = frozenset(model)
-    cp = ht.compiled(p, i | p.atoms())
+    cp = ht.CompiledProgram(p, i | p.atoms())
     slots = _slots(cp, cp.mask(i), closed)
     for combo in product(*(choices for _, choices in slots)):
         yield _selection(cp, _choices(slots, combo), closed)
@@ -176,11 +176,12 @@ def reduct(p: Program, model: Iterable[str], sel: HeadSelection) -> Program:
     return Program(tuple(out))
 
 
-def candidate_masks(p: Program, atoms: Iterable[str] | None = None,
+def candidate_masks(cp: ht.CompiledProgram,
                     closed: bool = False) -> list[tuple[int, Choices]]:
     """The candidate stable models of :func:`candidate_stable_models` as
-    masks over the sorted alphabet, in the order of :func:`ht.sort_models`,
-    each paired with its first witnessing selection in index form.
+    masks over the compile's alphabet, in the order of
+    :func:`ht.sort_models`, each paired with its first witnessing selection
+    in index form.
 
     A selection's reduct gives each triggered rule the chosen head atom, so
     its violation table over the here-components of the model is the union
@@ -195,9 +196,8 @@ def candidate_masks(p: Program, atoms: Iterable[str] | None = None,
     miss its chosen atom, a true head atom of its firing rules, so that
     atom is a.  This holds for closed selections too.
     """
-    cp = ht.compiled(p, atoms)
     out = []
-    for t in ht.model_order(cp.headed_table()):
+    for t in cp.headed_in_order():
         cols = cp.here_columns(t)
         everything = ht._universe(t.bit_count())
         slots = _slots(cp, t, closed)
@@ -220,24 +220,24 @@ def candidate_stable_models(p: Program, atoms: Iterable[str] | None = None,
                             ) -> list[tuple[frozenset[str], HeadSelection]]:
     """Classical models stable under the reduct of some selection, paired
     with the first witnessing selection found (:func:`candidate_masks`)."""
-    cp = ht.compiled(p, atoms)
+    cp = ht.CompiledProgram(p, atoms)
     return [(cp.unmask(t), _selection(cp, choices, closed))
-            for t, choices in candidate_masks(p, atoms, closed)]
+            for t, choices in candidate_masks(cp, closed)]
 
 
 def csm_models(p: Program, atoms: Iterable[str] | None = None,
                closed: bool = False) -> list[frozenset[str]]:
-    cp = ht.compiled(p, atoms)
-    return [cp.unmask(t) for t, _ in candidate_masks(p, atoms, closed)]
+    cp = ht.CompiledProgram(p, atoms)
+    return [cp.unmask(t) for t, _ in candidate_masks(cp, closed)]
 
 
 def di_stable_models(p: Program,
                      atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
     """Subset-minimal closed candidate stable models."""
     from .ssm import minimal_masks
-    cp = ht.compiled(p, atoms)
+    cp = ht.CompiledProgram(p, atoms)
     return [cp.unmask(t) for t in
-            minimal_masks([t for t, _ in candidate_masks(p, atoms, closed=True)])]
+            minimal_masks([t for t, _ in candidate_masks(cp, closed=True)])]
 
 
 # ---------------------------------------------------------------------------
@@ -250,21 +250,20 @@ def immediate_consequences(p: Program, model: Iterable[str]) -> frozenset[str]:
         raise NonNormalProgramError(
             "the immediate-consequences step needs an extended normal program")
     i = frozenset(model)
-    cp = ht.compiled(p, i | p.atoms())
+    cp = ht.CompiledProgram(p, i | p.atoms())
     return frozenset(p.rules[k].head[0] for k in cp.triggered(cp.mask(i))
                      if p.rules[k].head)
 
 
-def supported_fixpoint_masks(p: Program, atoms: Iterable[str] | None = None) -> list[int]:
+def supported_fixpoint_masks(cp: ht.CompiledProgram) -> list[int]:
     """The models of :func:`supported_models_fixpoint` as masks over the
-    sorted alphabet, in the order of :func:`ht.sort_models`.
+    compile's alphabet, in the order of :func:`ht.sort_models`.
 
     A reduct's immediate consequences at the model are the chosen atoms,
     so the model is fixed iff some selection chooses every atom of it.
     """
-    cp = ht.compiled(p, atoms)
     out = []
-    for t in ht.model_order(cp.model_table()):
+    for t in cp.models_in_order():
         options = [[0 if a is None else 1 << a for a in choices]
                    for _, choices in _slots(cp, t, closed=False)]
         if _first_cover(options, t) is not None:
@@ -275,8 +274,8 @@ def supported_fixpoint_masks(p: Program, atoms: Iterable[str] | None = None) -> 
 def supported_models_fixpoint(p: Program,
                               atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
     """Models fixed by the immediate consequences of some selection reduct."""
-    cp = ht.compiled(p, atoms)
-    return [cp.unmask(t) for t in supported_fixpoint_masks(p, atoms)]
+    cp = ht.CompiledProgram(p, atoms)
+    return [cp.unmask(t) for t in supported_fixpoint_masks(cp)]
 
 
 # ---------------------------------------------------------------------------

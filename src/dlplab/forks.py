@@ -804,48 +804,43 @@ def equilibrium_masks(p: Program, atoms: Iterable[str] | None = None) -> list[in
     return _stable_masks(len(pool), ops, roots)[0]
 
 
-def _decoded(p: Program, atoms: Iterable[str] | None, masks: list[int]
-             ) -> list[frozenset[str]]:
-    pool = _pool_of(p.atoms() if atoms is None else atoms)
+def _decoded(pool: Sequence[str], masks: list[int]) -> list[frozenset[str]]:
+    """Masks over a sorted pool as atom sets."""
     return [frozenset(pool[j] for j in set_bits(t)) for t in masks]
 
 
 def forked_stable_models(p: Program, atoms: Iterable[str] | None = None
                          ) -> list[frozenset[str]]:
     """The models of :func:`forked_stable_masks` as atom sets."""
-    return _decoded(p, atoms, forked_stable_masks(p, atoms))
+    masks = forked_stable_masks(p, atoms)
+    return _decoded(_pool_of(p.atoms() if atoms is None else atoms), masks)
 
 
 def equilibrium_models(p: Program, atoms: Iterable[str] | None = None
                        ) -> list[frozenset[str]]:
     """The models of :func:`equilibrium_masks` as atom sets."""
-    return _decoded(p, atoms, equilibrium_masks(p, atoms))
+    masks = equilibrium_masks(p, atoms)
+    return _decoded(_pool_of(p.atoms() if atoms is None else atoms), masks)
 
 
 def _stable_sweep(pool: list[str], ops: list[Op], roots: list[int]
                   ) -> list[list[frozenset[str]]]:
     """The fork stable models of each root, as atom sets."""
-    return _stable_masks(len(pool), ops, roots,
-                         name=lambda combo: frozenset(pool[j] for j in combo))
+    return [_decoded(pool, masks) for masks in _stable_masks(len(pool), ops, roots)]
 
 
 def _stable_masks(n: int, ops: Sequence[Op], roots: list[int],
-                  start: "ContextRegisters | None" = None,
-                  name: Callable[[list[int]], object] | None = None) -> list[list]:
+                  start: "ContextRegisters | None" = None) -> list[list[int]]:
     """The fork stable models of each root over a pool of n atoms, as
-    masks, or as ``name`` makes them of their pool indices, once per model.
-    The sweep visits, in the order of :func:`ht.sort_models`, only the T
-    that the pre-pass leaves open for some root.  With ``start``, the
+    masks.  The sweep visits, in the order of :func:`ht.sort_models`, only
+    the T that the pre-pass leaves open for some root.  With ``start``, the
     operations follow the compiled contexts'."""
     found = [(root, []) for root in roots]
     for t, combo, regs in _runs(ops, n, _open_table(ops, roots, n, start), start):
         top = _full_bit(len(combo))
-        m = None
         for root, models in found:
             if top in regs[root]:
-                if m is None:
-                    m = t if name is None else name(combo)
-                models.append(m)
+                models.append(t)
     return [models for _, models in found]
 
 

@@ -20,13 +20,15 @@ and the per-interpretation mask tests (:meth:`CompiledProgram.sat_classical`,
 :meth:`CompiledProgram.sat_ht`) are the reference the tables are tested
 against.
 
-:func:`compiled` keeps the compile of the latest program, held and matched
-by identity together with its alphabet, and a compile builds each of its
-tables once, so the enumerators of one program share them.  Code that
-patches a :class:`CompiledProgram` method after a program was compiled
+A compile builds each of its tables once, and the models of its classical
+and headed tables in the order of :func:`sort_models` once, so the
+enumerators handed one compile share them.  The comparison memo of
+:mod:`dlplab.compare` keeps one compile per program and hands it to every
+mask core; a public enumerator compiles its program once per call.  Code
+that patches a :class:`CompiledProgram` method after a program was compiled
 must pass a new program object, or it gets the tables already built.
 
-:func:`stable_models_in_contexts` sweeps a program under many contexts (the
+:func:`stable_masks_in_contexts` sweeps a program under many contexts (the
 head-splitting check adds each of its context family to one translated
 program): the program is compiled once and the distinct context rules
 (:class:`ContextRules`) are added to it, packed once per placement of
@@ -36,17 +38,16 @@ the atoms its rules head, and what every context reaching a model shares
 (:class:`_Reached`: the model's here-columns, the program's violation
 table and each context rule's) is computed once per model.  One core
 (:func:`_sweep`) returns the models as masks: :func:`stable_masks`, the
-one-context case, sorts them, :func:`stable_models` and
-:func:`stable_models_in_contexts` decode them, and
-:func:`stable_masks_in_contexts`, which the head-splitting check calls,
-projects them onto a vocabulary instead.
+one-context case, sorts them, and :func:`stable_masks_in_contexts`
+projects them onto a vocabulary.
 
 Each enumerator of a program has such a mask core (:func:`classical_masks`
 here, and ``*_masks`` in :mod:`dlplab.di`, :mod:`dlplab.justify`,
 :mod:`dlplab.ssm` and :mod:`dlplab.forks`): the models as masks over the
-sorted alphabet, in the order of :func:`sort_models`.  The comparison
-memo of :mod:`dlplab.compare` reads the cores, and the public
-enumerators decode them.
+sorted alphabet, in the order of :func:`sort_models`.  The cores over the
+tables of this module take a compile; the fork engine's take the program
+and its alphabet, since they read no table of this module.  The comparison
+memo reads the cores, and the public enumerators decode them.
 """
 
 from __future__ import annotations
@@ -262,11 +263,12 @@ def _conj(atoms: Iterable[int], cols: Sequence[int], everything: int) -> int:
 # Compiled programs
 # ---------------------------------------------------------------------------
 
-def _built_once(method: Callable) -> Callable:
-    """A table method of CompiledProgram that builds its table on the first
-    call and keeps it.  The cache sits inside the method, so patching the
-    method on the class still replaces what every caller reads."""
-    name = method.__name__
+def built_once(method: Callable) -> Callable:
+    """A function of a CompiledProgram, a table method or a search over its
+    tables, that computes its result on the first call and keeps it on the
+    compile.  The cache sits inside the function, so patching it on its
+    class or module still replaces what every caller reads."""
+    name = f"{method.__module__}.{method.__qualname__}"
 
     @wraps(method)
     def once(self):
@@ -302,7 +304,7 @@ class CompiledProgram:
             rules.append(tuple(map(_mask_of, parts)))
         self.lists = tuple(lists)
         self.rules = tuple(rules)
-        self._built: dict[str, object] = {}  # method name -> its table
+        self._built: dict[str, object] = {}  # built_once name -> its result
 
     def _with_rules(self, lists: tuple, rules: tuple) -> "CompiledProgram":
         """A compile of more rules over the same alphabet: these, given as
@@ -351,7 +353,7 @@ class CompiledProgram:
                 return False
         return True
 
-    @_built_once
+    @built_once
     def head_order(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """Per rule, its head atoms as ascending indices, and the rank of
         its head set among the program's distinct head sets, which are
@@ -363,7 +365,7 @@ class CompiledProgram:
 
     # -- tables over all 2^n interpretations ---------------------------------
 
-    @_built_once
+    @built_once
     def _tables(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
         """The atom columns, each rule's body table, and the universe;
         tuples, as every table of this program shares them."""
@@ -406,7 +408,7 @@ class CompiledProgram:
                 supported[a] |= supports[k]
         return supported
 
-    @_built_once
+    @built_once
     def model_table(self) -> int:
         """The classical models: no rule has a true body and a false head."""
         cols, bodies, out = self._tables()
@@ -414,7 +416,7 @@ class CompiledProgram:
             out &= holds
         return out
 
-    @_built_once
+    @built_once
     def support_table(self) -> int:
         """The interpretations in which every true atom heads a rule whose
         body holds and whose other head atoms are false."""
@@ -423,7 +425,7 @@ class CompiledProgram:
                                        range(len(bodies)))
         return _supported(cols, supported, everything)
 
-    @_built_once
+    @built_once
     def headed_table(self) -> int:
         """The classical models in which every true atom heads a rule whose
         body holds, whatever its other head atoms: a rule's body table is
@@ -431,6 +433,18 @@ class CompiledProgram:
         cols, bodies, _ = self._tables()
         headed = self._add_supports([0] * len(cols), bodies, range(len(bodies)))
         return _supported(cols, headed, self.model_table())
+
+    @built_once
+    def models_in_order(self) -> tuple[int, ...]:
+        """The members of :meth:`model_table` in the order of
+        :func:`sort_models`; a tuple, as every caller shares it."""
+        return tuple(model_order(self.model_table()))
+
+    @built_once
+    def headed_in_order(self) -> tuple[int, ...]:
+        """The members of :meth:`headed_table` in the order of
+        :func:`sort_models`; a tuple, as every caller shares it."""
+        return tuple(model_order(self.headed_table()))
 
     # -- tables over the 2^|t| here-components of t -------------------------
 
@@ -485,21 +499,6 @@ class CompiledProgram:
         return self.violations(t, range(len(self.rules))) == below_top(t.bit_count())
 
 
-_last: tuple[Program, frozenset[str], CompiledProgram] | None = None
-
-
-def compiled(p: Program, atoms: Iterable[str] | None = None) -> CompiledProgram:
-    """p compiled over the alphabet, p's own atoms by default, with the
-    tables it has built so far.  Only the latest program is kept, held and
-    matched by identity together with its alphabet, so the enumerators of
-    one program share one compile and each table is built once."""
-    global _last
-    alpha = p.atoms() if atoms is None else frozenset(atoms)
-    if _last is None or _last[0] is not p or _last[1] != alpha:
-        _last = (p, alpha, CompiledProgram(p, alpha))
-    return _last[2]
-
-
 def below_top(width: int) -> int:
     """The table of every here-component of a width-w model but the model
     itself: the violation table of a stable model."""
@@ -523,17 +522,17 @@ def _supported(cols: Sequence[int], supported: Sequence[int], everything: int) -
 # Model enumeration
 # ---------------------------------------------------------------------------
 
-def classical_masks(p: Program, atoms: Iterable[str] | None = None) -> list[int]:
-    """The classical models of a program as masks over the sorted
+def classical_masks(cp: CompiledProgram) -> list[int]:
+    """The classical models of a compiled program as masks over its
     alphabet, in the order of :func:`sort_models`."""
-    return model_order(compiled(p, atoms).model_table())
+    return list(cp.models_in_order())
 
 
 def classical_models(x: Theory, atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
     """All classical models over the alphabet, sorted."""
     if isinstance(x, Program):
-        cp = compiled(x, atoms)
-        return [cp.unmask(t) for t in classical_masks(x, atoms)]
+        cp = CompiledProgram(x, atoms)
+        return [cp.unmask(t) for t in classical_masks(cp)]
     pool = _sorted_alphabet(x, atoms)
     _check_width(len(pool))
     return sort_models(t for t in subsets(pool) if _csat(t, x))
@@ -553,12 +552,12 @@ def is_stable_model(x: Theory, t: Iterable[str]) -> bool:
 def stable_models(x: Theory, atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
     """All stable (equilibrium) models over the alphabet, sorted.
 
-    A program is the one-context case of :func:`stable_models_in_contexts`:
+    A program is the one-context case of :func:`stable_masks_in_contexts`:
     the same sweep, with the empty context.
     """
     if isinstance(x, Program):
-        cp = compiled(x, atoms)
-        return [cp.unmask(t) for t in stable_masks(x, atoms)]
+        cp = CompiledProgram(x, atoms)
+        return [cp.unmask(t) for t in stable_masks(cp)]
     pool = _sorted_alphabet(x, atoms)
     _check_width(len(pool))
     out = []
@@ -570,10 +569,9 @@ def stable_models(x: Theory, atoms: Iterable[str] | None = None) -> list[frozens
     return sort_models(out)
 
 
-def stable_masks(p: Program, atoms: Iterable[str] | None = None) -> list[int]:
-    """The stable models of a program as masks over the sorted alphabet,
+def stable_masks(cp: CompiledProgram) -> list[int]:
+    """The stable models of a compiled program as masks over its alphabet,
     in the order of :func:`sort_models`."""
-    cp = compiled(p, atoms)
     [masks] = _sweep(cp, len(cp.rules), ((),))
     return in_model_order(masks)
 
@@ -614,31 +612,6 @@ class ContextRules:
             placed = self._placed[place] = (
                 lists, tuple(tuple(map(_mask_of, parts)) for parts in lists))
         return cp._with_rules(*placed)
-
-
-def stable_models_in_contexts(p: Program, contexts: Sequence[Program],
-                              atoms: Iterable[str] | None = None
-                              ) -> list[list[frozenset[str]]]:
-    """The stable models of p together with each context, sorted, over one
-    alphabet: by default the atoms of p and of every context.  Each model is
-    decoded once, however many contexts it is stable under."""
-    rules = ContextRules(contexts)
-    if not rules.rules:
-        cp = compiled(p, atoms)
-    else:
-        cp = rules.joined(CompiledProgram(
-            p, p.atoms().union(rules.atoms) if atoms is None else atoms))
-    names: dict[int, frozenset[str]] = {}
-    out = []
-    for masks in _sweep(cp, len(p.rules), rules.own):
-        models = []
-        for t in in_model_order(masks):
-            m = names.get(t)
-            if m is None:
-                m = names[t] = cp.unmask(t)
-            models.append(m)
-        out.append(models)
-    return out
 
 
 def stable_masks_in_contexts(p: Program, contexts: ContextRules,

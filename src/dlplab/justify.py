@@ -32,11 +32,11 @@ the cut pass is the first acyclic one.  The pass restarts from the root
 because the labellings already walked share prefixes with the ones still
 to come, and such a prefix may already hold a cycle.
 
-The walk of the latest program is kept, matched by the identity of its
-compile and of the headed table it walked, so ``jm`` and ``spm`` of one
-program share it.  It keeps the models as masks and each labelling as
-rule indices (:func:`supported_masks`, :func:`justified_masks`); the
-labelled program is built only to decode them.
+The walk is kept on the compile it walked, as the compile keeps its
+tables (:func:`ht.built_once`), so ``jm`` and ``spm`` of one compile share
+it.  It keeps the models as masks and each labelling as rule indices
+(:func:`supported_masks`, :func:`justified_masks`); the labelled program
+is built only to decode them.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def check_support_graph(g: SupportGraph, p: Program,
     if g.vertices != i:
         raise ModelMismatchError(
             f"graph vertices {sorted(g.vertices)} differ from model {sorted(i)}")
-    cp = ht.compiled(p, i | p.atoms())
+    cp = ht.CompiledProgram(p, i | p.atoms())
     p = p.labelled()
     t = cp.mask(i)
     if not cp.sat_classical(t):
@@ -297,7 +297,7 @@ def _graphs(p: Program, model: Iterable[str], acyclic: bool) -> Iterator[Support
     enumerator cuts every partial labelling that closes a cycle.  Lazy: a
     labelling becomes a graph when the caller asks for the next one."""
     i = frozenset(model)
-    cp = ht.compiled(p, i | p.atoms())
+    cp = ht.CompiledProgram(p, i | p.atoms())
     t = cp.mask(i)
     if not cp.sat_classical(t):
         raise ValueError("the interpretation is not a classical model of the program")
@@ -311,100 +311,67 @@ def _graphs(p: Program, model: Iterable[str], acyclic: bool) -> Iterator[Support
         yield _graph_from_labelling(i, {a: rules[k] for a, k in zip(names, lab)})
 
 
-Labelled = list[tuple[frozenset[str], dict[str, ExtendedRule]]]
 # models as masks, each with a labelling: per true atom, ascending, the
 # index of its rule
-Walked = list[tuple[int, tuple[int, ...]]]
-
-# the compile and headed table of the latest walk, and its spm and jm pairs
-_last: tuple[ht.CompiledProgram, int, Walked, Walked] | None = None
+Walked = tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def _walk(p: Program, atoms: Iterable[str] | None) -> tuple[Walked, Walked]:
-    """The graph-supported and the justified models of p, each paired with
-    the labelling of its first graph, the first acyclic one for jm: one
-    walk over the headed table, kept for the latest program."""
-    global _last
-    cp = ht.compiled(p, atoms)
-    headed = cp.headed_table()
-    if _last is None or _last[0] is not cp or _last[1] is not headed:
-        supported, justified = [], []
-        for t in ht.model_order(headed):
-            candidates = _candidates(cp, t)
-            if candidates is None:
-                continue
-            atoms_of_t = ht.set_bits(t)
-            first = next(_labellings(cp, atoms_of_t, candidates), None)
-            if first is None:
-                continue
-            supported.append((t, tuple(first)))
-            acyclic = first
-            if not _is_acyclic(cp, atoms_of_t, first):
-                acyclic = (next(_labellings(cp, atoms_of_t, candidates, cut=True), None)
-                           if _derivable(cp, t, candidates) else None)
-            if acyclic is not None:
-                justified.append((t, tuple(acyclic)))
-        _last = (cp, headed, supported, justified)
-    return _last[2], _last[3]
+@ht.built_once
+def _walk(cp: ht.CompiledProgram) -> tuple[Walked, Walked]:
+    """The graph-supported and the justified models of the compiled
+    program, each paired with the labelling of its first graph, the first
+    acyclic one for jm: one walk over the headed models, kept on the
+    compile."""
+    supported, justified = [], []
+    for t in cp.headed_in_order():
+        candidates = _candidates(cp, t)
+        if candidates is None:
+            continue
+        atoms_of_t = ht.set_bits(t)
+        first = next(_labellings(cp, atoms_of_t, candidates), None)
+        if first is None:
+            continue
+        supported.append((t, tuple(first)))
+        acyclic = first
+        if not _is_acyclic(cp, atoms_of_t, first):
+            acyclic = (next(_labellings(cp, atoms_of_t, candidates, cut=True), None)
+                       if _derivable(cp, t, candidates) else None)
+        if acyclic is not None:
+            justified.append((t, tuple(acyclic)))
+    return tuple(supported), tuple(justified)
 
 
-def supported_masks(p: Program, atoms: Iterable[str] | None = None) -> Walked:
-    """The models of :func:`supported_labellings` as masks over the sorted
-    alphabet, in the order of :func:`ht.sort_models`, each with its
-    labelling as rule indices."""
-    return list(_walk(p, atoms)[0])
+def supported_masks(cp: ht.CompiledProgram) -> list[tuple[int, tuple[int, ...]]]:
+    """The models of :func:`supported_models_graph` as masks over the
+    compile's alphabet, in the order of :func:`ht.sort_models`, each with
+    the labelling of its first support graph as rule indices."""
+    return list(_walk(cp)[0])
 
 
-def justified_masks(p: Program, atoms: Iterable[str] | None = None) -> Walked:
-    """The models of :func:`justified_labellings` as masks over the sorted
-    alphabet, in the order of :func:`ht.sort_models`, each with its
-    labelling as rule indices."""
-    return list(_walk(p, atoms)[1])
-
-
-def _decoded(p: Program, atoms: Iterable[str] | None, walked: Walked) -> Labelled:
-    """Masks and index labellings as atom sets and labelled rules."""
-    cp = ht.compiled(p, atoms)
-    rules = p.labelled().rules
-    out = []
-    for t, labelling in walked:
-        names = [cp.atoms[a] for a in ht.set_bits(t)]
-        out.append((frozenset(names), {a: rules[k] for a, k in zip(names, labelling)}))
-    return out
-
-
-def supported_labellings(p: Program, atoms: Iterable[str] | None = None) -> Labelled:
-    """Classical models admitting some support graph, each paired with the
-    labelling of the first one.  The labelling gives every true atom a
-    firing rule that heads it."""
-    return _decoded(p, atoms, supported_masks(p, atoms))
-
-
-def justified_labellings(p: Program, atoms: Iterable[str] | None = None) -> Labelled:
-    """Classical models admitting some acyclic support graph, each paired
-    with the labelling of the first one.  An acyclic graph is a support
-    graph too."""
-    return _decoded(p, atoms, justified_masks(p, atoms))
+def justified_masks(cp: ht.CompiledProgram) -> list[tuple[int, tuple[int, ...]]]:
+    """The models of :func:`justified_models` as masks over the compile's
+    alphabet, in the order of :func:`ht.sort_models`, each with the
+    labelling of its first acyclic support graph as rule indices."""
+    return list(_walk(cp)[1])
 
 
 def supported_models_graph(p: Program,
                            atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
     """Classical models admitting some support graph."""
-    cp = ht.compiled(p, atoms)
-    return [cp.unmask(t) for t, _ in supported_masks(p, atoms)]
+    cp = ht.CompiledProgram(p, atoms)
+    return [cp.unmask(t) for t, _ in supported_masks(cp)]
 
 
 def justified_models(p: Program,
                      atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
     """Classical models admitting some acyclic support graph."""
-    cp = ht.compiled(p, atoms)
-    return [cp.unmask(t) for t, _ in justified_masks(p, atoms)]
+    cp = ht.CompiledProgram(p, atoms)
+    return [cp.unmask(t) for t, _ in justified_masks(cp)]
 
 
-def ad_supported_masks(p: Program, atoms: Iterable[str] | None = None) -> list[int]:
-    """The models of :func:`ad_supported_models` as masks over the sorted
-    alphabet, in the order of :func:`ht.sort_models`."""
-    cp = ht.compiled(p, atoms)
+def ad_supported_masks(cp: ht.CompiledProgram) -> list[int]:
+    """The models of :func:`ad_supported_models` as masks over the
+    compile's alphabet, in the order of :func:`ht.sort_models`."""
     return ht.model_order(cp.model_table() & cp.support_table())
 
 
@@ -412,8 +379,8 @@ def ad_supported_models(p: Program,
                         atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
     """Completion-style supported models: every atom of the model needs a
     firing rule whose other head atoms are all false."""
-    cp = ht.compiled(p, atoms)
-    return [cp.unmask(t) for t in ad_supported_masks(p, atoms)]
+    cp = ht.CompiledProgram(p, atoms)
+    return [cp.unmask(t) for t in ad_supported_masks(cp)]
 
 
 # ---------------------------------------------------------------------------

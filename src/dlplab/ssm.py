@@ -85,7 +85,7 @@ def check_chain(chain: SsmChain, p: Program) -> ChainVerdict:
     """Verify both chain conditions stage by stage; reports the first
     violation found."""
     t = chain.target
-    cp = ht.compiled(p, t | p.atoms())
+    cp = ht.CompiledProgram(p, t | p.atoms())
     tmask = cp.mask(t)
     if not cp.sat_classical(tmask):
         raise ValueError("the target is not a classical model of the program")
@@ -125,19 +125,18 @@ def _greedy_stages(cp: ht.CompiledProgram, tmask: int) -> tuple[int, ...] | None
     return tuple(stages)
 
 
-def strongly_supported_masks(p: Program, atoms: Iterable[str] | None = None
+def strongly_supported_masks(cp: ht.CompiledProgram
                              ) -> list[tuple[int, tuple[int, ...]]]:
     """The models of :func:`strongly_supported_models` as masks over the
-    sorted alphabet, in the order of :func:`ht.sort_models`, each with the
-    stages of its witness as masks.
+    compile's alphabet, in the order of :func:`ht.sort_models`, each with
+    the stages of its witness as masks.
 
     Only the models of :meth:`ht.CompiledProgram.headed_table` are
     searched: an atom enters the maximal stage through a rule applicable at
     (previous stage, T), whose body then holds at T.
     """
-    cp = ht.compiled(p, atoms)
     out = []
-    for t in ht.model_order(cp.headed_table()):
+    for t in cp.headed_in_order():
         stages = _greedy_stages(cp, t)
         if stages is not None:
             out.append((t, stages))
@@ -147,17 +146,17 @@ def strongly_supported_masks(p: Program, atoms: Iterable[str] | None = None
 def strongly_supported_models(p: Program, atoms: Iterable[str] | None = None
                               ) -> list[tuple[frozenset[str], SsmChain]]:
     """Classical models reachable by a valid chain, each with one witness."""
-    cp = ht.compiled(p, atoms)
+    cp = ht.CompiledProgram(p, atoms)
     out = []
-    for t, stages in strongly_supported_masks(p, atoms):
+    for t, stages in strongly_supported_masks(cp):
         target = cp.unmask(t)
         out.append((target, SsmChain(tuple(cp.unmask(s) for s in stages), target)))
     return out
 
 
 def ssm_models(p: Program, atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
-    cp = ht.compiled(p, atoms)
-    return [cp.unmask(t) for t, _ in strongly_supported_masks(p, atoms)]
+    cp = ht.CompiledProgram(p, atoms)
+    return [cp.unmask(t) for t, _ in strongly_supported_masks(cp)]
 
 
 def minimal_elements(models: Iterable[frozenset[str]]) -> list[frozenset[str]]:

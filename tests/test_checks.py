@@ -337,7 +337,9 @@ def test_head_splitting_failures_match_the_reference(monkeypatch, cfg, count):
 
 def test_translation_checks_read_the_source_semantics_from_the_memo(monkeypatch):
     """t1 and t2 take the source program's SM and CSM from the memo that
-    the lattice checks filled, and compute only the translation's."""
+    the lattice checks filled, and the translation's from the same memo:
+    a translation that leaves the program as it is adds nothing to
+    compute."""
     calls = {"sm": 0, "csm": 0}
 
     def counted(name, fn):
@@ -348,12 +350,19 @@ def test_translation_checks_read_the_source_semantics_from_the_memo(monkeypatch)
 
     monkeypatch.setattr(ht, "stable_masks", counted("sm", ht.stable_masks))
     monkeypatch.setattr(di, "candidate_masks", counted("csm", di.candidate_masks))
+    programs = [gen_program(GenConfig(seed=s)) for s in range(50)]
+    kept_t1 = sum(di.eliminate_double_negation(p) is p for p in programs)
+    kept_t2 = sum(di.disambiguate_head_sets(p) is p for p in programs)
+    assert (kept_t1, kept_t2) == (16, 21)
+    # th3 computes the source's SM; t1 the translation's, unless it is the
+    # source
     assert run_fuzz(GenConfig(seed=0), 50, ("th3", "t1")).ok
-    assert calls == {"sm": 100, "csm": 0}
+    assert calls == {"sm": 100 - kept_t1, "csm": 0}
     calls["sm"] = 0
-    # th5 computes the source's CSM; t2 the translation's, open and closed
+    # th5 computes the source's CSM; t2 the translation's, open and closed,
+    # of which only the closed when the translation is the source
     assert run_fuzz(GenConfig(seed=0), 50, ("th5", "t2")).ok
-    assert calls == {"sm": 0, "csm": 150}
+    assert calls == {"sm": 0, "csm": 150 - kept_t2}
 
 
 @pytest.mark.parametrize("cfg", [GenConfig(), GenConfig(atoms=6, rules=8)],
@@ -372,7 +381,7 @@ def test_passing_default_checks_decode_nothing(monkeypatch, cfg):
         return wrapper
 
     for owner, name in [(ht.CompiledProgram, "unmask"), (ModelTables, "decode"),
-                        (deno, "_decoded"), (justify, "_decoded"),
+                        (deno, "_decoded"),
                         (di, "HeadSelection"), (ssm, "SsmChain"),
                         (syntax.Program, "labelled")]:
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
@@ -407,8 +416,8 @@ def test_the_forked_program_is_built_once_per_program(monkeypatch):
 ENUMERATORS = [(ht, "classical_masks", "classical_models"),
                (ht, "stable_masks", "stable_models"),
                (deno, "forked_stable_masks", "forked_stable_models"),
-               (justify, "justified_masks", "justified_labellings"),
-               (justify, "supported_masks", "supported_labellings"),
+               (justify, "justified_masks", "justified_models"),
+               (justify, "supported_masks", "supported_models_graph"),
                (justify, "ad_supported_masks", "ad_supported_models"),
                (di, "candidate_masks", "candidate_stable_models"),
                (di, "supported_fixpoint_masks", "supported_models_fixpoint"),

@@ -1,18 +1,20 @@
-"""The one-program compile memo, ``ht.compiled``.
+"""The one-program memo, ``compare.model_tables``, and the compile it keeps.
 
-Every enumerator of a program reads one ``CompiledProgram``, and each of
-its tables is built once.  The memo must not serve a program another
-alphabet's compile, nor an equal but distinct program, and the tables it
-shares must be immutable, so that no enumerator can change another's.
+Every enumerator of a program reads the one ``CompiledProgram`` of its
+memo entry, and each of its tables is built once.  The memo must not serve
+a program another alphabet's entry, nor an equal but distinct program, an
+alphabet equal to the program's atoms must find the default entry, and the
+tables a compile shares must be immutable, so that no enumerator can
+change another's.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from dlplab import ht
-from dlplab.checks import run_fuzz
-from dlplab.compare import SEMANTICS, ModelTables, compute_report
+from dlplab import di, ht
+from dlplab.checks import check_t2, run_fuzz
+from dlplab.compare import SEMANTICS, compute_report, model_tables
 from dlplab.gen import GenConfig, gen_program
 from dlplab.parser import parse_program, render_program
 
@@ -61,25 +63,47 @@ def test_a_wider_alphabet_compiles_anew():
 
 def test_the_memo_matches_by_identity_and_alphabet():
     p = gen_program(GenConfig(seed=3))
-    first = ht.compiled(p)
-    assert ht.compiled(p) is first
-    assert ht.compiled(p, sorted(p.atoms())) is first
-    assert ht.compiled(p, p.atoms() | {"z"}) is not first
+    first = model_tables(p)
+    assert model_tables(p) is first
+    assert model_tables(p, sorted(p.atoms())) is first
+    assert model_tables(p, p.atoms()) is first and model_tables(p) is first
     copy = parse_program(render_program(p))
     assert copy == p and copy is not p
-    assert ht.compiled(copy) is not first
-    assert ht.compiled(p) is not first
+    assert model_tables(copy) is not first
+    assert model_tables(p) is not first
+
+
+def test_an_alphabet_given_first_is_the_default_entry():
+    p = gen_program(GenConfig(seed=3))
+    given = model_tables(p, list(p.atoms()))
+    assert model_tables(p) is given
+    assert given.atoms == tuple(sorted(p.atoms()))
+
+
+def test_a_wider_alphabet_is_an_entry_of_its_own():
+    p = parse_program("a | b :- not c. c :- a.")
+    own = model_tables(p)
+    narrow = own.models("classical")
+    wide = model_tables(p, p.atoms() | {"z"})
+    assert wide is not own and wide.atoms == ("a", "b", "c", "z")
+    assert wide.cp is not own.cp and wide.cp.atoms == wide.atoms
+    assert len(wide.models("classical")) == 2 * len(narrow)
+    assert model_tables(p) is not own and model_tables(p).models("classical") == narrow
+    assert model_tables(p) is not wide
+    assert model_tables(p, p.atoms() | {"z"}) is not wide
     with pytest.raises(ValueError, match="missing atoms"):
-        ht.compiled(p, sorted(p.atoms())[1:])
+        model_tables(p, sorted(p.atoms())[1:]).masks("classical")
 
 
 def test_shared_tables_are_immutable():
-    cp = ht.compiled(cyclic(5))
+    cp = model_tables(cyclic(5)).cp
     cols, bodies, _ = cp._tables()
     assert cp._tables() is cp._tables()
-    for column in (cols, bodies):
+    assert cp.models_in_order() is cp.models_in_order()
+    assert cp.headed_in_order() is cp.headed_in_order()
+    for shared in (cols, bodies, cp.models_in_order(), cp.headed_in_order()):
         with pytest.raises(TypeError):
-            column[0] = 0
+            shared[0] = 0
 
 
 def test_every_enumerator_leaves_the_shared_tables_as_built():
@@ -87,10 +111,40 @@ def test_every_enumerator_leaves_the_shared_tables_as_built():
     equal those of a fresh compile."""
     for seed in range(40):
         p = gen_program(GenConfig(atoms=5, rules=7, max_head=3, seed=seed))
-        m = ModelTables(p, tuple(sorted(p.atoms())))
+        m = model_tables(p)
         for name in SEMANTICS:
             m.table(name)
-        shared, fresh = ht.compiled(p), ht.CompiledProgram(p)
+        shared, fresh = m.cp, ht.CompiledProgram(p)
+        assert model_tables(p).cp is shared
         assert shared._tables() == fresh._tables(), seed
-        for table in ("model_table", "headed_table", "support_table"):
+        for table in ("model_table", "headed_table", "support_table",
+                      "models_in_order", "headed_in_order"):
             assert getattr(shared, table)() == getattr(fresh, table)(), (seed, table)
+
+
+def test_a_report_sorts_each_model_table_once(monkeypatch):
+    """The classical and the headed models are sorted once per compile,
+    however many semantics read them."""
+    sorted_tables = []
+    original = ht.model_order
+
+    def counted(table):
+        sorted_tables.append(table)
+        return original(table)
+
+    monkeypatch.setattr(ht, "model_order", counted)
+    p = cyclic(12)
+    compute_report(p)
+    cp = model_tables(p).cp
+    # by identity: the fork sweep may sort an equal table of its own
+    assert sum(t is cp.model_table() for t in sorted_tables) == 1
+    assert sum(t is cp.headed_table() for t in sorted_tables) == 1
+
+
+def test_t2_compiles_its_translation_once(constructions):
+    """t2 reads the open and the closed candidates of the translation from
+    one memo entry: one compile for the source, one for the translation."""
+    p = parse_program("a | b. a | b :- not c. c :- not a.")
+    assert check_t2(p) is None
+    assert constructions[0] == 2
+    assert di.disambiguate_head_sets(p) is not p

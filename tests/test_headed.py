@@ -87,34 +87,56 @@ def test_headed_table_matches_its_definition():
 # Which semantics read the shared tables
 # ---------------------------------------------------------------------------
 
-# Semantics that read the headed table and have no equality in the default
-# battery with one that does not, and why.
+# Per shared table, the semantics that read it and have no equality in the
+# default battery with one that does not, and why.
+AD_REASON = ("AD sits strictly between SM and SPM (the ad check is two "
+             "inclusions) and equals no other semantics; it is compared with "
+             "Ref.ad() in tests/test_tables.py, which tests each body on the "
+             "AST path (classical_sat) within the AST-path classical models")
 UNPARTNERED = {
-    "csm-closed": "no result equates closed candidates with another semantics "
-                  "of a program; t2 equates them with the open candidates of "
-                  "the source only after head disambiguation",
-    "di": "the minimal closed candidates, read off the csm-closed table, are "
-          "only included in it",
-    "ssm": "strongly supported models strictly contain the candidates (th7 "
-           "is an inclusion) and equal no other semantics; the chain of "
-           "maximal stages is checked against breadth-first search in "
-           "tests/test_tables.py",
+    "headed": {
+        "csm-closed": "no result equates closed candidates with another "
+                      "semantics of a program; t2 equates them with the open "
+                      "candidates of the source only after head disambiguation",
+        "di": "the minimal closed candidates, read off the csm-closed table, "
+              "are only included in it",
+        "ssm": "strongly supported models strictly contain the candidates "
+               "(th7 is an inclusion) and equal no other semantics; the chain "
+               "of maximal stages is checked against breadth-first search in "
+               "tests/test_tables.py",
+    },
+    "models": {
+        "classical": "every semantics is included in the classical models, "
+                     "which equal none of them in general; they are compared "
+                     "with the 2^n scan of the program read as a formula with "
+                     "classical_sat, the AST path, in tests/test_tables.py",
+        "ad": AD_REASON,
+    },
+    "support": {"ad": AD_REASON},
 }
 
 
 def test_every_headed_semantics_has_an_independent_partner():
     assert set(READS) == set(SEMANTICS)
-    assert all(set(r) <= {"models", "headed", "support"} for r in READS.values())
+    assert all(set(r) <= set(UNPARTNERED) for r in READS.values())
     equal = {(a, b) for c in DEFAULT_CHECKS for a, b in edges_of(c)
              if (b, a) in edges_of(c)}
     partners = {}
-    for name, reads in READS.items():
-        if "headed" in reads:
-            partners[name] = sorted(b for a, b in equal
-                                    if a == name and "headed" not in READS[b])
-            assert bool(partners[name]) != (name in UNPARTNERED), name
-    assert partners == {"jm": ["fork"], "spm": ["spm-fixpoint"], "csm": ["fork"],
-                        "csm-closed": [], "di": [], "ssm": []}
+    for table, unpartnered in UNPARTNERED.items():
+        partners[table] = {}
+        for name, reads in READS.items():
+            if table in reads:
+                found = sorted(b for a, b in equal if a == name and table not in READS[b])
+                assert bool(found) != (name in unpartnered), (table, name)
+                partners[table][name] = found
+        assert set(unpartnered) <= set(partners[table]), table
+    assert partners == {
+        "headed": {"jm": ["fork"], "spm": ["spm-fixpoint"], "csm": ["fork"],
+                   "csm-closed": [], "di": [], "ssm": []},
+        "models": {"classical": [], "sm": ["sm-formula"], "ad": [],
+                   "spm-fixpoint": ["spm"]},
+        "support": {"sm": ["sm-formula"], "ad": []},
+    }
 
 
 def test_semantics_without_headed_read_no_headed_table(monkeypatch):

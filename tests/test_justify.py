@@ -7,10 +7,9 @@ from dlplab.gen import GenConfig, gen_program
 from dlplab.ht import classical_models, classical_sat, stable_models
 from dlplab.justify import (ModelMismatchError, SupportGraph,
                             ad_supported_models, check_support_graph,
-                            explanations_of, justified_labellings,
+                            explanations_of, justified_masks,
                             justified_models, node_forget, support_graphs_of,
-                            supported_labellings, supported_models_graph,
-                            to_dot)
+                            supported_masks, supported_models_graph, to_dot)
 from dlplab.parser import parse_program
 
 
@@ -238,19 +237,48 @@ def test_negated_triples_program():
 
 def test_the_walk_is_not_served_for_another_headed_table(monkeypatch):
     p = parse_program("a | b. c :- a. a :- c.")
-    assert justified_labellings(p) and supported_labellings(p)
+    cp = ht.CompiledProgram(p)
+    assert justified_masks(cp) and supported_masks(cp)
     monkeypatch.setattr(ht.CompiledProgram, "headed_table", lambda self: 0)
-    assert justified_labellings(p) == [] and supported_labellings(p) == []
+    other = ht.CompiledProgram(p)
+    assert justified_masks(other) == [] and supported_masks(other) == []
+    assert justified_models(p) == [] and supported_models_graph(p) == []
+
+
+def test_the_walk_is_kept_on_its_compile(monkeypatch):
+    """jm and spm of one compile share one walk, also when walks of other
+    compiles come in between."""
+    walked = []
+    original = justify._candidates
+
+    def counted(cp, t):
+        walked.append(cp)
+        return original(cp, t)
+
+    monkeypatch.setattr(justify, "_candidates", counted)
+    ps = [parse_program("a | b. c :- a. a :- c."),
+          parse_program("a :- b. b :- a. a | c :- not d.")]
+    cps = [ht.CompiledProgram(p) for p in ps]
+    first = [supported_masks(cps[0]), justified_masks(cps[1])]
+    seen = set(map(id, walked))
+    assert seen == set(map(id, cps)), "both compiles walked"
+    count = len(walked)
+    second = [justified_masks(cps[0]), supported_masks(cps[1])]
+    assert len(walked) == count, "a walk was repeated"
+    for p, cp, spm, jm in zip(ps, cps, (first[0], second[1]), (second[0], first[1])):
+        fresh = ht.CompiledProgram(p)
+        assert (spm, jm) == (supported_masks(fresh), justified_masks(fresh)), p
+    assert first[0] != second[1]
 
 
 def test_callers_cannot_change_the_kept_walk():
-    p = parse_program("a | b. c :- a. a :- c.")
-    jm, spm = justified_labellings(p), supported_labellings(p)
-    want = (repr(jm), repr(spm))
+    cp = ht.CompiledProgram(parse_program("a | b. c :- a. a :- c."))
+    jm, spm = justified_masks(cp), supported_masks(cp)
+    want = (list(jm), list(spm))
     for found in (jm, spm):
-        found[0][1].clear()
         found.pop()
-    assert (repr(justified_labellings(p)), repr(supported_labellings(p))) == want
+        found.append((0, ()))
+    assert (justified_masks(cp), supported_masks(cp)) == want
 
 
 def test_mask_tests_agree_with_the_graphs():
@@ -261,8 +289,8 @@ def test_mask_tests_agree_with_the_graphs():
     for seed in range(200):
         p = gen_program(GenConfig(seed=seed) if seed % 2
                         else GenConfig(atoms=5, rules=7, seed=seed))
-        cp = ht.compiled(p)
-        for t in ht.model_order(cp.model_table()):
+        cp = ht.CompiledProgram(p)
+        for t in cp.models_in_order():
             atoms, candidates = ht.set_bits(t), justify._candidates(cp, t)
             graphs = support_graphs_of(p, cp.unmask(t))
             if candidates is None:

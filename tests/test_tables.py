@@ -1,13 +1,14 @@
 """The truth-table enumerators against the per-interpretation code they
-replaced, which is kept here as the reference: a 2^n scan with
-``sat_classical``, the submask loop for here-and-there minimality,
-formula-based body tests for AD, selections and labellings, ``reduct`` plus
-the submask loop for candidate stable models, and the fixpoint reading of
-supported models, and the breadth-first chain search for strongly
-supported models.  Model lists must agree exactly, and so must first
-witnesses, except chains: the greedy chain of maximal stages may differ
-from the first chain breadth-first search finds, so it must verify, be
-no longer, and contain the searched chain stage by stage."""
+replaced, which is kept here as the reference: a 2^n scan of the program
+read as a formula with the AST path ``classical_sat``, which shares no
+rule masks with the compile, the submask loop for here-and-there
+minimality, formula-based body tests for AD, selections and labellings,
+``reduct`` plus the submask loop for candidate stable models, and the
+fixpoint reading of supported models, and the breadth-first chain search
+for strongly supported models.  Model lists must agree exactly, and so
+must first witnesses, except chains: the greedy chain of maximal stages
+may differ from the first chain breadth-first search finds, so it must
+verify, be no longer, and contain the searched chain stage by stage."""
 
 from itertools import product
 
@@ -17,7 +18,7 @@ from dlplab import di, justify, ssm
 from dlplab.forks import pf_translate
 from dlplab.gen import GenConfig, gen_program
 from dlplab.ht import (CompiledProgram, classical_models, classical_sat,
-                       is_stable_model, sort_models, stable_models)
+                       is_stable_model, sort_models, stable_models, subsets)
 from dlplab.syntax import ExtendedRule, Program
 
 
@@ -102,10 +103,10 @@ class Ref:
     def __init__(self, p):
         self.p = p
         self.atoms = p.atoms()
-        cp = CompiledProgram(p, self.atoms)
-        self.cp = cp
-        self.classical = sort_models(cp.unmask(t) for t in range(cp.full + 1)
-                                     if cp.sat_classical(t))
+        self.cp = CompiledProgram(p, self.atoms)
+        formula = p.to_formula()
+        self.classical = sort_models(i for i in subsets(self.atoms)
+                                     if classical_sat(i, formula))
         self.bodies = [r.body_formula() for r in p.rules]
 
     def fires(self, k, i):
