@@ -6,23 +6,20 @@ coincidence and inclusion results between the semantics; among them
 ``sm-eq`` compares the stable models with the equilibrium models of the
 program read as a formula, which the fork engine computes without any
 table of the program engine.  The remaining checks cover the translations
-and the parser round trip.  The lattice checks read their edges from
-``compare.INCLUSION_EDGES`` and the semantics from
-``compare.model_tables``, so the checks on one program compute each
-semantics once; only the conditional relations are written out here.  The
-translation checks read the source's and the translation's semantics from
-the same memo.  The head-splitting check ``th1`` sweeps its whole context
-family in one call per engine (``ht.stable_masks_in_contexts``,
+and the parser round trip.  Every relation between semantics that a check
+asserts is a row of ``compare``, an edge of ``INCLUSION_EDGES`` or an
+equality on a class of programs of ``CLASS_CLAIMS``, and ``_lattice`` tests
+a check's rows on the semantics of ``compare.model_tables``, so the checks
+on one program compute each semantics once.  Minimal SSM = SM is claimed
+for negation-free programs only; ``ssm-min-strict``, the unconditional
+claim, fails on ``a :- not not a.`` and is kept to show it.  Strong
+entailment and the translations are written out here; the translation
+checks read the source's and the translation's semantics from the same
+memo.  The head-splitting check ``th1`` sweeps its whole context family in
+one call per engine (``ht.stable_masks_in_contexts``,
 ``forks.forked_masks_in_contexts``), each reading what the family memo
 compiled once for its alphabet, and compares the models of the two as
 masks; it builds no forked tree.
-
-One deliberate restriction: the minimality link between strongly supported
-and stable models is only asserted for negation-free programs.  The
-unconditional reading is refuted by the interplay of the other relations
-(a program can have a candidate stable model while having no stable model
-at all, and candidates are always strongly supported); the strict variant
-is kept in the registry for demonstration.
 """
 
 from __future__ import annotations
@@ -35,8 +32,8 @@ from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from . import forks as deno
-from . import di, ht, ssm
-from .compare import ModelTables, edges_of, model_tables
+from . import di, ht
+from .compare import CLASSES, ModelTables, claims_of, edges_of, model_tables
 from .gen import ATOM_POOL, GenConfig, gen_program
 from .parser import parse_program, render_program
 from .syntax import ExtendedRule, Program, rule
@@ -51,10 +48,10 @@ def _fmt(models: Iterable[frozenset[str]]) -> str:
 
 _LABELS = {"sm": "SM", "fork": "fork SM", "jm": "JM", "spm": "SPM",
            "spm-fixpoint": "fixpoint SPM", "ad": "AD", "csm": "CSM", "ssm": "SSM",
-           "sm-formula": "equilibrium models"}
+           "ssm-min": "minimal SSM", "sm-formula": "equilibrium models"}
 
 
-def _show(m: ModelTables, name: str, check: str = "") -> str:
+def _show(m: ModelTables, name: str, check: str) -> str:
     """A semantics and its models as failure messages name them."""
     if name == "classical":
         return "classical models"
@@ -63,9 +60,9 @@ def _show(m: ModelTables, name: str, check: str = "") -> str:
 
 
 def _lattice(p: Program, check: str) -> str | None:
-    """The first of the check's lattice edges that fails.  A failing
-    equality (an edge whose reverse is listed too) reads "a != b" in the
-    direction of its later edge."""
+    """The first of the check's edges that fails, else of its class claims
+    on a program of the class.  A failing equality (an edge whose reverse
+    is listed too) reads "a != b" in the direction of its later edge."""
     m = model_tables(p)
     edges = edges_of(check)
     for lhs, rhs in edges:
@@ -74,27 +71,10 @@ def _lattice(p: Program, check: str) -> str | None:
                 a, b = max((lhs, rhs), (rhs, lhs), key=edges.index)
                 return f"{_show(m, a, check)} != {_show(m, b, check)}"
             return f"{_show(m, lhs, check)} not within {_show(m, rhs, check)}"
+    for cls, a, b in claims_of(check):
+        if CLASSES[cls](p) and m.table(a) != m.table(b):
+            return f"{cls} program has {_show(m, a, check)} != {_show(m, b, check)}"
     return None
-
-
-def _equal_unless_disjunctive(p: Program, a: str, b: str) -> str | None:
-    m = model_tables(p)
-    if not p.is_disjunctive and m.table(a) != m.table(b):
-        return f"non-disjunctive program has {_show(m, a)} != {_show(m, b)}"
-    return None
-
-
-def _minimal_ssm(p: Program, prefix: str = "") -> str | None:
-    m = model_tables(p)
-    mins = ssm.minimal_masks(m.masks("ssm"))
-    if mins != m.masks("sm"):
-        return f"{prefix}minimal SSM {_fmt(m.decode(t)[0] for t in mins)} != {_show(m, 'sm')}"
-    return None
-
-
-def check_sm_subset_jm(p: Program) -> str | None:
-    """Stable models are justified; equal for non-disjunctive programs."""
-    return _lattice(p, "th3") or _equal_unless_disjunctive(p, "sm", "jm")
 
 
 def check_fork_replacement(p: Program) -> str | None:
@@ -105,22 +85,6 @@ def check_fork_replacement(p: Program) -> str | None:
         return (f"no strong entailment into the forked program; witness "
                 f"T={{{','.join(sorted(res.witness_t))}}}")
     return _lattice(p, "cor1")
-
-
-def check_ssm_vs_sm(p: Program) -> str | None:
-    """Stable models are strongly supported; for negation-free programs the
-    minimal strongly supported models are exactly the stable ones, and for
-    non-disjunctive programs the two semantics coincide."""
-    negation_free = all(not r.bneg and not r.bnegneg for r in p.rules)
-    return (_lattice(p, "ssm-sm")
-            or (negation_free and _minimal_ssm(p, "negation-free program has "))
-            or _equal_unless_disjunctive(p, "ssm", "sm"))
-
-
-def check_ssm_minimality_strict(p: Program) -> str | None:
-    """The unconditional minimality claim; refuted on programs whose
-    candidate stable models outrun their stable models."""
-    return _minimal_ssm(p)
 
 
 def check_t1(p: Program) -> str | None:
@@ -270,13 +234,13 @@ def check_roundtrip(p: Program) -> str | None:
 
 
 CHECKS: dict[str, tuple[CheckFn, str]] = {
-    "th3": (check_sm_subset_jm, "stable models are justified"),
+    "th3": (lambda p: _lattice(p, "th3"), "stable models are justified"),
     "th4": (lambda p: _lattice(p, "th4"), "justified models = fork stable models"),
     "th5": (lambda p: _lattice(p, "th5"), "candidate stable models = fork stable models"),
     "th7": (lambda p: _lattice(p, "th7"), "candidates are strongly supported"),
     "th8": (lambda p: _lattice(p, "th8"), "graph supported = fixpoint supported"),
     "cor1": (check_fork_replacement, "forking heads keeps every stable model"),
-    "ssm-sm": (check_ssm_vs_sm, "stable vs strongly supported relations"),
+    "ssm-sm": (lambda p: _lattice(p, "ssm-sm"), "stable vs strongly supported relations"),
     "ad": (lambda p: _lattice(p, "ad"), "SM within AD within SPM"),
     "sm-eq": (lambda p: _lattice(p, "sm-eq"),
               "stable models = equilibrium models of the program as a formula"),
@@ -284,7 +248,7 @@ CHECKS: dict[str, tuple[CheckFn, str]] = {
     "t2": (check_t2, "head disambiguation preserves CSM"),
     "th1": (check_pf_projection, "head splitting is invisible modulo alphabet"),
     "roundtrip": (check_roundtrip, "parser round trip"),
-    "ssm-min-strict": (check_ssm_minimality_strict,
+    "ssm-min-strict": (lambda p: _lattice(p, "ssm-min-strict"),
                        "unconditional minimal-SSM claim (known to fail)"),
 }
 

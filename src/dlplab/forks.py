@@ -497,9 +497,7 @@ def _program_over(p: Program, readings: Sequence[str],
     by default the program's, which must cover them."""
     own = p.atoms()
     pool = _pool_of(own if atoms is None else atoms)
-    outside = own.difference(pool)
-    if outside:
-        raise ValueError(f"alphabet is missing atoms {sorted(outside)}")
+    ht.covering_alphabet(own, pool)
     return (pool, *_compile_program(p, pool, readings))
 
 
@@ -858,10 +856,8 @@ class ContextRegisters:
 
     def __init__(self, contexts: Iterable[Program], atoms: Iterable[str]):
         contexts = list(contexts)
-        self.pool = pool = tuple(sorted(set(atoms)))
-        outside = frozenset().union(*(c.atoms() for c in contexts)).difference(pool)
-        if outside:
-            raise ValueError(f"alphabet is missing atoms {sorted(outside)}")
+        self.pool = pool = ht.covering_alphabet(
+            frozenset().union(*(c.atoms() for c in contexts)), atoms)
         self.ops: list[Op] = []
         self.regs: dict[Op, int] = {}
         self.roots = tuple(_compile_program(c, pool, ("formula",), self.ops, self.regs)[1][0]
@@ -899,9 +895,7 @@ def forked_masks_in_contexts(p: Program, contexts: ContextRegisters
     each conjunction is one more operation, and one sweep serves them all."""
     pool = contexts.pool
     ht._check_width(len(pool))
-    outside = p.atoms().difference(pool)
-    if outside:
-        raise ValueError(f"alphabet is missing atoms {sorted(outside)}")
+    ht.covering_alphabet(p.atoms(), pool)
     ops, regs = list(contexts.ops), dict(contexts.regs)
     _, (root,) = _compile_program(p, pool, ("forked",), ops, regs)
     roots = [root]

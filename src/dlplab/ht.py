@@ -69,15 +69,16 @@ class CapacityError(ValueError):
 Theory = Union[Formula, Program]
 
 
-def _sorted_alphabet(x: Theory, atoms: Iterable[str] | None) -> tuple[str, ...]:
-    own = alphabet(x)
+def covering_alphabet(needed: frozenset[str],
+                      atoms: Iterable[str] | None = None) -> tuple[str, ...]:
+    """The given atoms sorted (the needed ones by default), which must
+    include every needed atom."""
     if atoms is None:
-        out = tuple(sorted(own))
-    else:
-        out = tuple(sorted(set(atoms)))
-        missing = own - set(out)
-        if missing:
-            raise ValueError(f"alphabet is missing atoms {sorted(missing)}")
+        return tuple(sorted(needed))
+    out = tuple(sorted(set(atoms)))
+    missing = needed.difference(out)
+    if missing:
+        raise ValueError(f"alphabet is missing atoms {sorted(missing)}")
     return out
 
 
@@ -292,7 +293,7 @@ class CompiledProgram:
     __slots__ = ("atoms", "index", "full", "rules", "lists", "_built")
 
     def __init__(self, program: Program, atoms: Iterable[str] | None = None):
-        self.atoms = _sorted_alphabet(program, atoms)
+        self.atoms = covering_alphabet(program.atoms(), atoms)
         self.index = {a: i for i, a in enumerate(self.atoms)}
         self.full = (1 << len(self.atoms)) - 1
         index = self.index
@@ -533,7 +534,7 @@ def classical_models(x: Theory, atoms: Iterable[str] | None = None) -> list[froz
     if isinstance(x, Program):
         cp = CompiledProgram(x, atoms)
         return [cp.unmask(t) for t in classical_masks(cp)]
-    pool = _sorted_alphabet(x, atoms)
+    pool = covering_alphabet(alphabet(x), atoms)
     _check_width(len(pool))
     return sort_models(t for t in subsets(pool) if _csat(t, x))
 
@@ -558,7 +559,7 @@ def stable_models(x: Theory, atoms: Iterable[str] | None = None) -> list[frozens
     if isinstance(x, Program):
         cp = CompiledProgram(x, atoms)
         return [cp.unmask(t) for t in stable_masks(cp)]
-    pool = _sorted_alphabet(x, atoms)
+    pool = covering_alphabet(alphabet(x), atoms)
     _check_width(len(pool))
     out = []
     for t in subsets(pool):

@@ -22,8 +22,9 @@ import pytest
 from dlplab import checks, di, ht, justify, ssm, syntax
 from dlplab import forks as deno
 from dlplab.checks import CHECKS, DEFAULT_CHECKS, context_family, run_fuzz
-from dlplab.compare import (INCLUSION_EDGES, SEMANTICS, SEMANTICS_ORDER,
-                            ModelTables, compute_report, model_tables)
+from dlplab.compare import (CLASS_CLAIMS, CLASSES, INCLUSION_EDGES, SEMANTICS,
+                            SEMANTICS_ORDER, ModelTables, compute_report,
+                            model_tables)
 from dlplab.gen import GenConfig, gen_program
 from dlplab.parser import parse_program, render_program
 from dlplab.syntax import Program, fork_and, forked
@@ -424,6 +425,18 @@ ENUMERATORS = [(ht, "classical_masks", "classical_models"),
                (ssm, "strongly_supported_masks", "strongly_supported_models")]
 
 
+# Programs of the classes the class claims assume, which the seeded programs
+# seldom are: non-disjunctive ones, negation-free ones, and both.
+CLASS_PROGRAMS = [parse_program(text) for text in (
+    "a :- not b. b :- not a.",
+    "a. b :- a. c :- b, not d.",
+    "a :- not not a. b :- a.",
+    "a | b. c :- a. c :- b.",
+    "a | b :- c. c. a :- b. b :- a.",
+    "a :- b. b :- a. c. d :- c.",
+)]
+
+
 @pytest.mark.parametrize("module, name", [e[:2] for e in ENUMERATORS],
                          ids=[public for _, _, public in ENUMERATORS])
 def test_checks_match_the_reference_on_a_faulty_enumerator(monkeypatch, module, name):
@@ -433,10 +446,10 @@ def test_checks_match_the_reference_on_a_faulty_enumerator(monkeypatch, module, 
     original = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *a, **k: original(*a, **k)[1:])
     failed = 0
-    for seed in range(30):
-        p = gen_program(GenConfig(seed=seed))
+    programs = [gen_program(GenConfig(seed=seed)) for seed in range(30)]
+    for p in programs + CLASS_PROGRAMS:
         got, want = outcomes(p, names)
-        assert got == want, seed
+        assert got == want, render_program(p)
         failed += sum(got[c] is not None for c in names if c != "ssm-min-strict")
     assert failed
 
@@ -455,6 +468,7 @@ def test_tables_decode_to_the_enumerators_models():
             "csm-closed": di.csm_models(p, closed=True),
             "di": di.di_stable_models(p),
             "ssm": ssm.ssm_models(p),
+            "ssm-min": ssm.minimal_elements(ssm.ssm_models(p)),
             "spm-fixpoint": di.supported_models_fixpoint(p),
             "sm-formula": deno.fork_stable_models(p.to_formula(), p.atoms()),
         }
@@ -470,6 +484,27 @@ def test_lattice_names_known_semantics_and_checks():
     shown = [(lhs, rhs) for lhs, rhs, users in INCLUSION_EDGES if "models" in users]
     assert len(shown) == 21
     assert all(s in SEMANTICS_ORDER for edge in shown for s in edge)
+    for check, cls, lhs, rhs in CLASS_CLAIMS:
+        assert check in CHECKS and cls in CLASSES
+        assert lhs in SEMANTICS and rhs in SEMANTICS
+    met = dict.fromkeys(CLASSES, 0)
+    for seed in range(300):
+        p = gen_program(GenConfig(seed=seed))
+        assert CLASSES["non-disjunctive"](p) == p.is_normal, seed
+        negation_free = not any(r.bneg or r.bnegneg for r in p.rules)
+        assert CLASSES["negation-free"](p) == negation_free, seed
+        for cls, member in CLASSES.items():
+            met[cls] += member(p)
+    assert all(met.values()), met
+
+
+def test_the_smallest_refutation_of_unconditional_minimality():
+    """a :- not not a. has the stable models {} and {a}, and {} is its only
+    minimal strongly supported model; it is neither negation-free nor
+    disjunctive, so every default check passes on it."""
+    p = parse_program("a :- not not a.")
+    assert CHECKS["ssm-min-strict"][0](p) == "minimal SSM {{}} != SM {{}, {a}}"
+    assert {c: CHECKS[c][0](p) for c in DEFAULT_CHECKS} == dict.fromkeys(DEFAULT_CHECKS)
 
 
 # ---------------------------------------------------------------------------

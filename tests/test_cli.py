@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -46,6 +47,17 @@ def test_report_subset_of_semantics():
 def test_report_unknown_semantics():
     with pytest.raises(ValueError, match="unknown semantics"):
         compute_report(parse_program(P1_TEXT), ["nope"])
+
+
+def test_models_rejects_an_empty_selection(capsys, p1_file):
+    """An empty selection computes nothing, so it is bad input, as an
+    empty fuzz run is, not a report in which every relation holds."""
+    with pytest.raises(ValueError, match="no semantics selected"):
+        compute_report(parse_program(P1_TEXT), [])
+    for extra in ([], ["--json"], ["--strict"]):
+        assert main(["models", p1_file, "--semantics", ",", *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "no semantics selected" in err
 
 
 def test_report_json_roundtrip():
@@ -263,6 +275,14 @@ def test_cli_fuzz_exits_1_when_a_check_fails(capsys, monkeypatch):
 
 def test_cli_fuzz_rejects_unknown_check(capsys):
     assert main(["fuzz", "--iterations", "1", "--checks", "bogus"]) == 2
+
+
+def test_readme_lists_the_registered_checks():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"Available checks:\s*`([^`]*)`", readme).group(1)
+    default = re.search(r"the default set is `([^`]*)`", readme).group(1)
+    assert listed.split() == list(CHECKS)
+    assert tuple(default.split(",")) == DEFAULT_CHECKS
 
 
 def test_run_fuzz_reports_and_shrinks_seeded_failures():

@@ -104,6 +104,9 @@ UNPARTNERED = {
                "(th7 is an inclusion) and equal no other semantics; the chain "
                "of maximal stages is checked against breadth-first search in "
                "tests/test_tables.py",
+        "ssm-min": "minimal SSM equals SM only on negation-free programs, a "
+                   "class claim of ssm-sm and no edge; its unconditional "
+                   "equality is ssm-min-strict, which is known to fail",
     },
     "models": {
         "classical": "every semantics is included in the classical models, "
@@ -132,7 +135,7 @@ def test_every_headed_semantics_has_an_independent_partner():
         assert set(unpartnered) <= set(partners[table]), table
     assert partners == {
         "headed": {"jm": ["fork"], "spm": ["spm-fixpoint"], "csm": ["fork"],
-                   "csm-closed": [], "di": [], "ssm": []},
+                   "csm-closed": [], "di": [], "ssm": [], "ssm-min": []},
         "models": {"classical": [], "sm": ["sm-formula"], "ad": [],
                    "spm-fixpoint": ["spm"]},
         "support": {"sm": ["sm-formula"], "ad": []},
