@@ -110,6 +110,7 @@ def _read(path: str) -> str:
 
 
 def _atom_list(text: str | None) -> list[str] | None:
+    """The items of a comma list; None when the option is not given."""
     if text is None:
         return None
     return [a for a in (s.strip() for s in text.split(",")) if a]
@@ -123,10 +124,7 @@ def _load_program(path: str, extra_atoms: list[str] | None) -> tuple[Program, fr
 
 def cmd_models(args) -> int:
     p, pool = _load_program(args.file, _atom_list(args.alphabet))
-    selectors = None
-    if args.semantics:
-        selectors = [s.strip() for s in args.semantics.split(",") if s.strip()]
-    report = compute_report(p, selectors, pool)
+    report = compute_report(p, _atom_list(args.semantics), pool)
     if args.json:
         print(to_json(report.to_json_dict()))
     else:
@@ -215,9 +213,7 @@ def cmd_fuzz(args) -> int:
                     p_negneg=args.p_negneg, p_constraint=args.p_constraint,
                     p_dup_head=args.p_dup_head, seed=args.seed)
     cfg.validate()
-    checks = DEFAULT_CHECKS
-    if args.checks:
-        checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
+    checks = DEFAULT_CHECKS if args.checks is None else tuple(_atom_list(args.checks))
     try:
         report = run_fuzz(cfg, args.iterations, checks)
     except FuzzInterrupted as exc:

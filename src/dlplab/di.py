@@ -50,11 +50,6 @@ class HeadSelection:
         return "{" + ", ".join(parts) + "}"
 
 
-def _triggered(p: Program, i: frozenset[str]) -> list[int]:
-    cp = ht.CompiledProgram(p, i | p.atoms())
-    return cp.triggered(cp.mask(i))
-
-
 Slot = tuple[list[int], list["int | None"]]
 # A selection in index form: (rule index, chosen atom index or None) per
 # triggered rule, ascending by rule.
@@ -70,7 +65,7 @@ def _slots(cp: ht.CompiledProgram, t: int, closed: bool) -> list[Slot]:
     taken in the order of the sorted head sets.
     """
     heads, rank = cp.head_order()
-    trig = cp.triggered(t)
+    trig = cp.fired(t)
     if closed:
         groups: dict[int, list[int]] = {}
         for k in trig:
@@ -147,7 +142,8 @@ def reduct(p: Program, model: Iterable[str], sel: HeadSelection) -> Program:
     into a constraint (it cannot occur when the model satisfies the program).
     """
     i = frozenset(model)
-    trig = _triggered(p, i)
+    cp = ht.CompiledProgram(p, i | p.atoms())
+    trig = cp.fired(cp.mask(i))
     chosen = sel.mapping
     if set(chosen) != set(trig):
         raise SelectionError(
@@ -251,7 +247,7 @@ def immediate_consequences(p: Program, model: Iterable[str]) -> frozenset[str]:
             "the immediate-consequences step needs an extended normal program")
     i = frozenset(model)
     cp = ht.CompiledProgram(p, i | p.atoms())
-    return frozenset(p.rules[k].head[0] for k in cp.triggered(cp.mask(i))
+    return frozenset(p.rules[k].head[0] for k in cp.fired(cp.mask(i))
                      if p.rules[k].head)
 
 

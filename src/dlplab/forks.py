@@ -24,19 +24,22 @@ ints.  The atom columns (``_columns``) and the bit reader are shared
 with the program tables of :mod:`dlplab.ht`.  :func:`fork_stable_models_each`
 and :func:`strongly_entails` compile their forks once into a flat list of
 register operations and run it for each T, so no formula is hashed or
-dispatched on per T.  The compiler walks each node object once, so forks
-that share a subfork run its registers once per T for all of them;
-:func:`fork_stable_models` is the one-fork case.  A program needs no
-tree: :func:`forked_stable_models`, :func:`equilibrium_models` and
-:func:`entails_forked` emit the registers of ``syntax.forked(p)`` and of
-``p.to_formula()`` straight from its rules (``_compile_program``), the
+dispatched on per T.  The compiler (``_compile``) walks the trees on a
+stack of its own, so a fork of any depth compiles, and each node object
+once, so forks that share a subfork run its registers once per T for all
+of them; :func:`fork_stable_models` is the one-fork case.  A program
+needs no tree: :func:`forked_stable_models`, :func:`equilibrium_models`
+and :func:`entails_forked` emit the registers of ``syntax.forked(p)`` and
+of ``p.to_formula()`` straight from its rules (``_compile_program``), the
 operations and roots the tree compile would give, and run the same sweeps
-as the tree entries.  The head-splitting check conjoins a program's fork
-with each of many contexts: :class:`ContextRegisters` emits the contexts'
-formula registers once, and keeps what a sweep computes of them alone,
-and :func:`forked_masks_in_contexts` emits the program's registers after
-them and one fork conjunction per context, so each program runs only its
-own registers and the conjunctions.  The public :class:`Support` and
+as the tree entries.  Every compile emits through one emitter
+(``_Emitter``), which gives an operation already emitted its register
+again.  The head-splitting check conjoins a program's fork with each of
+many contexts: :class:`ContextRegisters` emits the contexts' formula
+registers once, and keeps what a sweep computes of them alone, and
+:func:`forked_masks_in_contexts` emits the program's registers after them
+and one fork conjunction per context, so each program runs only its own
+registers and the conjunctions.  The public :class:`Support` and
 :class:`View` keep their members as frozensets of here-masks;
 :meth:`Support.member_sets` gives them back as atom sets.
 
@@ -87,7 +90,7 @@ models and witnesses as a sweep over every T.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import ht
 from .ht import _columns, _full_bit, _universe, set_bits
@@ -372,110 +375,103 @@ _FORMULA_OPS = {And: _AND, Or: _OR, Implies: _IMP}
 _FORK_OPS = {ForkAnd: _FAND, ForkPair: _FPAIR}
 
 
-def _compile(forks: Sequence[Fork],
-             pool: Sequence[str]) -> tuple[list[Op], list[int], set[str]]:
-    """Flatten forks over a sorted pool into register operations.
+class _Emitter:
+    """Register operations over a sorted pool, each emitted once.
 
     Registers 0..n-1 hold the supports of the pool atoms and register n the
     empty support; operation k writes register n+1+k.  Operations are keyed
     by opcode and operand registers, so equal subformulas share a register
-    without a formula ever being hashed.  The walk is memoised by node
-    identity, once for nodes read as formulas (a support) and once for
-    nodes read as forks (a view), so a subfork that several forks share is
-    walked once.  Returns the operations, each fork's register, and the
-    atoms outside the pool (read as false).
+    without a formula ever being hashed.  With ``start``, an emitter over
+    the same pool, the operations follow copies of its own.
+    """
+
+    __slots__ = ("index", "empty", "ops", "regs")
+
+    def __init__(self, pool: Sequence[str], start: "_Emitter | None" = None):
+        self.index = {a: i for i, a in enumerate(pool)}
+        self.empty = len(pool)
+        self.ops: list[Op] = [] if start is None else list(start.ops)
+        self.regs: dict[Op, int] = {} if start is None else dict(start.regs)
+
+    def emit(self, op: int, a: int, b: int = 0) -> int:
+        key = (op, a, b)
+        reg = self.regs.get(key)
+        if reg is None:
+            self.ops.append(key)
+            reg = self.regs[key] = self.empty + len(self.ops)
+        return reg
+
+    def chain(self, op: int, parts: list[int]) -> int:
+        """The right-nested connective over nonempty parts."""
+        reg = parts[-1]
+        for left in parts[-2::-1]:
+            reg = self.emit(op, left, reg)
+        return reg
+
+
+_FORMULA, _VIEW = 0, 1  # the two readings of a node
+
+
+def _operands(node: Fork, reading: int) -> tuple[int, tuple]:
+    """The operation of an inner node in a reading, and its operands, each
+    with the reading its register takes."""
+    if reading == _FORMULA:
+        op = _FORMULA_OPS.get(type(node))
+        if op is not None:
+            return op, ((node.left, _FORMULA), (node.right, _FORMULA))
+    elif type(node) in _FORK_OPS:
+        return _FORK_OPS[type(node)], ((node.left, _VIEW), (node.right, _VIEW))
+    elif isinstance(node, Formula):
+        # a plain formula denotes the ideal of its support
+        return _LEAF, ((node, _FORMULA),)
+    elif isinstance(node, ForkImplies):
+        return _FIMP, ((node.left, _FORMULA), (node.right, _VIEW))
+    raise TypeError(f"cannot evaluate {type(node).__name__}")
+
+
+def _compile(forks: Sequence[Fork],
+             pool: Sequence[str]) -> tuple[list[Op], list[int], set[str]]:
+    """Flatten forks over a sorted pool into register operations
+    (:class:`_Emitter`).
+
+    One post-order walk on an explicit stack reads each node as a formula
+    (a support) or as a fork (a view), operands left to right, and emits
+    its operation after theirs, so a tree of any depth compiles.  Inner
+    nodes are memoised by identity in each reading, so a subfork that
+    several forks share is walked once.  Returns the operations, each
+    fork's register, and the atoms outside the pool (read as false).
     """
     forks = list(forks)  # holds every node, so no id is reused in the walk
-    index = {a: i for i, a in enumerate(pool)}
-    empty = len(pool)
-    ops: list[Op] = []
-    regs: dict[Op, int] = {}
-    formulas: dict[int, int] = {}
-    views: dict[int, int] = {}
+    em = _Emitter(pool)
+    memos: tuple[dict[int, int], dict[int, int]] = ({}, {})
     outside: set[str] = set()
-
-    def emit(op: int, a: int, b: int = 0) -> int:
-        key = (op, a, b)
-        reg = regs.get(key)
-        if reg is None:
-            ops.append(key)
-            reg = regs[key] = empty + len(ops)
-        return reg
-
-    # Leaves cost less to walk again than to look up, so only inner nodes
-    # are memoised.
-    def formula(phi: Formula) -> int:
-        if isinstance(phi, Atom):
-            reg = index.get(phi.name)
+    done: list[int] = []  # the registers of the operands walked so far
+    todo: list[tuple] = [(f, _VIEW, None) for f in reversed(forks)]
+    while todo:
+        node, reading, op = todo.pop()
+        if op is not None:  # the operands are done: emit the node
+            b = done.pop() if op != _LEAF else 0
+            reg = memos[reading][id(node)] = em.emit(op, done.pop(), b)
+        elif isinstance(node, Atom):
+            # leaves cost less to read again than to look up, so only inner
+            # nodes are memoised
+            reg = em.index.get(node.name)
             if reg is None:
-                outside.add(phi.name)
-                return empty
-            return reg
-        if isinstance(phi, Falsum):
-            return empty
-        key = id(phi)
-        reg = formulas.get(key)
-        if reg is None:
-            op = _FORMULA_OPS.get(type(phi))
-            if op is None:
-                raise TypeError(f"cannot evaluate {type(phi).__name__}")
-            if op == _AND and type(phi.right) is And:
-                return conjunction(phi, formula, formulas)
-            # emit, inlined: this and the view walk below are the hot paths
-            op = (op, formula(phi.left), formula(phi.right))
-            reg = regs.get(op)
+                outside.add(node.name)
+                reg = em.empty
+            if reading == _VIEW:
+                reg = em.emit(_LEAF, reg)
+        elif reading == _FORMULA and isinstance(node, Falsum):
+            reg = em.empty
+        else:
+            reg = memos[reading].get(id(node))
             if reg is None:
-                ops.append(op)
-                reg = regs[op] = empty + len(ops)
-            formulas[key] = reg
-        return reg
-
-    def view(f: Fork) -> int:
-        if isinstance(f, Atom):
-            reg = index.get(f.name)
-            return emit(_LEAF, formula(f) if reg is None else reg)
-        key = id(f)
-        reg = views.get(key)
-        if reg is None:
-            op = _FORK_OPS.get(type(f))
-            if op == _FAND and type(f.right) is ForkAnd:
-                return conjunction(f, view, views)
-            if op is not None:
-                op = (op, view(f.left), view(f.right))
-            elif isinstance(f, Formula):
-                # a plain formula denotes the ideal of its support
-                op = (_LEAF, formula(f), 0)
-            elif isinstance(f, ForkImplies):
-                op = (_FIMP, formula(f.left), view(f.right))
-            else:
-                raise TypeError(f"cannot evaluate {type(f).__name__}")
-            reg = regs.get(op)
-            if reg is None:
-                ops.append(op)
-                reg = regs[op] = empty + len(ops)
-            views[key] = reg
-        return reg
-
-    # A program is a conjunction nested to the right, one level per rule,
-    # and a body one level per atom, so a conjunction's right spine is
-    # walked in a loop; its nodes emit their operations on the way back,
-    # innermost first, as the recursive walk would.
-    def conjunction(node: Fork, walk: Callable[[Fork], int],
-                    memo: dict[int, int]) -> int:
-        kind = type(node)
-        op = _AND if kind is And else _FAND
-        spine = []
-        while type(node) is kind and id(node) not in memo:
-            spine.append((id(node), walk(node.left)))
-            node = node.right
-        reg = walk(node)
-        while spine:
-            key, left = spine.pop()
-            reg = memo[key] = emit(op, left, reg)
-        return reg
-
-    roots = [view(f) for f in forks]
-    return ops, roots, outside
+                op, operands = _operands(node, reading)
+                todo.append((node, reading, op))
+                todo.extend((child, r, None) for child, r in reversed(operands))
+                continue
+        done.append(reg)
+    return em.ops, done, outside
 
 
 def _compile_over(forks: Sequence[Fork],
@@ -508,14 +504,12 @@ def _pool_of(atoms: Iterable[str]) -> list[str]:
 
 
 def _compile_program(p: Program, pool: Sequence[str], readings: Sequence[str],
-                     ops: list[Op] | None = None, regs: dict[Op, int] | None = None
-                     ) -> tuple[list[Op], list[int]]:
+                     em: _Emitter | None = None) -> tuple[list[Op], list[int]]:
     """Flatten readings of a program over a sorted pool that covers it into
     register operations, straight from its rules: "formula" reads the
-    program as ``p.to_formula()``, "forked" as ``syntax.forked(p)``.
-    Operations already emitted over the pool, with their registers, may be
-    passed in; the program's are appended to them, and an operation among
-    them is not emitted again.
+    program as ``p.to_formula()``, "forked" as ``syntax.forked(p)``.  With
+    ``em``, an emitter over the pool, the program's operations are added
+    to those it holds, and an operation among them is not emitted again.
 
     Per rule the body comes first: its positive atoms, each ``not a`` as
     a -> falsum and each ``not not a`` as (a -> falsum) -> falsum, sorted
@@ -530,31 +524,9 @@ def _compile_program(p: Program, pool: Sequence[str], readings: Sequence[str],
     :func:`_compile` walking the trees, so the operations and roots are the
     ones it returns for the readings' trees, without a node being built.
     """
-    index = {a: i for i, a in enumerate(pool)}
-    empty = len(pool)
-    ops = [] if ops is None else ops
-    regs = {} if regs is None else regs
+    em = _Emitter(pool) if em is None else em
+    index, empty, emit, chain = em.index, em.empty, em.emit, em.chain
     rules = p.rules
-
-    def emit(op: int, a: int, b: int = 0) -> int:
-        key = (op, a, b)
-        reg = regs.get(key)
-        if reg is None:
-            ops.append(key)
-            reg = regs[key] = empty + len(ops)
-        return reg
-
-    def chain(op: int, parts: list[int]) -> int:
-        """The right-nested connective over nonempty parts."""
-        reg = parts[-1]
-        for left in parts[-2::-1]:
-            # emit, inlined: a program's connectives are mostly chained
-            key = (op, left, reg)
-            reg = regs.get(key)
-            if reg is None:
-                ops.append(key)
-                reg = regs[key] = empty + len(ops)
-        return reg
 
     def conj(parts: list[int]) -> int:
         # the empty conjunction is verum, falsum -> falsum
@@ -600,8 +572,7 @@ def _compile_program(p: Program, pool: Sequence[str], readings: Sequence[str],
         return emit(_LEAF, conj([formula(k, r) for k, r in enumerate(rules)]))
 
     readers = {"formula": as_formula, "forked": as_forked}
-    roots = [readers[name]() for name in readings]
-    return ops, roots
+    return em.ops, [readers[name]() for name in readings]
 
 
 def _run(ops: list[Op], regs: list, width: int) -> list:
@@ -845,22 +816,21 @@ def _stable_masks(n: int, ops: Sequence[Op], roots: list[int],
 class ContextRegisters:
     """Contexts read as formulas (``c.to_formula()``), compiled once over a
     sorted pool, straight from their rules; equal rules share their
-    operations.  It keeps the operations, the register of each operation,
-    each context's view register (the ideal of its formula's support), and
-    what a sweep computes of these registers alone, since it is the same
-    for every program swept with them: their tables in the pre-pass and
-    their registers at each T, each built on first use.
+    operations.  It keeps their emitter (``emitted``), each context's view
+    register (the ideal of its formula's support), and what a sweep
+    computes of these registers alone, since it is the same for every
+    program swept with them: their tables in the pre-pass and their
+    registers at each T, each built on first use.
     """
 
-    __slots__ = ("pool", "ops", "regs", "roots", "_prepass", "_at")
+    __slots__ = ("pool", "emitted", "roots", "_prepass", "_at")
 
     def __init__(self, contexts: Iterable[Program], atoms: Iterable[str]):
         contexts = list(contexts)
         self.pool = pool = ht.covering_alphabet(
             frozenset().union(*(c.atoms() for c in contexts)), atoms)
-        self.ops: list[Op] = []
-        self.regs: dict[Op, int] = {}
-        self.roots = tuple(_compile_program(c, pool, ("formula",), self.ops, self.regs)[1][0]
+        self.emitted = _Emitter(pool)
+        self.roots = tuple(_compile_program(c, pool, ("formula",), self.emitted)[1][0]
                            for c in contexts)
         self._prepass: tuple[list[int], list[list[int]]] | None = None
         self._at: dict[int, list] = {}
@@ -871,9 +841,10 @@ class ContextRegisters:
         if self._prepass is None:
             n = len(self.pool)
             ht._check_width(n)
-            nonempty = _nonempty_tables(self.ops, n)
+            ops = self.emitted.ops
+            nonempty = _nonempty_tables(ops, n)
             self._prepass = nonempty, [
-                _excluding(self.ops, _pass_start(n, d), nonempty, _universe(n))
+                _excluding(ops, _pass_start(n, d), nonempty, _universe(n))
                 for d in range(n)]
         return self._prepass
 
@@ -882,7 +853,7 @@ class ContextRegisters:
         regs = self._at.get(t)
         if regs is None:
             # the registers of a sweep over the table of this T alone
-            [(_, _, regs)] = _runs(self.ops, len(self.pool), 1 << t)
+            [(_, _, regs)] = _runs(self.emitted.ops, len(self.pool), 1 << t)
             self._at[t] = regs
         return list(regs)
 
@@ -896,17 +867,10 @@ def forked_masks_in_contexts(p: Program, contexts: ContextRegisters
     pool = contexts.pool
     ht._check_width(len(pool))
     ht.covering_alphabet(p.atoms(), pool)
-    ops, regs = list(contexts.ops), dict(contexts.regs)
-    _, (root,) = _compile_program(p, pool, ("forked",), ops, regs)
-    roots = [root]
-    for c in contexts.roots:
-        key = (_FAND, root, c)
-        reg = regs.get(key)
-        if reg is None:
-            ops.append(key)
-            reg = regs[key] = len(pool) + len(ops)
-        roots.append(reg)
-    return _stable_masks(len(pool), ops[len(contexts.ops):], roots, contexts)
+    em = _Emitter(pool, contexts.emitted)
+    ops, (root,) = _compile_program(p, pool, ("forked",), em)
+    roots = [root] + [em.emit(_FAND, root, c) for c in contexts.roots]
+    return _stable_masks(len(pool), ops[len(contexts.emitted.ops):], roots, contexts)
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,7 +18,10 @@ graph-supported, justified, candidate stable and strongly supported
 models) search only its members.  The AST path
 and the per-interpretation mask tests (:meth:`CompiledProgram.sat_classical`,
 :meth:`CompiledProgram.sat_ht`) are the reference the tables are tested
-against.
+against.  Whether a rule's body holds at one interpretation, or at a
+here-and-there pair, is decided in one place, :meth:`CompiledProgram.fired`,
+which every test at one interpretation, here and in :mod:`dlplab.di`,
+:mod:`dlplab.justify` and :mod:`dlplab.ssm`, reads.
 
 A compile builds each of its tables once, and the models of its classical
 and headed tables in the order of :func:`sort_models` once, so the
@@ -327,32 +330,21 @@ class CompiledProgram:
 
     # -- one interpretation --------------------------------------------------
 
-    def body_classical(self, ri: int, t: int) -> bool:
-        _, bpos, bneg, bnegneg = self.rules[ri]
-        return bpos & t == bpos and not bneg & t and bnegneg & t == bnegneg
-
-    def body_ht(self, ri: int, h: int, t: int) -> bool:
-        _, bpos, bneg, bnegneg = self.rules[ri]
-        return bpos & h == bpos and not bneg & t and bnegneg & t == bnegneg
-
-    def triggered(self, t: int) -> list[int]:
-        """Indices of the rules whose body holds in t."""
-        return [k for k, (_, bpos, bneg, bnegneg) in enumerate(self.rules)
-                if bpos & t == bpos and not bneg & t and bnegneg & t == bnegneg]
+    def fired(self, t: int, here: int | None = None) -> list[int]:
+        """Indices of the rules whose body holds in t, or with ``here`` at
+        the pair (here, t): their positive atoms in here (t by default),
+        their negated ones false in t and their doubly negated ones true in
+        t."""
+        h = t if here is None else here
+        return [ri for ri, (_, bpos, bneg, bnegneg) in enumerate(self.rules)
+                if bpos & h == bpos and not bneg & t and bnegneg & t == bnegneg]
 
     def sat_classical(self, t: int) -> bool:
-        for ri, (head, _, _, _) in enumerate(self.rules):
-            if self.body_classical(ri, t) and not head & t:
-                return False
-        return True
+        return all(self.rules[ri][0] & t for ri in self.fired(t))
 
     def sat_ht(self, h: int, t: int) -> bool:
-        for ri, (head, _, _, _) in enumerate(self.rules):
-            if self.body_classical(ri, t) and not head & t:
-                return False
-            if self.body_ht(ri, h, t) and not head & h:
-                return False
-        return True
+        return self.sat_classical(t) and all(self.rules[ri][0] & h
+                                             for ri in self.fired(t, h))
 
     @built_once
     def head_order(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -463,11 +455,8 @@ class CompiledProgram:
 
     def violation(self, ri: int, t: int, cols: list[int], everything: int) -> int:
         """The here-components of t, given by their columns and their
-        table, at which rule ri fails: none unless its body holds in t, else
-        those holding its positive body and none of its head."""
-        _, bpos, bneg, bnegneg = self.rules[ri]
-        if bpos & t != bpos or bneg & t or bnegneg & t != bnegneg:
-            return 0
+        table, at which rule ri, whose body holds in t (:meth:`fired`),
+        fails: those holding its positive body and none of its head."""
         head, pos, _, _ = self.lists[ri]
         out = everything
         for a in pos:
@@ -476,28 +465,11 @@ class CompiledProgram:
             out &= ~cols[a]
         return out
 
-    def violations(self, t: int, rules: Iterable[int]) -> int:
-        """The here-components of t, as a table of 2^|t| bits, at which one
-        of the given rules fails (:meth:`violation`)."""
-        trig = [ri for ri in rules if self.body_classical(ri, t)]
-        if not trig:
-            return 0
-        everything = _universe(t.bit_count())
-        cols = self.here_columns(t)
-        out = 0
-        for ri in trig:
-            out |= self.violation(ri, t, cols, everything)
-        return out
-
     def is_stable(self, t: int) -> bool:
-        """A classical model with no here-and-there model below it.
-
-        Only the rules whose body holds in t can fail at a pair (h, t); t is
-        stable iff their violations cover every h but t.
-        """
-        if not self.sat_classical(t):
-            return False
-        return self.violations(t, range(len(self.rules))) == below_top(t.bit_count())
+        """A classical model with no here-and-there model below it: the
+        violations of its rules cover every here-component but t."""
+        return self.sat_classical(t) and _Reached(self, t, len(self.rules),
+                                                  None).stable_with(())
 
 
 def below_top(width: int) -> int:
@@ -636,7 +608,8 @@ class _Reached:
     context reaching t shares: its mask as the sweep reports it, the
     here-columns of t, the table of every here-component but t, the
     violation table of the program's rules at t, and each context rule's
-    violation table at t, built on first use."""
+    violation table at t, built on first use; a rule whose body does not
+    hold in t fails nowhere."""
 
     __slots__ = ("cp", "t", "mask", "cols", "everything", "top", "below", "rules")
 
@@ -652,17 +625,20 @@ class _Reached:
         self.everything = _universe(width)
         self.top = below_top(width)
         below, cols, everything = 0, self.cols, self.everything
-        for ri in range(base):
-            below |= cp.violation(ri, t, cols, everything)
+        self.rules: dict[int, int | None] = {}  # firing context rule -> its table
+        for ri in cp.fired(t):
+            if ri < base:
+                below |= cp.violation(ri, t, cols, everything)
+            else:
+                self.rules[ri] = None
         self.below = below
-        self.rules: dict[int, int] = {}
 
     def stable_with(self, rules: Iterable[int]) -> bool:
         """Whether t is stable for the program with the given rules."""
         v = self.below
         tables = self.rules
         for ri in rules:
-            table = tables.get(ri)
+            table = tables.get(ri, 0)
             if table is None:
                 table = tables[ri] = self.cp.violation(ri, self.t, self.cols,
                                                        self.everything)

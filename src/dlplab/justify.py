@@ -132,6 +132,7 @@ def check_support_graph(g: SupportGraph, p: Program,
             return GraphVerdict("invalid", f"edge ({a},{b}) leaves the model")
         incoming[b].add(a)
     rule_at = {r.label: k for k, r in enumerate(p.rules)}
+    fired = cp.fired(t)
     for atom in sorted(i):
         k = rule_at.get(lab[atom])
         if k is None:
@@ -140,7 +141,7 @@ def check_support_graph(g: SupportGraph, p: Program,
         if atom not in r.head_set:
             return GraphVerdict("invalid",
                                 f"{atom} is not in the head of rule {lab[atom]}")
-        if not cp.body_classical(k, t):
+        if k not in fired:
             return GraphVerdict("invalid", f"body of rule {lab[atom]} does not hold")
         if incoming[atom] != set(r.bpos):
             return GraphVerdict(
@@ -157,7 +158,7 @@ def check_support_graph(g: SupportGraph, p: Program,
 def _candidates(cp: ht.CompiledProgram, t: int) -> list[list[int]] | None:
     """Per atom of the model t, ascending, the indices of the rules that
     fire in t and head it, in program order; None if an atom has none."""
-    fired = cp.triggered(t)
+    fired = cp.fired(t)
     out = []
     for a in ht.set_bits(t):
         cand = [k for k in fired if cp.rules[k][0] >> a & 1]

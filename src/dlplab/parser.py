@@ -20,7 +20,10 @@ Fork syntax::
     unit      ::= "-" unit | atom | "bot" | "(" fork ")"
 
 A split may not occur under "v" or to the left of "->"; violations are
-reported as parse errors with their source position.  In fork syntax the
+reported as parse errors with their source position.  So is nesting
+deeper than MAX_NESTING levels, each "(", "-" and "->" opening one:
+the parser descends one call per level.  Chains of "&", "v" and ";" are
+read in a loop, so they may be of any length.  In fork syntax the
 identifiers "v" and "bot" are operators, so they cannot name atoms there.
 Comments run from "%" to end of line in both formats; whitespace is free.
 """
@@ -35,6 +38,7 @@ from .syntax import (FALSUM, And, Atom, ExtendedRule, Falsum, Fork, ForkAnd,
                      fork_implies, neg)
 
 RESERVED_PREFIX = "__"
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,6 +116,7 @@ class _Cursor:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     @property
     def tok(self) -> Token:
@@ -136,6 +141,16 @@ class _Cursor:
 
     def peek(self, offset: int = 1) -> Token:
         return self.tokens[min(self.i + offset, len(self.tokens) - 1)]
+
+    def nested(self, parse):
+        """parse(self), one nesting level deeper."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting is too deep (more than {MAX_NESTING} "
+                             "levels)", self.tok.span)
+        self.depth += 1
+        out = parse(self)
+        self.depth -= 1
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +264,7 @@ def _parse_imp(cur: _Cursor) -> Fork:
     if cur.accept("->"):
         if not isinstance(left, Formula):
             raise ParseError("a split is not allowed in an implication antecedent", span)
-        return fork_implies(left, _parse_imp(cur))
+        return fork_implies(left, cur.nested(_parse_imp))
     return left
 
 
@@ -282,12 +297,12 @@ def _parse_unit(cur: _Cursor) -> Fork:
     tok = cur.tok
     if cur.accept("-"):
         span = tok.span
-        inner = _parse_unit(cur)
+        inner = cur.nested(_parse_unit)
         if not isinstance(inner, Formula):
             raise ParseError("a split is not allowed under negation", span)
         return neg(inner)
     if cur.accept("("):
-        f = _parse_split(cur)
+        f = cur.nested(_parse_split)
         cur.expect(")", "')'")
         return f
     if tok.kind == "ident":

@@ -70,7 +70,7 @@ def _stage_pool(cp: ht.CompiledProgram, prev: int | None, t: int) -> list[int]:
     if prev is None:
         return [k for k, (_, bp, bn, bnn) in enumerate(cp.rules)
                 if not (bp | bn | bnn)]
-    return [k for k in range(len(cp.rules)) if cp.body_ht(k, prev, t)]
+    return cp.fired(t, prev)
 
 
 def _heads(cp: ht.CompiledProgram, pool: list[int]) -> int:

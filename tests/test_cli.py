@@ -54,10 +54,11 @@ def test_models_rejects_an_empty_selection(capsys, p1_file):
     empty fuzz run is, not a report in which every relation holds."""
     with pytest.raises(ValueError, match="no semantics selected"):
         compute_report(parse_program(P1_TEXT), [])
-    for extra in ([], ["--json"], ["--strict"]):
-        assert main(["models", p1_file, "--semantics", ",", *extra]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "no semantics selected" in err
+    for selection in (",", ""):
+        for extra in ([], ["--json"], ["--strict"]):
+            assert main(["models", p1_file, "--semantics", selection, *extra]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "no semantics selected" in err
 
 
 def test_report_json_roundtrip():
@@ -143,6 +144,42 @@ def test_cli_entails(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["entails"] is False
     assert data["witness_t"] == ["a", "b"]
+
+
+@pytest.mark.parametrize("op", ["&", ";", "v"])
+def test_cli_entails_at_any_length_of_a_chain(tmp_path, capsys, op):
+    """The parser builds a chain of "&", ";" or "v" nested to the left, one
+    level per term, and the compile walks it without recursing: 1500 terms
+    over 5 atoms answer as their first 5 do."""
+    terms = [f"a{i % 5}" for i in range(1500)]
+    long, short = tmp_path / "long.fk", tmp_path / "short.fk"
+    long.write_text(f" {op} ".join(terms))
+    short.write_text(f" {op} ".join(terms[:5]))
+    for right in ("a0 & a1", "a0 ; a1", "a0 -> a1", "a0 v a1 v a2 v a3 v a4"):
+        other = tmp_path / "right.fk"
+        other.write_text(right)
+        for extra in ([], ["--json"]):
+            shown = []
+            for left in (long, short):
+                assert main(["entails", str(left), str(other), *extra]) == 0
+                shown.append(capsys.readouterr().out)
+            assert shown[0] == shown[1], (op, right)
+        assert main(["entails", str(other), str(long)]) == 0
+        back = capsys.readouterr().out
+        assert main(["entails", str(other), str(short)]) == 0
+        assert back == capsys.readouterr().out, (op, right)
+
+
+def test_cli_entails_rejects_too_deep_nesting(tmp_path, capsys):
+    fine = tmp_path / "fine.fk"
+    fine.write_text("a0")
+    for text in (" -> ".join(["a0"] * 1500), "- " * 1500 + "a0",
+                 "(" * 1500 + "a0" + ")" * 1500):
+        deep = tmp_path / "deep.fk"
+        deep.write_text(text)
+        assert main(["entails", str(deep), str(fine)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "parse error" in err and "too deep" in err
 
 
 def test_cli_entails_alphabet_widens_the_forks_atoms(tmp_path, capsys):
@@ -379,6 +416,7 @@ def test_fuzz_rejects_empty_runs(capsys):
             run_fuzz(GenConfig(), iterations, checks)
     assert main(["fuzz", "--iterations", "-3"]) == 2
     assert main(["fuzz", "--iterations", "2", "--checks", ","]) == 2
+    assert main(["fuzz", "--iterations", "2", "--checks", ""]) == 2
     assert capsys.readouterr().out == ""
 
 

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from dataclasses import replace
 from itertools import combinations
 
@@ -462,7 +464,7 @@ def test_project_models():
 
 def recursive_compile(forks, pool):
     """The compile walk as plain recursion on both operands: the reference
-    for the loop down the right spine."""
+    for the walk on an explicit stack."""
     from dlplab.forks import _FIMP, _FORK_OPS, _FORMULA_OPS, _LEAF
     index = {a: i for i, a in enumerate(pool)}
     empty = len(pool)
@@ -526,6 +528,32 @@ def test_compile_walks_a_long_program_without_recursing_per_rule():
     p = parse_program("a | b :- not c.\n" * 600 + "c :- not a.\n" * 600)
     assert fork_stable_models(forked(p)) == justified_models(p) \
         == [frozenset("a"), frozenset("c"), frozenset("ab")]
+
+
+@pytest.mark.parametrize("nest", ["left", "right"])
+def test_compile_walks_a_deep_tree_without_recursing(nest):
+    # 5000 levels of each connective, under a recursion limit far below
+    # that depth, answer as the first 5 levels do
+    from dlplab.forks import _compile
+    atoms = [Atom(f"a{i % 5}") for i in range(5001)]
+
+    def tree(kind, parts):
+        out = parts[0]
+        for a in parts[1:]:
+            out = kind(out, a) if nest == "left" else kind(a, out)
+        return out
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        for kind in (And, Or, ForkAnd, ForkPair):
+            deep, shallow = tree(kind, atoms), tree(kind, atoms[:5])
+            ops, roots, outside = _compile([deep], ["a0", "a1", "a2", "a3", "a4"])
+            assert len(roots) == 1 and not outside and len(ops) >= 5000
+            assert fork_stable_models(deep) == fork_stable_models(shallow)
+            assert strongly_equivalent(deep, shallow), kind
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ def test_headed_table_matches_its_definition():
         cp = ht.CompiledProgram(p)
         want = 0
         for t in range(cp.full + 1):
-            fired = cp.triggered(t)
+            fired = cp.fired(t)
             if cp.sat_classical(t) and all(
                     any(cp.rules[k][0] >> a & 1 for k in fired) for a in ht.set_bits(t)):
                 want |= 1 << t

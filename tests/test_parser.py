@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlplab.gen import GenConfig, gen_fork, gen_program
-from dlplab.parser import (ParseError, parse_fork, parse_formula,
+from dlplab.parser import (MAX_NESTING, ParseError, parse_fork, parse_formula,
                            parse_program, render, render_program, render_rule)
 from dlplab.syntax import (FALSUM, Atom, ForkPair, Implies, Or, Program, neg,
                            rule)
@@ -100,6 +100,24 @@ def test_parse_bot_and_derived_truth():
 def test_parse_formula_rejects_split():
     with pytest.raises(ParseError, match="split"):
         parse_formula("a ; b")
+
+
+@pytest.mark.parametrize("shape", ["implication", "negation", "parentheses"])
+def test_nesting_depth_is_a_parse_error(shape):
+    def text(depth):
+        if shape == "implication":
+            return " -> ".join(["a0"] * (depth + 1))
+        if shape == "negation":
+            return "- " * depth + "a0"
+        return "(" * depth + "a0" + ")" * depth
+    want = Atom("a0")
+    for _ in range(MAX_NESTING if shape != "parentheses" else 0):
+        want = Implies(Atom("a0"), want) if shape == "implication" else neg(want)
+    for parse in (parse_fork, parse_formula):
+        assert parse(text(MAX_NESTING)) == want
+        for depth in (MAX_NESTING + 1, 1500):
+            with pytest.raises(ParseError, match="nesting is too deep"):
+                parse(text(depth))
 
 
 def test_operator_precedence():

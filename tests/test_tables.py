@@ -58,7 +58,7 @@ def ref_chain(cp, tmask):
         if prev is None:
             return [k for k, (_, bp, bn, bnn) in enumerate(cp.rules)
                     if not (bp | bn | bnn)]
-        return [k for k in range(len(cp.rules)) if cp.body_ht(k, prev, tmask)]
+        return cp.fired(tmask, prev)
 
     def allowed(rules):
         out = 0
