@@ -118,6 +118,7 @@ def check_t2(p: Program) -> str | None:
 # ---------------------------------------------------------------------------
 
 CONTEXT_SEED = 20250809
+RANDOM_CONTEXTS = 50  # the seeded random contexts of every family
 
 
 def _remap(p: Program, pool: Sequence[str]) -> Program:
@@ -136,7 +137,7 @@ class _Family:
     """A context family with what th1 reads of it for every program over its
     alphabet: the contexts' rules for the HT sweep and their fork registers
     for the fork sweep, each compiled once."""
-    key: tuple[tuple[str, ...], int]
+    key: tuple[str, ...]  # the alphabet
     contexts: tuple[Program, ...]
     rules: ht.ContextRules
     forks: deno.ContextRegisters
@@ -146,25 +147,25 @@ class _Family:
 _family: _Family | None = None
 
 
-def context_family(atoms: Iterable[str], extra: int = 50) -> tuple[Program, ...]:
+def context_family(atoms: Iterable[str]) -> tuple[Program, ...]:
     """Contexts over the given atoms: the empty program, every program of
     at most two rules built from facts and constraints, and a fixed set of
     seeded random programs of at most two rules.  Only the family of the
     latest alphabet is kept, like the one-program memo of compare."""
-    return _family_of(atoms, extra).contexts
+    return _family_of(atoms).contexts
 
 
-def _family_of(atoms: Iterable[str], extra: int = 50) -> _Family:
+def _family_of(atoms: Iterable[str]) -> _Family:
     global _family
-    key = (tuple(sorted(set(atoms))), extra)
+    key = tuple(sorted(set(atoms)))
     if _family is None or _family.key != key:
-        contexts = _make_family(*key)
+        contexts = _make_family(key)
         _family = _Family(key, contexts, ht.ContextRules(contexts),
-                          deno.ContextRegisters(contexts, key[0]))
+                          deno.ContextRegisters(contexts, key))
     return _family
 
 
-def _make_family(pool: tuple[str, ...], extra: int) -> tuple[Program, ...]:
+def _make_family(pool: tuple[str, ...]) -> tuple[Program, ...]:
     out = [Program(())]
     if not pool:
         return tuple(out)
@@ -174,17 +175,17 @@ def _make_family(pool: tuple[str, ...], extra: int) -> tuple[Program, ...]:
         shapes.append(rule(pos=(a,)))
     out += [Program((r,)) for r in shapes]
     out += [Program((r1, r2)) for r1, r2 in combinations(shapes, 2)]
-    out += [_remap(c, pool) for c in _random_contexts(min(len(pool), 6), extra)]
+    out += [_remap(c, pool) for c in _random_contexts(min(len(pool), 6))]
     return tuple(out)
 
 
 @cache
-def _random_contexts(width: int, extra: int) -> tuple[Program, ...]:
+def _random_contexts(width: int) -> tuple[Program, ...]:
     """The seeded random contexts of a family, over the first ``width``
     atoms of ATOM_POOL; a family remaps them onto its alphabet."""
     rng = random.Random(CONTEXT_SEED)
     out = []
-    for _ in range(extra):
+    for _ in range(RANDOM_CONTEXTS):
         cfg = GenConfig(atoms=width, rules=rng.randint(1, 2), max_head=2,
                         seed=rng.getrandbits(32))
         out.append(gen_program(cfg))
@@ -216,8 +217,7 @@ def check_pf_projection(p: Program) -> str | None:
     for k, (sm, fork_sm) in enumerate(zip(lhs, rhs)):
         if set(sm) != set(fork_sm):
             pool = family.forks.pool
-            sm, fork_sm = ([frozenset(pool[i] for i in ht.set_bits(m)) for m in ms]
-                           for ms in (sm, fork_sm))
+            sm, fork_sm = deno._decoded(pool, sm), deno._decoded(pool, fork_sm)
             if k == 0:
                 return f"projected SM {_fmt(sm)} != fork SM {_fmt(fork_sm)}"
             return (f"context {render_program(family.contexts[k - 1])!r}: projected SM "

@@ -1,7 +1,8 @@
 """Side-by-side computation of all semantics for one program, with the
 expected inclusion lattice checked edge by edge and witnesses collected
 where a semantics provides them.  ``model_tables`` compiles the most recent
-program once and computes each semantics of it once, for all checks alike.
+program once and computes each semantics of it once, for all checks and
+the public enumerators alike.
 """
 
 from __future__ import annotations
@@ -183,7 +184,8 @@ _last: tuple[ModelTables, tuple[str, ...] | None] | None = None
 def model_tables(p: Program, atoms: Iterable[str] | None = None) -> ModelTables:
     """The tables of p over the sorted alphabet, p's own atoms by default:
     only the latest program's, matched by identity and alphabet, given or
-    not.  Code that patches an enumerator or a compile passes a new p."""
+    not.  The public enumerators of a program read it too, so code that
+    patches a mask core, an enumerator or a compile passes a new p."""
     global _last
     pool = None if atoms is None else tuple(sorted(set(atoms)))
     if _last is None or _last[0].program is not p or pool not in (_last[1], _last[0].atoms):

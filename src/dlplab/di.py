@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator
 
-from . import ht
+from . import compare, ht
 from .syntax import ExtendedRule, Program, rule
 
 T1_PREFIX = "__t1_"
@@ -81,8 +81,8 @@ def _choices(slots: list[Slot], combo: Iterable["int | None"]) -> Choices:
     return tuple(sorted((k, a) for (ks, _), a in zip(slots, combo) for k in ks))
 
 
-def _selection(cp: ht.CompiledProgram, choices: Choices, closed: bool) -> HeadSelection:
-    return HeadSelection(tuple((k, None if a is None else cp.atoms[a])
+def _selection(atoms: tuple[str, ...], choices: Choices, closed: bool) -> HeadSelection:
+    return HeadSelection(tuple((k, None if a is None else atoms[a])
                                for k, a in choices), closed=closed)
 
 
@@ -98,7 +98,7 @@ def selections(p: Program, model: Iterable[str],
     cp = ht.CompiledProgram(p, i | p.atoms())
     slots = _slots(cp, cp.mask(i), closed)
     for combo in product(*(choices for _, choices in slots)):
-        yield _selection(cp, _choices(slots, combo), closed)
+        yield _selection(cp.atoms, _choices(slots, combo), closed)
 
 
 def _first_cover(options: list[list[int]], target: int) -> list[int] | None:
@@ -215,25 +215,23 @@ def candidate_stable_models(p: Program, atoms: Iterable[str] | None = None,
                             closed: bool = False
                             ) -> list[tuple[frozenset[str], HeadSelection]]:
     """Classical models stable under the reduct of some selection, paired
-    with the first witnessing selection found (:func:`candidate_masks`)."""
-    cp = ht.CompiledProgram(p, atoms)
-    return [(cp.unmask(t), _selection(cp, choices, closed))
-            for t, choices in candidate_masks(cp, closed)]
+    with the first witnessing selection found: row ``csm`` or ``csm-closed`` of the memo."""
+    m = compare.model_tables(p, atoms)
+    name = "csm-closed" if closed else "csm"
+    return [(m.decode(t)[0], _selection(m.atoms, m.witnesses[name][t], closed))
+            for t in m.masks(name)]
 
 
 def csm_models(p: Program, atoms: Iterable[str] | None = None,
                closed: bool = False) -> list[frozenset[str]]:
-    cp = ht.CompiledProgram(p, atoms)
-    return [cp.unmask(t) for t, _ in candidate_masks(cp, closed)]
+    """The models of :func:`candidate_stable_models`."""
+    return compare.model_tables(p, atoms).models("csm-closed" if closed else "csm")
 
 
 def di_stable_models(p: Program,
                      atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
-    """Subset-minimal closed candidate stable models."""
-    from .ssm import minimal_masks
-    cp = ht.CompiledProgram(p, atoms)
-    return [cp.unmask(t) for t in
-            minimal_masks([t for t, _ in candidate_masks(cp, closed=True)])]
+    """Subset-minimal closed candidate stable models: row ``di`` of the memo."""
+    return compare.model_tables(p, atoms).models("di")
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +267,9 @@ def supported_fixpoint_masks(cp: ht.CompiledProgram) -> list[int]:
 
 def supported_models_fixpoint(p: Program,
                               atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
-    """Models fixed by the immediate consequences of some selection reduct."""
-    cp = ht.CompiledProgram(p, atoms)
-    return [cp.unmask(t) for t in supported_fixpoint_masks(cp)]
+    """Models fixed by the immediate consequences of some selection reduct:
+    row ``spm-fixpoint`` of the memo."""
+    return compare.model_tables(p, atoms).models("spm-fixpoint")
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ dispatched on per T.  The compiler (``_compile``) walks the trees on a
 stack of its own, so a fork of any depth compiles, and each node object
 once, so forks that share a subfork run its registers once per T for all
 of them; :func:`fork_stable_models` is the one-fork case.  A program
-needs no tree: :func:`forked_stable_models`, :func:`equilibrium_models`
+needs no tree: :func:`forked_stable_masks`, :func:`equilibrium_masks`
 and :func:`entails_forked` emit the registers of ``syntax.forked(p)`` and
 of ``p.to_formula()`` straight from its rules (``_compile_program``), the
 operations and roots the tree compile would give, and run the same sweeps
@@ -92,7 +92,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from . import ht
+from . import compare, ht
 from .ht import _columns, _full_bit, _universe, set_bits
 from .syntax import (And, Atom, ExtendedRule, Falsum, Fork, ForkAnd,
                      ForkImplies, ForkPair, Formula, Implies, Or, Program,
@@ -320,10 +320,6 @@ class View:
             raise BaseMismatchError(
                 f"view bases differ: {other.base} vs {self.base}")
         return all(any(g <= og for g in self.gens) for og in other.gens)
-
-    def min_supports(self) -> list[Support]:
-        out = [Support(self.base, g) for g in self.gens]
-        return sorted(out, key=lambda s: (len(s.members), sorted(s.members)))
 
     def supports(self) -> list[Support]:
         """Every member support, explicitly.  Guarded at small bases."""
@@ -752,7 +748,8 @@ def fork_stable_models_each(forks: Sequence[Fork], atoms: Iterable[str] | None =
     default the atoms of all the forks.  The forks are compiled together
     and run in one sweep over T, so the registers of a subfork they share
     run once per T for all of them."""
-    return _stable_sweep(*_compile_over(forks, atoms))
+    pool, ops, roots = _compile_over(forks, atoms)
+    return [_decoded(pool, masks) for masks in _stable_masks(len(pool), ops, roots)]
 
 
 def forked_stable_masks(p: Program, atoms: Iterable[str] | None = None) -> list[int]:
@@ -780,22 +777,14 @@ def _decoded(pool: Sequence[str], masks: list[int]) -> list[frozenset[str]]:
 
 def forked_stable_models(p: Program, atoms: Iterable[str] | None = None
                          ) -> list[frozenset[str]]:
-    """The models of :func:`forked_stable_masks` as atom sets."""
-    masks = forked_stable_masks(p, atoms)
-    return _decoded(_pool_of(p.atoms() if atoms is None else atoms), masks)
+    """The models of :func:`forked_stable_masks`: row ``fork`` of the memo."""
+    return compare.model_tables(p, atoms).models("fork")
 
 
 def equilibrium_models(p: Program, atoms: Iterable[str] | None = None
                        ) -> list[frozenset[str]]:
-    """The models of :func:`equilibrium_masks` as atom sets."""
-    masks = equilibrium_masks(p, atoms)
-    return _decoded(_pool_of(p.atoms() if atoms is None else atoms), masks)
-
-
-def _stable_sweep(pool: list[str], ops: list[Op], roots: list[int]
-                  ) -> list[list[frozenset[str]]]:
-    """The fork stable models of each root, as atom sets."""
-    return [_decoded(pool, masks) for masks in _stable_masks(len(pool), ops, roots)]
+    """The models of :func:`equilibrium_masks`: row ``sm-formula`` of the memo."""
+    return compare.model_tables(p, atoms).models("sm-formula")
 
 
 def _stable_masks(n: int, ops: Sequence[Op], roots: list[int],

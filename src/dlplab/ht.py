@@ -27,9 +27,9 @@ A compile builds each of its tables once, and the models of its classical
 and headed tables in the order of :func:`sort_models` once, so the
 enumerators handed one compile share them.  The comparison memo of
 :mod:`dlplab.compare` keeps one compile per program and hands it to every
-mask core; a public enumerator compiles its program once per call.  Code
-that patches a :class:`CompiledProgram` method after a program was compiled
-must pass a new program object, or it gets the tables already built.
+mask core.  Code that patches a :class:`CompiledProgram` method, a mask
+core or an enumerator after a program was computed must pass a new
+program object, or it gets the tables and models already built.
 
 :func:`stable_masks_in_contexts` sweeps a program under many contexts (the
 head-splitting check adds each of its context family to one translated
@@ -49,8 +49,8 @@ here, and ``*_masks`` in :mod:`dlplab.di`, :mod:`dlplab.justify`,
 :mod:`dlplab.ssm` and :mod:`dlplab.forks`): the models as masks over the
 sorted alphabet, in the order of :func:`sort_models`.  The cores over the
 tables of this module take a compile; the fork engine's take the program
-and its alphabet, since they read no table of this module.  The comparison
-memo reads the cores, and the public enumerators decode them.
+and its alphabet, since they read no table of this module.  Only the
+comparison memo calls the cores; the enumerators of a program read its rows.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from functools import lru_cache, wraps
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
+from . import compare
 from .syntax import (And, Atom, ExtendedRule, Falsum, Formula, Implies, Or,
                      Program, alphabet, rule_to_formula)
 
@@ -502,10 +503,9 @@ def classical_masks(cp: CompiledProgram) -> list[int]:
 
 
 def classical_models(x: Theory, atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
-    """All classical models over the alphabet, sorted."""
+    """All classical models over the alphabet, sorted (a program's: row ``classical``)."""
     if isinstance(x, Program):
-        cp = CompiledProgram(x, atoms)
-        return [cp.unmask(t) for t in classical_masks(cp)]
+        return compare.model_tables(x, atoms).models("classical")
     pool = covering_alphabet(alphabet(x), atoms)
     _check_width(len(pool))
     return sort_models(t for t in subsets(pool) if _csat(t, x))
@@ -525,12 +525,11 @@ def is_stable_model(x: Theory, t: Iterable[str]) -> bool:
 def stable_models(x: Theory, atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
     """All stable (equilibrium) models over the alphabet, sorted.
 
-    A program is the one-context case of :func:`stable_masks_in_contexts`:
-    the same sweep, with the empty context.
+    A program's are row ``sm`` of :func:`compare.model_tables`, the one-context
+    case of :func:`stable_masks_in_contexts`.
     """
     if isinstance(x, Program):
-        cp = CompiledProgram(x, atoms)
-        return [cp.unmask(t) for t in stable_masks(cp)]
+        return compare.model_tables(x, atoms).models("sm")
     pool = covering_alphabet(alphabet(x), atoms)
     _check_width(len(pool))
     out = []

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from . import ht
+from . import compare, ht
 from .syntax import ExtendedRule, Program
 
 
@@ -73,9 +73,6 @@ class SupportGraph:
     @property
     def labelling(self) -> dict[str, str]:
         return dict(self.labels)
-
-    def label_of(self, atom: str) -> str:
-        return self.labelling[atom]
 
     def is_acyclic(self) -> bool:
         """Whether peeling the vertices without incoming edges, in a loop,
@@ -358,16 +355,14 @@ def justified_masks(cp: ht.CompiledProgram) -> list[tuple[int, tuple[int, ...]]]
 
 def supported_models_graph(p: Program,
                            atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
-    """Classical models admitting some support graph."""
-    cp = ht.CompiledProgram(p, atoms)
-    return [cp.unmask(t) for t, _ in supported_masks(cp)]
+    """Classical models admitting some support graph: row ``spm`` of the memo."""
+    return compare.model_tables(p, atoms).models("spm")
 
 
 def justified_models(p: Program,
                      atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
-    """Classical models admitting some acyclic support graph."""
-    cp = ht.CompiledProgram(p, atoms)
-    return [cp.unmask(t) for t, _ in justified_masks(cp)]
+    """Classical models admitting some acyclic support graph: row ``jm`` of the memo."""
+    return compare.model_tables(p, atoms).models("jm")
 
 
 def ad_supported_masks(cp: ht.CompiledProgram) -> list[int]:
@@ -379,9 +374,8 @@ def ad_supported_masks(cp: ht.CompiledProgram) -> list[int]:
 def ad_supported_models(p: Program,
                         atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
     """Completion-style supported models: every atom of the model needs a
-    firing rule whose other head atoms are all false."""
-    cp = ht.CompiledProgram(p, atoms)
-    return [cp.unmask(t) for t in ad_supported_masks(cp)]
+    firing rule whose other head atoms are all false: row ``ad`` of the memo."""
+    return compare.model_tables(p, atoms).models("ad")
 
 
 # ---------------------------------------------------------------------------

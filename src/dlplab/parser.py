@@ -160,26 +160,26 @@ class _Cursor:
 _PROGRAM_OPS = {":-", ".", ",", "|", ":"}
 
 
-def _check_atom(tok: Token, allow_reserved: bool) -> str:
+def _check_atom(tok: Token) -> str:
     if tok.text == "not":
         raise ParseError("'not' is a keyword and cannot name an atom", tok.span)
-    if tok.text.startswith(RESERVED_PREFIX) and not allow_reserved:
+    if tok.text.startswith(RESERVED_PREFIX):
         raise ParseError(f"atom names starting with {RESERVED_PREFIX!r} are reserved",
                          tok.span)
     return tok.text
 
 
-def parse_program(text: str, allow_reserved: bool = False) -> Program:
+def parse_program(text: str) -> Program:
     """Parse a program; raises ParseError with line:column on bad input."""
     cur = _Cursor(_tokenize(text, _PROGRAM_OPS))
     rules: list[ExtendedRule] = []
     label_spans: dict[str, SourceSpan] = {}
     while cur.tok.kind != "eof":
-        rules.append(_parse_statement(cur, label_spans, allow_reserved))
+        rules.append(_parse_statement(cur, label_spans))
     return Program(tuple(rules))
 
 
-def _parse_statement(cur: _Cursor, label_spans, allow_reserved) -> ExtendedRule:
+def _parse_statement(cur: _Cursor, label_spans) -> ExtendedRule:
     label = None
     if cur.tok.kind == "ident" and cur.peek().kind == ":":
         tok = cur.advance()
@@ -193,9 +193,9 @@ def _parse_statement(cur: _Cursor, label_spans, allow_reserved) -> ExtendedRule:
 
     head: list[str] = []
     if cur.tok.kind == "ident":
-        head.append(_check_atom(cur.advance(), allow_reserved))
+        head.append(_check_atom(cur.advance()))
         while cur.accept("|"):
-            head.append(_check_atom(cur.expect("ident", "an atom"), allow_reserved))
+            head.append(_check_atom(cur.expect("ident", "an atom")))
     elif cur.tok.kind != ":-":
         raise ParseError(f"expected a rule, found {cur.tok.text or 'end of input'!r}",
                          cur.tok.span)
@@ -209,12 +209,11 @@ def _parse_statement(cur: _Cursor, label_spans, allow_reserved) -> ExtendedRule:
             if tok.text == "not":
                 second = cur.expect("ident", "an atom after 'not'")
                 if second.text == "not":
-                    negneg.add(_check_atom(cur.expect("ident", "an atom after 'not not'"),
-                                           allow_reserved))
+                    negneg.add(_check_atom(cur.expect("ident", "an atom after 'not not'")))
                 else:
-                    negated.add(_check_atom(second, allow_reserved))
+                    negated.add(_check_atom(second))
             else:
-                pos.add(_check_atom(tok, allow_reserved))
+                pos.add(_check_atom(tok))
             if not cur.accept(","):
                 break
     cur.expect(".", "'.'")
@@ -311,10 +310,7 @@ def _parse_unit(cur: _Cursor) -> Fork:
             return FALSUM
         if tok.text == "not":
             raise ParseError("'not' is not fork syntax; use '-' for negation", tok.span)
-        if tok.text.startswith(RESERVED_PREFIX):
-            raise ParseError(f"atom names starting with {RESERVED_PREFIX!r} are reserved",
-                             tok.span)
-        return Atom(tok.text)
+        return Atom(_check_atom(tok))
     raise ParseError(f"expected an atom, 'bot', '-' or '(', found "
                      f"{tok.text or 'end of input'!r}", tok.span)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from . import ht
+from . import compare, ht
 from .syntax import Program
 
 
@@ -145,18 +145,20 @@ def strongly_supported_masks(cp: ht.CompiledProgram
 
 def strongly_supported_models(p: Program, atoms: Iterable[str] | None = None
                               ) -> list[tuple[frozenset[str], SsmChain]]:
-    """Classical models reachable by a valid chain, each with one witness."""
-    cp = ht.CompiledProgram(p, atoms)
+    """Classical models reachable by a valid chain, each with one witness:
+    row ``ssm`` of :func:`compare.model_tables`."""
+    m = compare.model_tables(p, atoms)
     out = []
-    for t, stages in strongly_supported_masks(cp):
-        target = cp.unmask(t)
-        out.append((target, SsmChain(tuple(cp.unmask(s) for s in stages), target)))
+    for t in m.masks("ssm"):
+        target = m.decode(t)[0]
+        stages = tuple(m.decode(s)[0] for s in m.witnesses["ssm"][t])
+        out.append((target, SsmChain(stages, target)))
     return out
 
 
 def ssm_models(p: Program, atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
-    cp = ht.CompiledProgram(p, atoms)
-    return [cp.unmask(t) for t, _ in strongly_supported_masks(cp)]
+    """The models of :func:`strongly_supported_models`."""
+    return compare.model_tables(p, atoms).models("ssm")
 
 
 def minimal_elements(models: Iterable[frozenset[str]]) -> list[frozenset[str]]:

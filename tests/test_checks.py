@@ -2,12 +2,13 @@
 
 The checks of ``dlplab.checks`` read each semantics of a program from the
 memo of ``dlplab.compare``.  The bodies below are the checks as they were
-before it, each computing its own semantics; they are the reference, and
-every check must give the same message, or raise the same exception, on
-seeded programs.  The fork model sets are read through
-``forks.forked_stable_models``, the enumerator the ``fork`` semantics
-calls, so that a test double put there shows on both sides; that it
-agrees with the forked tree is tested in ``tests/test_forks.py``.
+before it, each asking the public enumerators for its semantics; they are
+the reference, and every check must give the same message, or raise the
+same exception, on seeded programs.  The public enumerators read their
+rows from the same memo, so a test double put on a mask core shows on
+both sides, and the memo's rows themselves are compared with the tree
+path of the fork engine and with the AST references of
+``tests/test_tables.py`` (``test_tables_decode_to_the_enumerators_models``).
 The remaining tests keep the one-program memo from leaking between
 programs, alphabets and the program values themselves.
 """
@@ -28,6 +29,8 @@ from dlplab.compare import (CLASS_CLAIMS, CLASSES, INCLUSION_EDGES, SEMANTICS,
 from dlplab.gen import GenConfig, gen_program
 from dlplab.parser import parse_program, render_program
 from dlplab.syntax import Program, fork_and, forked
+
+from test_tables import Ref
 
 
 def _fmt(models):
@@ -412,8 +415,8 @@ def test_the_forked_program_is_built_once_per_program(monkeypatch):
 
 
 # The mask core of each enumerator, which compare.SEMANTICS calls and the
-# public enumerator named by the id decodes, so that a double put there
-# shows on the check side and on the reference side alike.
+# public enumerator named by the id reads through the memo, so that a double
+# put there shows on the check side and on the reference side alike.
 ENUMERATORS = [(ht, "classical_masks", "classical_models"),
                (ht, "stable_masks", "stable_models"),
                (deno, "forked_stable_masks", "forked_stable_models"),
@@ -454,25 +457,32 @@ def test_checks_match_the_reference_on_a_faulty_enumerator(monkeypatch, module, 
     assert failed
 
 def test_tables_decode_to_the_enumerators_models():
+    """Every row of the memo, decoded, against an enumerator that reads no
+    row: the fork engine on the forked tree and on the formula tree, and
+    for the rest, which the public enumerators read, the AST references of
+    ``tests/test_tables.py``, with minimality taken on atom sets."""
     for seed in range(100):
         p = gen_program(GenConfig(seed=seed))
-        m = model_tables(p)
+        ref = Ref(p)
+        csm, closed = ([i for i, _ in ref.candidates(c)] for c in (False, True))
+        chained = [i for i, _ in ref.chains()]
         direct = {
-            "classical": ht.classical_models(p),
-            "sm": ht.stable_models(p),
+            "classical": ref.classical,
+            "sm": ref.stable(),
             "fork": deno.fork_stable_models(forked(p), p.atoms()),
-            "jm": justify.justified_models(p),
-            "spm": justify.supported_models_graph(p),
-            "ad": justify.ad_supported_models(p),
-            "csm": di.csm_models(p),
-            "csm-closed": di.csm_models(p, closed=True),
-            "di": di.di_stable_models(p),
-            "ssm": ssm.ssm_models(p),
-            "ssm-min": ssm.minimal_elements(ssm.ssm_models(p)),
-            "spm-fixpoint": di.supported_models_fixpoint(p),
+            "jm": [i for i, _ in ref.graph_witnesses(acyclic=True)],
+            "spm": [i for i, _ in ref.graph_witnesses(acyclic=False)],
+            "ad": ref.ad(),
+            "csm": csm,
+            "csm-closed": closed,
+            "di": ssm.minimal_elements(closed),
+            "ssm": chained,
+            "ssm-min": ssm.minimal_elements(chained),
+            "spm-fixpoint": ref.fixpoint(),
             "sm-formula": deno.fork_stable_models(p.to_formula(), p.atoms()),
         }
         assert set(direct) == set(SEMANTICS)
+        m = model_tables(p)
         for name, models in direct.items():
             assert m.models(name) == models, (seed, name)
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from dlplab import di, ht
+from dlplab import di, ht, justify, ssm
+from dlplab import forks as deno
 from dlplab.checks import check_t2, run_fuzz
 from dlplab.compare import SEMANTICS, compute_report, model_tables
 from dlplab.gen import GenConfig, gen_program
@@ -49,6 +50,32 @@ def test_a_report_compiles_its_program_once(constructions):
     report = compute_report(cyclic(8))
     assert not report.violations and len(report.semantics) == 10
     assert constructions[0] == 1
+
+
+def test_the_public_enumerators_compile_their_program_once(constructions):
+    """Each public enumerator of a program returns its row of the memo, so
+    all thirteen and then a report on one program compile it once."""
+    p = cyclic(6)
+    found = {
+        "classical": ht.classical_models(p),
+        "sm": ht.stable_models(p),
+        "fork": deno.forked_stable_models(p),
+        "sm-formula": deno.equilibrium_models(p),
+        "spm": justify.supported_models_graph(p),
+        "jm": justify.justified_models(p),
+        "ad": justify.ad_supported_models(p),
+        "csm": [m for m, _ in di.candidate_stable_models(p)],
+        "csm-closed": di.csm_models(p, closed=True),
+        "di": di.di_stable_models(p),
+        "spm-fixpoint": di.supported_models_fixpoint(p),
+        "ssm": [m for m, _ in ssm.strongly_supported_models(p)],
+    }
+    assert ssm.ssm_models(p) == found["ssm"]
+    assert constructions[0] == 1
+    report = compute_report(p)
+    assert constructions[0] == 1
+    assert all(report.semantics[name] == models for name, models in found.items()
+               if name in report.semantics)
 
 
 def test_a_wider_alphabet_compiles_anew():

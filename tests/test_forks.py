@@ -607,6 +607,10 @@ def test_program_entries_equal_the_tree_entries():
             assert equilibrium_models(p, al) == fork_stable_models(phi, al)
             assert entails_forked(p, al) == strongly_entails(phi, f, al)
     p = parse_program("a | b :- not c.")
+    # an alphabet given as an iterator is read once
+    al = ("a", "b", "c", "d")
+    assert forked_stable_models(p, iter(al)) == fork_stable_models(forked(p), al)
+    assert equilibrium_models(p, iter(al)) == fork_stable_models(p.to_formula(), al)
     for entry in (forked_stable_models, equilibrium_models, entails_forked):
         with pytest.raises(ValueError, match=r"missing atoms \['a', 'c'\]"):
             entry(p, {"b"})

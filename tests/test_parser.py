@@ -62,6 +62,9 @@ def test_not_cannot_name_an_atom():
 def test_reserved_prefix_rejected():
     with pytest.raises(ParseError, match="reserved"):
         parse_program("__x.")
+    for parse in (parse_fork, parse_formula):
+        with pytest.raises(ParseError, match="reserved"):
+            parse("a & -__x")
 
 
 def test_syntax_error_has_line_and_column():
