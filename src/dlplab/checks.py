@@ -8,18 +8,19 @@ program read as a formula, which the fork engine computes without any
 table of the program engine.  The remaining checks cover the translations
 and the parser round trip.  Every relation between semantics that a check
 asserts is a row of ``compare``, an edge of ``INCLUSION_EDGES`` or an
-equality on a class of programs of ``CLASS_CLAIMS``, and ``_lattice`` tests
-a check's rows on the semantics of ``compare.model_tables``, so the checks
-on one program compute each semantics once.  Minimal SSM = SM is claimed
-for negation-free programs only; ``ssm-min-strict``, the unconditional
-claim, fails on ``a :- not not a.`` and is kept to show it.  Strong
-entailment and the translations are written out here; the translation
-checks read the source's and the translation's semantics from the same
-memo.  The head-splitting check ``th1`` sweeps its whole context family in
-one call per engine (``ht.stable_masks_in_contexts``,
-``forks.forked_masks_in_contexts``), each reading what the family memo
-compiled once for its alphabet, and compares the models of the two as
-masks; it builds no forked tree.
+equality on a class of programs of ``CLASS_CLAIMS``, and every semantics a
+translation preserves (``t1``, ``t2``) is a row of ``PRESERVES`` over a
+transformation of ``TRANSFORMS``.  ``_lattice`` tests a check's rows on the
+semantics of ``compare.model_tables``, the source's and the translation's,
+so the checks on one program compute each semantics once.  Minimal SSM =
+SM is claimed for negation-free programs only; ``ssm-min-strict``, the
+unconditional claim, fails on ``a :- not not a.`` and is kept to show it.
+Only strong entailment (``cor1``, on the fork registers of the memo) and
+the head-splitting check are written out here.  ``th1`` sweeps its whole
+context family in one call per engine (``ht.stable_masks_in_contexts``,
+``forks.forked_masks_in_contexts``), each reading what was compiled once
+for the family's alphabet, and compares the models of the two as masks;
+it builds no forked tree.
 """
 
 from __future__ import annotations
@@ -27,13 +28,14 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from . import forks as deno
-from . import di, ht
-from .compare import CLASSES, ModelTables, claims_of, edges_of, model_tables
+from . import ht
+from .compare import (CLASSES, PRESERVES, TRANSFORMS, ModelTables, claims_of,
+                      edges_of, model_tables)
 from .gen import ATOM_POOL, GenConfig, gen_program
 from .parser import parse_program, render_program
 from .syntax import ExtendedRule, Program, rule
@@ -61,8 +63,9 @@ def _show(m: ModelTables, name: str, check: str) -> str:
 
 def _lattice(p: Program, check: str) -> str | None:
     """The first of the check's edges that fails, else of its class claims
-    on a program of the class.  A failing equality (an edge whose reverse
-    is listed too) reads "a != b" in the direction of its later edge."""
+    on a program of the class, else of the semantics its transformation
+    preserves.  A failing equality (an edge whose reverse is listed too)
+    reads "a != b" in the direction of its later edge."""
     m = model_tables(p)
     edges = edges_of(check)
     for lhs, rhs in edges:
@@ -74,43 +77,28 @@ def _lattice(p: Program, check: str) -> str | None:
     for cls, a, b in claims_of(check):
         if CLASSES[cls](p) and m.table(a) != m.table(b):
             return f"{cls} program has {_show(m, a, check)} != {_show(m, b, check)}"
+    rows = [row for row in PRESERVES if row[0] == check]
+    if not rows:
+        return None
+    # the memo holds one program, so the source's models are read first
+    source = {a: m.models(a) for _, _, a, _, _ in rows}
+    q, al = TRANSFORMS[rows[0][1]](p), p.atoms()
+    mq = model_tables(q, q.atoms() | al)
+    for _, _, a, b, message in rows:
+        rhs = deno.project_models(mq.models(b), al)
+        if source[a] != rhs:
+            return message.format(_fmt(source[a]), _fmt(rhs))
     return None
 
 
 def check_fork_replacement(p: Program) -> str | None:
     """The program strongly entails its forked version, so its stable
     models survive the replacement."""
-    res = deno.entails_forked(p, p.atoms())
+    res = deno.entails_forked(p)
     if not res:
         return (f"no strong entailment into the forked program; witness "
                 f"T={{{','.join(sorted(res.witness_t))}}}")
     return _lattice(p, "cor1")
-
-
-def check_t1(p: Program) -> str | None:
-    """Double-negation removal preserves stable models modulo fresh atoms."""
-    q = di.eliminate_double_negation(p)
-    al = p.atoms()
-    lhs = model_tables(p).models("sm")
-    rhs = deno.project_models(model_tables(q, q.atoms() | al).models("sm"), al)
-    if lhs != rhs:
-        return f"SM changed: {_fmt(lhs)} vs projected {_fmt(rhs)}"
-    return None
-
-
-def check_t2(p: Program) -> str | None:
-    """Head-set disambiguation preserves open candidates and makes the
-    closed candidates of the result equal the open ones of the source."""
-    q = di.disambiguate_head_sets(p)
-    al = p.atoms()
-    lhs, m = model_tables(p).models("csm"), model_tables(q, q.atoms() | al)
-    rhs_open = deno.project_models(m.models("csm"), al)
-    if lhs != rhs_open:
-        return f"open CSM changed: {_fmt(lhs)} vs {_fmt(rhs_open)}"
-    rhs_closed = deno.project_models(m.models("csm-closed"), al)
-    if lhs != rhs_closed:
-        return f"closed CSM of the translation {_fmt(rhs_closed)} != open CSM {_fmt(lhs)}"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +125,9 @@ class _Family:
     """A context family with what th1 reads of it for every program over its
     alphabet: the contexts' rules for the HT sweep and their fork registers
     for the fork sweep, each compiled once."""
-    key: tuple[str, ...]  # the alphabet
     contexts: tuple[Program, ...]
     rules: ht.ContextRules
     forks: deno.ContextRegisters
-
-
-# The family of the latest alphabet.
-_family: _Family | None = None
 
 
 def context_family(atoms: Iterable[str]) -> tuple[Program, ...]:
@@ -152,17 +135,14 @@ def context_family(atoms: Iterable[str]) -> tuple[Program, ...]:
     at most two rules built from facts and constraints, and a fixed set of
     seeded random programs of at most two rules.  Only the family of the
     latest alphabet is kept, like the one-program memo of compare."""
-    return _family_of(atoms).contexts
+    return _family_of(tuple(sorted(set(atoms)))).contexts
 
 
-def _family_of(atoms: Iterable[str]) -> _Family:
-    global _family
-    key = tuple(sorted(set(atoms)))
-    if _family is None or _family.key != key:
-        contexts = _make_family(key)
-        _family = _Family(key, contexts, ht.ContextRules(contexts),
-                          deno.ContextRegisters(contexts, key))
-    return _family
+@lru_cache(maxsize=1)
+def _family_of(pool: tuple[str, ...]) -> _Family:
+    """The family over a sorted alphabet, the latest one's kept."""
+    contexts = _make_family(pool)
+    return _Family(contexts, ht.ContextRules(contexts), deno.ContextRegisters(contexts, pool))
 
 
 def _make_family(pool: tuple[str, ...]) -> tuple[Program, ...]:
@@ -210,7 +190,7 @@ def check_pf_projection(p: Program) -> str | None:
     """
     al = p.atoms()
     ht._check_width(len(al))
-    family = _family_of(al)
+    family = _family_of(tuple(sorted(al)))
     pf = deno.pf_translate(p)
     lhs = ht.stable_masks_in_contexts(pf, family.rules, pf.atoms() | al, al)
     rhs = deno.forked_masks_in_contexts(p, family.forks)
@@ -244,8 +224,8 @@ CHECKS: dict[str, tuple[CheckFn, str]] = {
     "ad": (lambda p: _lattice(p, "ad"), "SM within AD within SPM"),
     "sm-eq": (lambda p: _lattice(p, "sm-eq"),
               "stable models = equilibrium models of the program as a formula"),
-    "t1": (check_t1, "double negation removal preserves SM"),
-    "t2": (check_t2, "head disambiguation preserves CSM"),
+    "t1": (lambda p: _lattice(p, "t1"), "double negation removal preserves SM"),
+    "t2": (lambda p: _lattice(p, "t2"), "head disambiguation preserves CSM"),
     "th1": (check_pf_projection, "head splitting is invisible modulo alphabet"),
     "roundtrip": (check_roundtrip, "parser round trip"),
     "ssm-min-strict": (lambda p: _lattice(p, "ssm-min-strict"),

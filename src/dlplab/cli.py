@@ -20,9 +20,9 @@ from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
 
 from . import forks as deno
-from . import di, ht, justify
+from . import ht, justify
 from .checks import CHECKS, DEFAULT_CHECKS, FuzzInterrupted, run_fuzz
-from .compare import SEMANTICS_ORDER, compute_report
+from .compare import SEMANTICS_ORDER, TRANSFORMS, compute_report
 from .gen import GenConfig, InvalidConfigError
 from .parser import ParseError, parse_fork, parse_program, render_program
 from .syntax import Program, alphabet
@@ -169,16 +169,9 @@ def cmd_entails(args) -> int:
     return EXIT_OK
 
 
-TRANSLATIONS = {
-    "pf": deno.pf_translate,
-    "t1": di.eliminate_double_negation,
-    "t2": di.disambiguate_head_sets,
-}
-
-
 def cmd_translate(args) -> int:
     p = parse_program(_read(args.file))
-    out = TRANSLATIONS[args.pass_name](p)
+    out = TRANSFORMS[args.pass_name](p)
     sys.stdout.write(render_program(out))
     return EXIT_OK
 
@@ -274,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("translate", help="apply a program transformation")
     t.add_argument("file", help="program file")
     t.add_argument("--pass", dest="pass_name", required=True,
-                   choices=sorted(TRANSLATIONS),
+                   choices=sorted(TRANSFORMS),
                    help="pf: split disjunctive heads; t1: remove double "
                         "negation; t2: disambiguate repeated head sets")
     t.set_defaults(fn=cmd_translate)

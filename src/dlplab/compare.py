@@ -1,8 +1,11 @@
 """Side-by-side computation of all semantics for one program, with the
 expected inclusion lattice checked edge by edge and witnesses collected
 where a semantics provides them.  ``model_tables`` compiles the most recent
-program once and computes each semantics of it once, for all checks and
-the public enumerators alike.
+program once, for the tables of ``ht`` and for the fork engine's
+registers, and computes each semantics of it once, for all checks and the
+public enumerators alike.  The relations the checks assert are rows here:
+inclusion edges, equalities on a class of programs, and the semantics a
+program transformation preserves.
 """
 
 from __future__ import annotations
@@ -22,14 +25,14 @@ SEMANTICS_ORDER = ("classical", "sm", "fork", "jm", "spm", "ad", "csm",
 # name -> the models of the program of a ModelTables, as masks over its
 # alphabet in the order of ht.sort_models, or for WITNESSED the (mask,
 # witness) pairs with the witness in index form, from the memo's compile
-# (the fork engine's from the program).  Enumerators are looked up on their
+# (the fork engine's from its registers).  Enumerators are looked up on their
 # modules at call time, so a wrapper put there (a tracer, a test double)
 # sees every call.  Minimal SSM, the fixpoint reading of supported models and
 # the equilibrium models of the program read as a formula are in no report.
 SEMANTICS: dict[str, Callable[["ModelTables"], list]] = {
     "classical": lambda m: ht.classical_masks(m.cp),
     "sm": lambda m: ht.stable_masks(m.cp),
-    "fork": lambda m: deno.forked_stable_masks(m.program, m.atoms),
+    "fork": lambda m: deno.forked_stable_masks(m.registers),
     "jm": lambda m: justify.justified_masks(m.cp),
     "spm": lambda m: justify.supported_masks(m.cp),
     "ad": lambda m: justify.ad_supported_masks(m.cp),
@@ -39,7 +42,7 @@ SEMANTICS: dict[str, Callable[["ModelTables"], list]] = {
     "ssm": lambda m: ssm.strongly_supported_masks(m.cp),
     "ssm-min": lambda m: ssm.minimal_masks(m.masks("ssm")),
     "spm-fixpoint": lambda m: di.supported_fixpoint_masks(m.cp),
-    "sm-formula": lambda m: deno.equilibrium_masks(m.program, m.atoms),
+    "sm-formula": lambda m: deno.equilibrium_masks(m.registers),
 }
 WITNESSED = ("jm", "spm", "csm", "csm-closed", "ssm")
 
@@ -91,6 +94,25 @@ CLASSES: dict[str, Callable[[Program], bool]] = {
     "negation-free": lambda p: all(not r.bneg and not r.bnegneg for r in p.rules),
 }
 
+# name -> a program transformation, looked up on its module at call time like
+# the enumerators of SEMANTICS.
+TRANSFORMS: dict[str, Callable[[Program], Program]] = {
+    "pf": lambda p: deno.pf_translate(p),
+    "t1": lambda p: di.eliminate_double_negation(p),
+    "t2": lambda p: di.disambiguate_head_sets(p),
+}
+
+# The semantics a transformation preserves, as (check, transform, source
+# semantics, translation semantics, message) in the order a check tests them
+# after its edges and class claims: the source's models equal the
+# translation's projected onto the source's atoms.  A failure formats the
+# message with the source's models and then the projected ones.
+PRESERVES = (
+    ("t1", "t1", "sm", "sm", "SM changed: {0} vs projected {1}"),
+    ("t2", "t2", "csm", "csm", "open CSM changed: {0} vs {1}"),
+    ("t2", "t2", "csm", "csm-closed", "closed CSM of the translation {1} != open CSM {0}"),
+)
+
 
 @cache
 def edges_of(user: str) -> tuple[tuple[str, str], ...]:
@@ -125,11 +147,12 @@ def _byte_names(atoms: tuple[str, ...]) -> list[list[tuple[str, ...]]]:
 
 class ModelTables:
     """The semantics of one program over one sorted alphabet, read off one
-    compile of it (``cp``), each computed on first use and kept as its
-    masks (bit i for atoms[i]) and as a 2^n-bit table: bit t is set iff
-    the interpretation of mask t is a model.  Witnesses are kept in index
-    form, by model.  Each mask is decoded at most once, into its atom set
-    and the sorted tuple of its atoms, for every semantics and witness."""
+    compile of it (``cp``) or of its fork registers (``registers``), each
+    computed on first use and kept as its masks (bit i for atoms[i]) and as
+    a 2^n-bit table: bit t is set iff the interpretation of mask t is a
+    model.  Witnesses are kept in index form, by model.  Each mask is
+    decoded at most once, into its atom set and the sorted tuple of its
+    atoms, for every semantics and witness."""
 
     def __init__(self, program: Program, atoms: tuple[str, ...]):
         self.program, self.atoms = program, atoms
@@ -139,6 +162,7 @@ class ModelTables:
         self._names: dict[int, tuple[frozenset[str], tuple[str, ...]]] = {}
 
     cp = cached_property(lambda m: ht.CompiledProgram(m.program, m.atoms))
+    registers = cached_property(lambda m: deno.program_registers(m.program, m.atoms))
     _bytes = cached_property(lambda m: _byte_names(m.atoms))
 
     def masks(self, name: str) -> list[int]:

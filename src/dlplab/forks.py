@@ -28,11 +28,13 @@ dispatched on per T.  The compiler (``_compile``) walks the trees on a
 stack of its own, so a fork of any depth compiles, and each node object
 once, so forks that share a subfork run its registers once per T for all
 of them; :func:`fork_stable_models` is the one-fork case.  A program
-needs no tree: :func:`forked_stable_masks`, :func:`equilibrium_masks`
-and :func:`entails_forked` emit the registers of ``syntax.forked(p)`` and
-of ``p.to_formula()`` straight from its rules (``_compile_program``), the
-operations and roots the tree compile would give, and run the same sweeps
-as the tree entries.  Every compile emits through one emitter
+needs no tree: :func:`program_registers` emits the registers of
+``syntax.forked(p)`` and then of ``p.to_formula()`` straight from its
+rules (``_compile_program``), the operations and roots the tree compile
+would give, once per program for the memo of :mod:`dlplab.compare`.
+:func:`forked_stable_masks` and :func:`equilibrium_masks` sweep the
+operations up to their root, and :func:`entails_forked` all of them, as
+the tree entries do.  Every compile emits through one emitter
 (``_Emitter``), which gives an operation already emitted its register
 again.  The head-splitting check conjoins a program's fork with each of
 many contexts: :class:`ContextRegisters` emits the contexts' formula
@@ -366,6 +368,7 @@ def closure(supports: Iterable[Support]) -> View:
 _AND, _OR, _IMP, _LEAF, _FAND, _FPAIR, _FIMP = range(7)
 
 Op = tuple[int, int, int]
+Registers = tuple[list[str], list[Op], list[int]]  # pool, operations, roots
 
 _FORMULA_OPS = {And: _AND, Or: _OR, Implies: _IMP}
 _FORK_OPS = {ForkAnd: _FAND, ForkPair: _FPAIR}
@@ -470,8 +473,7 @@ def _compile(forks: Sequence[Fork],
     return em.ops, done, outside
 
 
-def _compile_over(forks: Sequence[Fork],
-                  atoms: Iterable[str] | None) -> tuple[list[str], list[Op], list[int]]:
+def _compile_over(forks: Sequence[Fork], atoms: Iterable[str] | None) -> Registers:
     """Compile forks for enumeration over the given atoms, by default
     their alphabet, which must cover every atom of the forks."""
     if atoms is None:
@@ -481,16 +483,6 @@ def _compile_over(forks: Sequence[Fork],
     if outside:
         raise ValueError(f"alphabet is missing atoms {sorted(outside)}")
     return pool, ops, roots
-
-
-def _program_over(p: Program, readings: Sequence[str],
-                  atoms: Iterable[str] | None) -> tuple[list[str], list[Op], list[int]]:
-    """Compile readings of a program for enumeration over the given atoms,
-    by default the program's, which must cover them."""
-    own = p.atoms()
-    pool = _pool_of(own if atoms is None else atoms)
-    ht.covering_alphabet(own, pool)
-    return (pool, *_compile_program(p, pool, readings))
 
 
 def _pool_of(atoms: Iterable[str]) -> list[str]:
@@ -752,22 +744,30 @@ def fork_stable_models_each(forks: Sequence[Fork], atoms: Iterable[str] | None =
     return [_decoded(pool, masks) for masks in _stable_masks(len(pool), ops, roots)]
 
 
-def forked_stable_masks(p: Program, atoms: Iterable[str] | None = None) -> list[int]:
-    """The fork stable models of ``syntax.forked(p)``, over p's atoms by
-    default, compiled straight from the rules, as masks over the sorted
-    alphabet in the order of :func:`ht.sort_models`."""
-    pool, ops, roots = _program_over(p, ("forked",), atoms)
-    return _stable_masks(len(pool), ops, roots)[0]
+def program_registers(p: Program, atoms: Iterable[str]) -> Registers:
+    """A program's registers over the given atoms, which must cover it: the
+    sorted pool, the operations of ``syntax.forked(p)`` and then of
+    ``p.to_formula()`` (:func:`_compile_program`), and the two roots."""
+    pool = _pool_of(atoms)
+    ht.covering_alphabet(p.atoms(), pool)
+    return (pool, *_compile_program(p, pool, ("forked", "formula")))
 
 
-def equilibrium_masks(p: Program, atoms: Iterable[str] | None = None) -> list[int]:
+def forked_stable_masks(regs: Registers) -> list[int]:
+    """The fork stable models of ``syntax.forked(p)``, from a program's
+    registers, as masks over the sorted alphabet in the order of
+    :func:`ht.sort_models`; the sweep runs the operations up to the root."""
+    pool, ops, (root, _) = regs
+    return _stable_masks(len(pool), ops[:root - len(pool)], [root])[0]
+
+
+def equilibrium_masks(regs: Registers) -> list[int]:
     """The fork stable models of ``p.to_formula()``, that is its
-    equilibrium models, over p's atoms by default, compiled straight from
-    the rules, as masks over the sorted alphabet in the order of
-    :func:`ht.sort_models`: an oracle for the stable models that shares no
-    table with :mod:`dlplab.ht`."""
-    pool, ops, roots = _program_over(p, ("formula",), atoms)
-    return _stable_masks(len(pool), ops, roots)[0]
+    equilibrium models, from a program's registers, as masks over the
+    sorted alphabet in the order of :func:`ht.sort_models`: an oracle for
+    the stable models that shares no table with :mod:`dlplab.ht`."""
+    pool, ops, (_, root) = regs
+    return _stable_masks(len(pool), ops[:root - len(pool)], [root])[0]
 
 
 def _decoded(pool: Sequence[str], masks: list[int]) -> list[frozenset[str]]:
@@ -882,9 +882,10 @@ def strongly_entails(f: Fork, g: Fork,
 
 def entails_forked(p: Program, atoms: Iterable[str] | None = None) -> EntailmentResult:
     """Whether ``p.to_formula()`` strongly entails ``syntax.forked(p)``,
-    over p's atoms by default, compiled straight from the rules, with the
-    witness :func:`strongly_entails` gives."""
-    return _entailment_sweep(*_program_over(p, ("formula", "forked"), atoms))
+    over p's atoms by default, on the memo's registers, with the witness
+    :func:`strongly_entails` gives."""
+    pool, ops, (forked, formula) = compare.model_tables(p, atoms).registers
+    return _entailment_sweep(pool, ops, [formula, forked])
 
 
 def _entailment_sweep(pool: list[str], ops: list[Op], roots: list[int]

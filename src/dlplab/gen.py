@@ -8,9 +8,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .syntax import (FALSUM, And, Atom, ExtendedRule, Fork, ForkAnd,
-                     ForkPair, Formula, Implies, Or, Program, fork_implies,
-                     neg)
+from .syntax import (FALSUM, And, Atom, ExtendedRule, Fork, ForkPair, Formula,
+                     Implies, Or, Program, fork_and, fork_implies, neg)
 
 ATOM_POOL = ("a", "b", "c", "d", "e", "f")
 
@@ -124,11 +123,8 @@ def gen_fork(rng: random.Random, atoms: Sequence[str], depth: int) -> Fork:
         return ForkPair(gen_fork(rng, atoms, depth - 1),
                         gen_fork(rng, atoms, depth - 1))
     if kind == "and":
-        left = gen_fork(rng, atoms, depth - 1)
-        right = gen_fork(rng, atoms, depth - 1)
-        if isinstance(left, Formula) and isinstance(right, Formula):
-            return And(left, right)
-        return ForkAnd(left, right)
+        return fork_and(gen_fork(rng, atoms, depth - 1),
+                        gen_fork(rng, atoms, depth - 1))
     if kind == "imp":
         return fork_implies(gen_formula(rng, atoms, depth - 1),
                             gen_fork(rng, atoms, depth - 1))

@@ -48,9 +48,11 @@ Each enumerator of a program has such a mask core (:func:`classical_masks`
 here, and ``*_masks`` in :mod:`dlplab.di`, :mod:`dlplab.justify`,
 :mod:`dlplab.ssm` and :mod:`dlplab.forks`): the models as masks over the
 sorted alphabet, in the order of :func:`sort_models`.  The cores over the
-tables of this module take a compile; the fork engine's take the program
-and its alphabet, since they read no table of this module.  Only the
+tables of this module take a compile; the fork engine's take the program's
+fork registers, since they read no table of this module.  Only the
 comparison memo calls the cores; the enumerators of a program read its rows.
+A formula's stable models are the AST path: :func:`is_stable_model` on
+every interpretation.
 """
 
 from __future__ import annotations
@@ -532,13 +534,7 @@ def stable_models(x: Theory, atoms: Iterable[str] | None = None) -> list[frozens
         return compare.model_tables(x, atoms).models("sm")
     pool = covering_alphabet(alphabet(x), atoms)
     _check_width(len(pool))
-    out = []
-    for t in subsets(pool):
-        if not _csat(t, x):
-            continue
-        if all(not _htsat(h, t, x) for h in subsets(t) if h != t):
-            out.append(t)
-    return sort_models(out)
+    return sort_models(t for t in subsets(pool) if is_stable_model(x, t))
 
 
 def stable_masks(cp: CompiledProgram) -> list[int]:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .syntax import (FALSUM, And, Atom, ExtendedRule, Falsum, Fork, ForkAnd,
                      ForkImplies, ForkPair, Formula, Implies, Or, Program,
-                     fork_implies, neg)
+                     fork_and, fork_implies, neg)
 
 RESERVED_PREFIX = "__"
 MAX_NESTING = 100
@@ -284,11 +284,7 @@ def _parse_dis(cur: _Cursor) -> Fork:
 def _parse_con(cur: _Cursor) -> Fork:
     out = _parse_unit(cur)
     while cur.accept("&"):
-        right = _parse_unit(cur)
-        if isinstance(out, Formula) and isinstance(right, Formula):
-            out = And(out, right)
-        else:
-            out = ForkAnd(out, right)
+        out = fork_and(out, _parse_unit(cur))
     return out
 
 

@@ -14,7 +14,7 @@ All values are immutable and hashable, so they can be shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 
 class ForkGrammarError(ValueError):
@@ -91,26 +91,22 @@ def neg(phi: Formula) -> Formula:
 TRUTH = neg(FALSUM)
 
 
+def _nested(join: Callable, items: list, empty: Fork | None) -> Fork:
+    """The items joined right-nested; ``empty`` for no items."""
+    out = items[-1] if items else empty
+    for item in reversed(items[:-1]):
+        out = join(item, out)
+    return out
+
+
 def conj(parts: Iterable[Formula]) -> Formula:
     """Right-nested conjunction; empty input yields verum."""
-    items = list(parts)
-    if not items:
-        return TRUTH
-    out = items[-1]
-    for item in reversed(items[:-1]):
-        out = And(item, out)
-    return out
+    return _nested(And, list(parts), TRUTH)
 
 
 def disj(parts: Iterable[Formula]) -> Formula:
     """Right-nested disjunction; empty input yields falsum."""
-    items = list(parts)
-    if not items:
-        return FALSUM
-    out = items[-1]
-    for item in reversed(items[:-1]):
-        out = Or(item, out)
-    return out
+    return _nested(Or, list(parts), FALSUM)
 
 
 # ---------------------------------------------------------------------------
@@ -342,23 +338,14 @@ def fork_implies(antecedent: Formula, consequent: Fork) -> Fork:
 
 
 def fork_conj(parts: Iterable[Fork]) -> Fork:
-    items = list(parts)
-    if not items:
-        return TRUTH
-    out = items[-1]
-    for item in reversed(items[:-1]):
-        out = fork_and(item, out)
-    return out
+    return _nested(fork_and, list(parts), TRUTH)
 
 
 def fork_split(parts: Iterable[Fork]) -> Fork:
     items = list(parts)
     if not items:
         raise ValueError("cannot split zero branches")
-    out = items[-1]
-    for item in reversed(items[:-1]):
-        out = ForkPair(item, out)
-    return out
+    return _nested(ForkPair, items, None)
 
 
 def forked_rule(r: ExtendedRule) -> Fork:

@@ -20,12 +20,12 @@ from dataclasses import replace
 
 import pytest
 
-from dlplab import checks, di, ht, justify, ssm, syntax
+from dlplab import checks, cli, di, ht, justify, ssm, syntax
 from dlplab import forks as deno
 from dlplab.checks import CHECKS, DEFAULT_CHECKS, context_family, run_fuzz
-from dlplab.compare import (CLASS_CLAIMS, CLASSES, INCLUSION_EDGES, SEMANTICS,
-                            SEMANTICS_ORDER, ModelTables, compute_report,
-                            model_tables)
+from dlplab.compare import (CLASS_CLAIMS, CLASSES, INCLUSION_EDGES, PRESERVES,
+                            SEMANTICS, SEMANTICS_ORDER, TRANSFORMS, ModelTables,
+                            compute_report, model_tables)
 from dlplab.gen import GenConfig, gen_program
 from dlplab.parser import parse_program, render_program
 from dlplab.syntax import Program, fork_and, forked
@@ -339,6 +339,46 @@ def test_head_splitting_failures_match_the_reference(monkeypatch, cfg, count):
     assert failed["bare"] and failed["context"], failed
 
 
+def drop_rules(translate, dropped):
+    """A faulty translation: its rules for which ``dropped`` holds left out."""
+    return lambda p: Program(tuple(r for r in translate(p).rules if not dropped(r)))
+
+
+def _fresh(r, prefix):
+    """Whether the rule's head or positive body names a fresh atom."""
+    return any(a.startswith(prefix) for a in r.head + tuple(r.bpos))
+
+
+# Faulty t1 and t2 translations, each with the first words of the message of
+# the row it fails.
+FAULTY_TRANSLATIONS = [
+    pytest.param("eliminate_double_negation",
+                 lambda t: drop_rules(t, lambda r: _fresh(r, di.T1_PREFIX)),
+                 "SM changed: ", id="t1-without-companions"),
+    pytest.param("disambiguate_head_sets", lambda t: lambda p: p,
+                 "closed CSM of the translation ", id="t2-identity"),
+    pytest.param("disambiguate_head_sets",
+                 lambda t: drop_rules(t, lambda r: not r.head and _fresh(r, di.T2_PREFIX)),
+                 "open CSM changed: ", id="t2-without-constraints"),
+]
+
+
+@pytest.mark.parametrize("name, fault, message", FAULTY_TRANSLATIONS)
+def test_translation_failures_match_the_reference(monkeypatch, name, fault, message):
+    """With a faulty translation t1 or t2 fails, through the row of
+    ``compare.PRESERVES`` that its fault breaks; each check must report
+    the reference's message, and a row reading the wrong semantics would
+    not."""
+    monkeypatch.setattr(di, name, fault(getattr(di, name)))
+    seen = 0
+    for seed in range(300):
+        p = gen_program(GenConfig(seed=seed))
+        got, want = outcomes(p, ["t1", "t2"])
+        assert got == want, seed
+        seen += any(isinstance(m, str) and m.startswith(message) for m in got.values())
+    assert seen, message
+
+
 def test_translation_checks_read_the_source_semantics_from_the_memo(monkeypatch):
     """t1 and t2 take the source program's SM and CSM from the memo that
     the lattice checks filled, and the translation's from the same memo:
@@ -506,6 +546,22 @@ def test_lattice_names_known_semantics_and_checks():
         for cls, member in CLASSES.items():
             met[cls] += member(p)
     assert all(met.values()), met
+
+
+def test_preserved_semantics_name_known_transforms_and_semantics():
+    """Every row of PRESERVES names a check, a transformation and two
+    semantics; the rows of one check share one transformation, which
+    ``_lattice`` calls once; and translate offers every transformation."""
+    transform_of = {}
+    for check, transform, lhs, rhs, message in PRESERVES:
+        assert check in CHECKS and transform in TRANSFORMS
+        assert lhs in SEMANTICS and rhs in SEMANTICS
+        assert "{0}" in message and "{1}" in message
+        assert transform_of.setdefault(check, transform) == transform, check
+    assert transform_of == {"t1": "t1", "t2": "t2"}
+    [sub] = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    [passes] = [a for a in sub.choices["translate"]._actions if a.dest == "pass_name"]
+    assert passes.choices == sorted(TRANSFORMS) == ["pf", "t1", "t2"]
 
 
 def test_the_smallest_refutation_of_unconditional_minimality():

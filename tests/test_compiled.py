@@ -14,7 +14,7 @@ import pytest
 
 from dlplab import di, ht, justify, ssm
 from dlplab import forks as deno
-from dlplab.checks import check_t2, run_fuzz
+from dlplab.checks import CHECKS, run_fuzz
 from dlplab.compare import SEMANTICS, compute_report, model_tables
 from dlplab.gen import GenConfig, gen_program
 from dlplab.parser import parse_program, render_program
@@ -44,6 +44,22 @@ def constructions(monkeypatch):
 def test_the_default_battery_compiles_each_program_once(constructions):
     assert run_fuzz(GenConfig(seed=0), 50).ok
     assert constructions[0] == 50
+
+
+def test_the_default_battery_compiles_each_programs_fork_registers_once(monkeypatch):
+    """fork, sm-formula and cor1 read one emit of the program's forked and
+    formula registers, kept by its memo entry."""
+    calls = 0
+    original = deno._compile_program
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(deno, "_compile_program", counted)
+    assert run_fuzz(GenConfig(seed=0), 50).ok
+    assert calls == 50
 
 
 def test_a_report_compiles_its_program_once(constructions):
@@ -172,6 +188,6 @@ def test_t2_compiles_its_translation_once(constructions):
     """t2 reads the open and the closed candidates of the translation from
     one memo entry: one compile for the source, one for the translation."""
     p = parse_program("a | b. a | b :- not c. c :- not a.")
-    assert check_t2(p) is None
+    assert CHECKS["t2"][0](p) is None
     assert constructions[0] == 2
     assert di.disambiguate_head_sets(p) is not p

@@ -562,7 +562,8 @@ def test_compile_walks_a_deep_tree_without_recursing(nest):
 
 TREES = {("forked",): lambda p: [forked(p)],
          ("formula",): lambda p: [p.to_formula()],
-         ("formula", "forked"): lambda p: [p.to_formula(), forked(p)]}
+         ("formula", "forked"): lambda p: [p.to_formula(), forked(p)],
+         ("forked", "formula"): lambda p: [forked(p), p.to_formula()]}
 
 
 def assert_emits_as_the_trees(p, pool=None):
