@@ -32,9 +32,9 @@ needs no tree: :func:`program_registers` emits the registers of
 ``syntax.forked(p)`` and then of ``p.to_formula()`` straight from its
 rules (``_compile_program``), the operations and roots the tree compile
 would give, once per program for the memo of :mod:`dlplab.compare`.
-:func:`forked_stable_masks` and :func:`equilibrium_masks` sweep the
-operations up to their root, and :func:`entails_forked` all of them, as
-the tree entries do.  Every compile emits through one emitter
+:func:`forked_stable_masks` sweeps the operations up to its root,
+:func:`equilibrium_masks` those its root reads, :func:`entails_forked`
+all of them, as the tree entries do.  Every compile emits through one emitter
 (``_Emitter``), which gives an operation already emitted its register
 again.  The head-splitting check conjoins a program's fork with each of
 many contexts: :class:`ContextRegisters` emits the contexts' formula
@@ -767,7 +767,26 @@ def equilibrium_masks(regs: Registers) -> list[int]:
     sorted alphabet in the order of :func:`ht.sort_models`: an oracle for
     the stable models that shares no table with :mod:`dlplab.ht`."""
     pool, ops, (_, root) = regs
-    return _stable_masks(len(pool), ops[:root - len(pool)], [root])[0]
+    ops, root = _reached(ops, root, len(pool))
+    return _stable_masks(len(pool), ops, [root])[0]
+
+
+def _reached(ops: Sequence[Op], root: int, n: int) -> tuple[list[Op], int]:
+    """The operations over a pool of n atoms that the root reads, at any
+    depth, renumbered, and the root's new register: most operations before
+    the formula reading's root are the forked reading's, which it skips."""
+    keep = {root}
+    for reg in range(root, n, -1):
+        if reg in keep:
+            keep.update(ops[reg - n - 1][1:])
+    renamed = list(range(n + 1))  # the atoms and the empty support stay
+    out: list[Op] = []
+    for reg in range(n + 1, root + 1):
+        if reg in keep:
+            op, a, b = ops[reg - n - 1]
+            out.append((op, renamed[a], renamed[b]))
+        renamed.append(n + len(out))
+    return out, renamed[root]
 
 
 def _decoded(pool: Sequence[str], masks: list[int]) -> list[frozenset[str]]:

@@ -618,3 +618,26 @@ def test_program_entries_equal_the_tree_entries():
     wide = parse_program("".join(f"x{i} | y{i}.\n" for i in range(11)))
     with pytest.raises(CapacityError):
         forked_stable_models(wide)
+
+
+@pytest.mark.parametrize("cfg", [GenConfig(), GenConfig(atoms=6, rules=8)],
+                         ids=["default", "atoms6-rules8"])
+def test_the_formula_sweep_runs_only_the_operations_its_root_reads(cfg):
+    """``equilibrium_masks`` sweeps the formula reading's own operations,
+    as many as the reading emits alone, and finds the masks that a sweep
+    of every operation before the root, the forked reading's included,
+    finds."""
+    from dlplab.forks import (_compile_program, _reached, _stable_masks,
+                              equilibrium_masks, program_registers)
+    skipped = 0
+    for seed in range(300):
+        p = gen_program(replace(cfg, seed=seed))
+        regs = program_registers(p, p.atoms())
+        pool, ops, (_, root) = regs
+        n = len(pool)
+        prefix = ops[:root - n]
+        assert equilibrium_masks(regs) == _stable_masks(n, prefix, [root])[0], p
+        reached, _ = _reached(ops, root, n)
+        assert len(reached) == len(_compile_program(p, pool, ("formula",))[0])
+        skipped += len(prefix) - len(reached)
+    assert skipped > 0
