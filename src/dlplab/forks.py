@@ -42,8 +42,8 @@ registers once, and keeps what a sweep computes of them alone, and
 :func:`forked_masks_in_contexts` emits the program's registers after them
 and one fork conjunction per context, so each program runs only its own
 registers and the conjunctions.  The public :class:`Support` and
-:class:`View` keep their members as frozensets of here-masks;
-:meth:`Support.member_sets` gives them back as atom sets.
+:class:`View` hold the same ints, a support's table and a view's
+generators; :meth:`Support.member_sets` gives the members as atom sets.
 
 Before the sweep, a pre-pass runs the same registers once over tables of
 2^n bits, one bit per T of the n-atom pool, and the sweep then visits only
@@ -108,20 +108,26 @@ class BaseMismatchError(ValueError):
 
 
 def _canon_base(atoms: Iterable[str]) -> tuple[str, ...]:
-    return tuple(sorted(set(atoms)))
+    """The sorted base, refused over MAX_ENUM_ATOMS atoms before any table
+    of 2^n bits is built."""
+    base = tuple(sorted(set(atoms)))
+    ht._check_width(len(base))
+    return base
+
+
+def _mask(base: tuple[str, ...], atoms: Iterable[str]) -> int | None:
+    """The here-mask of the atoms over the base, None if one is outside it."""
+    m = 0
+    for a in atoms:
+        if a not in base:
+            return None
+        m |= 1 << base.index(a)
+    return m
 
 
 # ---------------------------------------------------------------------------
 # Int supports
 # ---------------------------------------------------------------------------
-
-def _pack(members: frozenset[int]) -> int:
-    return sum(1 << m for m in members)
-
-
-def _unpack(x: int) -> frozenset[int]:
-    return frozenset(set_bits(x))
-
 
 def _support_order(x: int) -> tuple[int, list[int]]:
     """Size, then the sorted member masks: the order supports print in."""
@@ -159,49 +165,43 @@ def _minimal(cands: list[int]) -> list[int]:
 
 @dataclass(frozen=True, slots=True)
 class Support:
-    """A set of subsets of the base, nonempty only if it contains the base."""
+    """A set of subsets of the base, nonempty only if it contains the base:
+    the table of 2^|base| bits whose bit m is set iff here-mask m is a
+    member."""
 
     base: tuple[str, ...]
-    members: frozenset[int]
+    members: int
 
     def __post_init__(self):
-        full = (1 << len(self.base)) - 1
-        for m in self.members:
-            if m < 0 or m > full:
-                raise ValueError("support member outside the base")
-        if self.members and full not in self.members:
+        width = len(self.base)
+        ht._check_width(width)
+        if self.members < 0 or self.members >> (1 << width):
+            raise ValueError("support member outside the base")
+        if self.members and not self.members & _full_bit(width):
             raise ValueError("a nonempty support must contain its base set")
 
     @classmethod
     def of(cls, base: Iterable[str], member_sets: Iterable[Iterable[str]]) -> "Support":
         b = _canon_base(base)
-        index = {a: i for i, a in enumerate(b)}
-        members = []
-        for s in member_sets:
-            m = 0
-            for a in s:
-                m |= 1 << index[a]
-            members.append(m)
-        return cls(b, frozenset(members))
+        masks = {_mask(b, s) for s in member_sets}
+        if None in masks:
+            raise ValueError("support member outside the base")
+        return cls(b, sum(1 << m for m in masks))
 
     @classmethod
     def empty(cls, base: Iterable[str]) -> "Support":
-        return cls(_canon_base(base), frozenset())
+        return cls(_canon_base(base), 0)
 
     @classmethod
     def top(cls, base: Iterable[str]) -> "Support":
         """The singleton support [T], the maximum of the support order."""
         b = _canon_base(base)
-        return cls(b, frozenset(((1 << len(b)) - 1,)))
+        return cls(b, _full_bit(len(b)))
 
     @classmethod
     def all_subsets(cls, base: Iterable[str]) -> "Support":
         b = _canon_base(base)
-        return cls(b, frozenset(range(1 << len(b))))
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.base)) - 1
+        return cls(b, _universe(len(b)))
 
     @property
     def is_empty(self) -> bool:
@@ -211,19 +211,12 @@ class Support:
         return frozenset(a for i, a in enumerate(self.base) if m >> i & 1)
 
     def member_sets(self) -> list[frozenset[str]]:
-        out = [self.decode(m) for m in self.members]
+        out = [self.decode(m) for m in set_bits(self.members)]
         return sorted(out, key=lambda s: (-len(s), tuple(sorted(s))))
 
     def __contains__(self, s) -> bool:
-        if isinstance(s, int):
-            return s in self.members
-        index = {a: i for i, a in enumerate(self.base)}
-        m = 0
-        for a in s:
-            if a not in index:
-                return False
-            m |= 1 << index[a]
-        return m in self.members
+        m = s if isinstance(s, int) else _mask(self.base, s)
+        return m is not None and m >= 0 and bool(self.members >> m & 1)
 
     def __str__(self) -> str:
         if not self.members:
@@ -234,52 +227,40 @@ class Support:
         return "[" + " ".join(names) + "]"
 
 
-def _same_base(h1: Support, h2: Support) -> None:
-    if h1.base != h2.base:
-        raise BaseMismatchError(
-            f"supports over different bases: {h1.base} vs {h2.base}")
+def _same_base(x: Support | View, y: Support | View) -> None:
+    if x.base != y.base:
+        raise BaseMismatchError(f"different bases: {x.base} vs {y.base}")
 
 
 def preceq(h1: Support, h2: Support) -> bool:
     """The "less supported than" order on supports over a common base."""
     _same_base(h1, h2)
-    if not h1.members:
-        return True
-    return bool(h2.members) and h2.members <= h1.members
+    x, y = h1.members, h2.members
+    return not x or bool(y) and not y & ~x
 
 
 def complement(h: Support) -> Support:
     """Empty when the support holds all subsets; otherwise the missing
     subsets together with the base set."""
     width = len(h.base)
-    c = _complement(_pack(h.members), _universe(width), _full_bit(width))
-    return Support(h.base, _unpack(c))
+    return Support(h.base, _complement(h.members, _universe(width), _full_bit(width)))
 
 
 def restrict_support(h: Support, vocab: Iterable[str]) -> Support:
     """Intersect every member with the vocabulary; the base shrinks too."""
     keep = set(vocab)
     new_base = _canon_base(a for a in h.base if a in keep)
-    index = {a: i for i, a in enumerate(new_base)}
-    members = set()
-    for m in h.members:
-        nm = 0
-        for i, a in enumerate(h.base):
-            if m >> i & 1 and a in index:
-                nm |= 1 << index[a]
-        members.add(nm)
-    return Support(new_base, frozenset(members))
+    members = 0
+    for m in set_bits(h.members):
+        members |= 1 << _mask(new_base, h.decode(m) & keep)
+    return Support(new_base, members)
 
 
 def is_vocab_feasible(h: Support, vocab: Iterable[str]) -> bool:
     """No proper member may agree with the base on the whole vocabulary."""
-    vmask = 0
-    keep = set(vocab)
-    for i, a in enumerate(h.base):
-        if a in keep:
-            vmask |= 1 << i
-    full = h.full_mask
-    return not any(m != full and m & vmask == full & vmask for m in h.members)
+    vmask = _mask(h.base, set(vocab).intersection(h.base))
+    full = (1 << len(h.base)) - 1
+    return not any(m != full and m & vmask == vmask for m in set_bits(h.members))
 
 
 # ---------------------------------------------------------------------------
@@ -288,19 +269,15 @@ def is_vocab_feasible(h: Support, vocab: Iterable[str]) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class View:
-    """A superset-closed family of supports, stored by its minimal members."""
+    """A superset-closed family of supports, stored by its minimal members
+    as int supports."""
 
     base: tuple[str, ...]
-    gens: frozenset[frozenset[int]]
+    gens: frozenset[int]
 
     @classmethod
-    def closed(cls, base: Iterable[str], supports: Iterable[frozenset[int]]) -> "View":
-        return cls._of_ints(_canon_base(base),
-                            _minimal([x for x in map(_pack, supports) if x]))
-
-    @classmethod
-    def _of_ints(cls, base: tuple[str, ...], gens: Iterable[int]) -> "View":
-        return cls(base, frozenset(_unpack(g) for g in gens))
+    def closed(cls, base: Iterable[str], supports: Iterable[int]) -> "View":
+        return cls(_canon_base(base), frozenset(_minimal([x for x in supports if x])))
 
     @classmethod
     def nothing(cls, base: Iterable[str]) -> "View":
@@ -311,17 +288,13 @@ class View:
         return not self.gens
 
     def contains(self, h: Support) -> bool:
-        if h.base != self.base:
-            raise BaseMismatchError(
-                f"support base {h.base} does not match view base {self.base}")
-        return bool(h.members) and any(g <= h.members for g in self.gens)
+        _same_base(h, self)
+        return bool(h.members) and any(not g & ~h.members for g in self.gens)
 
     def includes(self, other: "View") -> bool:
         """Every support of the other view is a support of this one."""
-        if other.base != self.base:
-            raise BaseMismatchError(
-                f"view bases differ: {other.base} vs {self.base}")
-        return all(any(g <= og for g in self.gens) for og in other.gens)
+        _same_base(other, self)
+        return all(any(not g & ~og for g in self.gens) for og in other.gens)
 
     def supports(self) -> list[Support]:
         """Every member support, explicitly.  Guarded at small bases."""
@@ -330,11 +303,9 @@ class View:
             raise ht.CapacityError(
                 f"explicit view enumeration needs a base of at most "
                 f"{MAX_EXPLICIT_BASE} atoms, got {width}")
-        gens = [_pack(g) for g in self.gens]
         members = [x for x in range(_universe(width) + 1)
-                   if any(not g & ~x for g in gens)]
-        return [Support(self.base, _unpack(x))
-                for x in sorted(members, key=_support_order)]
+                   if any(not g & ~x for g in self.gens)]
+        return [Support(self.base, x) for x in sorted(members, key=_support_order)]
 
     def __str__(self) -> str:
         return "{" + " ".join(str(s) for s in self.supports()) + "}"
@@ -353,10 +324,9 @@ def closure(supports: Iterable[Support]) -> View:
     if not items:
         raise ValueError("closure of no supports needs an explicit base; "
                          "use View.nothing")
-    base = items[0].base
     for s in items[1:]:
         _same_base(items[0], s)
-    return View.closed(base, (s.members for s in items))
+    return View.closed(items[0].base, (s.members for s in items))
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +685,7 @@ def support_of_formula(phi: Formula, t_atoms: Iterable[str]) -> Support:
     base = _canon_base(t_atoms)
     # a formula's view is the ideal of its support
     gens = _view_at(phi, base)
-    return Support(base, _unpack(gens[0]) if gens else frozenset())
+    return Support(base, gens[0] if gens else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +695,7 @@ def support_of_formula(phi: Formula, t_atoms: Iterable[str]) -> Support:
 def denotation(f: Fork, t_atoms: Iterable[str]) -> View:
     """The view of a fork at T, computed clause by clause."""
     base = _canon_base(t_atoms)
-    return View._of_ints(base, _view_at(f, base))
+    return View(base, frozenset(_view_at(f, base)))
 
 
 def fork_stable_models(f: Fork, atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
@@ -919,8 +889,7 @@ def _entailment_sweep(pool: list[str], ops: list[Op], roots: list[int]
         if missing:
             base = tuple(pool[j] for j in combo)
             h = min(missing, key=_support_order)
-            return EntailmentResult(False, frozenset(base),
-                                    Support(base, _unpack(h)))
+            return EntailmentResult(False, frozenset(base), Support(base, h))
     return EntailmentResult(True)
 
 
@@ -967,8 +936,10 @@ def projected_denotation(f: Fork, t_atoms: Iterable[str], vocab: Iterable[str],
     """The view of the fork at T as observable through a sub-vocabulary.
 
     Collects, over every Z in the alphabet that agrees with T on the
-    vocabulary, the vocabulary-feasible supports of the view at Z, restricts
-    them to the vocabulary, and closes the result.
+    vocabulary, the vocabulary-feasible generators of the view at Z,
+    restricts them to the vocabulary, and closes the result.  A feasible
+    support holds only feasible generators and restriction is monotone, so
+    this closes the restrictions of every feasible support of the view.
     """
     t = frozenset(t_atoms)
     v = frozenset(vocab)
@@ -979,14 +950,13 @@ def projected_denotation(f: Fork, t_atoms: Iterable[str], vocab: Iterable[str],
         raise ht.CapacityError(
             f"projected views need an alphabet of at most {MAX_EXPLICIT_BASE} "
             f"atoms, got {len(pool)}")
-    base = _canon_base(t)
-    collected: list[frozenset[int]] = []
+    collected: list[int] = []
     for z in ht.subsets(pool):
         if z & v != t:
             continue
-        for h in denotation(f, z).supports():
-            if not is_vocab_feasible(h, v):
-                continue
-            restricted = restrict_support(h, v)
-            collected.append(restricted.members)
-    return View.closed(base, collected)
+        view = denotation(f, z)
+        for g in view.gens:
+            h = Support(view.base, g)
+            if is_vocab_feasible(h, v):
+                collected.append(restrict_support(h, v).members)
+    return View.closed(t, collected)

@@ -521,6 +521,7 @@ def is_stable_model(x: Theory, t: Iterable[str]) -> bool:
         return cp.is_stable(cp.mask(tset))
     if not _csat(tset, x):
         return False
+    _check_width(len(tset))
     return all(not _htsat(h, tset, x) for h in subsets(tset) if h != tset)
 
 

@@ -351,14 +351,17 @@ def _is_tight(f: Fork) -> bool:
     return isinstance(f, (Implies, ForkImplies)) and isinstance(f.right, Falsum)
 
 
-_INFIX = (((And, ForkAnd), " & "), (Or, " v "), ((Implies, ForkImplies), " -> "),
-          (ForkPair, " ; "))
+_INFIX = {And: " & ", ForkAnd: " & ", Or: " v ", Implies: " -> ",
+          ForkImplies: " -> ", ForkPair: " ; "}
 
 
 def render_fork(f: Fork) -> str:
     """The text of a fork, each operand that is not an atom, "bot" or a
-    negation in parentheses.  The tree is walked on a stack of text pieces
-    and nodes still to render, so a fork of any depth renders."""
+    negation in parentheses, except the left operand of the same "&", "v"
+    or ";": the parser reads those chains left to right in a loop, so a
+    chain of any length renders flat and parses back.  The tree is walked
+    on a stack of text pieces and nodes still to render, so a fork of any
+    depth renders."""
     if isinstance(f, str):  # the stack holds text pieces as str
         raise TypeError("cannot render str")
     out: list[str] = []
@@ -370,15 +373,17 @@ def render_fork(f: Fork) -> str:
         elif isinstance(node, (Atom, Falsum)):
             out.append(node.name if isinstance(node, Atom) else "bot")
         else:
+            chained = False
             if isinstance(node, (Implies, ForkImplies)) and isinstance(node.right, Falsum):
                 parts = ("-", node.left)
             else:
-                sep = next((sep for types, sep in _INFIX if isinstance(node, types)), None)
+                sep = _INFIX.get(type(node))
                 if sep is None:
                     raise TypeError(f"cannot render {type(node).__name__}")
                 parts = (node.left, sep, node.right)
-            for part in reversed(parts):
-                tight = isinstance(part, str) or _is_tight(part)
+                chained = sep != " -> " and _INFIX.get(type(node.left)) == sep
+            for k, part in reversed(tuple(enumerate(parts))):
+                tight = isinstance(part, str) or _is_tight(part) or k == 0 and chained
                 todo += (part,) if tight else (")", part, "(")
     return "".join(out)
 

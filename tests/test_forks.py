@@ -16,7 +16,7 @@ from dlplab.forks import (BaseMismatchError, Support, View, closure,
                           support_of_formula)
 from dlplab.di import csm_models
 from dlplab.gen import GenConfig, gen_fork, gen_formula, gen_program
-from dlplab.ht import CapacityError, ht_sat, stable_models, subsets
+from dlplab.ht import CapacityError, ht_sat, set_bits, stable_models, subsets
 from dlplab.justify import justified_models
 from dlplab.parser import parse_fork, parse_formula, parse_program
 from dlplab.syntax import (FALSUM, And, Atom, ForkAnd, ForkImplies,
@@ -46,7 +46,7 @@ def test_support_of_formula_agrees_with_pointwise_satisfaction():
         for t in subsets(("a", "b", "c")):
             s = support_of_formula(phi, t)
             expected = {h for h in subsets(t) if ht_sat(h, t, phi)}
-            assert {s.decode(m) for m in s.members} == expected
+            assert {s.decode(m) for m in set_bits(s.members)} == expected
 
 
 def test_support_invariant_nonempty_contains_base():
@@ -198,7 +198,7 @@ def naive_denotation(f, t):
 
 
 def view_members(v):
-    return {frozenset(s.decode(m) for m in s.members) for s in v.supports()}
+    return {frozenset(s.decode(m) for m in set_bits(s.members)) for s in v.supports()}
 
 
 def test_denotation_matches_naive_oracle():
@@ -278,7 +278,7 @@ def ref_entails(f, g, pool):
 
 def entailment_key(res):
     support = res.witness_support
-    return res.holds, res.witness_t, support and support.members
+    return res.holds, res.witness_t, support and frozenset(set_bits(support.members))
 
 
 def test_denotation_generators_match_reference():
@@ -288,7 +288,8 @@ def test_denotation_generators_match_reference():
         f = gen_fork(rng, pool, 4)
         for width in range(len(pool) + 1):
             t = rng.sample(pool, width)
-            assert denotation(f, t).gens == ref_gens(f, t), (f, t)
+            assert denotation(f, t).gens \
+                == {sum(1 << m for m in g) for g in ref_gens(f, t)}, (f, t)
 
 
 def test_formula_denotation_is_ideal_of_support():
@@ -450,6 +451,33 @@ def test_projected_denotation_through_fresh_atom():
     f = q.to_formula()
     v = projected_denotation(f, {"a"}, {"a", "b"})
     assert v.contains(Support.top({"a"}))
+
+
+def explicit_projected_denotation(f, t, vocab, atoms):
+    """The projection over every member support of each view at Z, listed
+    explicitly: the reference for the loop over generators."""
+    t, v = frozenset(t), frozenset(vocab)
+    collected = []
+    for z in subsets(atoms):
+        if z & v == t:
+            for h in denotation(f, z).supports():
+                if is_vocab_feasible(h, v):
+                    collected.append(restrict_support(h, v).members)
+    return View.closed(t, collected)
+
+
+def test_projection_through_generators_matches_the_explicit_loop():
+    rng = random.Random(53)
+    cases = 0
+    for k in range(120):
+        pool = ("a", "b", "c", "d")[:2 + k % 3]
+        f = gen_fork(rng, pool, 3)
+        vocab = [a for a in pool if rng.random() < 0.6]
+        for t in subsets(vocab):
+            got = projected_denotation(f, t, vocab, pool)
+            assert got == explicit_projected_denotation(f, t, vocab, pool), (f, t, vocab)
+            cases += 1
+    assert cases > 400
 
 
 def test_project_models():

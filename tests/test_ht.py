@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dlplab import ht
+from dlplab import checks, di, forks, ht, justify, ssm
 from dlplab.di import immediate_consequences, reduct, selections
 from dlplab.gen import GenConfig, gen_formula, gen_program
 from dlplab.ht import (CapacityError, CompiledProgram, classical_models,
@@ -10,7 +10,7 @@ from dlplab.ht import (CapacityError, CompiledProgram, classical_models,
                        stable_models, subsets)
 from dlplab.justify import support_graphs_of
 from dlplab.parser import parse_formula, parse_program
-from dlplab.syntax import Atom, Program, neg
+from dlplab.syntax import Atom, Program, forked, neg
 
 
 def models(text, atoms=None):
@@ -223,3 +223,56 @@ def test_set_bits_reads_tables_of_every_width_and_density():
                 x &= rng.getrandbits(width) if width else 0
             assert ht.set_bits(x) == [i for i in range(width) if x >> i & 1]
     assert ht.set_bits(1 << 20) == [20]
+
+
+# ---------------------------------------------------------------------------
+# Capacity at every public entry point
+# ---------------------------------------------------------------------------
+
+WIDE = [f"x{i:02d}" for i in range(ht.MAX_ENUM_ATOMS + 1)]
+WIDE_PROGRAM = parse_program("".join(
+    f"{a} | {WIDE[(i + 1) % len(WIDE)]} :- not {WIDE[(i + 2) % len(WIDE)]}.\n"
+    for i, a in enumerate(WIDE)))
+WIDE_FORMULA = parse_formula(" & ".join(WIDE))
+WIDE_FORK = forked(WIDE_PROGRAM)
+WIDE_ENTRIES = {
+    "classical_models": lambda: ht.classical_models(WIDE_PROGRAM),
+    "stable_models": lambda: ht.stable_models(WIDE_PROGRAM),
+    "forked_stable_models": lambda: forks.forked_stable_models(WIDE_PROGRAM),
+    "equilibrium_models": lambda: forks.equilibrium_models(WIDE_PROGRAM),
+    "entails_forked": lambda: forks.entails_forked(WIDE_PROGRAM),
+    "justified_models": lambda: justify.justified_models(WIDE_PROGRAM),
+    "supported_models_graph": lambda: justify.supported_models_graph(WIDE_PROGRAM),
+    "ad_supported_models": lambda: justify.ad_supported_models(WIDE_PROGRAM),
+    "candidate_stable_models": lambda: di.candidate_stable_models(WIDE_PROGRAM),
+    "csm_models": lambda: di.csm_models(WIDE_PROGRAM, closed=True),
+    "di_stable_models": lambda: di.di_stable_models(WIDE_PROGRAM),
+    "supported_models_fixpoint": lambda: di.supported_models_fixpoint(WIDE_PROGRAM),
+    "strongly_supported_models": lambda: ssm.strongly_supported_models(WIDE_PROGRAM),
+    "ssm_models": lambda: ssm.ssm_models(WIDE_PROGRAM),
+    "fork_stable_models": lambda: forks.fork_stable_models(WIDE_FORK),
+    "strongly_entails": lambda: forks.strongly_entails(WIDE_FORMULA, WIDE_FORK),
+    "denotation": lambda: forks.denotation(WIDE_FORK, WIDE),
+    "support_of_formula": lambda: forks.support_of_formula(WIDE_FORMULA, WIDE),
+    "classical_models-formula": lambda: ht.classical_models(WIDE_FORMULA),
+    "stable_models-formula": lambda: ht.stable_models(WIDE_FORMULA),
+    "ht_equivalent": lambda: ht.ht_equivalent(WIDE_FORMULA, WIDE_FORMULA),
+    "is_stable_model": lambda: ht.is_stable_model(WIDE_PROGRAM, WIDE),
+    "is_stable_model-formula": lambda: ht.is_stable_model(WIDE_FORMULA, WIDE),
+    "check_pf_projection": lambda: checks.check_pf_projection(WIDE_PROGRAM),
+    "Support.top": lambda: forks.Support.top(WIDE),
+}
+
+
+@pytest.mark.parametrize("entry", list(WIDE_ENTRIES))
+def test_every_public_enumeration_refuses_a_wide_alphabet(entry, monkeypatch):
+    """Each public entry refuses MAX_ENUM_ATOMS + 1 atoms with CapacityError
+    before it builds a truth table of that width."""
+    for module in (ht, forks):
+        for name in ("_columns", "_universe"):
+            def spy(width, real=getattr(module, name), name=name):
+                assert width <= ht.MAX_ENUM_ATOMS, f"{name}({width})"
+                return real(width)
+            monkeypatch.setattr(module, name, spy)
+    with pytest.raises(CapacityError):
+        WIDE_ENTRIES[entry]()

@@ -254,7 +254,7 @@ def unpruned_strongly_entails(f, g, atoms=None):
         if missing:
             h = min(missing, key=deno._support_order)
             return deno.EntailmentResult(
-                False, t, deno.Support(tuple(sorted(t)), deno._unpack(h)))
+                False, t, deno.Support(tuple(sorted(t)), h))
     return deno.EntailmentResult(True)
 
 
