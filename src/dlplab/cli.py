@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from functools import cache
@@ -43,8 +44,9 @@ def to_json(obj) -> str:
     """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, written
     without the pure-Python encoder that ``indent`` selects: a list of
     strings, a dict's string values and every key go through the C string
-    encoder, and dicts and other lists recurse.  Values of any other type
-    are left to ``json.dumps`` itself."""
+    encoder, dicts and other lists recurse, and ints and finite floats are
+    written as their repr.  Values of any other type are left to
+    ``json.dumps`` itself."""
     out: list[str] = []
     _write_json(obj, "\n", out)
     return "".join(out)
@@ -94,6 +96,9 @@ def _write_json(obj, nl: str, out: list[str]) -> None:
         out.append(_WORDS[obj])
     elif kind is int:
         out.append(int.__repr__(obj))
+    elif kind is float and math.isfinite(obj):
+        # json writes a finite float as its repr, and nan and inf by name
+        out.append(float.__repr__(obj))
     else:
         _write_other(obj, nl, out)
 

@@ -228,8 +228,12 @@ class InclusionCheck:
 
 @dataclass(slots=True)
 class ComparisonReport:
+    """The models of each semantics, as atom sets (``semantics``) and as
+    their atoms sorted (``listed``), the inclusion verdicts, the witnesses
+    and the time each semantics took."""
     alphabet: tuple[str, ...]
     semantics: dict[str, list[frozenset[str]]]
+    listed: dict[str, list[tuple[str, ...]]]
     inclusions: list[InclusionCheck]
     witnesses: dict[str, list[dict]]
     timings: dict[str, float]
@@ -241,8 +245,8 @@ class ComparisonReport:
     def to_json_dict(self) -> dict:
         return {
             "alphabet": list(self.alphabet),
-            "semantics": {name: [sorted(m) for m in models]
-                          for name, models in self.semantics.items()},
+            "semantics": {name: [list(m) for m in models]
+                          for name, models in self.listed.items()},
             "inclusions": [{"lhs": c.lhs, "rhs": c.rhs, "holds": c.holds}
                            for c in self.inclusions],
             "witnesses": self.witnesses,
@@ -255,6 +259,8 @@ class ComparisonReport:
             alphabet=tuple(data["alphabet"]),
             semantics={name: [frozenset(m) for m in models]
                        for name, models in data["semantics"].items()},
+            listed={name: [tuple(sorted(m)) for m in models]
+                    for name, models in data["semantics"].items()},
             inclusions=[InclusionCheck(e["lhs"], e["rhs"], e["holds"])
                         for e in data["inclusions"]],
             witnesses=data.get("witnesses", {}),
@@ -263,9 +269,8 @@ class ComparisonReport:
 
     def render_text(self) -> str:
         lines = [f"alphabet: {{{','.join(self.alphabet)}}}"]
-        for name in self.semantics:
-            models = ", ".join("{" + ",".join(sorted(m)) + "}"
-                               for m in self.semantics[name]) or "(none)"
+        for name, listed in self.listed.items():
+            models = ", ".join("{" + ",".join(m) + "}" for m in listed) or "(none)"
             lines.append(f"{name:>10}: {models}")
         bad = self.violations
         if bad:
@@ -304,12 +309,15 @@ def compute_report(p: Program, selectors: Iterable[str] | None = None,
         raise ValueError(f"no semantics selected; available: {list(SEMANTICS_ORDER)}")
     m = model_tables(p, atoms)
     results: dict[str, list[frozenset[str]]] = {}
+    listed: dict[str, list[tuple[str, ...]]] = {}
     witnesses: dict[str, list[dict]] = {}
     timings: dict[str, float] = {}
     for name in (n for n in SEMANTICS_ORDER if n in names):
         t0 = time.perf_counter()
         masks = m.masks(name)
-        results[name] = [m.decode(t)[0] for t in masks]
+        decoded = [m.decode(t) for t in masks]
+        results[name] = [atom_set for atom_set, _ in decoded]
+        listed[name] = [sorted_atoms for _, sorted_atoms in decoded]
         if name in WITNESSED:
             witnesses[name] = [{"model": list(m.decode(t)[1]), **w} for t, w in
                                zip(masks, _witness_fields(m, name, masks))]
@@ -317,4 +325,4 @@ def compute_report(p: Program, selectors: Iterable[str] | None = None,
     inclusions = [InclusionCheck(lhs, rhs, m.includes(lhs, rhs))
                   for lhs, rhs in edges_of("models")
                   if lhs in results and rhs in results]
-    return ComparisonReport(m.atoms, results, inclusions, witnesses, timings)
+    return ComparisonReport(m.atoms, results, listed, inclusions, witnesses, timings)

@@ -39,11 +39,14 @@ all of them, as the tree entries do.  Every compile emits through one emitter
 again.  The head-splitting check conjoins a program's fork with each of
 many contexts: :class:`ContextRegisters` emits the contexts' formula
 registers once, and keeps what a sweep computes of them alone, and
-:func:`forked_masks_in_contexts` emits the program's registers after them
-and one fork conjunction per context, so each program runs only its own
-registers and the conjunctions.  The public :class:`Support` and
-:class:`View` hold the same ints, a support's table and a view's
-generators; :meth:`Support.member_sets` gives the members as atom sets.
+:func:`forked_masks_in_contexts` emits the program's registers after them,
+so each program runs only its own registers.  A context's view has at
+most one generator, its support, so the contexts' supports are kept
+sliced by member, and whether each conjunction holds [T] is read off them
+for all contexts at once, with no conjunction emitted.  The public
+:class:`Support` and :class:`View` hold the same ints, a support's table
+and a view's generators; :meth:`Support.member_sets` gives the members as
+atom sets.
 
 Before the sweep, a pre-pass runs the same registers once over tables of
 2^n bits, one bit per T of the n-atom pool, and the sweep then visits only
@@ -59,7 +62,9 @@ two nonempty supports holds T), a pair iff either side is, and an implication
 iff its antecedent's support is empty (the view of all subsets) or its
 consequent's view is nonempty; so the fork connectives read as the formula
 ones.  :func:`strongly_entails` visits only the T where the left view is
-nonempty, because an empty view has no support to miss.
+nonempty, because an empty view has no support to miss, and
+:func:`forked_masks_in_contexts` only those where the program's view is,
+because a conjunction with an empty side is empty.
 
 T is a fork stable model iff the view holds the support [T], which for
 every atom d of T excludes T minus d.  So the second pass
@@ -590,24 +595,15 @@ def _nonempty_tables(ops: Sequence[Op], n: int,
     return nonempty
 
 
-def _pass_start(n: int, d: int) -> list[int]:
-    """The tables of the atoms of a pool of n atoms, d's zeroed, and of the
-    empty support: the registers before the operations in the pass of
-    :func:`_open_table` for atom d."""
-    regs = [*_columns(n), 0]
-    regs[d] = 0
-    return regs
-
-
 def _excluding(ops: Sequence[Op], regs: list[int], nonempty: Sequence[int],
                everything: int) -> list[int]:
     """Run the operations in the pass of :func:`_open_table` for an atom d:
     per register, the table over every T of the pool where, with d in T, a
     formula holds at (T minus d, T) or some support of a view excludes T
     minus d (the module docstring gives the rules).  ``regs`` holds the
-    pass's tables of the registers before the operations
-    (:func:`_pass_start` before any) and is extended in place;
-    ``nonempty`` holds every register's nonempty table."""
+    pass's tables of the atoms, d's zeroed, and of the empty support, and
+    is extended in place; ``nonempty`` holds every register's nonempty
+    table."""
     push = regs.append
     for k, (op, a, b) in enumerate(ops, start=len(regs)):
         if op == _AND or op == _FIMP:
@@ -623,23 +619,20 @@ def _excluding(ops: Sequence[Op], regs: list[int], nonempty: Sequence[int],
     return regs
 
 
-def _open_table(ops: Sequence[Op], roots: list[int], n: int,
-                start: "ContextRegisters | None" = None) -> int:
+def _open_table(ops: Sequence[Op], roots: list[int], n: int) -> int:
     """The table of the T over a pool of n atoms that can be a fork stable
     model of some root: its view is nonempty there and, for every atom d of
     T, holds a support that excludes T minus d.  One pass per atom d runs
     the operations with d's column zeroed (:func:`_excluding`), so that a
     formula register holds the here-and-there truth at (T minus d, T) and a
-    fork register whether some support of its view excludes T minus d.
-    With ``start``, the operations follow the compiled contexts', whose
-    tables it holds."""
+    fork register whether some support of its view excludes T minus d."""
     everything = _universe(n)
     cols = _columns(n)
-    first, passes = start.prepass() if start else (None, None)
-    nonempty = _nonempty_tables(ops, n, first)
+    nonempty = _nonempty_tables(ops, n)
     opened = [nonempty[r] for r in roots]
     for d, col in enumerate(cols):
-        regs = _pass_start(n, d) if passes is None else list(passes[d])
+        regs = [*cols, 0]
+        regs[d] = 0
         _excluding(ops, regs, nonempty, everything)
         lacking = everything ^ col
         opened = [o & (lacking | regs[r]) for o, r in zip(opened, roots)]
@@ -649,22 +642,17 @@ def _open_table(ops: Sequence[Op], roots: list[int], n: int,
     return out
 
 
-def _runs(ops: Sequence[Op], n: int, table: int,
-          start: "ContextRegisters | None" = None
+def _runs(ops: Sequence[Op], n: int, table: int
           ) -> Iterator[tuple[int, list[int], list]]:
     """The registers at every T of the table over a pool of n atoms, with T
     given by its pool mask and its pool indices, in the order of
-    :func:`ht.subsets`.  With ``start``, the operations follow the compiled
-    contexts', whose registers at T it gives."""
+    :func:`ht.subsets`."""
     for t in ht.model_order(table):
         combo = set_bits(t)
-        if start is None:
-            cols = _columns(len(combo))
-            regs = [0] * (n + 1)
-            for i, j in enumerate(combo):
-                regs[j] = cols[i]
-        else:
-            regs = start.registers_at(t)
+        cols = _columns(len(combo))
+        regs = [0] * (n + 1)
+        for i, j in enumerate(combo):
+            regs[j] = cols[i]
         yield t, combo, _run(ops, regs, len(combo))
 
 
@@ -776,14 +764,12 @@ def equilibrium_models(p: Program, atoms: Iterable[str] | None = None
     return compare.model_tables(p, atoms).models("sm-formula")
 
 
-def _stable_masks(n: int, ops: Sequence[Op], roots: list[int],
-                  start: "ContextRegisters | None" = None) -> list[list[int]]:
+def _stable_masks(n: int, ops: Sequence[Op], roots: list[int]) -> list[list[int]]:
     """The fork stable models of each root over a pool of n atoms, as
     masks.  The sweep visits, in the order of :func:`ht.sort_models`, only
-    the T that the pre-pass leaves open for some root.  With ``start``, the
-    operations follow the compiled contexts'."""
+    the T that the pre-pass leaves open for some root."""
     found = [(root, []) for root in roots]
-    for t, combo, regs in _runs(ops, n, _open_table(ops, roots, n, start), start):
+    for t, combo, regs in _runs(ops, n, _open_table(ops, roots, n)):
         top = _full_bit(len(combo))
         for root, models in found:
             if top in regs[root]:
@@ -797,11 +783,12 @@ class ContextRegisters:
     operations.  It keeps their emitter (``emitted``), each context's view
     register (the ideal of its formula's support), and what a sweep
     computes of these registers alone, since it is the same for every
-    program swept with them: their tables in the pre-pass and their
-    registers at each T, each built on first use.
+    program swept with them: their nonempty tables, and at each T their
+    registers and their supports sliced by member (:meth:`at`), so that
+    one sweep tests all of them, each built on first use.
     """
 
-    __slots__ = ("pool", "emitted", "roots", "_prepass", "_at")
+    __slots__ = ("pool", "emitted", "roots", "_nonempty", "_at")
 
     def __init__(self, contexts: Iterable[Program], atoms: Iterable[str]):
         contexts = list(contexts)
@@ -810,45 +797,74 @@ class ContextRegisters:
         self.emitted = _Emitter(pool)
         self.roots = tuple(_compile_program(c, pool, ("formula",), self.emitted)[1][0]
                            for c in contexts)
-        self._prepass: tuple[list[int], list[list[int]]] | None = None
-        self._at: dict[int, list] = {}
+        self._nonempty: list[int] | None = None
+        self._at: dict[int, tuple[list, int, list[int]]] = {}
 
-    def prepass(self) -> tuple[list[int], list[list[int]]]:
-        """The registers' nonempty tables (:func:`_nonempty_tables`) and
-        their tables in the pass of each atom (:func:`_excluding`)."""
-        if self._prepass is None:
-            n = len(self.pool)
-            ht._check_width(n)
-            ops = self.emitted.ops
-            nonempty = _nonempty_tables(ops, n)
-            self._prepass = nonempty, [
-                _excluding(ops, _pass_start(n, d), nonempty, _universe(n))
-                for d in range(n)]
-        return self._prepass
+    def nonempty(self) -> list[int]:
+        """The registers' nonempty tables (:func:`_nonempty_tables`)."""
+        if self._nonempty is None:
+            ht._check_width(len(self.pool))
+            self._nonempty = _nonempty_tables(self.emitted.ops, len(self.pool))
+        return self._nonempty
 
-    def registers_at(self, t: int) -> list:
-        """A fresh list of the registers at the T of pool mask t."""
-        regs = self._at.get(t)
-        if regs is None:
+    def at(self, t: int) -> tuple[list, int, list[int]]:
+        """At the T of pool mask t: the registers, which a sweep copies
+        before it extends them, and the contexts' supports sliced by
+        member, that is the contexts whose support is nonempty, bit j
+        standing for the j-th context, and per here-mask h of a proper
+        subset of T those whose support holds h.  A context's view is the
+        ideal of its support, so it has at most one generator."""
+        got = self._at.get(t)
+        if got is None:
             # the registers of a sweep over the table of this T alone
             [(_, _, regs)] = _runs(self.emitted.ops, len(self.pool), 1 << t)
-            self._at[t] = regs
-        return list(regs)
+            top = _full_bit(t.bit_count())
+            live, meets = 0, [0] * (top.bit_length() - 1)
+            for j, r in enumerate(self.roots):
+                if regs[r]:
+                    (s,) = regs[r]
+                    live |= 1 << j
+                    for h in set_bits(s ^ top):
+                        meets[h] |= 1 << j
+            got = self._at[t] = regs, live, meets
+        return got
 
 
 def forked_masks_in_contexts(p: Program, contexts: ContextRegisters
                              ) -> list[list[int]]:
     """The fork stable models of ``syntax.forked(p)``, then of its fork
     conjunction with each context, as masks over the contexts' pool, which
-    must cover p's atoms.  p's registers are emitted after the contexts',
-    each conjunction is one more operation, and one sweep serves them all."""
+    must cover p's atoms.  p's registers are emitted after the contexts'
+    and run at every T where p's view is nonempty.  The conjunction's
+    supports are the x & s for the generators x of p's view and the
+    context's support s, so it holds [T] iff some x meets s in T alone:
+    the contexts that x meets beyond T are read off the contexts' sliced
+    supports (:meth:`ContextRegisters.at`), for all of them at once."""
     pool = contexts.pool
-    ht._check_width(len(pool))
+    n = len(pool)
+    ht._check_width(n)
     ht.covering_alphabet(p.atoms(), pool)
     em = _Emitter(pool, contexts.emitted)
     ops, (root,) = _compile_program(p, pool, ("forked",), em)
-    roots = [root] + [em.emit(_FAND, root, c) for c in contexts.roots]
-    return _stable_masks(len(pool), ops[len(contexts.emitted.ops):], roots, contexts)
+    ops = ops[len(contexts.emitted.ops):]
+    bare: list[int] = []
+    found: list[list[int]] = [[] for _ in contexts.roots]
+    for t in ht.model_order(_nonempty_tables(ops, n, contexts.nonempty())[root]):
+        width = t.bit_count()
+        top = _full_bit(width)
+        regs, live, meets = contexts.at(t)
+        view = _run(ops, list(regs), width)[root]
+        stable = 0
+        for x in view:
+            bad = 0
+            for h in set_bits(x ^ top):
+                bad |= meets[h]
+            stable |= live & ~bad
+        if top in view:
+            bare.append(t)
+        for j in set_bits(stable):
+            found[j].append(t)
+    return [bare] + found
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,7 +1,8 @@
 """Classical and here-and-there satisfaction, plus brute-force enumeration
 of classical and stable (equilibrium) models.
 
-Formulas are evaluated by direct recursion over the AST.  Programs go
+Formulas are evaluated over the AST, walked on a stack of its own
+(:func:`_sat`), so a formula of any depth is read.  Programs go
 through :class:`CompiledProgram`, which packs each rule into four bitmasks
 over a sorted alphabet and enumerates on truth tables (Knuth, TAOCP 4A,
 7.1.3): over n atoms a table is an int of 2^n bits whose bit t says
@@ -115,22 +116,8 @@ def classical_sat(t: Iterable[str], phi: Theory) -> bool:
     """Truth of a formula or program in a classical interpretation."""
     tset = t if isinstance(t, (set, frozenset)) else frozenset(t)
     if isinstance(phi, Program):
-        return all(_csat(tset, rule_to_formula(r)) for r in phi.rules)
-    return _csat(tset, phi)
-
-
-def _csat(t, phi: Formula) -> bool:
-    if isinstance(phi, Falsum):
-        return False
-    if isinstance(phi, Atom):
-        return phi.name in t
-    if isinstance(phi, And):
-        return _csat(t, phi.left) and _csat(t, phi.right)
-    if isinstance(phi, Or):
-        return _csat(t, phi.left) or _csat(t, phi.right)
-    if isinstance(phi, Implies):
-        return not _csat(t, phi.left) or _csat(t, phi.right)
-    raise TypeError(f"cannot evaluate {type(phi).__name__}")
+        return all(_sat(tset, tset, rule_to_formula(r)) for r in phi.rules)
+    return _sat(tset, tset, phi)
 
 
 def ht_sat(here: Iterable[str], there: Iterable[str], phi: Theory) -> bool:
@@ -140,24 +127,64 @@ def ht_sat(here: Iterable[str], there: Iterable[str], phi: Theory) -> bool:
     if not h <= t:
         raise ValueError("'here' must be a subset of 'there'")
     if isinstance(phi, Program):
-        return all(_htsat(h, t, rule_to_formula(r)) for r in phi.rules)
-    return _htsat(h, t, phi)
+        return all(_sat(h, t, rule_to_formula(r)) for r in phi.rules)
+    return _sat(h, t, phi)
 
 
-def _htsat(h, t, phi: Formula) -> bool:
-    if isinstance(phi, Falsum):
-        return False
-    if isinstance(phi, Atom):
-        return phi.name in h
-    if isinstance(phi, And):
-        return _htsat(h, t, phi.left) and _htsat(h, t, phi.right)
-    if isinstance(phi, Or):
-        return _htsat(h, t, phi.left) or _htsat(h, t, phi.right)
-    if isinstance(phi, Implies):
-        if not (not _csat(t, phi.left) or _csat(t, phi.right)):
-            return False
-        return not _htsat(h, t, phi.left) or _htsat(h, t, phi.right)
-    raise TypeError(f"cannot evaluate {type(phi).__name__}")
+_THERE, _LEFT, _RIGHT = range(3)  # what a node waits for on the stack of _sat
+
+
+def _sat(h, t, phi: Formula) -> bool:
+    """Truth of a formula at the here-and-there pair (h, t), which is its
+    classical truth at t when h is t.  An implication holds at (h, t) iff
+    it holds at (t, t) and its antecedent fails at (h, t) or its consequent
+    holds.  Operands are read left to right and only until the value is
+    decided, on a stack of pending nodes, so a formula of any depth is read;
+    an implication's value at (t, t) is kept once read, so no node is read
+    twice at one pair.
+    """
+    pending: list[tuple[Formula, object, int]] = []
+    there: dict[int, bool] = {}  # by node id, implications read at (t, t)
+    node, world = phi, h
+    while True:
+        kind = type(node)
+        if kind is Atom:
+            value = node.name in world
+        elif kind is Falsum:
+            value = False
+        elif kind is Implies and world is not t:
+            pending.append((node, world, _THERE))
+            value = there.get(id(node))
+            if value is None:
+                world = t
+                continue
+        elif kind is And or kind is Or or kind is Implies:
+            pending.append((node, world, _LEFT))
+            node = node.left
+            continue
+        else:
+            raise TypeError(f"cannot evaluate {type(node).__name__}")
+        # hand the value up to the first node with an operand still to read
+        while pending:
+            node, world, waits = pending.pop()
+            if waits == _THERE:
+                if not value:
+                    continue
+                pending.append((node, world, _LEFT))
+                node = node.left
+                break
+            kind = type(node)
+            if waits == _LEFT:
+                if kind is Implies and not value:
+                    value = True
+                elif kind is Implies or value != (kind is Or):
+                    pending.append((node, world, _RIGHT))
+                    node = node.right
+                    break
+            if kind is Implies and world is t:
+                there[id(node)] = value
+        else:
+            return value
 
 
 def ht_equivalent(phi: Formula, psi: Formula,
@@ -169,7 +196,7 @@ def ht_equivalent(phi: Formula, psi: Formula,
     _check_width(len(pool))
     for t in subsets(pool):
         for h in subsets(t):
-            if _htsat(h, t, phi) != _htsat(h, t, psi):
+            if _sat(h, t, phi) != _sat(h, t, psi):
                 return False
     return True
 
@@ -510,7 +537,7 @@ def classical_models(x: Theory, atoms: Iterable[str] | None = None) -> list[froz
         return compare.model_tables(x, atoms).models("classical")
     pool = covering_alphabet(alphabet(x), atoms)
     _check_width(len(pool))
-    return sort_models(t for t in subsets(pool) if _csat(t, x))
+    return sort_models(t for t in subsets(pool) if _sat(t, t, x))
 
 
 def is_stable_model(x: Theory, t: Iterable[str]) -> bool:
@@ -519,10 +546,10 @@ def is_stable_model(x: Theory, t: Iterable[str]) -> bool:
     if isinstance(x, Program):
         cp = CompiledProgram(x, tset | alphabet(x))
         return cp.is_stable(cp.mask(tset))
-    if not _csat(tset, x):
+    if not _sat(tset, tset, x):
         return False
     _check_width(len(tset))
-    return all(not _htsat(h, tset, x) for h in subsets(tset) if h != tset)
+    return all(not _sat(h, tset, x) for h in subsets(tset) if h != tset)
 
 
 def stable_models(x: Theory, atoms: Iterable[str] | None = None) -> list[frozenset[str]]:

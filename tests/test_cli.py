@@ -569,6 +569,10 @@ def test_json_writer_matches_json_dumps_on_edge_values():
         {"z": {"y": {"x": ["w", "v"]}}, "empty": [[], {}]},
         {1: "int key", 2: [3]}, {"k": {2: "nested int key"}},
         [["a", "b"], ["a", "b"]],
+        1e16, 1.0e22, 123456789.125, 5e-324,
+        {"timings": {"a": -0.0, "b": 1e-7, "c": 1e16, "d": float("nan"),
+                     "e": float("inf"), "f": 0.000123}},
+        [-0.0, 1e-7, 1e16, float("nan"), float("inf"), float("-inf")],
     ]
     for obj in edges:
         _same_as_json_dumps(obj)

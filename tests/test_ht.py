@@ -9,8 +9,8 @@ from dlplab.ht import (CapacityError, CompiledProgram, classical_models,
                        classical_sat, ht_equivalent, ht_sat, is_stable_model,
                        stable_models, subsets)
 from dlplab.justify import support_graphs_of
-from dlplab.parser import parse_formula, parse_program
-from dlplab.syntax import Atom, Program, forked, neg
+from dlplab.parser import parse_formula, parse_fork, parse_program
+from dlplab.syntax import Atom, Implies, Program, forked, neg
 
 
 def models(text, atoms=None):
@@ -70,6 +70,32 @@ def test_ht_equivalence_examples():
     assert not ht_equivalent(Atom("a"), parse_formula("a v b"), {"a", "b"})
     phi = parse_formula("a -> b & c")
     assert ht_equivalent(phi, phi)
+
+
+@pytest.mark.parametrize("op", ["&", "v", "->"])
+def test_formulas_of_any_depth_are_evaluated(op):
+    """A 1500-term chain, read by parse_fork for & and v (nested to the
+    left) and built nested to the right for ->, agrees with a shallow
+    formula equivalent to it in HT: every evaluation runs on a stack of
+    its own."""
+    terms = [f"a{i % 5}" for i in range(1500)]
+    if op == "->":
+        deep = Atom("a0")
+        for name in terms[1:]:
+            deep = Implies(Atom("a1"), deep)
+        shallow = parse_formula("a1 -> a0")
+    else:
+        deep = parse_fork(f" {op} ".join(terms))
+        shallow = parse_formula(f" {op} ".join(terms[:5]))
+    atoms = [f"a{i}" for i in range(5)]
+    assert classical_models(deep, atoms) == classical_models(shallow, atoms)
+    assert stable_models(deep, atoms) == stable_models(shallow, atoms)
+    assert ht_equivalent(deep, shallow, atoms)
+    for t in subsets(atoms):
+        assert classical_sat(t, deep) == classical_sat(t, shallow)
+        assert is_stable_model(deep, t) == is_stable_model(shallow, t)
+        for h in subsets(t):
+            assert ht_sat(h, t, deep) == ht_sat(h, t, shallow)
 
 
 def test_total_interpretation_matches_classical():

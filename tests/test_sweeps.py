@@ -8,10 +8,13 @@ projected onto a vocabulary: onto the whole alphabet they are the stable
 models themselves, onto the source alphabet what the head-splitting check
 compares.  ``forks.forked_masks_in_contexts`` gives as masks the fork
 stable models of a program's fork, bare and conjoined with each of the
-contexts compiled by ``forks.ContextRegisters``.  Every list they return
-must equal the one-program result: ``ht.stable_models`` of the joined
-program, projected by ``forks.project_models``, and
-``forks.fork_stable_models`` of the conjoined fork.
+contexts compiled by ``forks.ContextRegisters``; it builds no conjunction
+but reads, at each T, whether [T] is a product of the program's view and
+each context's support off the contexts' supports sliced by member.  Every
+list they return must equal the one-program result: ``ht.stable_models``
+of the joined program, projected by ``forks.project_models``, and
+``forks.fork_stable_models`` of the conjoined fork tree, the fork masks in
+the same order.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ def in_contexts(p: Program, contexts, atoms=None) -> list:
 def swept(p: Program, contexts) -> tuple[list, list, list, list]:
     """The same lists from one call of each sweep: the HT sweep, whole and
     projected, for the first and second, the tree sweep for the third and
-    the program's fork for the fourth."""
+    the program's fork for the fourth, decoded in the order found."""
     al = p.atoms()
     pool = sorted(al)
     f, pf = forked(p), deno.pf_translate(p)
@@ -75,7 +78,7 @@ def swept(p: Program, contexts) -> tuple[list, list, list, list]:
             [decoded(masks, pool) for masks in projected],
             deno.fork_stable_models_each([fork_and(f, c.to_formula())
                                           for c in contexts], al),
-            [decoded(masks, pool) for masks in fork])
+            [deno._decoded(pool, masks) for masks in fork])
 
 
 def pf_width(p: Program) -> int:
@@ -96,7 +99,8 @@ def seeded(cfg: GenConfig, count: int, max_width: int = 12) -> list[Program]:
 
 SEED_SETS = [pytest.param(GenConfig(), 40, id="default"),
              pytest.param(GenConfig(atoms=3, rules=3, max_head=3), 100,
-                          id="atoms3-rules3-head3")]
+                          id="atoms3-rules3-head3"),
+             pytest.param(GenConfig(atoms=6, rules=8), 40, id="atoms6-rules8")]
 
 
 @pytest.mark.parametrize("cfg, count", SEED_SETS)
@@ -172,6 +176,75 @@ def test_contexts_of_constraints_only():
         p = gen_program(GenConfig(atoms=3, rules=3, max_head=3, seed=seed))
         ctx = [c for c in contexts if c.atoms() <= p.atoms()]
         assert swept(p, ctx) == one_by_one(p, ctx), seed
+
+
+def test_context_sweep_with_empty_supports_and_many_generators():
+    """Contexts whose support is empty at some T, and programs whose view
+    has several generators at one T, each meeting the contexts' supports
+    in other members."""
+    facts = [parse_program(text) for text in ("a.", "b.", "c.", "a. c.", "b. c.")]
+    contexts = facts + [Program(()), parse_program(":- a."),
+                        parse_program("a :- not b."), parse_program(":- b, not c.")]
+    programs = [parse_program(text) for text in (
+        "a | b. b | c.", "a | b | c.", "a | b. a | c :- not b.", "a | c :- not b. b | c.")]
+    pool = ("a", "b", "c")
+    registers = deno.ContextRegisters(contexts, pool)
+    empty = set()
+    for t in range(8):
+        regs = registers.at(t)[0]
+        empty.update(j for j, r in enumerate(registers.roots) if not regs[r])
+    assert empty == set(range(len(contexts))) - {5}
+    for p in programs:
+        many = [t for t in ht.subsets(pool)
+                if len(deno.denotation(forked(p), t).gens) > 1]
+        assert many, p
+        assert swept(p, contexts) == one_by_one(p, contexts), p
+
+
+def context_family_registers(atoms) -> deno.ContextRegisters:
+    return deno.ContextRegisters(context_family(atoms), sorted(atoms))
+
+
+@pytest.mark.parametrize("cfg, count", SEED_SETS)
+def test_context_views_have_at_most_one_generator(cfg, count):
+    for p in seeded(cfg, count // 4):
+        registers = context_family_registers(p.atoms())
+        for t in range(1 << len(registers.pool)):
+            regs = registers.at(t)[0]
+            assert all(len(regs[r]) <= 1 for r in registers.roots), (p, t)
+
+
+def test_context_sweep_visits_pinned_counts(monkeypatch):
+    """The T the context sweep runs the program's registers at, those where
+    its forked view is nonempty: a sweep visiting every T, or pruning less,
+    runs more of them."""
+    visits = 0
+    run = deno._run
+
+    def counted(*args):
+        nonlocal visits
+        visits += 1
+        return run(*args)
+
+    counts = []
+    for cfg in (GenConfig(), GenConfig(atoms=3, rules=3, max_head=3),
+                GenConfig(atoms=6, rules=8)):
+        programs = seeded(cfg, 40)
+        families = {}
+        for p in programs:
+            key = tuple(sorted(p.atoms()))
+            if key not in families:
+                families[key] = registers = context_family_registers(key)
+                for t in range(1 << len(key)):
+                    registers.at(t)
+        monkeypatch.setattr(deno, "_run", counted)
+        visits = 0
+        for p in programs:
+            deno.forked_masks_in_contexts(p, families[tuple(sorted(p.atoms()))])
+        monkeypatch.setattr(deno, "_run", run)
+        counts.append(visits)
+    # of 592, 310 and 2272 T over the programs' alphabets
+    assert counts == [199, 199, 362]
 
 
 def test_stable_models_of_a_wider_alphabet_in_contexts():
