@@ -18,9 +18,13 @@ unconditional claim, fails on ``a :- not not a.`` and is kept to show it.
 Only strong entailment (``cor1``, on the fork registers of the memo) and
 the head-splitting check are written out here.  ``th1`` sweeps its whole
 context family in one call per engine (``ht.stable_masks_in_contexts``,
-``forks.forked_masks_in_contexts``), each reading what was compiled once
-for the family's alphabet, and compares the models of the two as masks;
-it builds no forked tree.
+``forks.forked_masks_in_contexts``), each reading what was built once for
+the family's alphabet, and compares the models of the two as masks; it
+builds no forked tree.  Both sweeps test every context at once on context
+sets, ints with one bit per context: the HT sweep builds only the
+translated program's tables and reads the contexts' at each source
+interpretation (``ht.ContextRules``), the fork sweep reads the contexts'
+supports sliced by member at each T (``forks.ContextRegisters``).
 """
 
 from __future__ import annotations
@@ -180,9 +184,10 @@ def check_pf_projection(p: Program) -> str | None:
     The whole family is swept at once, with the family's rules and fork
     registers compiled once per alphabet: one call computes the stable
     models of pf alone and with every context, projected onto the source
-    alphabet, one the fork stable models of the forked program and of its
-    conjunction with every context, and both give models as masks over the
-    sorted source alphabet.  The bare program is compared first, then the
+    alphabet, from pf's tables and what the contexts add at each source
+    interpretation, one the fork stable models of the forked program and
+    of its conjunction with every context, and both give models as masks
+    over the sorted source alphabet.  The bare program is compared first, then the
     contexts in family order; only a failing pair is decoded.  The HT sweep
     runs first, so that a pf too wide to enumerate is refused before any
     fork sweep, but a source too wide for the fork sweep is refused first,

@@ -32,18 +32,16 @@ mask core.  Code that patches a :class:`CompiledProgram` method, a mask
 core or an enumerator after a program was computed must pass a new
 program object, or it gets the tables and models already built.
 
+:func:`stable_masks` keeps the completion-supported classical models
+whose rules' violations cover every here-component but the model.
 :func:`stable_masks_in_contexts` sweeps a program under many contexts (the
 head-splitting check adds each of its context family to one translated
-program): the program is compiled once and the distinct context rules
-(:class:`ContextRules`) are added to it, packed once per placement of
-their atoms, every rule's tables are built once, each context folds its own
-rules into copies of the program's tables, re-checking the support of only
-the atoms its rules head, and what every context reaching a model shares
-(:class:`_Reached`: the model's here-columns, the program's violation
-table and each context rule's) is computed once per model.  One core
-(:func:`_sweep`) returns the models as masks: :func:`stable_masks`, the
-one-context case, sorts them, and :func:`stable_masks_in_contexts`
-projects them onto a vocabulary.
+program) and builds only the program's tables.  A context mentions only
+its own atoms, so what it adds at a model depends only on the model's
+projection u onto them; :class:`ContextRules` keeps, per u, the contexts
+whose rules hold there, their support of each atom and the contexts each
+projected here-component is violated by, as context sets (one bit per
+context), and the sweep tests the whole family at each candidate at once.
 
 Each enumerator of a program has such a mask core (:func:`classical_masks`
 here, and ``*_masks`` in :mod:`dlplab.di`, :mod:`dlplab.justify`,
@@ -340,15 +338,6 @@ class CompiledProgram:
         self.rules = tuple(rules)
         self._built: dict[str, object] = {}  # built_once name -> its result
 
-    def _with_rules(self, lists: tuple, rules: tuple) -> "CompiledProgram":
-        """A compile of more rules over the same alphabet: these, given as
-        ``lists`` and ``rules`` hold them, after this program's."""
-        out = object.__new__(CompiledProgram)
-        out.atoms, out.index, out.full = self.atoms, self.index, self.full
-        out.lists, out.rules = self.lists + lists, self.rules + rules
-        out._built = {}
-        return out
-
     def mask(self, atoms: Iterable[str]) -> int:
         m = 0
         for a in atoms:
@@ -402,51 +391,42 @@ class CompiledProgram:
             bodies.append(body & ~_disj(bneg, cols))
         return cols, tuple(bodies), everything
 
-    def _holds(self, cols: Sequence[int], bodies: Sequence[int]) -> list[int]:
-        """Per rule, the interpretations where it holds: its body is false
-        or its head true.  Only ever and-ed into a table, so it may be
-        negative."""
-        return [~body | _disj(head, cols)
-                for (head, _, _, _), body in zip(self.lists, bodies)]
+    def _by_head_atom(self, per_rule: Sequence[int]) -> list[int]:
+        """Per atom, the or of the given tables of the rules it heads."""
+        out = [0] * len(self.atoms)
+        for (head, _, _, _), table in zip(self.lists, per_rule):
+            for a in head:
+                out[a] |= table
+        return out
 
-    def _supports(self, cols: Sequence[int], bodies: Sequence[int]) -> list[int]:
-        """Per rule, the interpretations where it supports each true atom
-        of its head: the body holds and no other head atom is true, that
-        is at most one head atom is."""
-        out = []
+    def supported_columns(self) -> list[int]:
+        """Per atom, the interpretations in which a rule supports it: the
+        rule's body holds and its other head atoms are false, that is at
+        most one of its head atoms is true."""
+        cols, bodies, _ = self._tables()
+        supports = []
         for (head, _, _, _), body in zip(self.lists, bodies):
             one = two = 0
             for a in head:
                 two |= one & cols[a]
                 one |= cols[a]
-            out.append(body & ~two)
-        return out
-
-    def _add_supports(self, supported: list[int], supports: Sequence[int],
-                      rules: Iterable[int]) -> list[int]:
-        """Or the given rules' supports into the supported column of each
-        of their head atoms, in place."""
-        for k in rules:
-            for a in self.lists[k][0]:
-                supported[a] |= supports[k]
-        return supported
+            supports.append(body & ~two)
+        return self._by_head_atom(supports)
 
     @built_once
     def model_table(self) -> int:
         """The classical models: no rule has a true body and a false head."""
         cols, bodies, out = self._tables()
-        for holds in self._holds(cols, bodies):
-            out &= holds
+        for (head, _, _, _), body in zip(self.lists, bodies):
+            out &= ~body | _disj(head, cols)
         return out
 
     @built_once
     def support_table(self) -> int:
         """The interpretations in which every true atom heads a rule whose
         body holds and whose other head atoms are false."""
-        cols, bodies, everything = self._tables()
-        supported = self._add_supports([0] * len(cols), self._supports(cols, bodies),
-                                       range(len(bodies)))
-        return _supported(cols, supported, everything)
+        cols, _, everything = self._tables()
+        return _supported(cols, self.supported_columns(), everything)
 
     @built_once
     def headed_table(self) -> int:
@@ -454,8 +434,7 @@ class CompiledProgram:
         body holds, whatever its other head atoms: a rule's body table is
         its support of every head atom."""
         cols, bodies, _ = self._tables()
-        headed = self._add_supports([0] * len(cols), bodies, range(len(bodies)))
-        return _supported(cols, headed, self.model_table())
+        return _supported(cols, self._by_head_atom(bodies), self.model_table())
 
     @built_once
     def models_in_order(self) -> tuple[int, ...]:
@@ -495,23 +474,30 @@ class CompiledProgram:
             out &= ~cols[a]
         return out
 
+    def violated(self, t: int, cols: list[int]) -> int:
+        """The here-components of t, given by their columns, at which some
+        rule whose body holds in t fails."""
+        everything = _universe(t.bit_count())
+        out = 0
+        for ri in self.fired(t):
+            out |= self.violation(ri, t, cols, everything)
+        return out
+
+    def is_minimal(self, t: int) -> bool:
+        """Whether the violations of the rules at t cover every
+        here-component but t, so that no here-and-there model of the
+        rules lies below t."""
+        return self.violated(t, self.here_columns(t)) == below_top(t.bit_count())
+
     def is_stable(self, t: int) -> bool:
-        """A classical model with no here-and-there model below it: the
-        violations of its rules cover every here-component but t."""
-        return self.sat_classical(t) and _Reached(self, t, len(self.rules),
-                                                  None).stable_with(())
+        """A classical model with no here-and-there model below it."""
+        return self.sat_classical(t) and self.is_minimal(t)
 
 
 def below_top(width: int) -> int:
     """The table of every here-component of a width-w model but the model
     itself: the violation table of a stable model."""
     return _full_bit(width) - 1
-
-
-def _and_tables(out: int, tables: list[int], rules: Iterable[int]) -> int:
-    for k in rules:
-        out &= tables[k]
-    return out
 
 
 def _supported(cols: Sequence[int], supported: Sequence[int], everything: int) -> int:
@@ -555,8 +541,8 @@ def is_stable_model(x: Theory, t: Iterable[str]) -> bool:
 def stable_models(x: Theory, atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
     """All stable (equilibrium) models over the alphabet, sorted.
 
-    A program's are row ``sm`` of :func:`compare.model_tables`, the one-context
-    case of :func:`stable_masks_in_contexts`.
+    A program's are row ``sm`` of :func:`compare.model_tables`
+    (:func:`stable_masks`).
     """
     if isinstance(x, Program):
         return compare.model_tables(x, atoms).models("sm")
@@ -567,47 +553,79 @@ def stable_models(x: Theory, atoms: Iterable[str] | None = None) -> list[frozens
 
 def stable_masks(cp: CompiledProgram) -> list[int]:
     """The stable models of a compiled program as masks over its alphabet,
-    in the order of :func:`sort_models`."""
-    [masks] = _sweep(cp, len(cp.rules), ((),))
-    return in_model_order(masks)
+    in the order of :func:`sort_models`: the completion-supported
+    classical models (every stable model is one) that are minimal
+    (:meth:`CompiledProgram.is_minimal`)."""
+    return [t for t in model_order(cp.model_table() & cp.support_table())
+            if cp.is_minimal(t)]
 
 
 class ContextRules:
-    """Contexts as their distinct rules, in order of first occurrence, and
-    per context the sorted indices of its rules among them (``own``).  The
-    rules are packed over their own sorted atoms once, and moved to each
-    placement of those atoms in a wider alphabet once, when first asked
-    for."""
+    """Contexts as their distinct rules, in order of first occurrence,
+    packed over the rules' own sorted atoms (``atoms``), with what a sweep
+    reads of them at each source interpretation u, a mask over those
+    atoms, built on first use (:meth:`at`).  A context set is an int whose
+    bit j + 1 stands for the j-th context and bit 0 for a program alone;
+    ``everyone`` is the set of all of them."""
 
-    __slots__ = ("rules", "own", "atoms", "_lists", "_placed")
+    __slots__ = ("rules", "atoms", "everyone", "_users", "_packed", "_at")
 
     def __init__(self, contexts: Iterable[Program]):
-        where: dict[ExtendedRule, int] = {}
-        own = []
-        for c in contexts:
+        users: dict[ExtendedRule, int] = {}
+        j = 0
+        for j, c in enumerate(contexts, 1):
             for r in c.rules:
-                if r not in where:
-                    where[r] = len(where)
-            own.append(tuple(sorted({where[r] for r in c.rules})))
-        self.rules, self.own = tuple(where), tuple(own)
-        packed = CompiledProgram(Program(self.rules))
-        self.atoms, self._lists = packed.atoms, packed.lists
-        self._placed: dict[tuple[int, ...], tuple[tuple, tuple]] = {}
+                users[r] = users.get(r, 0) | 1 << j
+        self.rules, self.everyone = tuple(users), (2 << j) - 1
+        self._users = tuple(users.values())  # per rule, the contexts holding it
+        self._packed = CompiledProgram(Program(self.rules))
+        self.atoms = self._packed.atoms
+        self._at: dict[int, _Source] = {}
 
-    def joined(self, cp: CompiledProgram) -> CompiledProgram:
-        """cp with the rules added after its own, over cp's alphabet, which
-        must cover the rules."""
-        place = tuple(cp.index.get(a, -1) for a in self.atoms)
-        placed = self._placed.get(place)
-        if placed is None:
-            if -1 in place:
-                raise ValueError("alphabet is missing atoms "
-                                 f"{sorted(set(self.atoms).difference(cp.index))}")
-            lists = tuple(tuple([place[i] for i in part] for part in parts)
-                          for parts in self._lists)
-            placed = self._placed[place] = (
-                lists, tuple(tuple(map(_mask_of, parts)) for parts in lists))
-        return cp._with_rules(*placed)
+    def at(self, u: int) -> "_Source":
+        """What the contexts add at the source interpretation u."""
+        got = self._at.get(u)
+        if got is None:
+            got = self._at[u] = _Source(self._packed, self._users, self.everyone, u)
+        return got
+
+
+class _Source:
+    """What contexts add at a source interpretation u: the contexts whose
+    rules all hold in u (``holds``, with bit 0); per atom, the contexts
+    with a rule whose body holds in u and whose only true head atom is
+    that atom (``supports``); the positive body and head of each rule
+    whose body holds in u, with the contexts holding it (``firing``); and the cover sets of
+    :meth:`cover` found so far.  It holds no reference to its
+    :class:`ContextRules`, so a dropped family is freed at once."""
+
+    __slots__ = ("holds", "supports", "firing", "covers")
+
+    def __init__(self, packed: CompiledProgram, users: Sequence[int], everyone: int,
+                 u: int):
+        self.holds, self.supports, self.firing = everyone, [0] * len(packed.atoms), []
+        self.covers: dict[int, int] = {}
+        for k in packed.fired(u):
+            head, bpos, _, _ = packed.rules[k]
+            true = head & u
+            if not true:
+                self.holds &= ~users[k]
+            elif not true & true - 1:
+                self.supports[true.bit_length() - 1] |= users[k]
+            self.firing.append((bpos, head, users[k]))
+
+    def cover(self, g: int) -> int:
+        """The contexts with a rule whose body holds in u that fails at the
+        here-components projecting to g, a subset of u: its positive body
+        lies in g and its head outside."""
+        got = self.covers.get(g)
+        if got is None:
+            got = 0
+            for bpos, head, holding in self.firing:
+                if bpos & g == bpos and not head & g:
+                    got |= holding
+            self.covers[g] = got
+        return got
 
 
 def stable_masks_in_contexts(p: Program, contexts: ContextRules,
@@ -616,106 +634,66 @@ def stable_masks_in_contexts(p: Program, contexts: ContextRules,
     """The stable models of p alone and then together with each context,
     over the alphabet, each projected onto the vocabulary, which the
     alphabet covers: a mask over the sorted vocabulary, so the projections
-    of two models may repeat."""
-    cp = contexts.joined(CompiledProgram(p, atoms))
+    of two models may repeat.  Each list ascends by the model's mask over
+    the alphabet.
+
+    Only p's tables are built.  A context mentions only its own atoms, so
+    what it adds at a model t depends on t's projection u onto them, read
+    off :meth:`ContextRules.at` for all contexts at once, as a context set.
+    The candidates are p's classical models in which every atom outside
+    the contexts' atoms is supported by p; each atom that p does not
+    support must be supported by the context.  The here-components of t
+    that p's rules leave unviolated must each be violated by a rule of the
+    context, which depends only on the component's projection onto the
+    contexts' atoms, so they are grouped by it and tested once per group.
+    """
+    cp = CompiledProgram(p, atoms)
+    place = [cp.index.get(a, -1) for a in contexts.atoms]
+    if -1 in place:
+        raise ValueError("alphabet is missing atoms "
+                         f"{sorted(set(contexts.atoms).difference(cp.index))}")
     vocab = sorted(set(vocab))
     outside = [a for a in vocab if a not in cp.index]
     if outside:
         raise ValueError(f"vocabulary atoms {outside} outside the alphabet")
-    return _sweep(cp, len(p.rules), ((),) + contexts.own,
-                  [cp.index[a] for a in vocab])
-
-
-class _Reached:
-    """A classical model t that a context sweep reaches, with the work every
-    context reaching t shares: its mask as the sweep reports it, the
-    here-columns of t, the table of every here-component but t, the
-    violation table of the program's rules at t, and each context rule's
-    violation table at t, built on first use; a rule whose body does not
-    hold in t fails nowhere."""
-
-    __slots__ = ("cp", "t", "mask", "cols", "everything", "top", "below", "rules")
-
-    def __init__(self, cp: CompiledProgram, t: int, base: int,
-                 keep: Sequence[int] | None):
-        self.cp, self.t = cp, t
-        if keep is None:
-            self.mask = t
-        else:
-            self.mask = _mask_of(i for i, j in enumerate(keep) if t >> j & 1)
-        width = t.bit_count()
-        self.cols = cp.here_columns(t)
-        self.everything = _universe(width)
-        self.top = below_top(width)
-        below, cols, everything = 0, self.cols, self.everything
-        self.rules: dict[int, int | None] = {}  # firing context rule -> its table
-        for ri in cp.fired(t):
-            if ri < base:
-                below |= cp.violation(ri, t, cols, everything)
-            else:
-                self.rules[ri] = None
-        self.below = below
-
-    def stable_with(self, rules: Iterable[int]) -> bool:
-        """Whether t is stable for the program with the given rules."""
-        v = self.below
-        tables = self.rules
-        for ri in rules:
-            table = tables.get(ri, 0)
-            if table is None:
-                table = tables[ri] = self.cp.violation(ri, self.t, self.cols,
-                                                       self.everything)
-            v |= table
-        return v == self.top
-
-
-def _sweep(cp: CompiledProgram, base: int, own: Sequence[Sequence[int]],
-           keep: Sequence[int] | None = None) -> list[list[int]]:
-    """The stable models, as masks in ascending order, of the program made
-    of the first ``base`` rules of cp together with each context, given by
-    the indices of its rules among the rest.  With ``keep``, a list of atom
-    indices, each mask is the model's projection onto those atoms, bit i
-    for ``keep[i]``.
-
-    The table where each rule holds and its support of each head atom are
-    built once.  The model table and supported columns of the program are
-    built once too; a context folds only its own rules into copies of them,
-    and re-ands only the support terms of the atoms its rules head, against
-    the AND of the other atoms' terms, built once per set of head atoms.
-    Only the completion-supported classical models reach the minimality
-    test (every stable model is one), where what every context reaching a
-    model t shares is computed once (:class:`_Reached`).  Contexts adding
-    the same rules share their models, each in a list of its own.
-    """
-    cols, bodies, everything = cp._tables()
-    holds, supports = cp._holds(cols, bodies), cp._supports(cols, bodies)
-    program = range(base)
-    models = _and_tables(everything, holds, program)
-    supported = cp._add_supports([0] * len(cols), supports, program)
-    # atom a's term: a is false or supported by the program
-    terms = [~col | sup for col, sup in zip(cols, supported)]
-    rest: dict[tuple[int, ...], int] = {}  # head atoms -> AND of the others' terms
-    reached: dict[int, _Reached] = {}
-    found: dict[tuple[int, ...], list[int]] = {}
-    out = []
-    for mine in own:
-        stable = found.get(mine)
-        if stable is None:
-            rules = [base + k for k in mine]
-            survivors = _and_tables(models, holds, rules)
-            heads = tuple(sorted({a for k in rules for a in cp.lists[k][0]}))
-            if heads not in rest:
-                rest[heads] = _and_tables(everything, terms,
-                                          (a for a in range(len(cols)) if a not in heads))
-            fresh = cp._add_supports(list(supported), supports, rules)
-            survivors &= _supported([cols[a] for a in heads], [fresh[a] for a in heads],
-                                    rest[heads])
-            stable = found[mine] = []
-            for t in set_bits(survivors):
-                at = reached.get(t)
-                if at is None:
-                    at = reached[t] = _Reached(cp, t, base, keep)
-                if at.stable_with(rules):
-                    stable.append(at.mask)
-        out.append(list(stable))
+    keep = [cp.index[a] for a in vocab]
+    cols = cp._tables()[0]
+    supported = cp.supported_columns()
+    others = [a for a in range(len(cols)) if a not in place]
+    candidates = _supported([cols[a] for a in others], [supported[a] for a in others],
+                            cp.model_table())
+    out: list[list[int]] = [[] for _ in range(contexts.everyone.bit_length())]
+    for t in set_bits(candidates):
+        u, inside = 0, []
+        for i, a in enumerate(place):
+            if t >> a & 1:
+                u |= 1 << i
+                inside.append((i, a))
+        at = contexts.at(u)
+        alive = at.holds
+        for i, a in inside:
+            if not supported[a] >> t & 1:
+                alive &= at.supports[i]
+        if not alive:
+            continue
+        here = cp.here_columns(t)
+        left = below_top(t.bit_count()) & ~cp.violated(t, here)
+        if left:
+            groups = [(left, 0)]
+            for i, a in inside:
+                col, split = here[a], []
+                for table, g in groups:
+                    if table & col:
+                        split.append((table & col, g | 1 << i))
+                    if table & ~col:
+                        split.append((table & ~col, g))
+                groups = split
+            for _, g in groups:
+                alive &= at.cover(g)
+                if not alive:
+                    break
+        if alive:
+            mask = _mask_of(i for i, a in enumerate(keep) if t >> a & 1)
+            for j in set_bits(alive):
+                out[j].append(mask)
     return out

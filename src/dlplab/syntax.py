@@ -31,6 +31,41 @@ class Formula:
     __slots__ = ()
 
 
+def _tree_eq(x, y) -> bool:
+    """Structural equality of two formulas or forks, walked on a stack of
+    its own, so trees of any depth compare; the binary connectives take it
+    as their ``==``."""
+    if type(x) is not type(y):
+        return NotImplemented
+    todo = [(x, y)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return False
+        if type(a) in _BINARY:
+            todo += ((a.right, b.right), (a.left, b.left))
+        elif a != b:
+            return False
+    return True
+
+
+def _tree_hash(x) -> int:
+    """The hash of the tree's nodes in prefix order, connectives by class
+    and leaves by value, which determines the tree; consistent with
+    :func:`_tree_eq`."""
+    prefix, todo = [], [x]
+    while todo:
+        a = todo.pop()
+        if type(a) in _BINARY:
+            prefix.append(type(a))
+            todo += (a.right, a.left)
+        else:
+            prefix.append(a)
+    return hash(tuple(prefix))
+
+
 @dataclass(frozen=True, slots=True)
 class Falsum(Formula):
     pass
@@ -50,6 +85,8 @@ class And(Formula):
     left: Formula
     right: Formula
 
+    __eq__, __hash__ = _tree_eq, _tree_hash
+
     def __post_init__(self):
         _require_formula(self.left, "conjunct")
         _require_formula(self.right, "conjunct")
@@ -60,6 +97,8 @@ class Or(Formula):
     left: Formula
     right: Formula
 
+    __eq__, __hash__ = _tree_eq, _tree_hash
+
     def __post_init__(self):
         _require_formula(self.left, "disjunct")
         _require_formula(self.right, "disjunct")
@@ -69,6 +108,8 @@ class Or(Formula):
 class Implies(Formula):
     left: Formula
     right: Formula
+
+    __eq__, __hash__ = _tree_eq, _tree_hash
 
     def __post_init__(self):
         _require_formula(self.left, "antecedent")
@@ -285,6 +326,8 @@ class ForkPair:
     left: "Fork"
     right: "Fork"
 
+    __eq__, __hash__ = _tree_eq, _tree_hash
+
     def __post_init__(self):
         _require_fork(self.left)
         _require_fork(self.right)
@@ -296,6 +339,8 @@ class ForkAnd:
 
     left: "Fork"
     right: "Fork"
+
+    __eq__, __hash__ = _tree_eq, _tree_hash
 
     def __post_init__(self):
         _require_fork(self.left)
@@ -309,6 +354,8 @@ class ForkImplies:
     left: Formula
     right: "Fork"
 
+    __eq__, __hash__ = _tree_eq, _tree_hash
+
     def __post_init__(self):
         _require_formula(self.left, "antecedent")
         _require_fork(self.right)
@@ -317,6 +364,7 @@ class ForkImplies:
 Fork = Union[Formula, ForkPair, ForkAnd, ForkImplies]
 
 _FORK_TYPES = (Formula, ForkPair, ForkAnd, ForkImplies)
+_BINARY = frozenset((And, Or, Implies, ForkPair, ForkAnd, ForkImplies))
 
 
 def _require_fork(x) -> None:

@@ -212,17 +212,16 @@ def test_render_fork_matches_the_recursive_reference():
 def test_render_a_chain_of_any_length(op):
     """The parser nests a chain to the left, and its rendering leaves each
     left operand bare, so a chain of any length renders flat and parses
-    back; at 1500 terms the texts are compared, since tree equality
-    recurses once per level."""
+    back to an equal tree."""
     def chain(n):
         return f" {op} ".join(f"a{i % 5}" for i in range(n))
 
     for n in (3, MAX_NESTING + 2, 1500):
         f = parse_fork(chain(n))
         assert render(f) == chain(n)
-        if n < 1500:
-            assert parse_fork(render(f)) == f
-        assert render(parse_fork(render(f))) == render(f)
+        back = parse_fork(render(f))
+        assert back == f and hash(back) == hash(f)
+        assert render(back) == render(f)
     # a right operand of the same connective keeps its parentheses
     assert render(parse_fork(f"a0 {op} (a1 {op} a2)")) == f"a0 {op} (a1 {op} a2)"
 

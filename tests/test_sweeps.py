@@ -26,7 +26,7 @@ import pytest
 
 from dlplab import forks as deno
 from dlplab import ht
-from dlplab.checks import context_family
+from dlplab.checks import check_pf_projection, context_family
 from dlplab.gen import GenConfig, gen_fork, gen_program
 from dlplab.parser import parse_program
 from dlplab.syntax import (FALSUM, Atom, Falsum, ForkAnd, ForkImplies, ForkPair,
@@ -247,6 +247,36 @@ def test_context_sweep_visits_pinned_counts(monkeypatch):
     assert counts == [199, 199, 362]
 
 
+def test_ht_context_sweep_tests_pinned_candidates(monkeypatch):
+    """The models t at which the HT context sweep reads the family, pf's
+    classical models whose atoms outside the contexts' are supported by
+    pf, and those of them that some context supports and so reach the
+    here-components: a sweep filtering less reads or tests more of them."""
+    calls = {}
+
+    def counted(cls, name):
+        real = getattr(cls, name)
+
+        def count(self, x):
+            calls[name] += 1
+            return real(self, x)
+        monkeypatch.setattr(cls, name, count)
+
+    counted(ht.ContextRules, "at")
+    counted(ht.CompiledProgram, "here_columns")
+    counts = []
+    for cfg in (GenConfig(), GenConfig(atoms=3, rules=3, max_head=3),
+                GenConfig(atoms=6, rules=8)):
+        calls.update(at=0, here_columns=0)
+        for p in seeded(cfg, 40):
+            al, pf = p.atoms(), deno.pf_translate(p)
+            ht.stable_masks_in_contexts(pf, ht.ContextRules(context_family(al)),
+                                        pf.atoms() | al, al)
+        counts.append((calls["at"], calls["here_columns"]))
+    # of 4897, 3505 and 5109 classical models of pf
+    assert counts == [(538, 527), (502, 501), (640, 520)]
+
+
 def test_stable_models_of_a_wider_alphabet_in_contexts():
     p = parse_program("a | b. c :- a, not b.")
     contexts = [Program(()), parse_program(":- c."), parse_program("z :- not a.")]
@@ -255,6 +285,26 @@ def test_stable_models_of_a_wider_alphabet_in_contexts():
         == [ht.stable_models(Program(p.rules + c.rules), atoms) for c in contexts]
     with pytest.raises(ValueError, match="missing atoms"):
         in_contexts(p, contexts, {"a", "b", "c"})
+
+
+def test_the_ht_sweep_refusals(monkeypatch):
+    """A vocabulary the alphabet does not cover is refused, and th1 refuses
+    a pf wider than MAX_ENUM_ATOMS before it runs any fork sweep."""
+    p = parse_program("a | b. c :- a, not b.")
+    rules = ht.ContextRules([Program(()), parse_program(":- c.")])
+    with pytest.raises(ValueError, match=r"vocabulary atoms \['z'\] outside the alphabet"):
+        ht.stable_masks_in_contexts(p, rules, p.atoms(), {"a", "z"})
+
+    def refuse(*args):
+        raise AssertionError("a fork sweep ran")
+
+    monkeypatch.setattr(deno, "forked_masks_in_contexts", refuse)
+    # 7 source atoms, and 15 fresh ones for five three-atom heads
+    wide = parse_program("a | b | c :- not d. b | c | d :- not e. c | d | e :- not f. "
+                         "d | e | f :- not g. e | f | g :- not a.")
+    assert len(wide.atoms()) == 7 and len(deno.pf_translate(wide).atoms()) == 22
+    with pytest.raises(ht.CapacityError, match="22 atoms exceed"):
+        check_pf_projection(wide)
 
 
 def unshared(f):

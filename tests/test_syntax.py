@@ -121,3 +121,35 @@ def test_fork_not_allowed_in_disjunction_or_antecedent():
 
 def test_truth_is_expanded_double_negation_of_falsum():
     assert TRUTH == Implies(FALSUM, FALSUM)
+
+
+def test_deep_trees_compare_and_hash_on_a_stack():
+    """Equality and hash walk a tree on a stack of their own, so a 1500-term
+    chain and a 1500-deep implication compare, and equality stays
+    structural."""
+    from dlplab.parser import parse_fork
+
+    text = " & ".join(f"a{i % 5}" for i in range(1500))
+    chain, again = parse_fork(text), parse_fork(text)
+    assert chain is not again and chain == again and hash(chain) == hash(again)
+    other = parse_fork(text[:-len("a4")] + "a9")  # only the last atom differs
+    assert chain != other and not chain == other
+
+    def implication(last):
+        out = Atom(last)
+        for i in range(1500):
+            out = Implies(Atom(f"a{i % 5}"), out)
+        return out
+
+    deep = implication("z")
+    assert deep == implication("z") and hash(deep) == hash(implication("z"))
+    assert deep != implication("y")
+    forks = [ForkPair(Atom("a"), deep), ForkAnd(deep, ForkPair(Atom("a"), FALSUM)),
+             ForkImplies(deep, ForkPair(Atom("a"), Atom("b")))]
+    for f in forks:
+        copy = type(f)(f.left, f.right)
+        assert f == copy and hash(f) == hash(copy)
+    assert And(Atom("a"), Atom("b")) != Or(Atom("a"), Atom("b"))
+    assert ForkPair(Atom("a"), Atom("b")) != ForkPair(Atom("b"), Atom("a"))
+    assert And(Atom("a"), Atom("b")) != "a & b"
+    assert len({And(Atom("a"), FALSUM), And(Atom("a"), FALSUM), chain, again}) == 2
