@@ -56,6 +56,7 @@ every interpretation.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache, wraps
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence, Union
@@ -561,7 +562,8 @@ def stable_masks(cp: CompiledProgram) -> list[int]:
 
 
 class ContextRules:
-    """Contexts as their distinct rules, in order of first occurrence,
+    """Contexts as their distinct rules, in order of first occurrence and
+    without their labels, which name a rule within its own context only,
     packed over the rules' own sorted atoms (``atoms``), with what a sweep
     reads of them at each source interpretation u, a mask over those
     atoms, built on first use (:meth:`at`).  A context set is an int whose
@@ -575,6 +577,8 @@ class ContextRules:
         j = 0
         for j, c in enumerate(contexts, 1):
             for r in c.rules:
+                if r.label is not None:
+                    r = replace(r, label=None)
                 users[r] = users.get(r, 0) | 1 << j
         self.rules, self.everyone = tuple(users), (2 << j) - 1
         self._users = tuple(users.values())  # per rule, the contexts holding it

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
 from dlplab import forks as deno
 from dlplab import ht
 from dlplab.checks import check_pf_projection, context_family
-from dlplab.gen import GenConfig, gen_fork, gen_program
+from dlplab.gen import GenConfig, gen_fork, gen_formula, gen_program
 from dlplab.parser import parse_program
 from dlplab.syntax import (FALSUM, Atom, Falsum, ForkAnd, ForkImplies, ForkPair,
                            Or, Program, fork_and, forked, rule)
@@ -131,6 +132,16 @@ def test_no_contexts_give_no_lists():
     assert deno.fork_stable_models_each([], ("a", "b")) == []
     bare = deno.forked_masks_in_contexts(p, deno.ContextRegisters([], "abc"))
     assert [decoded(masks, "abc") for masks in bare] == [deno.forked_stable_models(p)]
+
+
+def test_contexts_reusing_a_label_sweep_like_one_call_each():
+    """A label names a rule within its own context, so contexts may reuse
+    one, and a rule labelled in two ways is one rule."""
+    p = parse_program("a | b :- not c. c :- a.")
+    contexts = [parse_program("l1: a."), parse_program("l1: b."),
+                parse_program("l2: a. l1: c :- b."), Program(())]
+    assert swept(p, contexts) == one_by_one(p, contexts)
+    assert len(ht.ContextRules(contexts).rules) == 3
 
 
 def test_duplicate_contexts_get_equal_lists_of_their_own():
@@ -398,9 +409,14 @@ def cyclic(n):
         for i in range(n)))
 
 
-@pytest.mark.parametrize("cfg, count", [
+PRUNE_SEED_SETS = [
     pytest.param(GenConfig(), 300, id="default"),
-    pytest.param(GenConfig(atoms=6, rules=8), 100, id="atoms6-rules8")])
+    pytest.param(GenConfig(atoms=6, rules=8), 100, id="atoms6-rules8"),
+    pytest.param(GenConfig(atoms=3, rules=3, max_head=3), 300,
+                 id="atoms3-rules3-head3")]
+
+
+@pytest.mark.parametrize("cfg, count", PRUNE_SEED_SETS)
 def test_pruned_fork_sweep_matches_every_t(cfg, count):
     failing = 0
     for seed in range(count):
@@ -426,6 +442,94 @@ def test_pruned_fork_sweep_matches_every_t_on_cyclic_family(n):
     assert_prune_is_exact(cyclic(n))
 
 
+def fork_model_tables(forks, atoms=None):
+    """Per fork, its fork stable models as a table over the pool masks,
+    from the sweep over every T."""
+    pool = deno._compile_over(forks, atoms)[0]
+    return [sum(1 << sum(1 << pool.index(a) for a in t) for t in found)
+            for found in unpruned_fork_stable_models_each(forks, atoms)]
+
+
+def excluding_tables(forks, atoms=None):
+    """Per fork, as a table over the pool masks, the T where its view has,
+    for every atom d of T, a generator without T minus d and, for every
+    two atoms d, e of T, one without either, read off the views at every
+    T: what the per-atom passes and the pair stage ask."""
+    pool = deno._compile_over(forks, atoms)[0]
+    roots, runs = every_t(forks, atoms)
+    tables = [0] * len(roots)
+    for t, regs in runs:
+        width = len(t)
+        # the here-masks of T minus each atom of T
+        minus = [(1 << width) - 1 ^ 1 << i for i in range(width)]
+        groups = [[m] for m in minus] + [list(two) for two in combinations(minus, 2)]
+        for k, root in enumerate(roots):
+            view = regs[root]
+            if view and all(any(all(not g >> m & 1 for m in group) for g in view)
+                            for group in groups):
+                tables[k] |= 1 << sum(1 << pool.index(a) for a in t)
+    return tables
+
+
+def pair_stage_tables(forks, atoms=None):
+    """Per fork, the table the pair stage leaves open after the per-atom
+    passes, run whatever the count of open T."""
+    pool, ops, roots = deno._compile_over(forks, atoms)
+    n = len(pool)
+    return deno._open_by_pair(ops, roots, deno._open_by_atom(ops, roots, n), n)
+
+
+def assert_pair_stage_is_exact(forks, atoms=None):
+    """Each rule is exact for its own question, so the stage leaves open
+    exactly the T of :func:`excluding_tables`, every model among them."""
+    tables = pair_stage_tables(forks, atoms)
+    assert tables == excluding_tables(forks, atoms), forks
+    for found, table in zip(fork_model_tables(forks, atoms), tables):
+        assert not found & ~table, forks
+
+
+@pytest.mark.parametrize("cfg, count", PRUNE_SEED_SETS)
+def test_pair_stage_below_its_cost_rule_keeps_every_model(cfg, count):
+    for seed in range(count):
+        p = gen_program(replace(cfg, seed=seed))
+        assert_pair_stage_is_exact([forked(p)], p.atoms())
+
+
+def test_pair_stage_is_exact_on_random_forks():
+    """Random forks nest splits under implications and conjunctions, which
+    a program's fork does not.  An implication beside another fork in a
+    split is where its rule shows: its supports can exclude T minus d and
+    not T minus e while the other fork's exclude only T minus e."""
+    rng = random.Random(5)
+    for _ in range(200):
+        assert_pair_stage_is_exact([gen_fork(rng, "abcd", 4)], "abcd")
+        assert_pair_stage_is_exact([ForkPair(
+            ForkImplies(gen_formula(rng, "abc", 3), gen_fork(rng, "abc", 3)),
+            gen_fork(rng, "abc", 3))], "abc")
+    forks = [gen_fork(rng, "abcde", 5) for _ in range(40)]
+    assert_pair_stage_is_exact(forks, "abcde")
+
+
+@pytest.mark.parametrize("cfg", [GenConfig(), GenConfig(atoms=3, rules=3, max_head=3)],
+                         ids=["default", "atoms3-rules3-head3"])
+def test_pair_stage_keeps_every_model_on_context_families(cfg):
+    for p in seeded(cfg, 25):
+        f = forked(p)
+        assert_pair_stage_is_exact(
+            [f] + [fork_and(f, c.to_formula()) for c in context_family(p.atoms())],
+            p.atoms())
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_pair_stage_leaves_exactly_the_models_on_cyclic_family(n, monkeypatch):
+    f = forked(cyclic(n))
+    models = fork_model_tables([f])
+    assert pair_stage_tables([f]) == models
+    # one group of slots per first atom, as the widest pools take them
+    monkeypatch.setattr(deno, "_PAIR_BITS", 1)
+    assert pair_stage_tables([f]) == models
+
+
 def test_pruned_fork_sweep_visits_pinned_counts(monkeypatch):
     """The T that the pre-pass leaves open on the cyclic family: a prune
     weakened in any of its rules visits more of them."""
@@ -443,8 +547,11 @@ def test_pruned_fork_sweep_visits_pinned_counts(monkeypatch):
         visits = 0
         deno.fork_stable_models(forked(cyclic(n)))
         counts.append(visits)
-    assert counts == [20, 28, 46, 78, 122, 198, 324]
-    # random forks reach a fork conjunction with one empty side
+    # at n = 6 too few T stay open for the pair stage to run; from n = 7
+    # it leaves open exactly the models
+    assert counts == [20, 14, 22, 30, 47, 66, 99]
+    # random forks reach a fork conjunction with one empty side; over 4
+    # atoms the pair stage never runs
     visits = 0
     rng = random.Random(5)
     for _ in range(200):
@@ -455,6 +562,12 @@ def test_pruned_fork_sweep_visits_pinned_counts(monkeypatch):
         p = gen_program(GenConfig(seed=seed))
         deno.fork_stable_models(forked(p), p.atoms())
     assert visits == 1131
+    # over 6 atoms it runs where more than 23 T stay open
+    visits = 0
+    for seed in range(100):
+        p = gen_program(GenConfig(atoms=6, rules=8, seed=seed))
+        deno.fork_stable_models(forked(p), p.atoms())
+    assert visits == 758
 
 
 def test_fork_engine_reads_no_program_table(monkeypatch):
