@@ -48,12 +48,15 @@ WITNESSED = ("jm", "spm", "csm", "csm-closed", "ssm")
 
 # name -> the tables of ht.CompiledProgram its enumerator keeps or prunes by:
 # "models" the classical models, "headed" the models whose true atoms each
-# head a firing rule, "support" the completion-supported interpretations.
+# head a firing rule, "paired" the headed models whose every two true atoms
+# have two distinct firing rules heading them (built from "headed", so it is
+# read with it), "support" the completion-supported interpretations.
 # A semantics reading none of them is an oracle independent of those tables.
 READS: dict[str, tuple[str, ...]] = {
     "classical": ("models",), "sm": ("models", "support"), "fork": (), "sm-formula": (),
-    "jm": ("headed",), "spm": ("headed",), "ad": ("models", "support"),
-    "csm": ("headed",), "csm-closed": ("headed",), "di": ("headed",),
+    "jm": ("headed", "paired"), "spm": ("headed", "paired"), "ad": ("models", "support"),
+    "csm": ("headed", "paired"), "csm-closed": ("headed", "paired"),
+    "di": ("headed", "paired"),
     "ssm": ("headed",), "ssm-min": ("headed",), "spm-fixpoint": ("models",),
 }
 

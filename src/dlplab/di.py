@@ -186,14 +186,19 @@ def candidate_masks(cp: ht.CompiledProgram,
     union is every here-component but the model (as in
     :meth:`ht.CompiledProgram.is_stable`).
 
-    Only the models of :meth:`ht.CompiledProgram.headed_table` are
+    Only the models of :meth:`ht.CompiledProgram.paired_table` are
     searched.  For an atom a of a candidate T, some slot must violate the
     here-component T minus a.  A slot violates only the components that
     miss its chosen atom, a true head atom of its firing rules, so that
-    atom is a.  This holds for closed selections too.
+    atom is a, and T is headed.  A slot picks one atom, so two atoms d, e
+    of T need two slots, one holding a firing rule that heads d and the
+    other one heading e: if a single rule k is the only firing rule
+    heading each, both need k's slot.  This holds for closed selections
+    too, as the slot of k then holds only rules of k's head set, any other
+    of which would head d too.
     """
     out = []
-    for t in cp.headed_in_order():
+    for t in cp.paired_in_order():
         cols = cp.here_columns(t)
         everything = ht._universe(t.bit_count())
         slots = _slots(cp, t, closed)

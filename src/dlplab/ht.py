@@ -14,9 +14,15 @@ head atoms are false) another, and the here-and-there minimality of a
 model T is one table over the 2^|T| here-components of T.  The headed
 models (:meth:`CompiledProgram.headed_table`: classical models in which
 every true atom heads a firing rule, whatever its other head atoms) are a
-third table; the semantics whose every model meets that condition (the
-graph-supported, justified, candidate stable and strongly supported
-models) search only its members.  The AST path
+third table.  The paired models (:meth:`CompiledProgram.paired_table`)
+are the headed ones in which no two true atoms have one rule as the only
+firing rule heading each of them, which an injective labelling (every true
+atom gets its own firing rule heading it) needs (Hall's condition on
+pairs); the table is one pass per head atom of each rule over all 2^n
+interpretations.  The graph-supported, justified and candidate stable
+models (open and closed: a slot's selection picks one atom) search only
+the paired models; the strongly supported models search the headed ones,
+as ``a | b.`` has the strongly supported model {a, b}.  The AST path
 and the per-interpretation mask tests (:meth:`CompiledProgram.sat_classical`,
 :meth:`CompiledProgram.sat_ht`) are the reference the tables are tested
 against.  Whether a rule's body holds at one interpretation, or at a
@@ -24,8 +30,8 @@ here-and-there pair, is decided in one place, :meth:`CompiledProgram.fired`,
 which every test at one interpretation, here and in :mod:`dlplab.di`,
 :mod:`dlplab.justify` and :mod:`dlplab.ssm`, reads.
 
-A compile builds each of its tables once, and the models of its classical
-and headed tables in the order of :func:`sort_models` once, so the
+A compile builds each of its tables once, and the models of its classical,
+headed and paired tables in the order of :func:`sort_models` once, so the
 enumerators handed one compile share them.  The comparison memo of
 :mod:`dlplab.compare` keeps one compile per program and hands it to every
 mask core.  Code that patches a :class:`CompiledProgram` method, a mask
@@ -438,6 +444,40 @@ class CompiledProgram:
         return _supported(cols, self._by_head_atom(bodies), self.model_table())
 
     @built_once
+    def paired_table(self) -> int:
+        """The headed models in which no two true atoms have one rule as
+        the only firing rule heading each of them: an injective labelling
+        (every true atom gets its own firing rule heading it) needs two
+        rules for every two true atoms (Hall's condition on pairs).
+
+        Per atom, ``many`` holds the interpretations where at least two
+        rules heading it fire, so where rule k fires, k is the only one
+        heading a true atom a outside ``many[a]``; two such atoms of one
+        rule close T.  Equal to the headed table when no rule has two head
+        atoms or nothing is closed, and then its sorted models are shared
+        (:meth:`paired_in_order`)."""
+        headed = self.headed_table()
+        cols, bodies, _ = self._tables()
+        heads = [parts[0] for parts in self.lists]
+        wide = [(head, body) for head, body in zip(heads, bodies) if len(head) > 1]
+        if not wide:
+            return headed
+        one, many = [0] * len(cols), [0] * len(cols)
+        for head, body in zip(heads, bodies):
+            for a in head:
+                many[a] |= one[a] & body
+                one[a] |= body
+        closed = 0
+        for head, body in wide:
+            one_only = two_only = 0
+            for a in head:
+                only = cols[a] & body & ~many[a]
+                two_only |= one_only & only
+                one_only |= only
+            closed |= two_only
+        return headed & ~closed
+
+    @built_once
     def models_in_order(self) -> tuple[int, ...]:
         """The members of :meth:`model_table` in the order of
         :func:`sort_models`; a tuple, as every caller shares it."""
@@ -448,6 +488,16 @@ class CompiledProgram:
         """The members of :meth:`headed_table` in the order of
         :func:`sort_models`; a tuple, as every caller shares it."""
         return tuple(model_order(self.headed_table()))
+
+    @built_once
+    def paired_in_order(self) -> tuple[int, ...]:
+        """The members of :meth:`paired_table` in the order of
+        :func:`sort_models`: :meth:`headed_in_order` itself when the two
+        tables are one."""
+        paired = self.paired_table()
+        if paired == self.headed_table():
+            return self.headed_in_order()
+        return tuple(model_order(paired))
 
     # -- tables over the 2^|t| here-components of t -------------------------
 

@@ -12,8 +12,11 @@ and takes the atoms in ascending order and for each the firing rules that
 head it in program order.
 
 The graph-supported models (``spm``) and the justified models (``jm``) come
-from one walk over the headed table (:meth:`ht.CompiledProgram.headed_table`),
-model by model:
+from one walk over the paired table (:meth:`ht.CompiledProgram.paired_table`),
+model by model.  A labelling gives every true atom its own firing rule
+heading it, so a model where two true atoms have one rule as the only
+firing rule heading each of them has none, and the paired table drops
+exactly those from the headed models.  At each model:
 
 - the first labelling is ``spm``'s witness;
 - if it is acyclic, it is ``jm``'s witness too;
@@ -318,10 +321,10 @@ Walked = tuple[tuple[int, tuple[int, ...]], ...]
 def _walk(cp: ht.CompiledProgram) -> tuple[Walked, Walked]:
     """The graph-supported and the justified models of the compiled
     program, each paired with the labelling of its first graph, the first
-    acyclic one for jm: one walk over the headed models, kept on the
-    compile."""
+    acyclic one for jm: one walk over the paired models, which hold
+    every model with an injective labelling, kept on the compile."""
     supported, justified = [], []
-    for t in cp.headed_in_order():
+    for t in cp.paired_in_order():
         candidates = _candidates(cp, t)
         if candidates is None:
             continue

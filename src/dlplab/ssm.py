@@ -133,7 +133,9 @@ def strongly_supported_masks(cp: ht.CompiledProgram
 
     Only the models of :meth:`ht.CompiledProgram.headed_table` are
     searched: an atom enters the maximal stage through a rule applicable at
-    (previous stage, T), whose body then holds at T.
+    (previous stage, T), whose body then holds at T.  One rule may bring
+    in several atoms, so the paired table would lose models: ``a | b.``
+    has the model {a, b}.
     """
     out = []
     for t in cp.headed_in_order():

@@ -144,7 +144,9 @@ def test_shared_tables_are_immutable():
     assert cp._tables() is cp._tables()
     assert cp.models_in_order() is cp.models_in_order()
     assert cp.headed_in_order() is cp.headed_in_order()
-    for shared in (cols, bodies, cp.models_in_order(), cp.headed_in_order()):
+    assert cp.paired_in_order() is cp.paired_in_order()
+    for shared in (cols, bodies, cp.models_in_order(), cp.headed_in_order(),
+                   cp.paired_in_order()):
         with pytest.raises(TypeError):
             shared[0] = 0
 
@@ -160,14 +162,14 @@ def test_every_enumerator_leaves_the_shared_tables_as_built():
         shared, fresh = m.cp, ht.CompiledProgram(p)
         assert model_tables(p).cp is shared
         assert shared._tables() == fresh._tables(), seed
-        for table in ("model_table", "headed_table", "support_table",
-                      "models_in_order", "headed_in_order"):
+        for table in ("model_table", "headed_table", "paired_table", "support_table",
+                      "models_in_order", "headed_in_order", "paired_in_order"):
             assert getattr(shared, table)() == getattr(fresh, table)(), (seed, table)
 
 
 def test_a_report_sorts_each_model_table_once(monkeypatch):
-    """The classical and the headed models are sorted once per compile,
-    however many semantics read them."""
+    """The classical, the headed and the paired models are sorted once per
+    compile, however many semantics read them."""
     sorted_tables = []
     original = ht.model_order
 
@@ -182,6 +184,7 @@ def test_a_report_sorts_each_model_table_once(monkeypatch):
     # by identity: the fork sweep may sort an equal table of its own
     assert sum(t is cp.model_table() for t in sorted_tables) == 1
     assert sum(t is cp.headed_table() for t in sorted_tables) == 1
+    assert sum(t is cp.paired_table() for t in sorted_tables) == 1
 
 
 def test_t2_compiles_its_translation_once(constructions):
