@@ -25,7 +25,8 @@ from . import ht, justify
 from .checks import CHECKS, DEFAULT_CHECKS, FuzzInterrupted, run_fuzz
 from .compare import SEMANTICS_ORDER, TRANSFORMS, compute_report
 from .gen import GenConfig, InvalidConfigError
-from .parser import ParseError, parse_fork, parse_program, render_program
+from .parser import (FORK_KEYWORDS, PROGRAM_KEYWORDS, ParseError, atom_problem,
+                     parse_fork, parse_program, render_program)
 from .syntax import Program, alphabet
 
 _DEFAULTS = GenConfig()
@@ -121,6 +122,18 @@ def _atom_list(text: str | None) -> list[str] | None:
     return [a for a in (s.strip() for s in text.split(",")) if a]
 
 
+def _atoms(text: str | None, option: str,
+           keywords: frozenset[str] = PROGRAM_KEYWORDS) -> list[str] | None:
+    """The atoms of a comma list option, as :func:`_atom_list` reads it; an
+    item that the grammar's atom rule rejects is an input error."""
+    atoms = _atom_list(text)
+    for a in atoms or ():
+        problem = atom_problem(a, keywords)
+        if problem is not None:
+            raise ValueError(f"{option}: {problem}")
+    return atoms
+
+
 def _load_program(path: str, extra_atoms: list[str] | None) -> tuple[Program, frozenset[str]]:
     p = parse_program(_read(path))
     pool = p.atoms() | frozenset(extra_atoms or ())
@@ -128,26 +141,15 @@ def _load_program(path: str, extra_atoms: list[str] | None) -> tuple[Program, fr
 
 
 def cmd_models(args) -> int:
-    p, pool = _load_program(args.file, _atom_list(args.alphabet))
+    p, pool = _load_program(args.file, _atoms(args.alphabet, "--alphabet"))
     report = compute_report(p, _atom_list(args.semantics), pool)
     if args.json:
         print(to_json(report.to_json_dict()))
     else:
         print(report.render_text())
         if args.verbose:
-            for name, entries in report.witnesses.items():
-                for e in entries:
-                    model = "{" + ",".join(e["model"]) + "}"
-                    if "chain" in e:
-                        shown = " <= ".join("{" + ",".join(s) + "}"
-                                            for s in e["chain"])
-                    elif "selection" in e:
-                        shown = ", ".join(f"{k} -> {v}"
-                                          for k, v in e["selection"].items())
-                    else:
-                        shown = ", ".join(f"{p} -> {l}"
-                                          for p, l in sorted(e["labels"].items()))
-                    print(f"witness {name} {model}: {shown}")
+            for line in report.witness_lines():
+                print(line)
     if args.strict and report.violations:
         return EXIT_VIOLATION
     return EXIT_OK
@@ -156,7 +158,7 @@ def cmd_models(args) -> int:
 def cmd_entails(args) -> int:
     left = parse_fork(_read(args.left))
     right = parse_fork(_read(args.right))
-    extra = _atom_list(args.alphabet)
+    extra = _atoms(args.alphabet, "--alphabet", FORK_KEYWORDS)
     pool = None if extra is None else alphabet(left) | alphabet(right) | set(extra)
     res = deno.strongly_entails(left, right, pool)
     if args.json:
@@ -182,10 +184,9 @@ def cmd_translate(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    p = parse_program(_read(args.file))
-    pool = p.atoms() | frozenset(_atom_list(args.alphabet) or ())
+    p, pool = _load_program(args.file, _atoms(args.alphabet, "--alphabet"))
     if args.model is not None:
-        models = [frozenset(_atom_list(args.model) or ())]
+        models = [frozenset(_atoms(args.model, "--model"))]
     else:
         models = justify.justified_models(p, pool)
     for m in models:

@@ -154,15 +154,15 @@ class ModelTables:
     computed on first use and kept as its masks (bit i for atoms[i]) and as
     a 2^n-bit table: bit t is set iff the interpretation of mask t is a
     model.  Witnesses are kept in index form, by model.  Each mask is
-    decoded at most once, into its atom set and the sorted tuple of its
-    atoms, for every semantics and witness."""
+    decoded at most once, into the sorted tuple of its atoms, for every
+    semantics and witness."""
 
     def __init__(self, program: Program, atoms: tuple[str, ...]):
         self.program, self.atoms = program, atoms
         self.found: dict[str, list[int]] = {}
         self.tables: dict[str, int] = {}
         self.witnesses: dict[str, dict] = {}
-        self._names: dict[int, tuple[frozenset[str], tuple[str, ...]]] = {}
+        self._names: dict[int, tuple[str, ...]] = {}
 
     cp = cached_property(lambda m: ht.CompiledProgram(m.program, m.atoms))
     registers = cached_property(lambda m: deno.program_registers(m.program, m.atoms))
@@ -185,20 +185,20 @@ class ModelTables:
         self.masks(name)
         return self.tables[name]
 
-    def decode(self, t: int) -> tuple[frozenset[str], tuple[str, ...]]:
-        """The atom set of a mask and its atoms sorted, decoded once."""
+    def decode(self, t: int) -> tuple[str, ...]:
+        """The atoms of a mask, sorted, decoded once."""
         names = self._names.get(t)
         if names is None:
             listed, rest = (), t
             for byte in self._bytes:
                 listed += byte[rest & 255]
                 rest >>= 8
-            names = self._names[t] = (frozenset(listed), listed)
+            names = self._names[t] = listed
         return names
 
     def models(self, name: str) -> list[frozenset[str]]:
         """The models of a semantics, in the order of ht.sort_models."""
-        return [self.decode(t)[0] for t in self.masks(name)]
+        return [frozenset(self.decode(t)) for t in self.masks(name)]
 
     def includes(self, lhs: str, rhs: str) -> bool:
         return not self.table(lhs) & ~self.table(rhs)
@@ -231,15 +231,16 @@ class InclusionCheck:
 
 @dataclass(slots=True)
 class ComparisonReport:
-    """The models of each semantics, as atom sets (``semantics``) and as
-    their atoms sorted (``listed``), the inclusion verdicts, the witnesses
-    and the time each semantics took."""
+    """The models of each semantics as their atoms sorted (``listed``), the
+    inclusion verdicts, the witnesses and the time each semantics took."""
     alphabet: tuple[str, ...]
-    semantics: dict[str, list[frozenset[str]]]
     listed: dict[str, list[tuple[str, ...]]]
     inclusions: list[InclusionCheck]
     witnesses: dict[str, list[dict]]
     timings: dict[str, float]
+
+    # the models of each semantics as atom sets, read off listed
+    semantics = property(lambda r: {k: [frozenset(m) for m in v] for k, v in r.listed.items()})
 
     @property
     def violations(self) -> list[InclusionCheck]:
@@ -260,8 +261,6 @@ class ComparisonReport:
     def from_json_dict(cls, data: dict) -> "ComparisonReport":
         return cls(
             alphabet=tuple(data["alphabet"]),
-            semantics={name: [frozenset(m) for m in models]
-                       for name, models in data["semantics"].items()},
             listed={name: [tuple(sorted(m)) for m in models]
                     for name, models in data["semantics"].items()},
             inclusions=[InclusionCheck(e["lhs"], e["rhs"], e["holds"])
@@ -284,16 +283,32 @@ class ComparisonReport:
             lines.append("all expected inclusion relations hold")
         return "\n".join(lines)
 
+    def witness_lines(self) -> list[str]:
+        """The witnesses, one line each, as ``models --verbose`` prints them:
+        in report order and rule order, which JSON's sorted keys lose."""
+        lines = []
+        for name in sorted(self.witnesses, key=SEMANTICS_ORDER.index):
+            for e in self.witnesses[name]:
+                if "chain" in e:
+                    shown = " <= ".join("{" + ",".join(s) + "}" for s in e["chain"])
+                elif "labels" in e:
+                    shown = ", ".join(f"{a} -> {k}" for a, k in sorted(e["labels"].items()))
+                else:  # rule#10 sorts before rule#2 as text
+                    shown = ", ".join(f"{k} -> {v}" for k, v in sorted(
+                        e["selection"].items(), key=lambda kv: int(kv[0][5:])))
+                lines.append(f"witness {name} {{{','.join(e['model'])}}}: {shown}")
+        return lines
+
 
 def _witness_fields(m: ModelTables, name: str, masks: list[int]) -> list[dict]:
     """Per model, its witness: the chain, the labels of the first support
     graph (the first acyclic one for jm), or the chosen heads."""
     found = [m.witnesses[name][t] for t in masks]
     if name == "ssm":
-        return [{"chain": [list(m.decode(s)[1]) for s in stages]} for stages in found]
+        return [{"chain": [list(m.decode(s)) for s in stages]} for stages in found]
     if name in ("jm", "spm"):
         labels = [r.label for r in m.program.labelled().rules]
-        return [{"labels": {a: labels[k] for a, k in zip(m.decode(t)[1], labelling)}}
+        return [{"labels": {a: labels[k] for a, k in zip(m.decode(t), labelling)}}
                 for t, labelling in zip(masks, found)]
     return [{"selection": {f"rule#{k + 1}": "bot" if a is None else m.atoms[a]
                            for k, a in choices}} for choices in found]
@@ -311,21 +326,18 @@ def compute_report(p: Program, selectors: Iterable[str] | None = None,
     if not names:
         raise ValueError(f"no semantics selected; available: {list(SEMANTICS_ORDER)}")
     m = model_tables(p, atoms)
-    results: dict[str, list[frozenset[str]]] = {}
     listed: dict[str, list[tuple[str, ...]]] = {}
     witnesses: dict[str, list[dict]] = {}
     timings: dict[str, float] = {}
     for name in (n for n in SEMANTICS_ORDER if n in names):
         t0 = time.perf_counter()
         masks = m.masks(name)
-        decoded = [m.decode(t) for t in masks]
-        results[name] = [atom_set for atom_set, _ in decoded]
-        listed[name] = [sorted_atoms for _, sorted_atoms in decoded]
+        listed[name] = [m.decode(t) for t in masks]
         if name in WITNESSED:
-            witnesses[name] = [{"model": list(m.decode(t)[1]), **w} for t, w in
+            witnesses[name] = [{"model": list(m.decode(t)), **w} for t, w in
                                zip(masks, _witness_fields(m, name, masks))]
         timings[name] = time.perf_counter() - t0
     inclusions = [InclusionCheck(lhs, rhs, m.includes(lhs, rhs))
                   for lhs, rhs in edges_of("models")
-                  if lhs in results and rhs in results]
-    return ComparisonReport(m.atoms, results, listed, inclusions, witnesses, timings)
+                  if lhs in listed and rhs in listed]
+    return ComparisonReport(m.atoms, listed, inclusions, witnesses, timings)

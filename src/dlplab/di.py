@@ -223,7 +223,7 @@ def candidate_stable_models(p: Program, atoms: Iterable[str] | None = None,
     with the first witnessing selection found: row ``csm`` or ``csm-closed`` of the memo."""
     m = compare.model_tables(p, atoms)
     name = "csm-closed" if closed else "csm"
-    return [(m.decode(t)[0], _selection(m.atoms, m.witnesses[name][t], closed))
+    return [(frozenset(m.decode(t)), _selection(m.atoms, m.witnesses[name][t], closed))
             for t in m.masks(name)]
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .syntax import (FALSUM, And, Atom, ExtendedRule, Falsum, Fork, ForkAnd,
                      ForkImplies, ForkPair, Formula, Implies, Or, Program,
@@ -89,8 +90,10 @@ class Token:
 # leading whitespace are matches of their own: a third fewer matches on
 # rendered programs, which takes about a fifth off the scan.  A match that
 # does not start where the last one ended leaves an unexpected character.
-_TOKEN_RE = re.compile(r"""
-      (?P<ident>[A-Za-z_][A-Za-z0-9_']*)\s*
+_IDENT = r"[A-Za-z_][A-Za-z0-9_']*"
+_IDENT_RE = re.compile(_IDENT)
+_TOKEN_RE = re.compile(rf"""
+      (?P<ident>{_IDENT})\s*
     | (?P<op>:-|->|[().,:;|&\-])\s*
     | (?P<skip>\s+|%[^\n]*)
     """, re.VERBOSE)
@@ -171,12 +174,31 @@ class _Cursor:
 _PROGRAM_OPS = {":-", ".", ",", "|", ":"}
 
 
+# The identifiers that cannot name an atom: keywords and operators.
+PROGRAM_KEYWORDS = frozenset({"not"})
+FORK_KEYWORDS = frozenset({"not", "v", "bot"})
+
+
+# A parse asks once per atom token, mostly of names seen before; uncached,
+# the identifier test costs parse_program about 8%.
+@lru_cache(maxsize=1024)
+def atom_problem(name: str, keywords: frozenset[str] = PROGRAM_KEYWORDS) -> str | None:
+    """Why name cannot name an atom in the grammar of the given keywords
+    (the program grammar's by default, FORK_KEYWORDS for forks), or None
+    when it can: the atom rule of both grammars."""
+    if name in keywords:
+        return f"{name!r} is a keyword and cannot name an atom"
+    if name.startswith(RESERVED_PREFIX):
+        return f"atom names starting with {RESERVED_PREFIX!r} are reserved"
+    if _IDENT_RE.fullmatch(name) is None:
+        return f"{name!r} is not an identifier"
+    return None
+
+
 def _check_atom(tok: Token) -> str:
-    if tok.text == "not":
-        raise ParseError("'not' is a keyword and cannot name an atom", tok.span)
-    if tok.text.startswith(RESERVED_PREFIX):
-        raise ParseError(f"atom names starting with {RESERVED_PREFIX!r} are reserved",
-                         tok.span)
+    problem = atom_problem(tok.text)
+    if problem is not None:
+        raise ParseError(problem, tok.span)
     return tok.text
 
 
@@ -238,12 +260,12 @@ def _parse_statement(cur: _Cursor, labels: set[str]) -> ExtendedRule:
 # ---------------------------------------------------------------------------
 
 _FORK_OPS = {";", "->", "&", "(", ")", "-"}
-_FORK_KEYWORDS = frozenset({"v"})
+_FORK_KEYWORD_OPS = frozenset({"v"})
 
 
 def parse_fork(text: str) -> Fork:
     """Parse a fork; rejects splits under 'v' or in antecedents."""
-    cur = _Cursor(_tokenize(text, _FORK_OPS, _FORK_KEYWORDS))
+    cur = _Cursor(_tokenize(text, _FORK_OPS, _FORK_KEYWORD_OPS))
     f = _parse_split(cur)
     if cur.tok.kind != "eof":
         raise ParseError(f"unexpected {cur.tok.text!r} after fork", cur.tok.span)
@@ -252,7 +274,7 @@ def parse_fork(text: str) -> Fork:
 
 def parse_formula(text: str) -> Formula:
     """Parse a plain formula (a fork with no split connective)."""
-    cur = _Cursor(_tokenize(text, _FORK_OPS, _FORK_KEYWORDS))
+    cur = _Cursor(_tokenize(text, _FORK_OPS, _FORK_KEYWORD_OPS))
     tok = cur.tok
     f = _parse_split(cur)
     if cur.tok.kind != "eof":

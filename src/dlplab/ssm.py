@@ -152,9 +152,8 @@ def strongly_supported_models(p: Program, atoms: Iterable[str] | None = None
     m = compare.model_tables(p, atoms)
     out = []
     for t in m.masks("ssm"):
-        target = m.decode(t)[0]
-        stages = tuple(m.decode(s)[0] for s in m.witnesses["ssm"][t])
-        out.append((target, SsmChain(stages, target)))
+        stages = tuple(frozenset(m.decode(s)) for s in m.witnesses["ssm"][t])
+        out.append((stages[-1], SsmChain(stages, stages[-1])))
     return out
 
 

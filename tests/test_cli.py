@@ -15,7 +15,7 @@ from dlplab.checks import (CHECKS, DEFAULT_CHECKS, FuzzInterrupted, run_fuzz,
 from dlplab.cli import main
 from dlplab.compare import ComparisonReport, compute_report
 from dlplab.gen import GenConfig, gen_program
-from dlplab.parser import parse_program
+from dlplab.parser import FORK_KEYWORDS, ParseError, atom_problem, parse_program
 
 P1_TEXT = "a | b.\na | c.\n"
 
@@ -68,6 +68,18 @@ def test_report_json_roundtrip():
     assert back.semantics == report.semantics
     assert back.inclusions == report.inclusions
     assert back.alphabet == report.alphabet
+
+
+@pytest.mark.parametrize("n", [8, 11])
+def test_a_report_read_back_from_its_json_keeps_its_models_and_witness_lines(n):
+    """At n=11 a selection names rule#10 and rule#11, which JSON's sorted
+    keys put before rule#2."""
+    report = compute_report(_cyclic(n))
+    back = ComparisonReport.from_json_dict(json.loads(cli.to_json(report.to_json_dict())))
+    assert back.listed == report.listed
+    assert back.semantics == report.semantics
+    assert back.witness_lines() == report.witness_lines()
+    assert len(report.witness_lines()) == sum(map(len, report.witnesses.values()))
 
 
 def test_json_model_lists_are_sorted():
@@ -124,6 +136,19 @@ def test_cli_models_alphabet_flag(capsys, p1_file):
                  "classical,sm"]) == 0
     out = capsys.readouterr().out
     assert "alphabet: {a,b,c,z}" in out
+
+
+@pytest.mark.parametrize("item", ["a b", "not", "__z", "1a", "a."])
+def test_cli_models_rejects_alphabet_atoms_the_grammar_rejects(capsys, p1_file, item):
+    """--alphabet takes the atoms a program may name: v and bot among them,
+    which only fork syntax reserves."""
+    with pytest.raises(ParseError):
+        parse_program(f"{item}.")
+    assert main(["models", p1_file, "--alphabet", f"z,{item}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --alphabet: {atom_problem(item)}\n"
+    assert main(["models", p1_file, "--alphabet", "v,bot,x'", "--semantics", "sm"]) == 0
+    assert "alphabet: {a,b,bot,c,v,x'}" in capsys.readouterr().out
 
 
 def test_cli_parse_error_exit_code(tmp_path, capsys):
@@ -200,6 +225,19 @@ def test_cli_entails_alphabet_widens_the_forks_atoms(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["witness_t"] == ["a", "b"]
 
 
+@pytest.mark.parametrize("item", ["v", "bot", "not", "__z", "a b"])
+def test_cli_entails_rejects_alphabet_atoms_the_fork_grammar_rejects(tmp_path, capsys, item):
+    left = tmp_path / "l.fk"
+    right = tmp_path / "r.fk"
+    left.write_text("a v b")
+    right.write_text("a ; b")
+    for extra in ([], ["--json"]):
+        assert main(["entails", str(left), str(right), "--alphabet", item, *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == \
+            f"error: --alphabet: {atom_problem(item, FORK_KEYWORDS)}\n"
+
+
 def test_cli_translate(capsys, p1_file):
     assert main(["translate", p1_file, "--pass", "pf"]) == 0
     out = capsys.readouterr().out
@@ -215,6 +253,14 @@ def test_cli_explain(capsys, p1_file):
     assert "{a}: {a -> r2}" in out
     assert main(["explain", p1_file, "--model", "a", "--dot"]) == 0
     assert "digraph" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("option, item", [("--model", "__q"), ("--model", "not"),
+                                          ("--model", "a b"), ("--alphabet", "__q")])
+def test_cli_explain_rejects_atoms_the_grammar_rejects(capsys, p1_file, option, item):
+    assert main(["explain", p1_file, option, f"a,c,{item}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {option}: {atom_problem(item)}\n"
 
 
 def test_cli_explain_answers_a_model_with_only_cyclic_graphs_at_once(capsys, tmp_path):

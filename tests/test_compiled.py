@@ -15,7 +15,8 @@ import pytest
 from dlplab import di, ht, justify, ssm
 from dlplab import forks as deno
 from dlplab.checks import CHECKS, run_fuzz
-from dlplab.compare import SEMANTICS, compute_report, model_tables
+from dlplab.compare import (SEMANTICS, SEMANTICS_ORDER, ModelTables, compute_report,
+                            model_tables)
 from dlplab.gen import GenConfig, gen_program
 from dlplab.parser import parse_program, render_program
 
@@ -66,6 +67,30 @@ def test_a_report_compiles_its_program_once(constructions):
     report = compute_report(cyclic(8))
     assert not report.violations and len(report.semantics) == 10
     assert constructions[0] == 1
+
+
+def test_a_report_decodes_each_mask_once(monkeypatch):
+    """Every model and ssm chain stage of a full report is decoded from its
+    mask once, into the sorted atoms of ``listed``; ``semantics`` is read
+    off them."""
+    misses = []
+    decode = ModelTables.decode
+
+    def counted(self, t):
+        if t not in self._names:
+            misses.append(t)
+        return decode(self, t)
+
+    monkeypatch.setattr(ModelTables, "decode", counted)
+    p = cyclic(8)
+    report = compute_report(p)
+    m = model_tables(p)
+    masks = {t for name in SEMANTICS_ORDER for t in m.masks(name)}
+    masks |= {s for stages in m.witnesses["ssm"].values() for s in stages}
+    assert sorted(misses) == sorted(masks)
+    assert report.semantics == {name: [frozenset(x) for x in listed]
+                                for name, listed in report.listed.items()}
+    assert all(report.semantics[name] == m.models(name) for name in SEMANTICS_ORDER)
 
 
 def test_the_public_enumerators_compile_their_program_once(constructions):

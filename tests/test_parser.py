@@ -73,6 +73,23 @@ def test_reserved_prefix_rejected():
             parse("a & -__x")
 
 
+@pytest.mark.parametrize("name", ["a", "x'", "_a", "A9_'", "v", "bot", "not",
+                                  "__z", "_", "a b", "1a", "'a", "a-b", "a.", "é", ""])
+def test_atom_problem_is_the_atom_rule_of_both_grammars(name):
+    """A name passes atom_problem exactly when the grammar reads it as an
+    atom: a fact of the program grammar, an atom of the fork grammar."""
+    try:
+        ok = parse_program(f"{name}.").rules[0].head == (name,)
+    except ParseError:
+        ok = False
+    assert (parser.atom_problem(name) is None) == ok
+    try:
+        ok = parse_fork(name) == Atom(name)
+    except ParseError:
+        ok = False
+    assert (parser.atom_problem(name, parser.FORK_KEYWORDS) is None) == ok
+
+
 def test_syntax_error_has_line_and_column():
     with pytest.raises(ParseError) as exc:
         parse_program("a |\n| b.")
