@@ -19,17 +19,19 @@ Only strong entailment (``cor1``, on the fork registers of the memo) and
 the head-splitting check are written out here.  ``th1`` sweeps its whole
 context family in one call per engine (``ht.stable_masks_in_contexts``,
 ``forks.forked_masks_in_contexts``), each reading what was built once for
-the family's alphabet, and compares the models of the two as masks; it
-builds no forked tree.  Both sweeps test every context at once on context
-sets, ints with one bit per context: the HT sweep builds only the
-translated program's tables and reads the contexts' at each source
-interpretation (``ht.ContextRules``), the fork sweep reads the contexts'
-supports sliced by member at each T (``forks.ContextRegisters``).
+the family's width over canonical names, onto which the program is renamed
+in order, and compares the models of the two as masks; it builds no forked
+tree.  Both sweeps test every context at once on context sets, ints with
+one bit per context: the HT sweep builds only the translated program's
+tables and reads the contexts' at each source interpretation
+(``ht.ContextRules``), the fork sweep reads the contexts' supports sliced
+by member at each T (``forks.ContextRegisters``).
 """
 
 from __future__ import annotations
 
 import random
+import string
 import time
 from dataclasses import dataclass, field, replace
 from functools import cache, lru_cache
@@ -111,23 +113,29 @@ def check_fork_replacement(p: Program) -> str | None:
 
 CONTEXT_SEED = 20250809
 RANDOM_CONTEXTS = 50  # the seeded random contexts of every family
+# The names of the families th1 keeps: the family of width w is over the
+# first w of them, which sort in index order, so renaming an alphabet of w
+# atoms onto them in order keeps every mask over the sorted alphabet.
+CANONICAL_ATOMS = tuple(string.ascii_lowercase[:ht.MAX_ENUM_ATOMS])
+FAMILY_WIDTHS = len(ATOM_POOL)  # families kept, one per width: the generator's widths
 
 
-def _remap(p: Program, pool: Sequence[str]) -> Program:
-    table = {ATOM_POOL[i]: pool[i % len(pool)] for i in range(len(ATOM_POOL))}
-    out = []
-    for r in p.rules:
-        out.append(ExtendedRule(tuple(dict.fromkeys(table[a] for a in r.head)),
-                                frozenset(table[a] for a in r.bpos),
-                                frozenset(table[a] for a in r.bneg),
-                                frozenset(table[a] for a in r.bnegneg)))
-    return Program(tuple(out))
+def _remap(p: Program, pool: Sequence[str], names: Sequence[str] = ATOM_POOL) -> Program:
+    """p with the atom names[i] renamed to pool[i], labels kept."""
+    table = dict(zip(names, pool))
+
+    def renamed(atoms: Iterable[str]) -> frozenset[str]:
+        return frozenset(table[a] for a in atoms)
+
+    return Program(tuple(ExtendedRule(tuple(table[a] for a in r.head), renamed(r.bpos),
+                                      renamed(r.bneg), renamed(r.bnegneg), r.label)
+                         for r in p.rules))
 
 
 @dataclass(frozen=True, slots=True)
 class _Family:
-    """A context family with what th1 reads of it for every program over its
-    alphabet: the contexts' rules for the HT sweep and their fork registers
+    """A context family with what th1 reads of it for every program of its
+    width: the contexts' rules for the HT sweep and their fork registers
     for the fork sweep, each compiled once."""
     contexts: tuple[Program, ...]
     rules: ht.ContextRules
@@ -137,14 +145,17 @@ class _Family:
 def context_family(atoms: Iterable[str]) -> tuple[Program, ...]:
     """Contexts over the given atoms: the empty program, every program of
     at most two rules built from facts and constraints, and a fixed set of
-    seeded random programs of at most two rules.  Only the family of the
-    latest alphabet is kept, like the one-program memo of compare."""
-    return _family_of(tuple(sorted(set(atoms)))).contexts
+    seeded random programs of at most two rules.  The family th1 sweeps
+    is this one over canonical names, built once per width."""
+    return _make_family(tuple(sorted(set(atoms))))
 
 
-@lru_cache(maxsize=1)
-def _family_of(pool: tuple[str, ...]) -> _Family:
-    """The family over a sorted alphabet, the latest one's kept."""
+@lru_cache(maxsize=FAMILY_WIDTHS)
+def _family_of(width: int) -> _Family:
+    """The family over the first ``width`` canonical names, built once per
+    width, so that the caches of its rules and registers serve every
+    alphabet of that width; the latest FAMILY_WIDTHS widths' are kept."""
+    pool = CANONICAL_ATOMS[:width]
     contexts = _make_family(pool)
     return _Family(contexts, ht.ContextRules(contexts), deno.ContextRegisters(contexts, pool))
 
@@ -182,30 +193,33 @@ def check_pf_projection(p: Program) -> str | None:
     context over the source alphabet.
 
     The whole family is swept at once, with the family's rules and fork
-    registers compiled once per alphabet: one call computes the stable
-    models of pf alone and with every context, projected onto the source
+    registers compiled once per width: the program is renamed in order onto
+    the family's canonical names, one call computes the stable models of
+    its pf alone and with every context, projected onto the source
     alphabet, from pf's tables and what the contexts add at each source
     interpretation, one the fork stable models of the forked program and
     of its conjunction with every context, and both give models as masks
-    over the sorted source alphabet.  The bare program is compared first, then the
-    contexts in family order; only a failing pair is decoded.  The HT sweep
-    runs first, so that a pf too wide to enumerate is refused before any
-    fork sweep, but a source too wide for the fork sweep is refused first,
-    on its own count.
+    over the sorted source alphabet.  The bare program is compared first,
+    then the contexts in family order; only a failing pair is decoded, onto
+    the program's own atoms.  The HT sweep runs first, so that a pf too
+    wide to enumerate is refused before any fork sweep, but a source too
+    wide for the fork sweep is refused first, on its own count.
     """
-    al = p.atoms()
-    ht._check_width(len(al))
-    family = _family_of(tuple(sorted(al)))
-    pf = deno.pf_translate(p)
-    lhs = ht.stable_masks_in_contexts(pf, family.rules, pf.atoms() | al, al)
-    rhs = deno.forked_masks_in_contexts(p, family.forks)
+    names = tuple(sorted(p.atoms()))
+    ht._check_width(len(names))
+    family = _family_of(len(names))
+    canonical = CANONICAL_ATOMS[:len(names)]
+    q = _remap(p, canonical, names)
+    pf = deno.pf_translate(q)
+    lhs = ht.stable_masks_in_contexts(pf, family.rules, pf.atoms() | q.atoms(), canonical)
+    rhs = deno.forked_masks_in_contexts(q, family.forks)
     for k, (sm, fork_sm) in enumerate(zip(lhs, rhs)):
         if set(sm) != set(fork_sm):
-            pool = family.forks.pool
-            sm, fork_sm = deno._decoded(pool, sm), deno._decoded(pool, fork_sm)
+            sm, fork_sm = deno._decoded(names, sm), deno._decoded(names, fork_sm)
             if k == 0:
                 return f"projected SM {_fmt(sm)} != fork SM {_fmt(fork_sm)}"
-            return (f"context {render_program(family.contexts[k - 1])!r}: projected SM "
+            context = _remap(family.contexts[k - 1], names, canonical)
+            return (f"context {render_program(context)!r}: projected SM "
                     f"{_fmt(sm)} != fork SM {_fmt(fork_sm)}")
     return None
 

@@ -259,10 +259,13 @@ class ComparisonReport:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ComparisonReport":
+        """The report of ``to_json_dict``'s data, its semantics in report
+        order, which JSON's sorted keys lose."""
+        semantics = data["semantics"]
         return cls(
             alphabet=tuple(data["alphabet"]),
-            listed={name: [tuple(sorted(m)) for m in models]
-                    for name, models in data["semantics"].items()},
+            listed={name: [tuple(sorted(m)) for m in semantics[name]]
+                    for name in sorted(semantics, key=SEMANTICS_ORDER.index)},
             inclusions=[InclusionCheck(e["lhs"], e["rhs"], e["holds"])
                         for e in data["inclusions"]],
             witnesses=data.get("witnesses", {}),

@@ -16,11 +16,12 @@ programs, alphabets and the program values themselves.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import replace
 
 import pytest
 
-from dlplab import checks, cli, di, ht, justify, ssm, syntax
+from dlplab import checks, cli, di, ht, justify, parser, ssm, syntax
 from dlplab import forks as deno
 from dlplab.checks import CHECKS, DEFAULT_CHECKS, context_family, run_fuzz
 from dlplab.compare import (CLASS_CLAIMS, CLASSES, INCLUSION_EDGES, PRESERVES,
@@ -337,6 +338,87 @@ def test_head_splitting_failures_match_the_reference(monkeypatch, cfg, count):
         if got["th1"] is not None:
             failed["context" if got["th1"].startswith("context ") else "bare"] += 1
     assert failed["bare"] and failed["context"], failed
+
+
+def swept_per_alphabet(p: Program) -> str | None:
+    """th1 on sweeps built directly from the family over p's own alphabet,
+    with no renaming."""
+    al = p.atoms()
+    contexts = context_family(al)
+    pf = deno.pf_translate(p)
+    lhs = ht.stable_masks_in_contexts(pf, ht.ContextRules(contexts), pf.atoms() | al, al)
+    rhs = deno.forked_masks_in_contexts(p, deno.ContextRegisters(contexts, al))
+    for k, (sm, fork_sm) in enumerate(zip(lhs, rhs)):
+        if set(sm) != set(fork_sm):
+            sm, fork_sm = deno._decoded(sorted(al), sm), deno._decoded(sorted(al), fork_sm)
+            shown = f"projected SM {_fmt(sm)} != fork SM {_fmt(fork_sm)}"
+            return shown if k == 0 else f"context {render_program(contexts[k - 1])!r}: {shown}"
+    return None
+
+
+# Alphabets renaming a, b, c: upper case sorts before pf's __f atoms, lower
+# case after them, and the order of the names need not be a, b, c's.
+RENAMED_ALPHABETS = ["ABC", "zyx", "qAm", "bca"]
+_WORDS = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+
+
+@pytest.mark.parametrize("faulty", [False, True], ids=["pf", "pf-without-a-bridge"])
+def test_th1_on_renamed_alphabets_matches_sweeps_over_the_alphabet(monkeypatch, faulty):
+    """th1 renames a program onto the canonical names of its width and
+    sweeps that width's family; its verdicts and messages are those of
+    sweeps over the family of the program's own alphabet, and a failure
+    names the program's own atoms only."""
+    if faulty:
+        monkeypatch.setattr(deno, "pf_translate", drop_last_bridge(deno.pf_translate))
+    failed = {"bare": 0, "context": 0}
+    for seed in range(40):
+        source = gen_program(GenConfig(atoms=3, rules=3, max_head=3, seed=seed))
+        for names in RENAMED_ALPHABETS:
+            p = checks._remap(source, names)
+            got = CHECKS["th1"][0](p)
+            assert got == swept_per_alphabet(p), (seed, names)
+            if got is not None:
+                failed["context" if got.startswith("context ") else "bare"] += 1
+                words = set(_WORDS.findall(got.replace("\\n", " ")))
+                words -= {"context", "projected", "SM", "fork", "not"}
+                assert words <= set(names), (seed, names, got)
+    assert all(failed.values()) if faulty else not any(failed.values()), failed
+
+
+def test_th1_builds_one_family_per_width(monkeypatch):
+    """Programs on different alphabets of one width share one family, and
+    at most FAMILY_WIDTHS families are kept."""
+    built = []
+
+    def make(pool):
+        built.append(pool)
+        return make_family(pool)
+
+    make_family = checks._make_family
+    monkeypatch.setattr(checks, "_make_family", make)
+    checks._family_of.cache_clear()
+    try:
+        for names in ["abc", "xyz", "ABC", "ab", "pq", "bc", "Q", "c", "abc", "Qq"]:
+            assert CHECKS["th1"][0](parse_program(" | ".join(names) + ".")) is None
+        assert built == [("a", "b", "c"), ("a", "b"), ("a",)]
+        for width in range(checks.FAMILY_WIDTHS + 2):
+            CHECKS["th1"][0](parse_program("".join(f"x{i}." for i in range(width))))
+        assert checks._family_of.cache_info().currsize == checks.FAMILY_WIDTHS
+    finally:
+        checks._family_of.cache_clear()
+
+
+def test_a_family_renamed_is_the_family_of_the_alphabet():
+    """The canonical names sort in index order at every width, so the
+    family of a width renamed onto an alphabet in order is the family of
+    that alphabet, which th1's messages render."""
+    names = checks.CANONICAL_ATOMS
+    assert len(set(names)) == ht.MAX_ENUM_ATOMS and list(names) == sorted(names)
+    assert not any(map(parser.atom_problem, names))
+    for atoms in ["", "Q", "ABC", "bca", "stuvwxyz"]:
+        pool = tuple(sorted(atoms))
+        family = checks._family_of(len(pool)).contexts
+        assert tuple(checks._remap(c, pool, names) for c in family) == context_family(pool)
 
 
 def drop_rules(translate, dropped):

@@ -579,6 +579,17 @@ def _cyclic(n):
         for i in range(n)))
 
 
+@pytest.mark.parametrize("program", [parse_program("a | b."), _cyclic(8)],
+                         ids=["a-or-b", "cyclic8"])
+def test_a_report_read_back_from_its_json_renders_the_same_text(program):
+    """JSON sorts the semantics by name; the report read back lists them in
+    report order again."""
+    report = compute_report(program)
+    back = ComparisonReport.from_json_dict(json.loads(cli.to_json(report.to_json_dict())))
+    assert list(back.listed) == list(report.listed)
+    assert back.render_text() == report.render_text()
+
+
 def test_json_writer_matches_json_dumps_on_reports():
     """The reports of the programs of tests/test_golden.py and of the
     cyclic family n=1..12, timings included."""
