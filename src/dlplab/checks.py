@@ -121,8 +121,11 @@ FAMILY_WIDTHS = len(ATOM_POOL)  # families kept, one per width: the generator's 
 
 
 def _remap(p: Program, pool: Sequence[str], names: Sequence[str] = ATOM_POOL) -> Program:
-    """p with the atom names[i] renamed to pool[i], labels kept."""
+    """p with the atom names[i] renamed to pool[i], labels kept; p itself
+    when that renames no atom, as for a family over the first names."""
     table = dict(zip(names, pool))
+    if all(a == b for a, b in table.items()):
+        return p
 
     def renamed(atoms: Iterable[str]) -> frozenset[str]:
         return frozenset(table[a] for a in atoms)

@@ -154,6 +154,9 @@ def disj(parts: Iterable[Formula]) -> Formula:
 # Rules and programs
 # ---------------------------------------------------------------------------
 
+_NO_ATOMS: frozenset[str] = frozenset()
+
+
 @dataclass(frozen=True, slots=True)
 class ExtendedRule:
     """An extended disjunctive rule.
@@ -164,9 +167,9 @@ class ExtendedRule:
     """
 
     head: tuple[str, ...] = ()
-    bpos: frozenset[str] = frozenset()
-    bneg: frozenset[str] = frozenset()
-    bnegneg: frozenset[str] = frozenset()
+    bpos: frozenset[str] = _NO_ATOMS
+    bneg: frozenset[str] = _NO_ATOMS
+    bnegneg: frozenset[str] = _NO_ATOMS
     label: str | None = None
 
     def __post_init__(self):
@@ -177,9 +180,11 @@ class ExtendedRule:
             if a not in seen:
                 seen.append(a)
         object.__setattr__(self, "head", tuple(seen))
-        object.__setattr__(self, "bpos", frozenset(self.bpos))
-        object.__setattr__(self, "bneg", frozenset(self.bneg))
-        object.__setattr__(self, "bnegneg", frozenset(self.bnegneg))
+        # Most body parts are empty, and each empty frozenset is an object
+        # of its own, so every rule shares one.
+        object.__setattr__(self, "bpos", frozenset(self.bpos) or _NO_ATOMS)
+        object.__setattr__(self, "bneg", frozenset(self.bneg) or _NO_ATOMS)
+        object.__setattr__(self, "bnegneg", frozenset(self.bnegneg) or _NO_ATOMS)
 
     @property
     def head_set(self) -> frozenset[str]:

@@ -49,6 +49,21 @@ def test_pairs_alternate_and_are_summarised_by_median_and_quartiles():
         tool.result_of("\n")
 
 
+def test_a_failing_or_wrong_run_is_refused():
+    tool = load_tool()
+    good = tool.result_of(run_output(100, 30.0))
+    assert tool.checked(good, 0) is good
+    for result, code in [(good, 1), ({**good, "correct": False, "failed": 1}, 0),
+                         ({**good, "correct": False, "failed": 1}, 1)]:
+        with pytest.raises(RuntimeError):
+            tool.checked(result, code)
+
+
+def test_the_parent_commit_must_be_named():
+    with pytest.raises(SystemExit):
+        load_tool().main(["--workload", "translations", "--claim", "x", "--out", "o.json"])
+
+
 @pytest.mark.parametrize("name", ["BENCH_translations_pr22.json", "BENCH_scaling_pr24.json"])
 def test_the_summary_of_a_committed_file_is_that_of_its_runs(name):
     """These two files were summarised by the same quartile method; the

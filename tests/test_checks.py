@@ -419,6 +419,10 @@ def test_a_family_renamed_is_the_family_of_the_alphabet():
         pool = tuple(sorted(atoms))
         family = checks._family_of(len(pool)).contexts
         assert tuple(checks._remap(c, pool, names) for c in family) == context_family(pool)
+    # The seeded random contexts are over the first names already, so each
+    # family holds them as they were generated, not renamed copies.
+    family = checks._family_of(3).contexts
+    assert all(any(c is d for d in family) for c in checks._random_contexts(3))
 
 
 def drop_rules(translate, dropped):

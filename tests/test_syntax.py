@@ -77,6 +77,16 @@ def test_head_duplicates_collapse_keeping_first_occurrence():
     assert r.head == ("b", "a")
 
 
+def test_rules_share_one_empty_body_set():
+    """Most body parts are empty; every rule, however built, holds the same
+    empty frozenset for them."""
+    rules = [ExtendedRule(("a",)), rule(head=("b",), pos=set(), negated=[]),
+             ExtendedRule(("c",), frozenset(), frozenset(), frozenset(["d"]))]
+    empties = {id(part) for r in rules for part in (r.bpos, r.bneg, r.bnegneg) if not part}
+    assert len(empties) == 1
+    assert rules[2].bnegneg == {"d"}
+
+
 def test_rule_category_flags():
     assert rule(pos=("a",)).is_constraint
     assert rule(head=("a",)).is_normal

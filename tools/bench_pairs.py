@@ -1,17 +1,18 @@
 """Paired benchmark runs of the working tree against a parent commit.
 
-    python3 tools/bench_pairs.py --workload translations \\
+    python3 tools/bench_pairs.py --workload translations --rev <parent> \\
         --claim "items_per_s on translations improves: ..." \\
         --out BENCH_translations_pr26.json
 
-The parent tree is ``git archive <rev>`` (``--rev``, HEAD by default)
-unpacked into a temporary directory.  Each pair runs ``perfbench/run.py
---workload W --trace 0`` once in the parent and once in the working tree,
-the parent first on odd pairs and the working tree first on even ones, and
-reads each run's result from the last line it prints.  The output holds
-every run and, for each end-to-end metric of ``BENCHMARK.json``, each
-side's median and quartiles, with the number of pairs in which the change
-ran more items per second.  Standard library only; run it from the
+The parent tree is ``git archive <parent>`` unpacked into a temporary
+directory.  Each of the ten pairs runs ``perfbench/run.py --workload W
+--trace 0`` once in the parent and once in the working tree, the parent
+first on odd pairs and the working tree first on even ones, and reads each
+run's result from the last line it prints; a run that exits with an error
+or reports a wrong output stops the tool, so no summary counts it.  The
+output holds every run and, for each end-to-end metric of
+``BENCHMARK.json``, each side's median and quartiles, with the number of
+pairs in which the change ran more items per second.  Standard library only; run it from the
 repository root, with nothing else running on the host.
 """
 
@@ -31,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10  # fewer pairs cannot show a gain on nine of ten
 
 
 def result_of(stdout: str) -> dict:
@@ -79,14 +81,22 @@ def _unpack(rev: str, into: Path) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
+def checked(result: dict, returncode: int) -> dict:
+    """A run's result, refused unless the run exited cleanly with every
+    output right."""
+    if returncode != 0 or not result["correct"] or result["failed"]:
+        raise RuntimeError(f"the run exited {returncode} with {result['failed']} "
+                           f"wrong item(s) of {result['attempted']}")
+    return result
+
+
 def _run(tree: Path, args: list[str]) -> dict:
     done = subprocess.run([sys.executable, "perfbench/run.py", *args], cwd=tree,
                           capture_output=True, text=True, check=False)
     try:
-        return result_of(done.stdout)
-    except ValueError as exc:
-        raise RuntimeError(f"run in {tree} exited {done.returncode} without a "
-                           f"result:\n{done.stderr}") from exc
+        return checked(result_of(done.stdout), done.returncode)
+    except (ValueError, RuntimeError) as exc:
+        raise RuntimeError(f"run in {tree}: {exc}\n{done.stderr}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -94,8 +104,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--claim", required=True, help="what the change claims")
     ap.add_argument("--out", required=True, type=Path)
-    ap.add_argument("--rev", default="HEAD", help="the parent commit")
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--rev", required=True, help="the parent commit")
     args = ap.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = [m["name"] for m in bench["end_to_end"]]
@@ -105,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
         parent = Path(tmp)
         commit = _unpack(args.rev, parent)
         trees = {"parent": parent, "change": ROOT}
-        for pair in range(1, args.pairs + 1):
+        for pair in range(1, PAIRS + 1):
             for side in order(pair):
                 result = _run(trees[side], run_args)
                 runs.append({"side": side, "pair": pair, "result": result})
@@ -118,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
         "host": (f"{os.cpu_count()}-core {platform.machine()} host, Python "
                  f"{platform.python_version()}; the default run length"),
         "parent_commit": commit,
-        "pairing": (f"{args.pairs} pairs; odd pairs run the parent first, even pairs "
+        "pairing": (f"{PAIRS} pairs; odd pairs run the parent first, even pairs "
                     "the change first"),
         "items_per_s_pairs_won_by_change": pairs_won(runs),
         "summary": summarize(runs, metrics),
