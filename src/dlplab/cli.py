@@ -43,11 +43,11 @@ _WORDS = {True: "true", False: "false", None: "null"}
 
 def to_json(obj) -> str:
     """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, written
-    without the pure-Python encoder that ``indent`` selects: a list of
-    strings, a dict's string values and every key go through the C string
-    encoder, dicts and other lists recurse, and ints and finite floats are
-    written as their repr.  Values of any other type are left to
-    ``json.dumps`` itself."""
+    without the pure-Python encoder that ``indent`` selects: a list or
+    tuple of strings, a dict's string values and every key go through the
+    C string encoder, dicts and other lists and tuples recurse, and ints
+    and finite floats are written as their repr.  Values of any other type
+    are left to ``json.dumps`` itself."""
     out: list[str] = []
     _write_json(obj, "\n", out)
     return "".join(out)
@@ -58,9 +58,9 @@ def _write_json(obj, nl: str, out: list[str]) -> None:
     kind = type(obj)
     if kind is str:
         out.append(_encode(obj))
-    elif (kind is list or kind is dict) and not obj:
-        out.append("[]" if kind is list else "{}")
-    elif kind is list:
+    elif (kind is list or kind is tuple or kind is dict) and not obj:
+        out.append("{}" if kind is dict else "[]")
+    elif kind is list or kind is tuple:
         inner = nl + "  "
         sep = "," + inner
         if type(obj[0]) is str:

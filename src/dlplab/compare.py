@@ -127,15 +127,6 @@ def claims_of(check: str) -> tuple[tuple[str, str, str], ...]:
     return tuple((cls, lhs, rhs) for c, cls, lhs, rhs in CLASS_CLAIMS if c == check)
 
 
-def _table(masks: Iterable[int], width: int) -> int:
-    """The table of 2^width bits holding the given interpretation masks,
-    built in a byte buffer: or-ing bits into an int copies the whole int."""
-    buf = bytearray(((1 << width) + 7) // 8)
-    for t in masks:
-        buf[t >> 3] |= 1 << (t & 7)
-    return int.from_bytes(buf, "little")
-
-
 def _byte_names(atoms: tuple[str, ...]) -> list[list[tuple[str, ...]]]:
     """Per byte of a mask over the atoms, the atoms that each value of the
     byte stands for, sorted."""
@@ -178,7 +169,7 @@ class ModelTables:
                 self.witnesses[name] = dict(found)
                 found = [t for t, _ in found]
             self.found[name] = found
-            self.tables[name] = _table(found, len(self.atoms))
+            self.tables[name] = ht.table_of(found, len(self.atoms))
         return found
 
     def table(self, name: str) -> int:
@@ -249,8 +240,7 @@ class ComparisonReport:
     def to_json_dict(self) -> dict:
         return {
             "alphabet": list(self.alphabet),
-            "semantics": {name: [list(m) for m in models]
-                          for name, models in self.listed.items()},
+            "semantics": dict(self.listed),
             "inclusions": [{"lhs": c.lhs, "rhs": c.rhs, "holds": c.holds}
                            for c in self.inclusions],
             "witnesses": self.witnesses,

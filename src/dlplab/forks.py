@@ -21,13 +21,14 @@ here-mask m (bit i standing for the i-th atom of the sorted base) is a
 member; an atom's support is the column of its truth table, and the
 connectives become single big-int operations.  A view is a list of such
 ints.  The atom columns (``_columns``) and the bit reader are shared
-with the program tables of :mod:`dlplab.ht`.  :func:`fork_stable_models_each`
-and :func:`strongly_entails` compile their forks once into a flat list of
-register operations and run it for each T, so no formula is hashed or
-dispatched on per T.  The compiler (``_compile``) walks the trees on a
-stack of its own, so a fork of any depth compiles, and each node object
-once, so forks that share a subfork run its registers once per T for all
-of them; :func:`fork_stable_models` is the one-fork case.  A program
+with the program tables of :mod:`dlplab.ht`.  :func:`fork_stable_models`
+compiles its fork, and :func:`strongly_entails` its two forks together,
+once into a flat list of register operations and runs it for each T, so
+no formula is hashed or dispatched on per T.  The compiler (``_compile``)
+walks the trees on a stack of its own, so a fork of any depth compiles,
+and each node object once, so a subfork that occurs twice, in one fork or
+in both, runs its registers once per T.  A stable-model sweep
+(``_stable_masks``) and its pre-pass answer one root.  A program
 needs no tree: :func:`program_registers` emits the registers of
 ``syntax.forked(p)`` and then of ``p.to_formula()`` straight from its
 rules (``_compile_program``), the operations and roots the tree compile
@@ -123,8 +124,6 @@ witnesses as a sweep over every T.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from . import compare, ht
@@ -374,7 +373,7 @@ def closure(supports: Iterable[Support]) -> View:
 _AND, _OR, _IMP, _LEAF, _FAND, _FPAIR, _FIMP = range(7)
 
 Op = tuple[int, int, int]
-Registers = tuple[list[str], list[Op], list[int]]  # pool, operations, roots
+Registers = tuple[tuple[str, ...], list[Op], list[int]]  # pool, operations, roots
 
 _FORMULA_OPS = {And: _AND, Or: _OR, Implies: _IMP}
 _FORK_OPS = {ForkAnd: _FAND, ForkPair: _FPAIR}
@@ -484,17 +483,11 @@ def _compile_over(forks: Sequence[Fork], atoms: Iterable[str] | None) -> Registe
     their alphabet, which must cover every atom of the forks."""
     if atoms is None:
         atoms = frozenset().union(*(alphabet(f) for f in forks))
-    pool = _pool_of(atoms)
+    pool = _canon_base(atoms)
     ops, roots, outside = _compile(forks, pool)
     if outside:
         raise ValueError(f"alphabet is missing atoms {sorted(outside)}")
     return pool, ops, roots
-
-
-def _pool_of(atoms: Iterable[str]) -> list[str]:
-    pool = sorted(set(atoms))
-    ht._check_width(len(pool))
-    return pool
 
 
 def _compile_program(p: Program, pool: Sequence[str], readings: Sequence[str],
@@ -649,27 +642,26 @@ def _excluding(ops: Sequence[Op], regs: list[int], nonempty: Sequence[int],
     return regs
 
 
-def _open_table(ops: Sequence[Op], roots: list[int], n: int) -> int:
+def _open_table(ops: Sequence[Op], root: int, n: int) -> int:
     """The table of the T over a pool of n atoms that can be a fork stable
-    model of some root: its view is nonempty there and, for every atom d of
+    model of the root: its view is nonempty there and, for every atom d of
     T, holds a support that excludes T minus d (:func:`_open_by_atom`), and
     where the pair stage pays, for every two atoms d, e of T one that
     excludes both (:func:`_open_by_pair`)."""
-    opened = _open_by_atom(ops, roots, n)
-    out = reduce(or_, opened, 0)
+    out = _open_by_atom(ops, root, n)
     # Only a head split gives a view several generators; without one the
     # pair rules are the atom rules conjoined.  The stage costs about six
     # runs of the registers at one T, and it closes about one open T in six
     # of random 4- and 6-atom programs, more than half on the cyclic
     # family: it paid on both only beyond 3n + 5 open T.
     if out.bit_count() > 3 * n + 5 and any(op == _FPAIR for op, _, _ in ops):
-        out = reduce(or_, _open_by_pair(ops, roots, opened, n), 0)
+        out = _open_by_pair(ops, root, out, n)
     return out
 
 
-def _open_by_atom(ops: Sequence[Op], roots: list[int], n: int) -> list[int]:
-    """Per root, the table of the T over a pool of n atoms where its view
-    is nonempty and, for every atom d of T, holds a support that excludes
+def _open_by_atom(ops: Sequence[Op], root: int, n: int) -> int:
+    """The table of the T over a pool of n atoms where the root's view is
+    nonempty and, for every atom d of T, holds a support that excludes
     T minus d.  One pass per atom d runs the operations with d's column
     zeroed (:func:`_excluding`), so that a formula register holds the
     here-and-there truth at (T minus d, T) and a fork register whether some
@@ -677,54 +669,45 @@ def _open_by_atom(ops: Sequence[Op], roots: list[int], n: int) -> list[int]:
     everything = _universe(n)
     cols = _columns(n)
     nonempty = _nonempty_tables(ops, [*cols, 0], everything)
-    opened = [nonempty[r] for r in roots]
+    opened = nonempty[root]
     for d, col in enumerate(cols):
         regs = [*cols, 0]
         regs[d] = 0
         _excluding(ops, regs, nonempty, everything)
-        lacking = everything ^ col
-        opened = [o & (lacking | regs[r]) for o, r in zip(opened, roots)]
+        opened &= everything ^ col | regs[root]
     return opened
 
 
-def _open_by_pair(ops: Sequence[Op], roots: list[int], opened: list[int],
-                  n: int) -> list[int]:
-    """The per-root tables ``opened`` of :func:`_open_by_atom`, less the T
-    where, for two atoms d, e of T, no support of the root's view excludes
-    both T minus d and T minus e (:func:`_pairs_held`).  The pairs are
-    taken in groups of consecutive first atoms d, each group's slots no
-    wider together than ``_PAIR_BITS``."""
-    ts = set_bits(reduce(or_, opened, 0))
+def _open_by_pair(ops: Sequence[Op], root: int, opened: int, n: int) -> int:
+    """The table ``opened`` of :func:`_open_by_atom`, less the T where, for
+    two atoms d, e of T, no support of the root's view excludes both T
+    minus d and T minus e (:func:`_pairs_held`).  The pairs are taken in
+    groups of consecutive first atoms d, each group's slots no wider
+    together than ``_PAIR_BITS``."""
+    ts = set_bits(opened)
     w = len(ts)
     if not w:
         return opened
     # bit i of atom j's column is set iff j is in the i-th open T
     rows = [format(t, f"0{n}b") for t in reversed(ts)]
     cols = [int("".join(digits), 2) for digits in zip(*rows)][::-1]
-    kept = [(1 << w) - 1] * len(roots)
+    kept = (1 << w) - 1
     first = 0
     while first < n - 1:
         last, slots = first + 1, n - 1 - first
         while last < n - 1 and (slots + n - 1 - last) * w <= _PAIR_BITS:
             slots += n - 1 - last
             last += 1
-        held = _pairs_held(ops, roots, cols, range(first, last), slots, w)
-        kept = [k & h for k, h in zip(kept, held)]
+        kept &= _pairs_held(ops, root, cols, range(first, last), slots, w)
         first = last
-    out = []
-    for o, k in zip(opened, kept):
-        table = bytearray(((1 << n) + 7) // 8)
-        for i in set_bits(k):
-            table[ts[i] >> 3] |= 1 << (ts[i] & 7)
-        out.append(o & int.from_bytes(table, "little"))
-    return out
+    return ht.table_of([ts[i] for i in set_bits(kept)], n)
 
 
-def _pairs_held(ops: Sequence[Op], roots: list[int], cols: list[int],
-                firsts: range, m: int, w: int) -> list[int]:
-    """Per root, the table of the w open T, bit i standing for the i-th,
-    where for every pair of atoms d < e of T with d among ``firsts`` some
-    support of its view excludes both T minus d and T minus e.
+def _pairs_held(ops: Sequence[Op], root: int, cols: list[int],
+                firsts: range, m: int, w: int) -> int:
+    """The table of the w open T, bit i standing for the i-th, where for
+    every pair of atoms d < e of T with d among ``firsts`` some support of
+    the root's view excludes both T minus d and T minus e.
 
     ``cols`` holds the atoms' columns over the open T.  The tables pack
     one slot of w bits for each of the m pairs, in the order (d, d+1),
@@ -769,16 +752,12 @@ def _pairs_held(ops: Sequence[Op], roots: list[int], cols: list[int],
             push(fd[a] & fe[a] & pair[b])
         else:
             push(0)
-    lacking = everything ^ has_d & has_e
-    out = []
-    for r in roots:
-        held, count = pair[r] | lacking, m
-        while count > 1:  # AND the slots together, halving their count
-            half = (count + 1) // 2
-            held &= held >> half * w | -1 << (count - half) * w
-            count = half
-        out.append(held & slot)
-    return out
+    held, count = pair[root] | everything ^ has_d & has_e, m
+    while count > 1:  # AND the slots together, halving their count
+        half = (count + 1) // 2
+        held &= held >> half * w | -1 << (count - half) * w
+        count = half
+    return held & slot
 
 
 def _runs(ops: Sequence[Op], n: int, table: int
@@ -826,27 +805,18 @@ def denotation(f: Fork, t_atoms: Iterable[str]) -> View:
 
 
 def fork_stable_models(f: Fork, atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
-    """All T over the alphabet whose view contains the singleton support
-    [T]: the one-fork case of :func:`fork_stable_models_each`."""
-    return fork_stable_models_each((f,), atoms)[0]
-
-
-def fork_stable_models_each(forks: Sequence[Fork], atoms: Iterable[str] | None = None
-                            ) -> list[list[frozenset[str]]]:
-    """The fork stable models of each fork, sorted, over one alphabet: by
-    default the atoms of all the forks.  The forks are compiled together
-    and run in one sweep over T, so the registers of a subfork they share
-    run once per T for all of them."""
-    pool, ops, roots = _compile_over(forks, atoms)
-    return [_decoded(pool, masks) for masks in _stable_masks(len(pool), ops, roots)]
+    """All T over the alphabet, by default the fork's atoms, whose view
+    contains the singleton support [T], sorted: the fork is compiled once
+    and its registers run at each T the pre-pass leaves open."""
+    pool, ops, (root,) = _compile_over([f], atoms)
+    return _decoded(pool, _stable_masks(len(pool), ops, root))
 
 
 def program_registers(p: Program, atoms: Iterable[str]) -> Registers:
     """A program's registers over the given atoms, which must cover it: the
     sorted pool, the operations of ``syntax.forked(p)`` and then of
     ``p.to_formula()`` (:func:`_compile_program`), and the two roots."""
-    pool = _pool_of(atoms)
-    ht.covering_alphabet(p.atoms(), pool)
+    pool = _canon_base(ht.covering_alphabet(p.atoms(), atoms))
     return (pool, *_compile_program(p, pool, ("forked", "formula")))
 
 
@@ -855,7 +825,7 @@ def forked_stable_masks(regs: Registers) -> list[int]:
     registers, as masks over the sorted alphabet in the order of
     :func:`ht.sort_models`; the sweep runs the operations up to the root."""
     pool, ops, (root, _) = regs
-    return _stable_masks(len(pool), ops[:root - len(pool)], [root])[0]
+    return _stable_masks(len(pool), ops[:root - len(pool)], root)
 
 
 def equilibrium_masks(regs: Registers) -> list[int]:
@@ -865,7 +835,7 @@ def equilibrium_masks(regs: Registers) -> list[int]:
     the stable models that shares no table with :mod:`dlplab.ht`."""
     pool, ops, (_, root) = regs
     ops, root = _reached(ops, root, len(pool))
-    return _stable_masks(len(pool), ops, [root])[0]
+    return _stable_masks(len(pool), ops, root)
 
 
 def _reached(ops: Sequence[Op], root: int, n: int) -> tuple[list[Op], int]:
@@ -903,17 +873,12 @@ def equilibrium_models(p: Program, atoms: Iterable[str] | None = None
     return compare.model_tables(p, atoms).models("sm-formula")
 
 
-def _stable_masks(n: int, ops: Sequence[Op], roots: list[int]) -> list[list[int]]:
-    """The fork stable models of each root over a pool of n atoms, as
-    masks.  The sweep visits, in the order of :func:`ht.sort_models`, only
-    the T that the pre-pass leaves open for some root."""
-    found = [(root, []) for root in roots]
-    for t, combo, regs in _runs(ops, n, _open_table(ops, roots, n)):
-        top = _full_bit(len(combo))
-        for root, models in found:
-            if top in regs[root]:
-                models.append(t)
-    return [models for _, models in found]
+def _stable_masks(n: int, ops: Sequence[Op], root: int) -> list[int]:
+    """The fork stable models of the root over a pool of n atoms, as masks.
+    The sweep visits, in the order of :func:`ht.sort_models`, only the T
+    that the pre-pass leaves open."""
+    return [t for t, combo, regs in _runs(ops, n, _open_table(ops, root, n))
+            if _full_bit(len(combo)) in regs[root]]
 
 
 class ContextRegisters:
@@ -1035,7 +1000,7 @@ def entails_forked(p: Program, atoms: Iterable[str] | None = None) -> Entailment
     return _entailment_sweep(pool, ops, [formula, forked])
 
 
-def _entailment_sweep(pool: list[str], ops: list[Op], roots: list[int]
+def _entailment_sweep(pool: Sequence[str], ops: list[Op], roots: list[int]
                       ) -> EntailmentResult:
     """Whether the view of the first root includes the second's at every T."""
     rf, rg = roots
@@ -1099,12 +1064,14 @@ def projected_denotation(f: Fork, t_atoms: Iterable[str], vocab: Iterable[str],
     restricts them to the vocabulary, and closes the result.  A feasible
     support holds only feasible generators and restriction is monotone, so
     this closes the restrictions of every feasible support of the view.
+    The alphabet, by default the fork's atoms and the vocabulary, must
+    cover both.
     """
     t = frozenset(t_atoms)
     v = frozenset(vocab)
     if not t <= v:
         raise ValueError("T must be a subset of the vocabulary")
-    pool = sorted((alphabet(f) | v) if atoms is None else set(atoms))
+    pool = ht.covering_alphabet(alphabet(f) | v, atoms)
     if len(pool) > MAX_EXPLICIT_BASE:
         raise ht.CapacityError(
             f"projected views need an alphabet of at most {MAX_EXPLICIT_BASE} "

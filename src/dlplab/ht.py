@@ -261,6 +261,15 @@ def set_bits(x: int) -> list[int]:
     return out
 
 
+def table_of(masks: Iterable[int], width: int) -> int:
+    """The table of 2^width bits holding the given interpretation masks,
+    built in a byte buffer: or-ing bits into an int copies the whole int."""
+    buf = bytearray(((1 << width) + 7) // 8)
+    for t in masks:
+        buf[t >> 3] |= 1 << (t & 7)
+    return int.from_bytes(buf, "little")
+
+
 def model_order(table: int) -> list[int]:
     """The members of a table as interpretation masks, in the order of
     :func:`sort_models`."""

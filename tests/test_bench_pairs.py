@@ -64,9 +64,10 @@ def test_the_parent_commit_must_be_named():
         load_tool().main(["--workload", "translations", "--claim", "x", "--out", "o.json"])
 
 
-@pytest.mark.parametrize("name", ["BENCH_translations_pr22.json", "BENCH_scaling_pr24.json"])
+@pytest.mark.parametrize("name", ["BENCH_translations_pr22.json", "BENCH_scaling_pr24.json",
+                                  "BENCH_translations_pr26.json"])
 def test_the_summary_of_a_committed_file_is_that_of_its_runs(name):
-    """These two files were summarised by the same quartile method; the
+    """These three files were summarised by the same quartile method; the
     earlier two used the exclusive one."""
     tool = load_tool()
     data = json.loads((ROOT / name).read_text())

@@ -17,6 +17,8 @@ from dlplab.compare import ComparisonReport, compute_report
 from dlplab.gen import GenConfig, gen_program
 from dlplab.parser import FORK_KEYWORDS, ParseError, atom_problem, parse_program
 
+from families import cyclic
+
 P1_TEXT = "a | b.\na | c.\n"
 
 
@@ -74,7 +76,7 @@ def test_report_json_roundtrip():
 def test_a_report_read_back_from_its_json_keeps_its_models_and_witness_lines(n):
     """At n=11 a selection names rule#10 and rule#11, which JSON's sorted
     keys put before rule#2."""
-    report = compute_report(_cyclic(n))
+    report = compute_report(cyclic(n))
     back = ComparisonReport.from_json_dict(json.loads(cli.to_json(report.to_json_dict())))
     assert back.listed == report.listed
     assert back.semantics == report.semantics
@@ -84,8 +86,8 @@ def test_a_report_read_back_from_its_json_keeps_its_models_and_witness_lines(n):
 
 def test_json_model_lists_are_sorted():
     data = compute_report(parse_program(P1_TEXT)).to_json_dict()
-    assert data["semantics"]["sm"] == [["a"], ["b", "c"]]
-    assert data["semantics"]["classical"][0] == ["a"]
+    assert data["semantics"]["sm"] == [("a",), ("b", "c")]
+    assert data["semantics"]["classical"][0] == ("a",)
 
 
 def test_cli_models_text(capsys, p1_file):
@@ -572,14 +574,7 @@ def _same_as_json_dumps(obj):
     assert cli.to_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _cyclic(n):
-    """x_i | x_{i+1} :- not x_{i+2}, indices mod n."""
-    return parse_program("".join(
-        f"x{i:02d} | x{(i + 1) % n:02d} :- not x{(i + 2) % n:02d}.\n"
-        for i in range(n)))
-
-
-@pytest.mark.parametrize("program", [parse_program("a | b."), _cyclic(8)],
+@pytest.mark.parametrize("program", [parse_program("a | b."), cyclic(8)],
                          ids=["a-or-b", "cyclic8"])
 def test_a_report_read_back_from_its_json_renders_the_same_text(program):
     """JSON sorts the semantics by name; the report read back lists them in
@@ -593,7 +588,7 @@ def test_a_report_read_back_from_its_json_renders_the_same_text(program):
 def test_json_writer_matches_json_dumps_on_reports():
     """The reports of the programs of tests/test_golden.py and of the
     cyclic family n=1..12, timings included."""
-    programs = [_cyclic(n) for n in range(1, 13)]
+    programs = [cyclic(n) for n in range(1, 13)]
     programs += [gen_program(GenConfig(seed=s)) for s in range(100)]
     programs += [gen_program(GenConfig(atoms=6, rules=8, seed=s)) for s in range(50)]
     programs += [gen_program(GenConfig(atoms=3, rules=3, max_head=3, seed=s))
@@ -621,7 +616,7 @@ def test_json_writer_matches_json_dumps_on_edge_values():
         0, -1, 10 ** 30, True, False, None, 0.0, -0.0, 1.5, 1e-7, 1e300,
         float("inf"), float("-inf"), float("nan"),
         [True, None, 1, 2.5, "x"], ["x", 1], ["x", ["y"]], [1, "x"],
-        (1, "x"), ("a", "b"), [("a",), []],
+        (1, "x"), ("a", "b"), [("a",), []], (), ((), ("a",), [()]),
         {"b": 1, "a": [1, [2, {"c": None}]], "c": "s"},
         {"z": {"y": {"x": ["w", "v"]}}, "empty": [[], {}]},
         {1: "int key", 2: [3]}, {"k": {2: "nested int key"}},

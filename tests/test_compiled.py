@@ -20,12 +20,7 @@ from dlplab.compare import (SEMANTICS, SEMANTICS_ORDER, ModelTables, compute_rep
 from dlplab.gen import GenConfig, gen_program
 from dlplab.parser import parse_program, render_program
 
-
-def cyclic(n):
-    """x_i | x_{i+1} :- not x_{i+2}, indices mod n."""
-    return parse_program("".join(
-        f"x{i:02d} | x{(i + 1) % n:02d} :- not x{(i + 2) % n:02d}.\n"
-        for i in range(n)))
+from families import cyclic
 
 
 @pytest.fixture

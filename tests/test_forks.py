@@ -480,6 +480,20 @@ def test_projection_through_generators_matches_the_explicit_loop():
     assert cases > 400
 
 
+def test_projected_denotation_refuses_an_alphabet_missing_atoms():
+    """An alphabet must cover the fork and the vocabulary, as it must for
+    every other fork entry; the default one, the fork's atoms and the
+    vocabulary, does."""
+    b = Atom("b")
+    assert str(projected_denotation(b, {"a"}, {"a"})) == "{[{a} ∅]}"
+    with pytest.raises(ValueError, match=r"alphabet is missing atoms \['b'\]"):
+        projected_denotation(b, {"a"}, {"a"}, atoms=["a"])
+    with pytest.raises(ValueError, match=r"alphabet is missing atoms \['z'\]"):
+        projected_denotation(Atom("a"), {"a"}, {"a", "z"}, atoms=["a"])
+    with pytest.raises(CapacityError, match="at most 4 atoms, got 5"):
+        projected_denotation(b, {"a"}, {"a"}, atoms="abcde")
+
+
 def test_project_models():
     ms = [frozenset({"a", "x"}), frozenset({"a"}), frozenset({"b"})]
     assert project_models(ms, {"a", "b"}) \
@@ -664,7 +678,7 @@ def test_the_formula_sweep_runs_only_the_operations_its_root_reads(cfg):
         pool, ops, (_, root) = regs
         n = len(pool)
         prefix = ops[:root - n]
-        assert equilibrium_masks(regs) == _stable_masks(n, prefix, [root])[0], p
+        assert equilibrium_masks(regs) == _stable_masks(n, prefix, root), p
         reached, _ = _reached(ops, root, n)
         assert len(reached) == len(_compile_program(p, pool, ("formula",))[0])
         skipped += len(prefix) - len(reached)

@@ -19,17 +19,12 @@ import json
 
 from dlplab.cli import main
 from dlplab.gen import GenConfig, gen_program
-from dlplab.parser import parse_program, render_program
+from dlplab.parser import render_program
+
+from families import cyclic
 
 JSON_DIGEST = "3984b5fa8897ccfc977524277da34b8a49be0bbc113297f6838644f45f86bc3b"
 VERBOSE_DIGEST = "abd6bed7bd825c95e5f39937aefa01e7b4373d69f81805d214eef65f436eb6df"
-
-
-def cyclic(n):
-    """x_i | x_{i+1} :- not x_{i+2}, indices mod n."""
-    return parse_program("".join(
-        f"x{i:02d} | x{(i + 1) % n:02d} :- not x{(i + 2) % n:02d}.\n"
-        for i in range(n)))
 
 
 def programs():

@@ -23,14 +23,9 @@ from dlplab.gen import GenConfig, gen_program
 from dlplab.parser import parse_program
 from dlplab.syntax import forked
 
+from families import cyclic
+
 PRUNED = ("jm", "spm", "csm", "csm-closed", "ssm")
-
-
-def cyclic(n):
-    """x_i | x_{i+1} :- not x_{i+2}, indices mod n."""
-    return parse_program("".join(
-        f"x{i:02d} | x{(i + 1) % n:02d} :- not x{(i + 2) % n:02d}.\n"
-        for i in range(n)))
 
 
 def searched(programs):

@@ -12,6 +12,8 @@ from dlplab.justify import support_graphs_of
 from dlplab.parser import parse_formula, parse_fork, parse_program
 from dlplab.syntax import Atom, Implies, Program, forked, neg
 
+from families import cyclic
+
 
 def models(text, atoms=None):
     return stable_models(parse_program(text), atoms)
@@ -199,12 +201,6 @@ def test_wide_alphabet_closed_form():
     atoms = p.atoms() | {f"z{i:02d}" for i in range(16)}
     assert len(classical_models(p, atoms)) == 3 * 2 ** 16
     assert stable_models(p, atoms) == [frozenset("a"), frozenset("b")]
-
-
-def cyclic(n):
-    return parse_program("".join(
-        f"x{i:02d} | x{(i + 1) % n:02d} :- not x{(i + 2) % n:02d}.\n"
-        for i in range(n)))
 
 
 def test_cyclic_family_stable_models_count_perrin():

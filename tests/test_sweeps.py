@@ -1,20 +1,21 @@
 """The context sweeps against the one-program calls they generalise.
 
 ``ht.stable_masks_in_contexts`` gives the stable models of a program alone
-and together with each of many contexts, and
-``forks.fork_stable_models_each`` the fork stable models of many forks,
-each in one pass over a source compiled once.  The HT sweep gives masks
-projected onto a vocabulary: onto the whole alphabet they are the stable
-models themselves, onto the source alphabet what the head-splitting check
-compares.  ``forks.forked_masks_in_contexts`` gives as masks the fork
-stable models of a program's fork, bare and conjoined with each of the
-contexts compiled by ``forks.ContextRegisters``; it builds no conjunction
-but reads, at each T, whether [T] is a product of the program's view and
-each context's support off the contexts' supports sliced by member.  Every
-list they return must equal the one-program result: ``ht.stable_models``
-of the joined program, projected by ``forks.project_models``, and
-``forks.fork_stable_models`` of the conjoined fork tree, the fork masks in
-the same order.
+and together with each of many contexts, in one pass over a source
+compiled once, as masks projected onto a vocabulary: onto the whole
+alphabet they are the stable models themselves, onto the source alphabet
+what the head-splitting check compares.  ``forks.forked_masks_in_contexts``
+gives as masks the fork stable models of a program's fork, bare and
+conjoined with each of the contexts compiled by ``forks.ContextRegisters``;
+it builds no conjunction but reads, at each T, whether [T] is a product of
+the program's view and each context's support off the contexts' supports
+sliced by member.  Every list they return must equal the one-program
+result: ``ht.stable_models`` of the joined program, projected by
+``forks.project_models``, and ``forks.fork_stable_models`` of the
+conjoined fork tree, the fork masks in the same order.
+
+The second part checks the pruned fork sweep of ``forks.fork_stable_models``
+against a sweep over every T, one fork at a time.
 """
 
 from __future__ import annotations
@@ -33,19 +34,21 @@ from dlplab.parser import parse_program
 from dlplab.syntax import (FALSUM, Atom, Falsum, ForkAnd, ForkImplies, ForkPair,
                            Or, Program, fork_and, forked, rule)
 
+from families import cyclic
 
-def one_by_one(p: Program, contexts) -> tuple[list, list, list, list]:
+
+def one_by_one(p: Program, contexts) -> tuple[list, list, list]:
     """Per context, one call each: the stable models of pf(p) joined with
-    it, those projected onto p's atoms, the fork stable models of p's fork
-    conjoined with it, and the last again.  The lists of projected and of
-    repeated fork stable models begin with pf's and p's fork's alone."""
+    it, those projected onto p's atoms, and the fork stable models of p's
+    fork conjoined with it.  The lists of projected and of fork stable
+    models begin with pf's and p's fork's alone."""
     al = p.atoms()
     f, pf = forked(p), deno.pf_translate(p)
     sm = [ht.stable_models(Program(pf.rules + c.rules), pf.atoms() | al)
           for c in contexts]
     fork = [deno.fork_stable_models(fork_and(f, c.to_formula()), al) for c in contexts]
     bare = ht.stable_models(pf, pf.atoms() | al)
-    return (sm, [deno.project_models(models, al) for models in [bare] + sm], fork,
+    return (sm, [deno.project_models(models, al) for models in [bare] + sm],
             [deno.fork_stable_models(f, al)] + fork)
 
 
@@ -65,20 +68,18 @@ def in_contexts(p: Program, contexts, atoms=None) -> list:
             for masks in ht.stable_masks_in_contexts(p, rules, al, al)[1:]]
 
 
-def swept(p: Program, contexts) -> tuple[list, list, list, list]:
+def swept(p: Program, contexts) -> tuple[list, list, list]:
     """The same lists from one call of each sweep: the HT sweep, whole and
-    projected, for the first and second, the tree sweep for the third and
-    the program's fork for the fourth, decoded in the order found."""
+    projected, for the first and second, and the program's fork for the
+    third, decoded in the order found."""
     al = p.atoms()
     pool = sorted(al)
-    f, pf = forked(p), deno.pf_translate(p)
+    pf = deno.pf_translate(p)
     projected = ht.stable_masks_in_contexts(pf, ht.ContextRules(contexts),
                                             pf.atoms() | al, al)
     fork = deno.forked_masks_in_contexts(p, deno.ContextRegisters(contexts, al))
     return (in_contexts(pf, contexts, pf.atoms() | al),
             [decoded(masks, pool) for masks in projected],
-            deno.fork_stable_models_each([fork_and(f, c.to_formula())
-                                          for c in contexts], al),
             [deno._decoded(pool, masks) for masks in fork])
 
 
@@ -118,8 +119,10 @@ def test_the_one_context_calls_are_the_sweeps():
     for seed in range(40):
         p = gen_program(GenConfig(seed=seed))
         assert ht.stable_models(p) == in_contexts(p, [Program(())])[0]
-        f = forked(p)
-        assert deno.fork_stable_models(f) == deno.fork_stable_models_each([f])[0]
+        bare, alone = deno.forked_masks_in_contexts(
+            p, deno.ContextRegisters([Program(())], p.atoms()))
+        assert deno.fork_stable_models(forked(p)) == decoded(bare, sorted(p.atoms())) \
+            == decoded(alone, sorted(p.atoms()))
 
 
 def test_no_contexts_give_no_lists():
@@ -128,8 +131,6 @@ def test_no_contexts_give_no_lists():
         == [[0b010]]
     assert ht.stable_masks_in_contexts(p, ht.ContextRules(()), p.atoms() | {"z"},
                                        p.atoms()) == [[0b010]]
-    assert deno.fork_stable_models_each([]) == []
-    assert deno.fork_stable_models_each([], ("a", "b")) == []
     bare = deno.forked_masks_in_contexts(p, deno.ContextRegisters([], "abc"))
     assert [decoded(masks, "abc") for masks in bare] == [deno.forked_stable_models(p)]
 
@@ -336,9 +337,14 @@ def test_forks_sharing_nodes_in_both_readings():
     forks = [ForkAnd(phi, ForkImplies(phi, pair)), ForkImplies(phi, a),
              ForkAnd(pair, ForkImplies(a, ForkPair(b, FALSUM))),
              ForkPair(FALSUM, ForkImplies(FALSUM, phi)), phi]
-    for order in (forks, forks[::-1]):
-        assert deno.fork_stable_models_each(order, "abc") \
-            == [deno.fork_stable_models(unshared(f), "abc") for f in order]
+    for f in forks:
+        assert deno.fork_stable_models(f, "abc") \
+            == deno.fork_stable_models(unshared(f), "abc")
+    # the forks of one compile share nodes too
+    for g in forks:
+        for h in forks:
+            assert deno.strongly_entails(g, fork_and(g, h), "abc") \
+                == deno.strongly_entails(unshared(g), unshared(fork_and(g, h)), "abc")
 
 
 def test_random_forks_sharing_subforks():
@@ -347,9 +353,13 @@ def test_random_forks_sharing_subforks():
     for _ in range(60):
         g, h = gen_fork(rng, atoms, 3), gen_fork(rng, atoms, 3)
         forks = [g, fork_and(g, h), ForkPair(h, g), fork_and(h, g), h,
-                 ForkImplies(Atom("a"), g)]
-        assert deno.fork_stable_models_each(forks, atoms) \
-            == [deno.fork_stable_models(unshared(f), atoms) for f in forks]
+                 ForkImplies(Atom("a"), g),
+                 ForkPair(fork_and(g, h), ForkImplies(Atom("a"), g))]
+        for f in forks:
+            assert deno.fork_stable_models(f, atoms) \
+                == deno.fork_stable_models(unshared(f), atoms)
+        assert deno.strongly_entails(g, fork_and(g, h), atoms) \
+            == deno.strongly_entails(unshared(g), unshared(fork_and(g, h)), atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +381,9 @@ def every_t(forks, atoms=None):
     return roots, runs()
 
 
-def unpruned_fork_stable_models_each(forks, atoms=None):
-    roots, runs = every_t(forks, atoms)
-    found = [[] for _ in roots]
-    for t, regs in runs:
-        for models, root in zip(found, roots):
-            if ht._full_bit(len(t)) in regs[root]:
-                models.append(t)
-    return found
+def unpruned_fork_stable_models(f, atoms=None):
+    (root,), runs = every_t([f], atoms)
+    return [t for t, regs in runs if ht._full_bit(len(t)) in regs[root]]
 
 
 def unpruned_strongly_entails(f, g, atoms=None):
@@ -394,19 +399,11 @@ def unpruned_strongly_entails(f, g, atoms=None):
 
 def assert_prune_is_exact(p, atoms=None):
     f, phi = forked(p), p.to_formula()
-    assert deno.fork_stable_models(f, atoms) \
-        == unpruned_fork_stable_models_each([f], atoms)[0], p
+    assert deno.fork_stable_models(f, atoms) == unpruned_fork_stable_models(f, atoms), p
     for left, right in ((phi, f), (f, phi)):
         # equal verdict, witness_t and witness_support
         assert deno.strongly_entails(left, right, atoms) \
             == unpruned_strongly_entails(left, right, atoms), p
-
-
-def cyclic(n):
-    """x_i | x_{i+1} :- not x_{i+2}, indices mod n."""
-    return parse_program("".join(
-        f"x{i:02d} | x{(i + 1) % n:02d} :- not x{(i + 2) % n:02d}.\n"
-        for i in range(n)))
 
 
 PRUNE_SEED_SETS = [
@@ -432,9 +429,8 @@ def test_pruned_fork_sweep_matches_every_t_on_context_families(cfg):
     for p in seeded(cfg, 25):
         al = p.atoms()
         f = forked(p)
-        forks = [f] + [fork_and(f, c.to_formula()) for c in context_family(al)]
-        assert deno.fork_stable_models_each(forks, al) \
-            == unpruned_fork_stable_models_each(forks, al), p
+        for g in [f] + [fork_and(f, c.to_formula()) for c in context_family(al)]:
+            assert deno.fork_stable_models(g, al) == unpruned_fork_stable_models(g, al), p
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -442,57 +438,55 @@ def test_pruned_fork_sweep_matches_every_t_on_cyclic_family(n):
     assert_prune_is_exact(cyclic(n))
 
 
-def fork_model_tables(forks, atoms=None):
-    """Per fork, its fork stable models as a table over the pool masks,
+def fork_model_table(f, atoms=None):
+    """The fork stable models of the fork as a table over the pool masks,
     from the sweep over every T."""
-    pool = deno._compile_over(forks, atoms)[0]
-    return [sum(1 << sum(1 << pool.index(a) for a in t) for t in found)
-            for found in unpruned_fork_stable_models_each(forks, atoms)]
+    pool = deno._compile_over([f], atoms)[0]
+    return sum(1 << sum(1 << pool.index(a) for a in t)
+               for t in unpruned_fork_stable_models(f, atoms))
 
 
-def excluding_tables(forks, atoms=None):
-    """Per fork, as a table over the pool masks, the T where its view has,
-    for every atom d of T, a generator without T minus d and, for every
-    two atoms d, e of T, one without either, read off the views at every
-    T: what the per-atom passes and the pair stage ask."""
-    pool = deno._compile_over(forks, atoms)[0]
-    roots, runs = every_t(forks, atoms)
-    tables = [0] * len(roots)
+def excluding_table(f, atoms=None):
+    """As a table over the pool masks, the T where the fork's view has, for
+    every atom d of T, a generator without T minus d and, for every two
+    atoms d, e of T, one without either, read off the views at every T:
+    what the per-atom passes and the pair stage ask."""
+    pool = deno._compile_over([f], atoms)[0]
+    (root,), runs = every_t([f], atoms)
+    table = 0
     for t, regs in runs:
         width = len(t)
         # the here-masks of T minus each atom of T
         minus = [(1 << width) - 1 ^ 1 << i for i in range(width)]
         groups = [[m] for m in minus] + [list(two) for two in combinations(minus, 2)]
-        for k, root in enumerate(roots):
-            view = regs[root]
-            if view and all(any(all(not g >> m & 1 for m in group) for g in view)
-                            for group in groups):
-                tables[k] |= 1 << sum(1 << pool.index(a) for a in t)
-    return tables
+        view = regs[root]
+        if view and all(any(all(not g >> m & 1 for m in group) for g in view)
+                        for group in groups):
+            table |= 1 << sum(1 << pool.index(a) for a in t)
+    return table
 
 
-def pair_stage_tables(forks, atoms=None):
-    """Per fork, the table the pair stage leaves open after the per-atom
-    passes, run whatever the count of open T."""
-    pool, ops, roots = deno._compile_over(forks, atoms)
+def pair_stage_table(f, atoms=None):
+    """The table the pair stage leaves open after the per-atom passes, run
+    whatever the count of open T."""
+    pool, ops, (root,) = deno._compile_over([f], atoms)
     n = len(pool)
-    return deno._open_by_pair(ops, roots, deno._open_by_atom(ops, roots, n), n)
+    return deno._open_by_pair(ops, root, deno._open_by_atom(ops, root, n), n)
 
 
-def assert_pair_stage_is_exact(forks, atoms=None):
+def assert_pair_stage_is_exact(f, atoms=None):
     """Each rule is exact for its own question, so the stage leaves open
-    exactly the T of :func:`excluding_tables`, every model among them."""
-    tables = pair_stage_tables(forks, atoms)
-    assert tables == excluding_tables(forks, atoms), forks
-    for found, table in zip(fork_model_tables(forks, atoms), tables):
-        assert not found & ~table, forks
+    exactly the T of :func:`excluding_table`, every model among them."""
+    table = pair_stage_table(f, atoms)
+    assert table == excluding_table(f, atoms), f
+    assert not fork_model_table(f, atoms) & ~table, f
 
 
 @pytest.mark.parametrize("cfg, count", PRUNE_SEED_SETS)
 def test_pair_stage_below_its_cost_rule_keeps_every_model(cfg, count):
     for seed in range(count):
         p = gen_program(replace(cfg, seed=seed))
-        assert_pair_stage_is_exact([forked(p)], p.atoms())
+        assert_pair_stage_is_exact(forked(p), p.atoms())
 
 
 def test_pair_stage_is_exact_on_random_forks():
@@ -502,12 +496,12 @@ def test_pair_stage_is_exact_on_random_forks():
     not T minus e while the other fork's exclude only T minus e."""
     rng = random.Random(5)
     for _ in range(200):
-        assert_pair_stage_is_exact([gen_fork(rng, "abcd", 4)], "abcd")
-        assert_pair_stage_is_exact([ForkPair(
+        assert_pair_stage_is_exact(gen_fork(rng, "abcd", 4), "abcd")
+        assert_pair_stage_is_exact(ForkPair(
             ForkImplies(gen_formula(rng, "abc", 3), gen_fork(rng, "abc", 3)),
-            gen_fork(rng, "abc", 3))], "abc")
-    forks = [gen_fork(rng, "abcde", 5) for _ in range(40)]
-    assert_pair_stage_is_exact(forks, "abcde")
+            gen_fork(rng, "abc", 3)), "abc")
+    for f in [gen_fork(rng, "abcde", 5) for _ in range(40)]:
+        assert_pair_stage_is_exact(f, "abcde")
 
 
 @pytest.mark.parametrize("cfg", [GenConfig(), GenConfig(atoms=3, rules=3, max_head=3)],
@@ -515,19 +509,18 @@ def test_pair_stage_is_exact_on_random_forks():
 def test_pair_stage_keeps_every_model_on_context_families(cfg):
     for p in seeded(cfg, 25):
         f = forked(p)
-        assert_pair_stage_is_exact(
-            [f] + [fork_and(f, c.to_formula()) for c in context_family(p.atoms())],
-            p.atoms())
+        for g in [f] + [fork_and(f, c.to_formula()) for c in context_family(p.atoms())]:
+            assert_pair_stage_is_exact(g, p.atoms())
 
 
 @pytest.mark.parametrize("n", range(3, 15))
 def test_pair_stage_leaves_exactly_the_models_on_cyclic_family(n, monkeypatch):
     f = forked(cyclic(n))
-    models = fork_model_tables([f])
-    assert pair_stage_tables([f]) == models
+    models = fork_model_table(f)
+    assert pair_stage_table(f) == models
     # one group of slots per first atom, as the widest pools take them
     monkeypatch.setattr(deno, "_PAIR_BITS", 1)
-    assert pair_stage_tables([f]) == models
+    assert pair_stage_table(f) == models
 
 
 def test_pruned_fork_sweep_visits_pinned_counts(monkeypatch):
