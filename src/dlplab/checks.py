@@ -20,12 +20,14 @@ the head-splitting check are written out here.  ``th1`` sweeps its whole
 context family in one call per engine (``ht.stable_masks_in_contexts``,
 ``forks.forked_masks_in_contexts``), each reading what was built once for
 the family's width over canonical names, onto which the program is renamed
-in order, and compares the models of the two as masks; it builds no forked
-tree.  Both sweeps test every context at once on context sets, ints with
-one bit per context: the HT sweep builds only the translated program's
+in order; it builds no forked tree.  Both sweeps test every context at once
+on context sets, ints with bit 0 for the program alone and bit j + 1 for
+the j-th context: the HT sweep builds only the translated program's
 tables and reads the contexts' at each source interpretation
 (``ht.ContextRules``), the fork sweep reads the contexts' supports sliced
-by member at each T (``forks.ContextRegisters``).
+by member at each T (``forks.ContextRegisters``).  Each returns one dict
+from a model, a mask over the sorted source alphabet, to its context set,
+and th1 compares the two dicts whole.
 """
 
 from __future__ import annotations
@@ -201,12 +203,16 @@ def check_pf_projection(p: Program) -> str | None:
     its pf alone and with every context, projected onto the source
     alphabet, from pf's tables and what the contexts add at each source
     interpretation, one the fork stable models of the forked program and
-    of its conjunction with every context, and both give models as masks
-    over the sorted source alphabet.  The bare program is compared first,
-    then the contexts in family order; only a failing pair is decoded, onto
-    the program's own atoms.  The HT sweep runs first, so that a pf too
-    wide to enumerate is refused before any fork sweep, but a source too
-    wide for the fork sweep is refused first, on its own count.
+    of its conjunction with every context.  Both give one dict from a
+    model, a mask over the sorted source alphabet, to its context set (bit
+    0 for the program alone, bit j + 1 for the j-th context), and the two
+    dicts are compared whole.  On a mismatch the lowest bit in which some
+    model's two sets differ names the first failing reading, the bare
+    program before the contexts in family order, and only its models are
+    decoded, onto the program's own atoms.  The HT sweep runs first, so
+    that a pf too wide to enumerate is refused before any fork sweep, but
+    a source too wide for the fork sweep is refused first, on its own
+    count.
     """
     names = tuple(sorted(p.atoms()))
     ht._check_width(len(names))
@@ -216,15 +222,19 @@ def check_pf_projection(p: Program) -> str | None:
     pf = deno.pf_translate(q)
     lhs = ht.stable_masks_in_contexts(pf, family.rules, pf.atoms() | q.atoms(), canonical)
     rhs = deno.forked_masks_in_contexts(q, family.forks)
-    for k, (sm, fork_sm) in enumerate(zip(lhs, rhs)):
-        if set(sm) != set(fork_sm):
-            sm, fork_sm = deno._decoded(names, sm), deno._decoded(names, fork_sm)
-            if k == 0:
-                return f"projected SM {_fmt(sm)} != fork SM {_fmt(fork_sm)}"
-            context = _remap(family.contexts[k - 1], names, canonical)
-            return (f"context {render_program(context)!r}: projected SM "
-                    f"{_fmt(sm)} != fork SM {_fmt(fork_sm)}")
-    return None
+    if lhs == rhs:
+        return None
+    differ = 0
+    for m in lhs.keys() | rhs.keys():
+        differ |= lhs.get(m, 0) ^ rhs.get(m, 0)
+    k = (differ & -differ).bit_length() - 1
+    sm = deno._decoded(names, [m for m, s in lhs.items() if s >> k & 1])
+    fork_sm = deno._decoded(names, [m for m, s in rhs.items() if s >> k & 1])
+    if k == 0:
+        return f"projected SM {_fmt(sm)} != fork SM {_fmt(fork_sm)}"
+    context = _remap(family.contexts[k - 1], names, canonical)
+    return (f"context {render_program(context)!r}: projected SM "
+            f"{_fmt(sm)} != fork SM {_fmt(fork_sm)}")
 
 
 def check_roundtrip(p: Program) -> str | None:
@@ -376,11 +386,13 @@ def run_fuzz(cfg: GenConfig, iterations: int,
              checks: Sequence[str] = DEFAULT_CHECKS,
              max_failures: int = 5) -> FuzzReport:
     """Generate programs with seeds cfg.seed, cfg.seed+1, ... and run the
-    selected checks on each; failures are shrunk by rule removal.  A check
+    selected checks on each, a check named twice once, where first named;
+    failures are shrunk by rule removal.  A check
     that raises is a failure too, shrunk while the same exception type is
     raised, except that a CapacityError is a skip, unshrunk: the program is
     too large to decide, which violates nothing.  A KeyboardInterrupt
     leaves as FuzzInterrupted, carrying the report so far."""
+    checks = tuple(dict.fromkeys(checks))
     unknown = [c for c in checks if c not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; "
@@ -388,7 +400,7 @@ def run_fuzz(cfg: GenConfig, iterations: int,
     if not checks or iterations < 1:
         raise ValueError(f"nothing to run: {iterations} iterations of "
                          f"{len(checks)} checks")
-    report = FuzzReport(iterations, tuple(checks),
+    report = FuzzReport(iterations, checks,
                         per_check={name: CheckStats() for name in checks})
     t0 = time.perf_counter()
     try:

@@ -43,8 +43,11 @@ registers once, and keeps what a sweep computes of them alone, and
 :func:`forked_masks_in_contexts` emits the program's registers after them,
 so each program runs only its own registers.  A context's view has at
 most one generator, its support, so the contexts' supports are kept
-sliced by member, and whether each conjunction holds [T] is read off them
-for all contexts at once, with no conjunction emitted.  The public
+sliced by member, as context sets (bit 0 for the program alone, bit j + 1
+for the j-th context, as in ``ht.ContextRules``), and whether each
+conjunction holds [T] is read off them for all contexts at once, with no
+conjunction emitted; the sweep returns one dict from each model to the
+context set of those it is a model of.  The public
 :class:`Support` and :class:`View` hold the same ints, a support's table
 and a view's generators; :meth:`Support.member_sets` gives the members as
 atom sets.
@@ -916,17 +919,18 @@ class ContextRegisters:
     def at(self, t: int) -> tuple[list, int, list[int]]:
         """At the T of pool mask t: the registers, which a sweep copies
         before it extends them, and the contexts' supports sliced by
-        member, that is the contexts whose support is nonempty, bit j
-        standing for the j-th context, and per here-mask h of a proper
-        subset of T those whose support holds h.  A context's view is the
-        ideal of its support, so it has at most one generator."""
+        member, as context sets (bit j + 1 for the j-th context, the
+        convention of ``ht.ContextRules``): the contexts whose support is
+        nonempty, and per here-mask h of a proper subset of T those whose
+        support holds h.  A context's view is the ideal of its support, so
+        it has at most one generator."""
         got = self._at.get(t)
         if got is None:
             # the registers of a sweep over the table of this T alone
             [(_, _, regs)] = _runs(self.emitted.ops, len(self.pool), 1 << t)
             top = _full_bit(t.bit_count())
             live, meets = 0, [0] * (top.bit_length() - 1)
-            for j, r in enumerate(self.roots):
+            for j, r in enumerate(self.roots, 1):
                 if regs[r]:
                     (s,) = regs[r]
                     live |= 1 << j
@@ -937,15 +941,18 @@ class ContextRegisters:
 
 
 def forked_masks_in_contexts(p: Program, contexts: ContextRegisters
-                             ) -> list[list[int]]:
-    """The fork stable models of ``syntax.forked(p)``, then of its fork
-    conjunction with each context, as masks over the contexts' pool, which
-    must cover p's atoms.  p's registers are emitted after the contexts'
-    and run at every T where p's view is nonempty.  The conjunction's
-    supports are the x & s for the generators x of p's view and the
-    context's support s, so it holds [T] iff some x meets s in T alone:
-    the contexts that x meets beyond T are read off the contexts' sliced
-    supports (:meth:`ContextRegisters.at`), for all of them at once."""
+                             ) -> dict[int, int]:
+    """The fork stable models of ``syntax.forked(p)`` and of its fork
+    conjunction with each context: a map from each model, a mask over the
+    contexts' pool, which must cover p's atoms, to the context set of
+    those it is a model of (bit 0 for p's fork alone, bit j + 1 for the
+    j-th context), never empty, in the order of :func:`ht.sort_models`.
+    p's registers are emitted after the contexts' and run at every T where
+    p's view is nonempty.  The conjunction's supports are the x & s for
+    the generators x of p's view and the context's support s, so it holds
+    [T] iff some x meets s in T alone: the contexts that x meets beyond T
+    are read off the contexts' sliced supports
+    (:meth:`ContextRegisters.at`), for all of them at once."""
     pool = contexts.pool
     n = len(pool)
     ht._check_width(n)
@@ -953,25 +960,22 @@ def forked_masks_in_contexts(p: Program, contexts: ContextRegisters
     em = _Emitter(pool, contexts.emitted)
     ops, (root,) = _compile_program(p, pool, ("forked",), em)
     ops = ops[len(contexts.emitted.ops):]
-    bare: list[int] = []
-    found: list[list[int]] = [[] for _ in contexts.roots]
+    found: dict[int, int] = {}
     viewed = _nonempty_tables(ops, contexts.nonempty(), _universe(n))[root]
     for t in ht.model_order(viewed):
         width = t.bit_count()
         top = _full_bit(width)
         regs, live, meets = contexts.at(t)
         view = _run(ops, list(regs), width)[root]
-        stable = 0
+        stable = 1 if top in view else 0  # bit 0: p's fork alone
         for x in view:
             bad = 0
             for h in set_bits(x ^ top):
                 bad |= meets[h]
             stable |= live & ~bad
-        if top in view:
-            bare.append(t)
-        for j in set_bits(stable):
-            found[j].append(t)
-    return [bare] + found
+        if stable:
+            found[t] = stable
+    return found
 
 
 @dataclass(frozen=True, slots=True)

@@ -46,8 +46,11 @@ program) and builds only the program's tables.  A context mentions only
 its own atoms, so what it adds at a model depends only on the model's
 projection u onto them; :class:`ContextRules` keeps, per u, the contexts
 whose rules hold there, their support of each atom and the contexts each
-projected here-component is violated by, as context sets (one bit per
-context), and the sweep tests the whole family at each candidate at once.
+projected here-component is violated by, as context sets (bit 0 for the
+program alone, bit j + 1 for the j-th context), and the sweep tests the
+whole family at each candidate at once.  It returns one dict from each
+model's projection onto a vocabulary to the context set of those it is a
+stable model under.
 
 Each enumerator of a program has such a mask core (:func:`classical_masks`
 here, and ``*_masks`` in :mod:`dlplab.di`, :mod:`dlplab.justify`,
@@ -693,12 +696,13 @@ class _Source:
 
 def stable_masks_in_contexts(p: Program, contexts: ContextRules,
                              atoms: Iterable[str], vocab: Iterable[str]
-                             ) -> list[list[int]]:
-    """The stable models of p alone and then together with each context,
-    over the alphabet, each projected onto the vocabulary, which the
-    alphabet covers: a mask over the sorted vocabulary, so the projections
-    of two models may repeat.  Each list ascends by the model's mask over
-    the alphabet.
+                             ) -> dict[int, int]:
+    """The stable models of p alone and together with each context, over
+    the alphabet, projected onto the vocabulary, which the alphabet covers:
+    a map from each projection, a mask over the sorted vocabulary, to the
+    context set of those it is the projection of a stable model under (bit
+    0 for p alone, bit j + 1 for the j-th context), never empty.  Models
+    with one projection share its entry.
 
     Only p's tables are built.  A context mentions only its own atoms, so
     what it adds at a model t depends on t's projection u onto them, read
@@ -720,12 +724,17 @@ def stable_masks_in_contexts(p: Program, contexts: ContextRules,
     if outside:
         raise ValueError(f"vocabulary atoms {outside} outside the alphabet")
     keep = [cp.index[a] for a in vocab]
+    low = keep[0] if keep else 0
+    # a vocabulary of consecutive atoms, as a pf's source alphabet after its
+    # fresh atoms, projects by one shift
+    shifted = keep == list(range(low, low + len(keep)))
+    ones = (1 << len(keep)) - 1
     cols = cp._tables()[0]
     supported = cp.supported_columns()
     others = [a for a in range(len(cols)) if a not in place]
     candidates = _supported([cols[a] for a in others], [supported[a] for a in others],
                             cp.model_table())
-    out: list[list[int]] = [[] for _ in range(contexts.everyone.bit_length())]
+    out: dict[int, int] = {}
     for t in set_bits(candidates):
         u, inside = 0, []
         for i, a in enumerate(place):
@@ -756,7 +765,7 @@ def stable_masks_in_contexts(p: Program, contexts: ContextRules,
                 if not alive:
                     break
         if alive:
-            mask = _mask_of(i for i, a in enumerate(keep) if t >> a & 1)
-            for j in set_bits(alive):
-                out[j].append(mask)
+            mask = (t >> low & ones if shifted
+                    else _mask_of(i for i, a in enumerate(keep) if t >> a & 1))
+            out[mask] = out.get(mask, 0) | alive
     return out

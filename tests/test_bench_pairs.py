@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -59,16 +60,34 @@ def test_a_failing_or_wrong_run_is_refused():
             tool.checked(result, code)
 
 
+def test_the_host_line_says_whether_bytecode_is_written(monkeypatch):
+    """Without bytecode every fresh import compiles the sources, which
+    shows in setup_s and peak_rss_mb."""
+    tool = load_tool()
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert tool.host().endswith("; PYTHONDONTWRITEBYTECODE=1 (no bytecode written)")
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    line = tool.host()
+    assert line.endswith("; PYTHONDONTWRITEBYTECODE unset (bytecode written)")
+    assert line.startswith(f"{os.cpu_count()}-core ") and "Python 3." in line
+
+
 def test_the_parent_commit_must_be_named():
     with pytest.raises(SystemExit):
         load_tool().main(["--workload", "translations", "--claim", "x", "--out", "o.json"])
 
 
-@pytest.mark.parametrize("name", ["BENCH_translations_pr22.json", "BENCH_scaling_pr24.json",
-                                  "BENCH_translations_pr26.json"])
+COMMITTED = sorted(path.name for path in ROOT.glob("BENCH_*.json"))
+
+
+def test_the_committed_files_are_found():
+    assert len(COMMITTED) >= 5 and "BENCH_translations_pr21.json" in COMMITTED
+
+
+@pytest.mark.parametrize("name", COMMITTED)
 def test_the_summary_of_a_committed_file_is_that_of_its_runs(name):
-    """These three files were summarised by the same quartile method; the
-    earlier two used the exclusive one."""
+    """Every committed file is summarised by the inclusive quartiles of
+    ``summarize``, with its pair count."""
     tool = load_tool()
     data = json.loads((ROOT / name).read_text())
     assert tool.summarize(data["runs"], list(data["summary"])) == data["summary"]

@@ -31,6 +31,7 @@ from dlplab.gen import GenConfig, gen_program
 from dlplab.parser import parse_program, render_program
 from dlplab.syntax import Program, fork_and, forked
 
+from test_sweeps import per_context
 from test_tables import Ref
 
 
@@ -348,6 +349,7 @@ def swept_per_alphabet(p: Program) -> str | None:
     pf = deno.pf_translate(p)
     lhs = ht.stable_masks_in_contexts(pf, ht.ContextRules(contexts), pf.atoms() | al, al)
     rhs = deno.forked_masks_in_contexts(p, deno.ContextRegisters(contexts, al))
+    lhs, rhs = (per_context(found, len(contexts) + 1) for found in (lhs, rhs))
     for k, (sm, fork_sm) in enumerate(zip(lhs, rhs)):
         if set(sm) != set(fork_sm):
             sm, fork_sm = deno._decoded(sorted(al), sm), deno._decoded(sorted(al), fork_sm)
@@ -423,6 +425,39 @@ def test_a_family_renamed_is_the_family_of_the_alphabet():
     # family holds them as they were generated, not renamed copies.
     family = checks._family_of(3).contexts
     assert all(any(c is d for d in family) for c in checks._random_contexts(3))
+
+
+def dropping_one_bit(sweep, bit):
+    """A faulty sweep: the context bit left out of the context set of the
+    least model holding it, whose entry goes when nothing is left."""
+    def dropped(*args):
+        found = sweep(*args)
+        m = min(m for m, s in found.items() if s >> bit & 1)
+        found[m] &= ~(1 << bit)
+        if not found[m]:
+            del found[m]
+        return found
+    return dropped
+
+
+@pytest.mark.parametrize("module, name, bit, message", [
+    pytest.param(deno, "forked_masks_in_contexts", 40,
+                 "context 'z | y :- z, not y.\\nz | y :- x, not z.\\n': projected SM "
+                 "{{y}, {x,y}, {x,z}} != fork SM {{x,y}, {x,z}}", id="fork-context"),
+    pytest.param(ht, "stable_masks_in_contexts", 0,
+                 "projected SM {{x,y}, {x,z}} != fork SM {{y}, {x,y}, {x,z}}",
+                 id="ht-bare")])
+def test_th1_names_the_first_context_the_sweeps_disagree_on(monkeypatch, module, name,
+                                                           bit, message):
+    """th1 compares the two sweeps' maps at once and decodes only the
+    context of the lowest bit they differ in: bit 40, the family's context
+    39 counted from 0, a seeded random one renamed onto the program's
+    atoms, or bit 0, the program alone.  The messages are pinned as th1
+    gave them when the sweeps returned one model list per context."""
+    p = parse_program("x | y :- not z. z :- x, not y. y | z | x :- not not x.")
+    assert CHECKS["th1"][0](p) is None
+    monkeypatch.setattr(module, name, dropping_one_bit(getattr(module, name), bit))
+    assert CHECKS["th1"][0](p) == message
 
 
 def drop_rules(translate, dropped):

@@ -489,6 +489,19 @@ def test_fuzz_counts_and_times_each_check(capsys):
     assert "  th3: 30 passed, 0 failed (" in capsys.readouterr().out
 
 
+def test_fuzz_runs_a_check_named_twice_once(capsys):
+    """As ``models --semantics fork,fork`` computes fork once."""
+    report = run_fuzz(GenConfig(seed=0), 2, ("th1", "t1", "th1"))
+    assert report.checks == ("th1", "t1") and list(report.per_check) == ["th1", "t1"]
+    assert report.passes == 4 and report.per_check["th1"].passes == 2
+    argv = ["fuzz", "--checks", "th1,th1", "--iterations", "2"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("2 checks passed, 0 failed over 2 programs")
+    assert main(argv + ["--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["checks"] == ["th1"] and data["passes"] == 2
+
+
 def test_fuzz_counts_capacity_refusals_as_skips(capsys, monkeypatch):
     """Program seed 3 of atoms=6, rules=8 splits into 25 atoms, more than
     the enumeration bound: th1 skips it, unshrunk, and the run exits 0."""

@@ -9,10 +9,12 @@ gives as masks the fork stable models of a program's fork, bare and
 conjoined with each of the contexts compiled by ``forks.ContextRegisters``;
 it builds no conjunction but reads, at each T, whether [T] is a product of
 the program's view and each context's support off the contexts' supports
-sliced by member.  Every list they return must equal the one-program
-result: ``ht.stable_models`` of the joined program, projected by
-``forks.project_models``, and ``forks.fork_stable_models`` of the
-conjoined fork tree, the fork masks in the same order.
+sliced by member.  Both return one dict from a model mask to its context
+set, bit 0 for the program alone and bit j + 1 for the j-th context;
+``per_context`` turns it into one model list per bit, and every list must
+equal the one-program result: ``ht.stable_models`` of the joined program,
+projected by ``forks.project_models``, and ``forks.fork_stable_models`` of
+the conjoined fork tree, the fork masks in the same order.
 
 The second part checks the pruned fork sweep of ``forks.fork_stable_models``
 against a sweep over every T, one fork at a time.
@@ -57,6 +59,13 @@ def decoded(masks, pool) -> list:
     return ht.sort_models(frozenset(pool[i] for i in ht.set_bits(m)) for m in masks)
 
 
+def per_context(found: dict[int, int], count: int) -> list[list[int]]:
+    """A sweep's map from model mask to context set as one mask list per
+    bit, bit 0 (the program alone) first, each in the map's order."""
+    assert all(found.values()) and max(found.values(), default=0) < 1 << count
+    return [[m for m, s in found.items() if s >> k & 1] for k in range(count)]
+
+
 def in_contexts(p: Program, contexts, atoms=None) -> list:
     """The stable models of p together with each context, sorted, from one
     sweep over the alphabet, by default the atoms of p and of every
@@ -64,8 +73,9 @@ def in_contexts(p: Program, contexts, atoms=None) -> list:
     rules = ht.ContextRules(contexts)
     al = p.atoms().union(rules.atoms) if atoms is None else atoms
     pool = sorted(set(al))
+    found = ht.stable_masks_in_contexts(p, rules, al, al)
     return [decoded(masks, pool)
-            for masks in ht.stable_masks_in_contexts(p, rules, al, al)[1:]]
+            for masks in per_context(found, len(contexts) + 1)[1:]]
 
 
 def swept(p: Program, contexts) -> tuple[list, list, list]:
@@ -75,12 +85,13 @@ def swept(p: Program, contexts) -> tuple[list, list, list]:
     al = p.atoms()
     pool = sorted(al)
     pf = deno.pf_translate(p)
+    count = len(contexts) + 1
     projected = ht.stable_masks_in_contexts(pf, ht.ContextRules(contexts),
                                             pf.atoms() | al, al)
     fork = deno.forked_masks_in_contexts(p, deno.ContextRegisters(contexts, al))
     return (in_contexts(pf, contexts, pf.atoms() | al),
-            [decoded(masks, pool) for masks in projected],
-            [deno._decoded(pool, masks) for masks in fork])
+            [decoded(masks, pool) for masks in per_context(projected, count)],
+            [deno._decoded(pool, masks) for masks in per_context(fork, count)])
 
 
 def pf_width(p: Program) -> int:
@@ -119,8 +130,8 @@ def test_the_one_context_calls_are_the_sweeps():
     for seed in range(40):
         p = gen_program(GenConfig(seed=seed))
         assert ht.stable_models(p) == in_contexts(p, [Program(())])[0]
-        bare, alone = deno.forked_masks_in_contexts(
-            p, deno.ContextRegisters([Program(())], p.atoms()))
+        bare, alone = per_context(deno.forked_masks_in_contexts(
+            p, deno.ContextRegisters([Program(())], p.atoms())), 2)
         assert deno.fork_stable_models(forked(p)) == decoded(bare, sorted(p.atoms())) \
             == decoded(alone, sorted(p.atoms()))
 
@@ -128,11 +139,12 @@ def test_the_one_context_calls_are_the_sweeps():
 def test_no_contexts_give_no_lists():
     p = parse_program("a | b :- not c. c :- a.")
     assert ht.stable_masks_in_contexts(p, ht.ContextRules([]), p.atoms(), p.atoms()) \
-        == [[0b010]]
+        == {0b010: 1}
     assert ht.stable_masks_in_contexts(p, ht.ContextRules(()), p.atoms() | {"z"},
-                                       p.atoms()) == [[0b010]]
+                                       p.atoms()) == {0b010: 1}
     bare = deno.forked_masks_in_contexts(p, deno.ContextRegisters([], "abc"))
-    assert [decoded(masks, "abc") for masks in bare] == [deno.forked_stable_models(p)]
+    assert [decoded(masks, "abc") for masks in per_context(bare, 1)] \
+        == [deno.forked_stable_models(p)]
 
 
 def test_contexts_reusing_a_label_sweep_like_one_call_each():
@@ -153,14 +165,13 @@ def test_duplicate_contexts_get_equal_lists_of_their_own():
     assert lists == one_by_one(p, contexts)
     sm = lists[0]
     assert sm[0] == sm[2] == sm[3] == sm[4]
-    # the masks entry: pf alone first, which the empty context repeats
+    # the masks entry: pf alone at bit 0, which the empty context repeats,
+    # so each context set holds a context's bit iff it holds its duplicates'
     pf, al = deno.pf_translate(p), p.atoms()
-    masks = ht.stable_masks_in_contexts(pf, ht.ContextRules(contexts), pf.atoms() | al, al)
-    assert masks[0] == masks[2] and masks[0] is not masks[2]
-    assert masks[1] == masks[3] == masks[4] == masks[5]
-    assert masks[1] is not masks[3]
-    masks[1].append(-1)
-    assert masks[3] == masks[4] != masks[1]
+    found = ht.stable_masks_in_contexts(pf, ht.ContextRules(contexts), pf.atoms() | al, al)
+    masks = per_context(found, len(contexts) + 1)
+    assert masks[0] == masks[2] and masks[1] == masks[3] == masks[4] == masks[5]
+    assert masks[0] and masks[1] != masks[0]
 
 
 def test_contexts_repeating_the_programs_rules():
@@ -582,6 +593,7 @@ def test_fork_engine_reads_no_program_table(monkeypatch):
     assert deno.entails_forked(p)
     contexts = [Program(()), parse_program("a."), parse_program(":- b. c :- a.")]
     registers = deno.ContextRegisters(contexts, p.atoms())
-    assert [decoded(masks, "abc") for masks in deno.forked_masks_in_contexts(p, registers)] \
+    found = deno.forked_masks_in_contexts(p, registers)
+    assert [decoded(masks, "abc") for masks in per_context(found, len(contexts) + 1)] \
         == [models] + [deno.fork_stable_models(fork_and(forked(p), c.to_formula()))
                        for c in contexts]

@@ -71,6 +71,16 @@ def pairs_won(runs: list[dict], metric: str = "items_per_s") -> str:
     return f"{won} of {len(pairs)}"
 
 
+def host() -> str:
+    """The host line: cores, machine, Python, and whether the runs write
+    bytecode, on which setup_s and peak_rss_mb depend."""
+    flag = os.environ.get("PYTHONDONTWRITEBYTECODE")
+    bytecode = (f"PYTHONDONTWRITEBYTECODE={flag} (no bytecode written)" if flag
+                else "PYTHONDONTWRITEBYTECODE unset (bytecode written)")
+    return (f"{os.cpu_count()}-core {platform.machine()} host, Python "
+            f"{platform.python_version()}; the default run length; {bytecode}")
+
+
 def _unpack(rev: str, into: Path) -> str:
     """The tree of rev unpacked into a directory, and rev's short hash."""
     blob = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
@@ -124,8 +134,7 @@ def main(argv: list[str] | None = None) -> int:
         "claim": args.claim,
         "workload": args.workload,
         "command": "python3 perfbench/run.py " + " ".join(run_args),
-        "host": (f"{os.cpu_count()}-core {platform.machine()} host, Python "
-                 f"{platform.python_version()}; the default run length"),
+        "host": host(),
         "parent_commit": commit,
         "pairing": (f"{PAIRS} pairs; odd pairs run the parent first, even pairs "
                     "the change first"),
