@@ -65,10 +65,36 @@ is nonempty, a fork conjunction iff both sides are (the intersection of
 two nonempty supports holds T), a pair iff either side is, and an implication
 iff its antecedent's support is empty (the view of all subsets) or its
 consequent's view is nonempty; so the fork connectives read as the formula
-ones.  :func:`strongly_entails` visits only the T where the left view is
-nonempty, because an empty view has no support to miss, and
-:func:`forked_masks_in_contexts` only those where the program's view is,
-because a conjunction with an empty side is empty.
+ones.  :func:`forked_masks_in_contexts` visits only the T where the
+program's view is nonempty, because a conjunction with an empty side is
+empty.
+
+Strong entailment needs no T where the left view is empty, which has no
+support to miss, and a second pass (``_shadow_tables``) closes further T
+where the two roots read one formula.  It gives each fork register its
+shadow, the formula register its operation becomes when every fork
+connective reads as the formula one (a fork conjunction as a conjunction, a
+pair as a disjunction, a fork implication as an implication, a leaf as its
+formula), or None where that was never emitted; and its multi table, the T
+where the view may have more than one generator:
+
+- a leaf: none;
+- a pair: either side's, and the T where both sides are nonempty;
+- a fork conjunction: either side's;
+- an implication phi -> V: V's where phi's support is nonempty (where it
+  is empty the view is all subsets).
+
+By induction on the rules of ``_run``, every generator of a view lies
+within its shadow's support, and outside the multi table the view is that
+support alone, or nothing where the support is empty; a view is nonempty
+where its shadow is.  So where both roots have one shadow, at a T outside
+the left root's multi table the left view is one support S and the right
+view, nonempty there too, has a generator within S: the inclusion holds.
+:func:`strongly_entails` visits only the T where the left view is nonempty
+and, if the roots share a shadow, in the left root's multi table.  A
+program's formula reading is the leaf of its fork's shadow, so
+:func:`entails_forked` visits no T; the other way round, the fork into the
+formula, only the T where a split may give the fork two generators.
 
 T is a fork stable model iff the view holds the support [T], which for
 every atom d of T excludes T minus d.  So the second pass
@@ -121,7 +147,8 @@ test them all; slots are then ANDed together by halving.
 
 Every rule is exact for its own question, and the open set is only
 necessary for stability, so the sweep finds the same models and
-witnesses as a sweep over every T.
+witnesses as a sweep over every T; the entailment sweep skips only T
+where the inclusion holds, so it finds the same first failing T.
 """
 
 from __future__ import annotations
@@ -621,6 +648,36 @@ def _nonempty_tables(ops: Sequence[Op], start: Sequence[int],
     return nonempty
 
 
+_SHADOW_OPS = {_FAND: _AND, _FPAIR: _OR, _FIMP: _IMP}
+
+
+def _shadow_tables(ops: Sequence[Op], nonempty: Sequence[int], n: int
+                   ) -> tuple[list[int | None], list[int]]:
+    """Per register over a pool of n atoms, its shadow and its multi table
+    (the module docstring gives the rules).  The shadow of a fork register
+    is the formula register its operation becomes with each fork connective
+    read as the formula one, None if that was never emitted; a formula
+    register is its own.  The multi table holds the T where the view may
+    have more than one generator, 0 for formula registers.  ``nonempty``
+    holds every register's nonempty table (:func:`_nonempty_tables`)."""
+    emitted = {key: reg for reg, key in enumerate(ops, start=n + 1)}
+    shadow: list[int | None] = list(range(n + 1))
+    multi = [0] * (n + 1)
+    for reg, (op, a, b) in enumerate(ops, start=n + 1):
+        if op not in _SHADOW_OPS:  # a leaf's shadow is its formula
+            shadow.append(a if op == _LEAF else reg)
+            multi.append(0)
+            continue
+        shadow.append(emitted.get((_SHADOW_OPS[op], shadow[a], shadow[b])))
+        if op == _FPAIR:
+            multi.append(multi[a] | multi[b] | nonempty[a] & nonempty[b])
+        elif op == _FAND:
+            multi.append(multi[a] | multi[b])
+        else:
+            multi.append(nonempty[a] & multi[b])
+    return shadow, multi
+
+
 def _excluding(ops: Sequence[Op], regs: list[int], nonempty: Sequence[int],
                everything: int) -> list[int]:
     """Run the operations in the pass of :func:`_open_table` for an atom d:
@@ -999,18 +1056,28 @@ def strongly_entails(f: Fork, g: Fork,
 def entails_forked(p: Program, atoms: Iterable[str] | None = None) -> EntailmentResult:
     """Whether ``p.to_formula()`` strongly entails ``syntax.forked(p)``,
     over p's atoms by default, on the memo's registers, with the witness
-    :func:`strongly_entails` gives."""
+    :func:`strongly_entails` gives.  The two roots share a shadow and the
+    formula's view never has two generators, so the sweep visits no T."""
     pool, ops, (forked, formula) = compare.model_tables(p, atoms).registers
     return _entailment_sweep(pool, ops, [formula, forked])
 
 
 def _entailment_sweep(pool: Sequence[str], ops: list[Op], roots: list[int]
                       ) -> EntailmentResult:
-    """Whether the view of the first root includes the second's at every T."""
+    """Whether the view of the first root includes the second's at every T.
+    The sweep visits only the T where the left view is nonempty and, if the
+    roots share a shadow, may have more than one generator
+    (:func:`_shadow_tables`)."""
     rf, rg = roots
-    # an empty left view has no support to miss
     n = len(pool)
-    left = _nonempty_tables(ops, [*_columns(n), 0], _universe(n))[rf]
+    nonempty = _nonempty_tables(ops, [*_columns(n), 0], _universe(n))
+    shadow, multi = _shadow_tables(ops, nonempty, n)
+    # an empty left view has no support to miss; under a shared shadow a
+    # left view of one generator is the shadow's support, and every
+    # generator of the (nonempty) right view lies within it
+    left = nonempty[rf]
+    if shadow[rf] is not None and shadow[rf] == shadow[rg]:
+        left &= multi[rf]
     for _, combo, regs in _runs(ops, n, left):
         right = regs[rg]
         missing = [h for h in regs[rf] if all(k & ~h for k in right)]
@@ -1023,7 +1090,10 @@ def _entailment_sweep(pool: Sequence[str], ops: list[Op], roots: list[int]
 
 def strongly_equivalent(f: Fork, g: Fork,
                         atoms: Iterable[str] | None = None) -> bool:
-    return bool(strongly_entails(f, g, atoms)) and bool(strongly_entails(g, f, atoms))
+    """Strong entailment both ways, on one compile of the two forks."""
+    pool, ops, (rf, rg) = _compile_over([f, g], atoms)
+    return bool(_entailment_sweep(pool, ops, [rf, rg])) \
+        and bool(_entailment_sweep(pool, ops, [rg, rf]))
 
 
 # ---------------------------------------------------------------------------

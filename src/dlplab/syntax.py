@@ -13,7 +13,7 @@ All values are immutable and hashable, so they can be shared freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Union
 
 
@@ -246,6 +246,9 @@ class Program:
     """An ordered list of rules.  Labels, where present, must be distinct."""
 
     rules: tuple[ExtendedRule, ...] = ()
+    # the atoms, computed on first use; equality, hashing and repr ignore it
+    _atoms: frozenset[str] | None = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
@@ -264,9 +267,10 @@ class Program:
         return len(self.rules)
 
     def atoms(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for r in self.rules:
-            out |= r.atoms()
+        out = self._atoms
+        if out is None:
+            out = frozenset().union(*(r.atoms() for r in self.rules))
+            object.__setattr__(self, "_atoms", out)
         return out
 
     @property

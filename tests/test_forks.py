@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from dlplab import forks as deno
 from dlplab.forks import (BaseMismatchError, Support, View, closure,
                           complement, denotation, entails_forked,
                           equilibrium_models, fork_stable_models,
@@ -336,6 +337,30 @@ def test_strong_equivalence_examples():
     split = parse_fork("a ; b")
     assert strongly_equivalent(split, split)
     assert not strongly_equivalent(vee, split)
+
+
+def test_strong_equivalence_is_entailment_both_ways(monkeypatch):
+    """One compile of the two forks, swept in each order, answers as the
+    two entailment calls do."""
+    rng = random.Random(17)
+    pairs = []
+    for _ in range(200):
+        f, g = gen_fork(rng, "abc", 3), gen_fork(rng, "abc", 3)
+        pairs += [(f, g), (f, fork_and(f, g)), (f, fork_and(f, f)), (g, g)]
+    expected = [bool(strongly_entails(f, g, "abc")) and bool(strongly_entails(g, f, "abc"))
+                for f, g in pairs]
+    assert 0 < sum(expected) < len(pairs)
+    compiled = 0
+    compile_over = deno._compile_over
+
+    def counted(*args):
+        nonlocal compiled
+        compiled += 1
+        return compile_over(*args)
+
+    monkeypatch.setattr(deno, "_compile_over", counted)
+    assert [strongly_equivalent(f, g, "abc") for f, g in pairs] == expected
+    assert compiled == len(pairs)
 
 
 def programs_6x8():

@@ -17,14 +17,16 @@ projected by ``forks.project_models``, and ``forks.fork_stable_models`` of
 the conjoined fork tree, the fork masks in the same order.
 
 The second part checks the pruned fork sweep of ``forks.fork_stable_models``
-against a sweep over every T, one fork at a time.
+against a sweep over every T, one fork at a time, and the entailment sweep
+of ``forks.strongly_entails`` and ``forks.entails_forked``, pruned by the
+register shadows, against one over every T.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -32,9 +34,9 @@ from dlplab import forks as deno
 from dlplab import ht
 from dlplab.checks import check_pf_projection, context_family
 from dlplab.gen import GenConfig, gen_fork, gen_formula, gen_program
-from dlplab.parser import parse_program
-from dlplab.syntax import (FALSUM, Atom, Falsum, ForkAnd, ForkImplies, ForkPair,
-                           Or, Program, fork_and, forked, rule)
+from dlplab.parser import parse_fork, parse_program
+from dlplab.syntax import (FALSUM, And, Atom, Falsum, ForkAnd, ForkImplies, ForkPair,
+                           Formula, Implies, Or, Program, fork_and, forked, rule)
 
 from families import cyclic
 
@@ -434,6 +436,57 @@ def test_pruned_fork_sweep_matches_every_t(cfg, count):
     assert failing > count // 4
 
 
+@pytest.mark.parametrize("cfg, count", PRUNE_SEED_SETS)
+def test_entails_forked_matches_every_t(cfg, count):
+    """cor1's entailment, on the memo's registers: the roots share a shadow
+    and the left view, a leaf, never has two generators, so the sweep
+    visits no T and the verdict rests on the shadow rules alone."""
+    for seed in range(count):
+        p = gen_program(replace(cfg, seed=seed))
+        assert deno.entails_forked(p) \
+            == unpruned_strongly_entails(p.to_formula(), forked(p)), p
+
+
+def formula_reading(f):
+    """The fork with every fork connective read as the formula one: the
+    tree whose register is the shadow of the fork's."""
+    if isinstance(f, Formula):
+        return f
+    kind = {ForkAnd: And, ForkPair: Or, ForkImplies: Implies}[type(f)]
+    return kind(formula_reading(f.left), formula_reading(f.right))
+
+
+def partly_read(f, rng):
+    """The fork with random subforks replaced by their formula reading,
+    which leaves the formula reading of the whole as it was."""
+    if isinstance(f, Formula) or rng.random() < 0.3:
+        return formula_reading(f)
+    left = f.left if isinstance(f, ForkImplies) else partly_read(f.left, rng)
+    return type(f)(left, partly_read(f.right, rng))
+
+
+def test_forks_sharing_a_shadow_match_every_t():
+    """Random forks nest splits under implications and conjunctions, which
+    a program's fork does not.  Compiled beside its formula reading, a fork
+    and a copy with random subforks read as formulas share that reading's
+    register as their shadow, so each direction between the three sweeps
+    only the T where its left view may have several generators."""
+    rng = random.Random(7)
+    atoms = "abcd"
+    for _ in range(300):
+        f = gen_fork(rng, atoms, 4)
+        forks = [f, partly_read(f, rng), formula_reading(f)]
+        pool, ops, roots = deno._compile_over(forks, atoms)
+        n = len(pool)
+        nonempty = deno._nonempty_tables(ops, [*ht._columns(n), 0], ht._universe(n))
+        shadow, _ = deno._shadow_tables(ops, nonempty, n)
+        # the formula reading's root is a leaf, whose shadow is its operand
+        assert {shadow[r] for r in roots} == {ops[roots[2] - n - 1][1]}, f
+        for i, j in permutations(range(3), 2):
+            assert deno._entailment_sweep(pool, ops, [roots[i], roots[j]]) \
+                == unpruned_strongly_entails(forks[i], forks[j], atoms), (forks[i], forks[j])
+
+
 @pytest.mark.parametrize("cfg", [GenConfig(), GenConfig(atoms=3, rules=3, max_head=3)],
                          ids=["default", "atoms3-rules3-head3"])
 def test_pruned_fork_sweep_matches_every_t_on_context_families(cfg):
@@ -572,6 +625,42 @@ def test_pruned_fork_sweep_visits_pinned_counts(monkeypatch):
         p = gen_program(GenConfig(atoms=6, rules=8, seed=seed))
         deno.fork_stable_models(forked(p), p.atoms())
     assert visits == 758
+
+
+def test_entailment_sweep_visits_pinned_counts(monkeypatch):
+    """The T that the shadows leave the entailment sweep: a program's
+    formula reading into its fork none, the fork into the formula only
+    those where a split may give the fork's view two generators, and forks
+    whose shadows differ every T where the left view is nonempty."""
+    split, wider = parse_fork("a ; b"), parse_fork("a ; b ; c")
+    nonempty = sum(not deno.denotation(split, t).is_empty for t in ht.subsets("abc"))
+    visits = 0
+    run = deno._run
+
+    def counted(*args):
+        nonlocal visits
+        visits += 1
+        return run(*args)
+
+    def visited(call, items) -> int:
+        nonlocal visits
+        visits = 0
+        for item in items:
+            call(item)
+        return visits
+
+    monkeypatch.setattr(deno, "_run", counted)
+    default = [gen_program(GenConfig(seed=seed)) for seed in range(300)]
+    wide = [gen_program(GenConfig(atoms=6, rules=8, seed=seed)) for seed in range(100)]
+    assert [visited(deno.entails_forked, ps) for ps in (default, wide)] == [0, 0]
+
+    def into_formula(p):
+        deno.strongly_entails(forked(p), p.to_formula(), p.atoms())
+
+    assert [visited(into_formula, ps) for ps in (default, wide)] == [326, 132]
+    assert deno.strongly_entails(split, wider, "abc")
+    assert visited(lambda f: deno.strongly_entails(f, wider, "abc"), [split]) \
+        == nonempty == 6
 
 
 def test_fork_engine_reads_no_program_table(monkeypatch):

@@ -87,6 +87,19 @@ def test_rules_share_one_empty_body_set():
     assert rules[2].bnegneg == {"d"}
 
 
+def test_programs_keep_their_atoms_out_of_equality_hash_and_repr():
+    """A program computes its atoms once and keeps them; a program that has
+    computed them equals, hashes and prints as one that has not."""
+    rules = (rule(head=("a", "b"), negated=("c",)), rule(head=("c",), pos=("d",)))
+    p, q = Program(rules), Program(rules)
+    assert p.atoms() == {"a", "b", "c", "d"}
+    assert p.atoms() is p.atoms()
+    assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+    assert q.atoms() == p.atoms() and p == q and hash(p) == hash(q)
+    assert p != Program(rules[:1]) and Program(()).atoms() == frozenset()
+    assert {p: 1}[Program(rules)] == 1
+
+
 def test_rule_category_flags():
     assert rule(pos=("a",)).is_constraint
     assert rule(head=("a",)).is_normal
