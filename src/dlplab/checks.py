@@ -42,8 +42,8 @@ from typing import Callable, Iterable, Sequence
 
 from . import forks as deno
 from . import ht
-from .compare import (CLASSES, PRESERVES, TRANSFORMS, ModelTables, claims_of,
-                      edges_of, model_tables)
+from .compare import (CLASSES, TRANSFORMS, ModelTables, claims_of, edges_of,
+                      model_tables, preserves_of)
 from .gen import ATOM_POOL, GenConfig, gen_program
 from .parser import parse_program, render_program
 from .syntax import ExtendedRule, Program, rule
@@ -85,14 +85,14 @@ def _lattice(p: Program, check: str) -> str | None:
     for cls, a, b in claims_of(check):
         if CLASSES[cls](p) and m.table(a) != m.table(b):
             return f"{cls} program has {_show(m, a, check)} != {_show(m, b, check)}"
-    rows = [row for row in PRESERVES if row[0] == check]
+    rows = preserves_of(check)
     if not rows:
         return None
     # the memo holds one program, so the source's models are read first
-    source = {a: m.models(a) for _, _, a, _, _ in rows}
-    q, al = TRANSFORMS[rows[0][1]](p), p.atoms()
+    source = {a: m.models(a) for _, a, _, _ in rows}
+    q, al = TRANSFORMS[rows[0][0]](p), p.atoms()
     mq = model_tables(q, q.atoms() | al)
-    for _, _, a, b, message in rows:
+    for _, a, b, message in rows:
         rhs = deno.project_models(mq.models(b), al)
         if source[a] != rhs:
             return message.format(_fmt(source[a]), _fmt(rhs))

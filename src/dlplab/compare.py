@@ -32,7 +32,7 @@ SEMANTICS_ORDER = ("classical", "sm", "fork", "jm", "spm", "ad", "csm",
 SEMANTICS: dict[str, Callable[["ModelTables"], list]] = {
     "classical": lambda m: ht.classical_masks(m.cp),
     "sm": lambda m: ht.stable_masks(m.cp),
-    "fork": lambda m: deno.forked_stable_masks(m.registers),
+    "fork": lambda m: deno.forked_stable_masks(m.registers, m.nonempty),
     "jm": lambda m: justify.justified_masks(m.cp),
     "spm": lambda m: justify.supported_masks(m.cp),
     "ad": lambda m: justify.ad_supported_masks(m.cp),
@@ -80,6 +80,10 @@ INCLUSION_EDGES = (
     ("spm", "classical", ("models",)),
     ("sm", "ad", ("models", "ad")), ("ad", "spm", ("models", "ad")),
     ("spm-fixpoint", "spm", ("th8",)), ("spm", "spm-fixpoint", ("th8",)),
+    # csm and csm-closed come from one walk (di.candidate_masks), which
+    # searches for a closed witness only at an open candidate and reuses the
+    # open one where the two searches are the same, so this edge holds by
+    # construction; the t2 rows test the closed row against the open one
     ("csm-closed", "csm", ("models",)), ("di", "csm-closed", ("models",)),
     # the fork engine's reading of sm, sharing no table with ht
     ("sm", "sm-formula", ("sm-eq",)), ("sm-formula", "sm", ("sm-eq",)),
@@ -127,6 +131,11 @@ def claims_of(check: str) -> tuple[tuple[str, str, str], ...]:
     return tuple((cls, lhs, rhs) for c, cls, lhs, rhs in CLASS_CLAIMS if c == check)
 
 
+@cache
+def preserves_of(check: str) -> tuple[tuple[str, str, str, str], ...]:
+    return tuple(row[1:] for row in PRESERVES if row[0] == check)
+
+
 def _byte_names(atoms: tuple[str, ...]) -> list[list[tuple[str, ...]]]:
     """Per byte of a mask over the atoms, the atoms that each value of the
     byte stands for, sorted."""
@@ -157,6 +166,10 @@ class ModelTables:
 
     cp = cached_property(lambda m: ht.CompiledProgram(m.program, m.atoms))
     registers = cached_property(lambda m: deno.program_registers(m.program, m.atoms))
+    # per register, the T where its support or view is nonempty: the ``fork``
+    # row and cor1's entailment (forks.entails_forked) both start from them
+    nonempty = cached_property(lambda m: deno.pool_nonempty(m.registers[1],
+                                                            len(m.registers[0])))
     _bytes = cached_property(lambda m: _byte_names(m.atoms))
 
     def masks(self, name: str) -> list[int]:

@@ -7,6 +7,12 @@ when it is stable for the reduct of some selection.  Closed selections must
 pick the same atom for rules sharing the same head set; the DI-stable
 models are the subset-minimal closed candidates.
 
+Both kinds of candidates come from one walk over the models, kept on the
+compile (``_walk``).  A rule with one true head atom has one choice in
+either mode, so only the rules with more are searched; the closed search
+is the open one, witness and all, when those rules' head sets are
+distinct and sort in the rules' order.
+
 Also here: the immediate-consequences step and the fixpoint reading of
 graph-based supported models, and the two size-preserving reductions that
 remove double negation and make head sets pairwise distinct.
@@ -50,35 +56,9 @@ class HeadSelection:
         return "{" + ", ".join(parts) + "}"
 
 
-Slot = tuple[list[int], list["int | None"]]
 # A selection in index form: (rule index, chosen atom index or None) per
 # triggered rule, ascending by rule.
 Choices = tuple[tuple[int, "int | None"], ...]
-
-
-def _slots(cp: ht.CompiledProgram, t: int, closed: bool) -> list[Slot]:
-    """The choice points of the selections for the model t, in enumeration
-    order: the triggered rules sharing one choice, and the choices (their
-    true head atoms as indices, ascending, or None if they have none).
-
-    Open selections choose per triggered rule; closed ones per head set,
-    taken in the order of the sorted head sets.
-    """
-    heads, rank = cp.head_order()
-    trig = cp.fired(t)
-    if closed:
-        groups: dict[int, list[int]] = {}
-        for k in trig:
-            groups.setdefault(rank[k], []).append(k)
-        members = [groups[r] for r in sorted(groups)]
-    else:
-        members = [[k] for k in trig]
-    return [(ks, [a for a in heads[ks[0]] if t >> a & 1] or [None])
-            for ks in members]
-
-
-def _choices(slots: list[Slot], combo: Iterable["int | None"]) -> Choices:
-    return tuple(sorted((k, a) for (ks, _), a in zip(slots, combo) for k in ks))
 
 
 def _selection(atoms: tuple[str, ...], choices: Choices, closed: bool) -> HeadSelection:
@@ -91,20 +71,28 @@ def selections(p: Program, model: Iterable[str],
     """All head selections for the model, over triggered rules only.
 
     Untriggered rules never reach the reduct, so their choices are not
-    enumerated.  In closed mode the triggered rules are grouped by head set
-    and every group member receives the same choice.
+    enumerated.  In closed mode the triggered rules are grouped by head set,
+    taken in the order of the sorted head sets, and every group member
+    receives the same choice.
     """
     i = frozenset(model)
     cp = ht.CompiledProgram(p, i | p.atoms())
-    slots = _slots(cp, cp.mask(i), closed)
+    t = cp.mask(i)
+    heads, rank = cp.head_order()
+    members: dict[int, list[int]] = {}
+    for k in cp.fired(t):
+        members.setdefault(rank[k] if closed else k, []).append(k)
+    slots = [(ks, [a for a in heads[ks[0]] if t >> a & 1] or [None])
+             for _, ks in sorted(members.items())]
     for combo in product(*(choices for _, choices in slots)):
-        yield _selection(cp.atoms, _choices(slots, combo), closed)
+        yield _selection(cp.atoms, tuple(sorted(
+            (k, a) for (ks, _), a in zip(slots, combo) for k in ks)), closed)
 
 
-def _first_cover(options: list[list[int]], target: int) -> list[int] | None:
+def _first_cover(base: int, options: list[list[int]], target: int) -> list[int] | None:
     """The first choice of one value per slot, in the order of
-    :func:`itertools.product`, whose union is the target, as the index
-    picked in each slot; None if there is none.
+    :func:`itertools.product`, whose union with the base is the target, as
+    the index picked in each slot; None if there is none.
 
     Unions only grow along a choice, so a branch whose union together with
     every value still on offer misses part of the target is cut.
@@ -116,7 +104,7 @@ def _first_cover(options: list[list[int]], target: int) -> list[int] | None:
         for v in options[d]:
             reach[d] |= v
     picks = [-1] * n
-    acc = [0] * (n + 1)  # acc[d]: the union of the values picked before slot d
+    acc = [base] * (n + 1)  # acc[d]: the base and the values picked before slot d
     d = 0
     while d >= 0:
         if d == n:
@@ -146,30 +134,65 @@ def reduct(p: Program, model: Iterable[str], sel: HeadSelection) -> Program:
     trig = cp.fired(cp.mask(i))
     chosen = sel.mapping
     if set(chosen) != set(trig):
-        raise SelectionError(
-            f"selection covers rules {sorted(set(chosen))} but the triggered "
-            f"rules are {sorted(trig)}")
-    out: list[ExtendedRule] = []
-    seen = set()
+        raise SelectionError(f"selection covers rules {sorted(chosen)} but the "
+                             f"triggered rules are {sorted(trig)}")
+    out: dict[ExtendedRule, None] = {}
     for k in trig:
         r = p.rules[k]
         atom = chosen[k]
         hits = r.head_set & i
-        if atom is None:
-            if hits:
-                raise SelectionError(
-                    f"rule #{k + 1} has true head atoms, cannot select falsum")
-            head: tuple[str, ...] = ()
-        else:
-            if atom not in hits:
-                raise SelectionError(
-                    f"{atom!r} is not a true head atom of rule #{k + 1}")
-            head = (atom,)
-        nr = ExtendedRule(head, r.bpos, r.bneg, r.bnegneg)
-        if nr not in seen:
-            seen.add(nr)
-            out.append(nr)
+        if atom is None and hits:
+            raise SelectionError(f"rule #{k + 1} has true head atoms, cannot select falsum")
+        if atom is not None and atom not in hits:
+            raise SelectionError(f"{atom!r} is not a true head atom of rule #{k + 1}")
+        out[ExtendedRule(() if atom is None else (atom,), r.bpos, r.bneg, r.bnegneg)] = None
     return Program(tuple(out))
+
+
+def _first_selection(groups: list, base: int, forced: list, cols: list[int],
+                     target: int) -> Choices | None:
+    """The forced choices and the first choice per group (its rules, their
+    true head atoms and positive table), in the order of :func:`product`,
+    whose violations and the base cover the target; None if there is none."""
+    picks = _first_cover(base, [[pos & ~cols[a] for a in atoms]
+                                for _, atoms, pos in groups], target)
+    return None if picks is None else tuple(sorted(forced + [
+        (k, atoms[j]) for (ks, atoms, _), j in zip(groups, picks) for k in ks]))
+
+
+@ht.built_once
+def _walk(cp: ht.CompiledProgram) -> tuple[tuple, tuple]:
+    """The open and the closed rows of :func:`candidate_masks`."""
+    heads, rank = cp.head_order()
+    found: tuple[list, list] = ([], [])
+    for t in cp.paired_in_order():
+        cols = cp.here_columns(t)
+        everything, target = ht._universe(t.bit_count()), ht.below_top(t.bit_count())
+        base, forced, multi = 0, [], []
+        for k in cp.fired(t):  # each heads a true atom, as t is a model
+            atoms = [a for a in heads[k] if t >> a & 1]
+            pos = cp.positive_table(k, cols, everything)
+            if len(atoms) > 1:
+                multi.append(([k], atoms, pos))
+            else:
+                forced.append((k, atoms[0]))
+                base |= pos & ~cols[atoms[0]]
+        chosen = _first_selection(multi, base, forced, cols, target)
+        if chosen is None:
+            continue  # a closed selection is an open one
+        found[0].append((t, chosen))
+        ranks = [rank[ks[0]] for ks, _, _ in multi]
+        if any(r >= s for r, s in zip(ranks, ranks[1:])):
+            groups: dict[int, list] = {}  # by head set
+            for r, (ks, atoms, pos) in zip(ranks, multi):
+                group = groups.setdefault(r, [[], atoms, 0])
+                group[0] += ks
+                group[2] |= pos
+            chosen = _first_selection([groups[r] for r in sorted(groups)],
+                                      base, forced, cols, target)
+        if chosen is not None:
+            found[1].append((t, chosen))
+    return tuple(found[0]), tuple(found[1])
 
 
 def candidate_masks(cp: ht.CompiledProgram,
@@ -177,14 +200,16 @@ def candidate_masks(cp: ht.CompiledProgram,
     """The candidate stable models of :func:`candidate_stable_models` as
     masks over the compile's alphabet, in the order of
     :func:`ht.sort_models`, each paired with its first witnessing selection
-    in index form.
+    in index form: one row of the walk that gives both.
 
     A selection's reduct gives each triggered rule the chosen head atom, so
     its violation table over the here-components of the model is the union
     of one table per slot: the positive bodies of the slot's rules minus
     the chosen atom's column.  The model is stable for the reduct iff that
     union is every here-component but the model (as in
-    :meth:`ht.CompiledProgram.is_stable`).
+    :meth:`ht.CompiledProgram.is_stable`).  The slots of one option are
+    joined before the search.  The closed search runs only on an open
+    candidate, and reuses its witness where its slots are the open ones.
 
     Only the models of :meth:`ht.CompiledProgram.paired_table` are
     searched.  For an atom a of a candidate T, some slot must violate the
@@ -197,23 +222,7 @@ def candidate_masks(cp: ht.CompiledProgram,
     too, as the slot of k then holds only rules of k's head set, any other
     of which would head d too.
     """
-    out = []
-    for t in cp.paired_in_order():
-        cols = cp.here_columns(t)
-        everything = ht._universe(t.bit_count())
-        slots = _slots(cp, t, closed)
-        options = []
-        for ks, choices in slots:
-            pos = 0
-            for k in ks:
-                pos |= cp.positive_table(k, cols, everything)
-            options.append([pos if a is None else pos & ~cols[a]
-                            for a in choices])
-        picks = _first_cover(options, ht.below_top(t.bit_count()))
-        if picks is not None:
-            combo = [choices[j] for (_, choices), j in zip(slots, picks)]
-            out.append((t, _choices(slots, combo)))
-    return out
+    return list(_walk(cp)[closed])
 
 
 def candidate_stable_models(p: Program, atoms: Iterable[str] | None = None,
@@ -259,13 +268,20 @@ def supported_fixpoint_masks(cp: ht.CompiledProgram) -> list[int]:
     compile's alphabet, in the order of :func:`ht.sort_models`.
 
     A reduct's immediate consequences at the model are the chosen atoms,
-    so the model is fixed iff some selection chooses every atom of it.
+    so the model is fixed iff some selection chooses every atom of it; the
+    search starts from the atoms that rules of one true head atom force.
     """
+    heads, _ = cp.head_order()
     out = []
     for t in cp.models_in_order():
-        options = [[0 if a is None else 1 << a for a in choices]
-                   for _, choices in _slots(cp, t, closed=False)]
-        if _first_cover(options, t) is not None:
+        base, options = 0, []
+        for k in cp.fired(t):  # each heads a true atom, as t is a model
+            atoms = [1 << a for a in heads[k] if t >> a & 1]
+            if len(atoms) > 1:
+                options.append(atoms)
+            else:
+                base |= atoms[0]
+        if _first_cover(base, options, t) is not None:
             out.append(t)
     return out
 
@@ -288,16 +304,9 @@ def eliminate_double_negation(p: Program) -> Program:
     if not doubled:
         return p
     aux = {q: f"{T1_PREFIX}{q}" for q in doubled}
-    out = []
-    for r in p.rules:
-        if not r.bnegneg:
-            out.append(r)
-            continue
-        out.append(ExtendedRule(r.head, r.bpos,
-                                r.bneg | {aux[q] for q in r.bnegneg},
-                                frozenset(), r.label))
-    for q in doubled:
-        out.append(rule(head=(aux[q],), negated=(q,)))
+    out = [ExtendedRule(r.head, r.bpos, r.bneg | {aux[q] for q in r.bnegneg},
+                        frozenset(), r.label) if r.bnegneg else r for r in p.rules]
+    out += [rule(head=(aux[q],), negated=(q,)) for q in doubled]
     return Program(tuple(out))
 
 
@@ -314,19 +323,10 @@ def disambiguate_head_sets(p: Program) -> Program:
     for k, r in enumerate(p.rules):
         if len(r.head) > 1:
             groups.setdefault(r.head_set, []).append(k)
-    retag = {}
-    for members in groups.values():
-        for k in members[1:]:
-            retag[k] = f"{T2_PREFIX}{k + 1}"
+    retag = {k: f"{T2_PREFIX}{k + 1}" for members in groups.values() for k in members[1:]}
     if not retag:
         return p
-    out = []
-    for k, r in enumerate(p.rules):
-        if k in retag:
-            out.append(ExtendedRule(r.head + (retag[k],), r.bpos, r.bneg,
-                                    r.bnegneg, r.label))
-        else:
-            out.append(r)
-    for k in sorted(retag):
-        out.append(rule(pos=(retag[k],)))
+    out = [ExtendedRule(r.head + (retag[k],), r.bpos, r.bneg, r.bnegneg, r.label)
+           if k in retag else r for k, r in enumerate(p.rules)]
+    out += [rule(pos=(retag[k],)) for k in sorted(retag)]
     return Program(tuple(out))

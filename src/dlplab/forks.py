@@ -648,6 +648,14 @@ def _nonempty_tables(ops: Sequence[Op], start: Sequence[int],
     return nonempty
 
 
+def pool_nonempty(ops: Sequence[Op], n: int) -> list[int]:
+    """:func:`_nonempty_tables` over every T of a pool of n atoms, bit t
+    for the T of pool mask t.  The memo keeps them for a program's
+    registers (``compare.ModelTables.nonempty``), which the fork sweep's
+    pre-pass and the entailment sweep both start from."""
+    return _nonempty_tables(ops, [*_columns(n), 0], _universe(n))
+
+
 _SHADOW_OPS = {_FAND: _AND, _FPAIR: _OR, _FIMP: _IMP}
 
 
@@ -702,13 +710,15 @@ def _excluding(ops: Sequence[Op], regs: list[int], nonempty: Sequence[int],
     return regs
 
 
-def _open_table(ops: Sequence[Op], root: int, n: int) -> int:
+def _open_table(ops: Sequence[Op], root: int, n: int,
+                nonempty: Sequence[int] | None = None) -> int:
     """The table of the T over a pool of n atoms that can be a fork stable
     model of the root: its view is nonempty there and, for every atom d of
     T, holds a support that excludes T minus d (:func:`_open_by_atom`), and
     where the pair stage pays, for every two atoms d, e of T one that
-    excludes both (:func:`_open_by_pair`)."""
-    out = _open_by_atom(ops, root, n)
+    excludes both (:func:`_open_by_pair`).  ``nonempty``, computed here if
+    None, holds the registers' tables of :func:`pool_nonempty`."""
+    out = _open_by_atom(ops, root, n, nonempty)
     # Only a head split gives a view several generators; without one the
     # pair rules are the atom rules conjoined.  The stage costs about six
     # runs of the registers at one T, and it closes about one open T in six
@@ -719,7 +729,8 @@ def _open_table(ops: Sequence[Op], root: int, n: int) -> int:
     return out
 
 
-def _open_by_atom(ops: Sequence[Op], root: int, n: int) -> int:
+def _open_by_atom(ops: Sequence[Op], root: int, n: int,
+                  nonempty: Sequence[int] | None = None) -> int:
     """The table of the T over a pool of n atoms where the root's view is
     nonempty and, for every atom d of T, holds a support that excludes
     T minus d.  One pass per atom d runs the operations with d's column
@@ -728,7 +739,8 @@ def _open_by_atom(ops: Sequence[Op], root: int, n: int) -> int:
     support of its view excludes T minus d."""
     everything = _universe(n)
     cols = _columns(n)
-    nonempty = _nonempty_tables(ops, [*cols, 0], everything)
+    if nonempty is None:
+        nonempty = pool_nonempty(ops, n)
     opened = nonempty[root]
     for d, col in enumerate(cols):
         regs = [*cols, 0]
@@ -880,12 +892,14 @@ def program_registers(p: Program, atoms: Iterable[str]) -> Registers:
     return (pool, *_compile_program(p, pool, ("forked", "formula")))
 
 
-def forked_stable_masks(regs: Registers) -> list[int]:
+def forked_stable_masks(regs: Registers, nonempty: Sequence[int] | None = None
+                        ) -> list[int]:
     """The fork stable models of ``syntax.forked(p)``, from a program's
-    registers, as masks over the sorted alphabet in the order of
-    :func:`ht.sort_models`; the sweep runs the operations up to the root."""
+    registers and optionally their :func:`pool_nonempty` tables, as masks
+    over the sorted alphabet in the order of :func:`ht.sort_models`; the
+    sweep runs the operations up to the root."""
     pool, ops, (root, _) = regs
-    return _stable_masks(len(pool), ops[:root - len(pool)], root)
+    return _stable_masks(len(pool), ops[:root - len(pool)], root, nonempty)
 
 
 def equilibrium_masks(regs: Registers) -> list[int]:
@@ -933,11 +947,12 @@ def equilibrium_models(p: Program, atoms: Iterable[str] | None = None
     return compare.model_tables(p, atoms).models("sm-formula")
 
 
-def _stable_masks(n: int, ops: Sequence[Op], root: int) -> list[int]:
+def _stable_masks(n: int, ops: Sequence[Op], root: int,
+                  nonempty: Sequence[int] | None = None) -> list[int]:
     """The fork stable models of the root over a pool of n atoms, as masks.
     The sweep visits, in the order of :func:`ht.sort_models`, only the T
-    that the pre-pass leaves open."""
-    return [t for t, combo, regs in _runs(ops, n, _open_table(ops, root, n))
+    that the pre-pass (:func:`_open_table`) leaves open."""
+    return [t for t, combo, regs in _runs(ops, n, _open_table(ops, root, n, nonempty))
             if _full_bit(len(combo)) in regs[root]]
 
 
@@ -969,8 +984,7 @@ class ContextRegisters:
         if self._nonempty is None:
             n = len(self.pool)
             ht._check_width(n)
-            self._nonempty = _nonempty_tables(self.emitted.ops, [*_columns(n), 0],
-                                              _universe(n))
+            self._nonempty = pool_nonempty(self.emitted.ops, n)
         return self._nonempty
 
     def at(self, t: int) -> tuple[list, int, list[int]]:
@@ -1057,20 +1071,25 @@ def entails_forked(p: Program, atoms: Iterable[str] | None = None) -> Entailment
     """Whether ``p.to_formula()`` strongly entails ``syntax.forked(p)``,
     over p's atoms by default, on the memo's registers, with the witness
     :func:`strongly_entails` gives.  The two roots share a shadow and the
-    formula's view never has two generators, so the sweep visits no T."""
-    pool, ops, (forked, formula) = compare.model_tables(p, atoms).registers
-    return _entailment_sweep(pool, ops, [formula, forked])
+    formula's view never has two generators, so the sweep visits no T.
+    The registers' nonempty tables are the memo's, which the ``fork`` row
+    of the same program reads too."""
+    m = compare.model_tables(p, atoms)
+    pool, ops, (forked, formula) = m.registers
+    return _entailment_sweep(pool, ops, [formula, forked], m.nonempty)
 
 
-def _entailment_sweep(pool: Sequence[str], ops: list[Op], roots: list[int]
-                      ) -> EntailmentResult:
+def _entailment_sweep(pool: Sequence[str], ops: list[Op], roots: list[int],
+                      nonempty: Sequence[int] | None = None) -> EntailmentResult:
     """Whether the view of the first root includes the second's at every T.
     The sweep visits only the T where the left view is nonempty and, if the
     roots share a shadow, may have more than one generator
-    (:func:`_shadow_tables`)."""
+    (:func:`_shadow_tables`).  ``nonempty``, computed here if None, holds
+    the registers' tables of :func:`pool_nonempty`."""
     rf, rg = roots
     n = len(pool)
-    nonempty = _nonempty_tables(ops, [*_columns(n), 0], _universe(n))
+    if nonempty is None:
+        nonempty = pool_nonempty(ops, n)
     shadow, multi = _shadow_tables(ops, nonempty, n)
     # an empty left view has no support to miss; under a shared shadow a
     # left view of one generator is the shadow's support, and every
@@ -1092,8 +1111,9 @@ def strongly_equivalent(f: Fork, g: Fork,
                         atoms: Iterable[str] | None = None) -> bool:
     """Strong entailment both ways, on one compile of the two forks."""
     pool, ops, (rf, rg) = _compile_over([f, g], atoms)
-    return bool(_entailment_sweep(pool, ops, [rf, rg])) \
-        and bool(_entailment_sweep(pool, ops, [rg, rf]))
+    nonempty = pool_nonempty(ops, len(pool))
+    return bool(_entailment_sweep(pool, ops, [rf, rg], nonempty)) \
+        and bool(_entailment_sweep(pool, ops, [rg, rf], nonempty))
 
 
 # ---------------------------------------------------------------------------

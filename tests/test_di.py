@@ -90,6 +90,17 @@ def test_closed_membership_is_syntax_sensitive():
     assert frozenset("abp") in csm_models(variant, closed=True)
 
 
+def test_closed_selection_shares_a_choice_across_rules_of_one_head_set():
+    # both rules fire at {a, b}; an open selection picks a for one and b
+    # for the other, a closed one must pick the same atom for both, and
+    # then neither here-component {a} nor {b} is violated by both rules
+    p = parse_program("a | b. a | b :- not not b.")
+    assert csm_models(p) == [frozenset("a"), frozenset("b"), frozenset("ab")]
+    assert csm_models(p, closed=True) == [frozenset("a"), frozenset("b")]
+    assert [sel.choices for _, sel in candidate_stable_models(p, closed=True)] \
+        == [((0, "a"),), ((0, "b"), (1, "b"))]
+
+
 def test_di_stable_models():
     assert di_stable_models(P7) == [frozenset("ap"), frozenset("bp")]
     p1 = parse_program("a | b. a | c.")

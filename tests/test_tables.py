@@ -231,11 +231,20 @@ FAMILIES = {
     "pf": [pf_translate(gen_program(GenConfig(atoms=3, rules=3, max_head=3,
                                               seed=s)))
            for s in range(100)],
+    # rules sharing a head set, where a closed selection differs from an
+    # open one and the closed search regroups them
+    "shared-heads": [gen_program(GenConfig(atoms=5, rules=8, p_dup_head=0.6, seed=s))
+                     for s in range(100)],
 }
 
 
 def test_pf_family_reaches_width_12():
     assert max(len(p.atoms()) for p in FAMILIES["pf"]) == 12
+
+
+def test_shared_heads_family_has_fewer_closed_candidates():
+    assert sum(di.csm_models(p, closed=True) != di.csm_models(p)
+               for p in FAMILIES["shared-heads"]) == 50
 
 
 def first_labels(graphs):
