@@ -102,11 +102,12 @@ def _lattice(p: Program, check: str) -> str | None:
 def check_fork_replacement(p: Program) -> str | None:
     """The program strongly entails its forked version, so its stable
     models survive the replacement.  The entailment is read off the memo's
-    registers (:func:`forks.entails_forked`): the formula reading is the
-    leaf of the fork's shadow, so it is decided by the shadow pass alone and
-    no T is swept; the ``sm`` within ``fork`` row of the lattice then
-    compares the stable models with the fork's."""
-    res = deno.entails_forked(p)
+    registers and their nonempty tables (:func:`forks.entails_forked`): the
+    formula reading is the leaf of the fork's shadow, so it is decided by
+    the shadow pass alone and no T is swept; the ``sm`` within ``fork`` row
+    of the lattice then compares the stable models with the fork's."""
+    m = model_tables(p)
+    res = deno.entails_forked(m.registers, m.nonempty)
     if not res:
         return (f"no strong entailment into the forked program; witness "
                 f"T={{{','.join(sorted(res.witness_t))}}}")

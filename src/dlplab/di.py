@@ -11,7 +11,9 @@ Both kinds of candidates come from one walk over the models, kept on the
 compile (``_walk``).  A rule with one true head atom has one choice in
 either mode, so only the rules with more are searched; the closed search
 is the open one, witness and all, when those rules' head sets are
-distinct and sort in the rules' order.
+distinct and sort in the rules' order.  :func:`candidate_stable_models`
+reads either kind, witnesses included, from the memo's rows ``csm`` and
+``csm-closed``; the DI-stable models are its row ``di``.
 
 Also here: the immediate-consequences step and the fixpoint reading of
 graph-based supported models, and the two size-preserving reductions that
@@ -234,18 +236,6 @@ def candidate_stable_models(p: Program, atoms: Iterable[str] | None = None,
     name = "csm-closed" if closed else "csm"
     return [(frozenset(m.decode(t)), _selection(m.atoms, m.witnesses[name][t], closed))
             for t in m.masks(name)]
-
-
-def csm_models(p: Program, atoms: Iterable[str] | None = None,
-               closed: bool = False) -> list[frozenset[str]]:
-    """The models of :func:`candidate_stable_models`."""
-    return compare.model_tables(p, atoms).models("csm-closed" if closed else "csm")
-
-
-def di_stable_models(p: Program,
-                     atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
-    """Subset-minimal closed candidate stable models: row ``di`` of the memo."""
-    return compare.model_tables(p, atoms).models("di")
 
 
 # ---------------------------------------------------------------------------

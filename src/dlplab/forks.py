@@ -35,7 +35,10 @@ rules (``_compile_program``), the operations and roots the tree compile
 would give, once per program for the memo of :mod:`dlplab.compare`.
 :func:`forked_stable_masks` sweeps the operations up to its root,
 :func:`equilibrium_masks` those its root reads, :func:`entails_forked`
-all of them, as the tree entries do.  Every compile emits through one emitter
+all of them, as the tree entries do.  The three take the registers, not
+the program, and this module does not import the memo: a program's fork
+stable and equilibrium models are its rows ``fork`` and ``sm-formula``.
+Every compile emits through one emitter
 (``_Emitter``), which gives an operation already emitted its register
 again.  The head-splitting check conjoins a program's fork with each of
 many contexts: :class:`ContextRegisters` emits the contexts' formula
@@ -156,7 +159,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from . import compare, ht
+from . import ht
 from .ht import _columns, _full_bit, _universe, set_bits
 from .syntax import (And, Atom, ExtendedRule, Falsum, Fork, ForkAnd,
                      ForkImplies, ForkPair, Formula, Implies, Or, Program,
@@ -935,18 +938,6 @@ def _decoded(pool: Sequence[str], masks: list[int]) -> list[frozenset[str]]:
     return [frozenset(pool[j] for j in set_bits(t)) for t in masks]
 
 
-def forked_stable_models(p: Program, atoms: Iterable[str] | None = None
-                         ) -> list[frozenset[str]]:
-    """The models of :func:`forked_stable_masks`: row ``fork`` of the memo."""
-    return compare.model_tables(p, atoms).models("fork")
-
-
-def equilibrium_models(p: Program, atoms: Iterable[str] | None = None
-                       ) -> list[frozenset[str]]:
-    """The models of :func:`equilibrium_masks`: row ``sm-formula`` of the memo."""
-    return compare.model_tables(p, atoms).models("sm-formula")
-
-
 def _stable_masks(n: int, ops: Sequence[Op], root: int,
                   nonempty: Sequence[int] | None = None) -> list[int]:
     """The fork stable models of the root over a pool of n atoms, as masks.
@@ -1067,16 +1058,15 @@ def strongly_entails(f: Fork, g: Fork,
     return _entailment_sweep(*_compile_over([f, g], atoms))
 
 
-def entails_forked(p: Program, atoms: Iterable[str] | None = None) -> EntailmentResult:
+def entails_forked(regs: Registers, nonempty: Sequence[int] | None = None
+                   ) -> EntailmentResult:
     """Whether ``p.to_formula()`` strongly entails ``syntax.forked(p)``,
-    over p's atoms by default, on the memo's registers, with the witness
+    from a program's registers and optionally their :func:`pool_nonempty`
+    tables, as :func:`forked_stable_masks` takes them, with the witness
     :func:`strongly_entails` gives.  The two roots share a shadow and the
-    formula's view never has two generators, so the sweep visits no T.
-    The registers' nonempty tables are the memo's, which the ``fork`` row
-    of the same program reads too."""
-    m = compare.model_tables(p, atoms)
-    pool, ops, (forked, formula) = m.registers
-    return _entailment_sweep(pool, ops, [formula, forked], m.nonempty)
+    formula's view never has two generators, so the sweep visits no T."""
+    pool, ops, (forked, formula) = regs
+    return _entailment_sweep(pool, ops, [formula, forked], nonempty)
 
 
 def _entailment_sweep(pool: Sequence[str], ops: list[Op], roots: list[int],

@@ -58,7 +58,10 @@ here, and ``*_masks`` in :mod:`dlplab.di`, :mod:`dlplab.justify`,
 sorted alphabet, in the order of :func:`sort_models`.  The cores over the
 tables of this module take a compile; the fork engine's take the program's
 fork registers, since they read no table of this module.  Only the
-comparison memo calls the cores; the enumerators of a program read its rows.
+comparison memo calls the cores.  A semantics has at most one public
+reader of its row, :func:`classical_models` and :func:`stable_models`
+here; ``fork``, ``sm-formula``, ``di`` and ``ssm-min`` have none and are
+read as ``compare.model_tables(p).models(name)``.
 A formula's stable models are the AST path: :func:`is_stable_model` on
 every interpretation.
 """
@@ -70,7 +73,6 @@ from functools import lru_cache, wraps
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from . import compare
 from .syntax import (And, Atom, ExtendedRule, Falsum, Formula, Implies, Or,
                      Program, alphabet, rule_to_formula)
 
@@ -583,7 +585,8 @@ def classical_masks(cp: CompiledProgram) -> list[int]:
 def classical_models(x: Theory, atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
     """All classical models over the alphabet, sorted (a program's: row ``classical``)."""
     if isinstance(x, Program):
-        return compare.model_tables(x, atoms).models("classical")
+        from .compare import model_tables  # the memo imports this module
+        return model_tables(x, atoms).models("classical")
     pool = covering_alphabet(alphabet(x), atoms)
     _check_width(len(pool))
     return sort_models(t for t in subsets(pool) if _sat(t, t, x))
@@ -608,7 +611,8 @@ def stable_models(x: Theory, atoms: Iterable[str] | None = None) -> list[frozens
     (:func:`stable_masks`).
     """
     if isinstance(x, Program):
-        return compare.model_tables(x, atoms).models("sm")
+        from .compare import model_tables
+        return model_tables(x, atoms).models("sm")
     pool = covering_alphabet(alphabet(x), atoms)
     _check_width(len(pool))
     return sort_models(t for t in subsets(pool) if is_stable_model(x, t))

@@ -5,6 +5,8 @@ distinct rule that fires and has the atom in its head; the incoming edges of
 an atom are exactly the positive body of its rule.  Explanations are the
 acyclic support graphs.  Since the edges are determined by the labelling,
 graphs are searched by enumerating injective atom-to-rule labellings.
+:func:`support_graphs_of` lists a model's graphs; :func:`explanations`
+yields its acyclic ones lazily, and ``list`` of it lists them.
 
 One enumerator, :func:`_labellings`, serves every search.  It works on the
 masks of :class:`ht.CompiledProgram`, depth first and without recursion,
@@ -280,15 +282,9 @@ def support_graphs_of(p: Program, model: Iterable[str]) -> list[SupportGraph]:
     return list(_graphs(p, model, acyclic=False))
 
 
-def explanations_of(p: Program, model: Iterable[str]) -> list[SupportGraph]:
-    """All acyclic support graphs of the model, in the order of
-    :func:`support_graphs_of`."""
-    return list(explanations(p, model))
-
-
 def explanations(p: Program, model: Iterable[str]) -> Iterator[SupportGraph]:
-    """The graphs of :func:`explanations_of`, each built only when it is
-    asked for."""
+    """All acyclic support graphs of the model, in the order of
+    :func:`support_graphs_of`, each built only when it is asked for."""
     return _graphs(p, model, acyclic=True)
 
 

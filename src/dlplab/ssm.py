@@ -13,7 +13,12 @@ stage hits every applicable head, because a body that holds at (S, T)
 holds at T and T is a model.  Body satisfaction is monotone in the lower
 component, so the applicable rules only grow along a chain, and by
 induction each maximal stage contains the matching stage of any valid
-chain; if any chain reaches T, so does this one.
+chain; if any chain reaches T, so does this one.  A stage lies within T,
+so the rules applicable after it are the rules firing at T whose positive
+body it holds: the search finds those once per model, and the heads of
+the rules with empty bodies once per compile.  The models and their
+chains are row ``ssm`` of the memo, which
+:func:`strongly_supported_models` reads.
 """
 
 from __future__ import annotations
@@ -108,21 +113,21 @@ def check_chain(chain: SsmChain, p: Program) -> ChainVerdict:
     return ChainVerdict(True)
 
 
-def _greedy_stages(cp: ht.CompiledProgram, tmask: int) -> tuple[int, ...] | None:
-    """The chain of maximal stages, as masks: each holds every atom of the
-    target that heads a rule applicable at the previous stage.  It is a
-    witness iff it reaches the target; otherwise no chain does."""
+def _greedy_stages(cp: ht.CompiledProgram, tmask: int, first: int
+                   ) -> tuple[int, ...] | None:
+    """The chain of maximal stages, as masks, from ``first``, the heads of
+    the rules with empty bodies: a witness iff it reaches the target."""
+    fired = [cp.rules[k][:2] for k in cp.fired(tmask)]
     stages: list[int] = []
-    prev: int | None = None
-    while True:
-        stage = _heads(cp, _stage_pool(cp, prev, tmask)) & tmask
-        if stage == prev:
-            break
+    prev, stage = None, first & tmask
+    while stage != prev:
         stages.append(stage)
-        prev = stage
-    if prev != tmask:
-        return None
-    return tuple(stages)
+        prev, stage = stage, 0
+        for head, bpos in fired:
+            if bpos & prev == bpos:
+                stage |= head
+        stage &= tmask
+    return tuple(stages) if prev == tmask else None
 
 
 def strongly_supported_masks(cp: ht.CompiledProgram
@@ -137,9 +142,9 @@ def strongly_supported_masks(cp: ht.CompiledProgram
     in several atoms, so the paired table would lose models: ``a | b.``
     has the model {a, b}.
     """
-    out = []
+    out, first = [], _heads(cp, _stage_pool(cp, None, 0))
     for t in cp.headed_in_order():
-        stages = _greedy_stages(cp, t)
+        stages = _greedy_stages(cp, t, first)
         if stages is not None:
             out.append((t, stages))
     return out
@@ -155,11 +160,6 @@ def strongly_supported_models(p: Program, atoms: Iterable[str] | None = None
         stages = tuple(frozenset(m.decode(s)) for s in m.witnesses["ssm"][t])
         out.append((stages[-1], SsmChain(stages, stages[-1])))
     return out
-
-
-def ssm_models(p: Program, atoms: Iterable[str] | None = None) -> list[frozenset[str]]:
-    """The models of :func:`strongly_supported_models`."""
-    return compare.model_tables(p, atoms).models("ssm")
 
 
 def minimal_elements(models: Iterable[frozenset[str]]) -> list[frozenset[str]]:

@@ -9,7 +9,7 @@ import random
 
 from dlplab.checks import (CHECKS, DEFAULT_CHECKS, check_pf_projection,
                            run_fuzz)
-from dlplab.di import csm_models, di_stable_models
+from dlplab.compare import model_tables
 from dlplab.forks import (Support, View, denotation, fork_stable_models,
                           ideal, support_of_formula)
 from dlplab.gen import GenConfig, gen_fork, gen_formula, gen_program
@@ -17,7 +17,6 @@ from dlplab.ht import classical_models, ht_sat, stable_models, subsets
 from dlplab.justify import (justified_models, support_graphs_of,
                             supported_models_graph, ad_supported_models)
 from dlplab.parser import parse_fork, parse_program, render
-from dlplab.ssm import ssm_models
 from dlplab.syntax import ForkPair, fork_and, forked
 
 P1 = parse_program("a | b.  a | c.")
@@ -39,9 +38,9 @@ def test_criterion_1_two_disjunctions():
     assert stable_models(P1) == m("a", "bc")
     assert fork == m("a", "ab", "ac", "bc")
     assert justified_models(P1) == fork
-    assert csm_models(P1) == fork
-    assert ssm_models(P1) == classical_models(P1) == m("a", "ab", "ac",
-                                                       "bc", "abc")
+    assert model_tables(P1).models("csm") == fork
+    assert model_tables(P1).models("ssm") == classical_models(P1) \
+        == m("a", "ab", "ac", "bc", "abc")
     assert ad_supported_models(P1) == m("a", "bc")
     assert supported_models_graph(P1) == justified_models(P1)
     report("criterion 1: PASS (two-disjunction program, all semantics)")
@@ -52,17 +51,17 @@ def test_criterion_2_negative_loop_program():
     expected = m("ab")
     assert fork_stable_models(forked(P5)) == expected
     assert justified_models(P5) == expected
-    assert csm_models(P5) == expected
+    assert model_tables(P5).models("csm") == expected
     report("criterion 2: PASS (negative loop regains coherence under forks)")
 
 
 def test_criterion_3_open_vs_closed_candidates():
-    assert csm_models(P7) == m("ap", "bp", "abp")
-    assert csm_models(P7, closed=True) == m("ap", "bp")
-    assert di_stable_models(P7) == m("ap", "bp")
+    assert model_tables(P7).models("csm") == m("ap", "bp", "abp")
+    assert model_tables(P7).models("csm-closed") == m("ap", "bp")
+    assert model_tables(P7).models("di") == m("ap", "bp")
     variant = parse_program("p.  :- c.  a | b.  b | a | c :- p.")
-    assert csm_models(variant) == m("ap", "bp", "abp")
-    assert frozenset("abp") in csm_models(variant, closed=True)
+    assert model_tables(variant).models("csm") == m("ap", "bp", "abp")
+    assert frozenset("abp") in model_tables(variant).models("csm-closed")
     report("criterion 3: PASS (open/closed candidates and the minimality step)")
 
 
@@ -70,7 +69,7 @@ def test_criterion_4_positive_loop_program():
     assert supported_models_graph(P6) == m("", "p")
     assert justified_models(P6) == m("")
     assert stable_models(P6) == m("")
-    assert ssm_models(P6) == m("")
+    assert model_tables(P6).models("ssm") == m("")
     loops = support_graphs_of(P6, {"p"})
     assert len(loops) == 1 and loops[0].edges == {("p", "p")}
     report("criterion 4: PASS (positive loop; self-loop support graph)")

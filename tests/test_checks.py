@@ -2,13 +2,14 @@
 
 The checks of ``dlplab.checks`` read each semantics of a program from the
 memo of ``dlplab.compare``.  The bodies below are the checks as they were
-before it, each asking the public enumerators for its semantics; they are
-the reference, and every check must give the same message, or raise the
-same exception, on seeded programs.  The public enumerators read their
-rows from the same memo, so a test double put on a mask core shows on
-both sides, and the memo's rows themselves are compared with the tree
-path of the fork engine and with the AST references of
-``tests/test_tables.py`` (``test_tables_decode_to_the_enumerators_models``).
+before it, each reading its semantics from the public enumerators or the
+memo's rows, and th1 from ``one_by_one`` of ``tests/reference.py``, one
+call per context; they are the reference, and every check must give the
+same message, or raise the same exception, on seeded programs.  The public
+enumerators read their rows from the same memo, so a test double put on a
+mask core shows on both sides, and the memo's rows themselves are compared
+with the tree path of the fork engine and with the AST references of
+``tests/reference.py`` (``test_tables_decode_to_the_enumerators_models``).
 The remaining tests keep the one-program memo from leaking between
 programs, alphabets and the program values themselves.
 """
@@ -29,10 +30,9 @@ from dlplab.compare import (CLASS_CLAIMS, CLASSES, INCLUSION_EDGES, PRESERVES,
                             compute_report, model_tables)
 from dlplab.gen import GenConfig, gen_program
 from dlplab.parser import parse_program, render_program
-from dlplab.syntax import Program, fork_and, forked
+from dlplab.syntax import Program, forked
 
-from test_sweeps import per_context
-from test_tables import Ref
+from reference import Ref, one_by_one, per_context
 
 
 def _fmt(models):
@@ -60,7 +60,7 @@ def check_jm_equals_fork(p: Program) -> str | None:
     """Justified models coincide with the stable models of the forked program."""
     al = p.atoms()
     jm = justify.justified_models(p, al)
-    fk = deno.forked_stable_models(p, al)
+    fk = model_tables(p, al).models("fork")
     if jm != fk:
         return f"JM {_fmt(jm)} != fork SM {_fmt(fk)}"
     return None
@@ -69,8 +69,8 @@ def check_jm_equals_fork(p: Program) -> str | None:
 def check_csm_equals_fork(p: Program) -> str | None:
     """Candidate stable models coincide with fork stable models."""
     al = p.atoms()
-    cs = di.csm_models(p, al)
-    fk = deno.forked_stable_models(p, al)
+    cs = model_tables(p, al).models("csm")
+    fk = model_tables(p, al).models("fork")
     if cs != fk:
         return f"CSM {_fmt(cs)} != fork SM {_fmt(fk)}"
     return None
@@ -79,8 +79,8 @@ def check_csm_equals_fork(p: Program) -> str | None:
 def check_csm_subset_ssm(p: Program) -> str | None:
     """Candidate stable models are strongly supported."""
     al = p.atoms()
-    cs = di.csm_models(p, al)
-    sm_s = ssm.ssm_models(p, al)
+    cs = model_tables(p, al).models("csm")
+    sm_s = model_tables(p, al).models("ssm")
     if not set(cs) <= set(sm_s):
         return f"CSM {_fmt(cs)} not within SSM {_fmt(sm_s)}"
     return None
@@ -106,7 +106,7 @@ def check_fork_replacement(p: Program) -> str | None:
         return (f"no strong entailment into the forked program; witness "
                 f"T={{{','.join(sorted(res.witness_t))}}}")
     sm = ht.stable_models(p, al)
-    fk = deno.forked_stable_models(p, al)
+    fk = model_tables(p, al).models("fork")
     if not set(sm) <= set(fk):
         return f"SM {_fmt(sm)} not within fork SM {_fmt(fk)}"
     return None
@@ -122,7 +122,7 @@ def check_ssm_vs_sm(p: Program) -> str | None:
     non-disjunctive programs the two semantics coincide."""
     al = p.atoms()
     sm = ht.stable_models(p, al)
-    sm_s = ssm.ssm_models(p, al)
+    sm_s = model_tables(p, al).models("ssm")
     cl = ht.classical_models(p, al)
     if not set(sm) <= set(sm_s):
         return f"SM {_fmt(sm)} not within SSM {_fmt(sm_s)}"
@@ -141,7 +141,7 @@ def check_ssm_minimality_strict(p: Program) -> str | None:
     candidate stable models outrun their stable models."""
     al = p.atoms()
     sm = ht.stable_models(p, al)
-    mins = ssm.minimal_elements(ssm.ssm_models(p, al))
+    mins = ssm.minimal_elements(model_tables(p, al).models("ssm"))
     if mins != sm:
         return f"minimal SSM {_fmt(mins)} != SM {_fmt(sm)}"
     return None
@@ -177,11 +177,12 @@ def check_t2(p: Program) -> str | None:
     closed candidates of the result equal the open ones of the source."""
     q = di.disambiguate_head_sets(p)
     al = p.atoms()
-    lhs = di.csm_models(p, al)
-    rhs_open = deno.project_models(di.csm_models(q, q.atoms() | al), al)
+    lhs = model_tables(p, al).models("csm")
+    mq = model_tables(q, q.atoms() | al)
+    rhs_open = deno.project_models(mq.models("csm"), al)
     if lhs != rhs_open:
         return f"open CSM changed: {_fmt(lhs)} vs {_fmt(rhs_open)}"
-    rhs_closed = deno.project_models(di.csm_models(q, q.atoms() | al, closed=True), al)
+    rhs_closed = deno.project_models(mq.models("csm-closed"), al)
     if lhs != rhs_closed:
         return f"closed CSM of the translation {_fmt(rhs_closed)} != open CSM {_fmt(lhs)}"
     return None
@@ -190,21 +191,14 @@ def check_t2(p: Program) -> str | None:
 def check_pf_projection(p: Program) -> str | None:
     """Splitting heads through fresh atoms leaves the projected stable
     models equal to the fork stable models, also under every sampled
-    context over the source alphabet."""
-    al = p.atoms()
-    f = forked(p)
-    pf = deno.pf_translate(p)
-    rhs = deno.fork_stable_models(f, al)
-    lhs = deno.project_models(ht.stable_models(pf, pf.atoms() | al), al)
-    if lhs != rhs:
-        return f"projected SM {_fmt(lhs)} != fork SM {_fmt(rhs)}"
-    for c in context_family(al):
-        joint = Program(pf.rules + c.rules)
-        lhs = deno.project_models(ht.stable_models(joint, joint.atoms() | al), al)
-        rhs = deno.fork_stable_models(fork_and(f, c.to_formula()), al)
+    context over the source alphabet: the first list of ``one_by_one``
+    that differs, the program alone first."""
+    contexts = context_family(p.atoms())
+    _, projected, fork = one_by_one(p, contexts)
+    for k, (lhs, rhs) in enumerate(zip(projected, fork)):
         if lhs != rhs:
-            return (f"context {render_program(c)!r}: projected SM {_fmt(lhs)} "
-                    f"!= fork SM {_fmt(rhs)}")
+            shown = f"projected SM {_fmt(lhs)} != fork SM {_fmt(rhs)}"
+            return f"context {render_program(contexts[k - 1])!r}: {shown}" if k else shown
     return None
 
 
@@ -577,10 +571,11 @@ def test_the_forked_program_is_built_once_per_program(monkeypatch):
 
 # The mask core of each enumerator, which compare.SEMANTICS calls and the
 # public enumerator named by the id reads through the memo, so that a double
-# put there shows on the check side and on the reference side alike.
+# put there shows on the check side and on the reference side alike; the
+# fork row has no public enumerator, so its id is its core.
 ENUMERATORS = [(ht, "classical_masks", "classical_models"),
                (ht, "stable_masks", "stable_models"),
-               (deno, "forked_stable_masks", "forked_stable_models"),
+               (deno, "forked_stable_masks", "forked_stable_masks"),
                (justify, "justified_masks", "justified_models"),
                (justify, "supported_masks", "supported_models_graph"),
                (justify, "ad_supported_masks", "ad_supported_models"),
@@ -621,7 +616,7 @@ def test_tables_decode_to_the_enumerators_models():
     """Every row of the memo, decoded, against an enumerator that reads no
     row: the fork engine on the forked tree and on the formula tree, and
     for the rest, which the public enumerators read, the AST references of
-    ``tests/test_tables.py``, with minimality taken on atom sets."""
+    ``tests/reference.py``, with minimality taken on atom sets."""
     for seed in range(100):
         p = gen_program(GenConfig(seed=seed))
         ref = Ref(p)

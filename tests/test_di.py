@@ -1,10 +1,10 @@
 import pytest
 
+from dlplab.compare import model_tables
 from dlplab.di import (HeadSelection, NonNormalProgramError, SelectionError,
-                       candidate_stable_models, csm_models, di_stable_models,
-                       disambiguate_head_sets, eliminate_double_negation,
-                       immediate_consequences, reduct, selections,
-                       supported_models_fixpoint)
+                       candidate_stable_models, disambiguate_head_sets,
+                       eliminate_double_negation, immediate_consequences,
+                       reduct, selections, supported_models_fixpoint)
 from dlplab.forks import project_models
 from dlplab.gen import GenConfig, gen_program
 from dlplab.ht import classical_models, classical_sat, stable_models
@@ -73,9 +73,9 @@ def test_reduct_rejects_bad_selection():
 
 
 def test_candidate_stable_models_example():
-    assert csm_models(P7) == [frozenset("ap"), frozenset("bp"),
-                              frozenset("abp")]
-    assert csm_models(P7, closed=True) == [frozenset("ap"), frozenset("bp")]
+    assert model_tables(P7).models("csm") == [frozenset("ap"), frozenset("bp"),
+                                              frozenset("abp")]
+    assert model_tables(P7).models("csm-closed") == [frozenset("ap"), frozenset("bp")]
 
 
 def test_candidate_witnesses_are_valid():
@@ -86,8 +86,8 @@ def test_candidate_witnesses_are_valid():
 
 def test_closed_membership_is_syntax_sensitive():
     variant = parse_program("p.  :- c.  a | b.  b | a | c :- p.")
-    assert csm_models(variant) == csm_models(P7)
-    assert frozenset("abp") in csm_models(variant, closed=True)
+    assert model_tables(variant).models("csm") == model_tables(P7).models("csm")
+    assert frozenset("abp") in model_tables(variant).models("csm-closed")
 
 
 def test_closed_selection_shares_a_choice_across_rules_of_one_head_set():
@@ -95,23 +95,24 @@ def test_closed_selection_shares_a_choice_across_rules_of_one_head_set():
     # for the other, a closed one must pick the same atom for both, and
     # then neither here-component {a} nor {b} is violated by both rules
     p = parse_program("a | b. a | b :- not not b.")
-    assert csm_models(p) == [frozenset("a"), frozenset("b"), frozenset("ab")]
-    assert csm_models(p, closed=True) == [frozenset("a"), frozenset("b")]
+    assert model_tables(p).models("csm") == [frozenset("a"), frozenset("b"),
+                                             frozenset("ab")]
+    assert model_tables(p).models("csm-closed") == [frozenset("a"), frozenset("b")]
     assert [sel.choices for _, sel in candidate_stable_models(p, closed=True)] \
         == [((0, "a"),), ((0, "b"), (1, "b"))]
 
 
 def test_di_stable_models():
-    assert di_stable_models(P7) == [frozenset("ap"), frozenset("bp")]
+    assert model_tables(P7).models("di") == [frozenset("ap"), frozenset("bp")]
     p1 = parse_program("a | b. a | c.")
-    assert di_stable_models(p1) == stable_models(p1)
+    assert model_tables(p1).models("di") == stable_models(p1)
 
 
 def test_csm_equals_stable_for_normal_programs():
     for seed in range(100):
         p = gen_program(GenConfig(seed=seed, max_head=1))
-        assert csm_models(p) == stable_models(p), seed
-        assert csm_models(p, closed=True) == stable_models(p), seed
+        assert model_tables(p).models("csm") == stable_models(p), seed
+        assert model_tables(p).models("csm-closed") == stable_models(p), seed
 
 
 def test_di_minimises_stable_models_for_normal_programs():
@@ -121,16 +122,17 @@ def test_di_minimises_stable_models_for_normal_programs():
     from dlplab.ssm import minimal_elements
     for seed in range(100):
         p = gen_program(GenConfig(seed=seed, max_head=1))
-        assert di_stable_models(p) == minimal_elements(stable_models(p)), seed
+        assert model_tables(p).models("di") == minimal_elements(stable_models(p)), seed
     for seed in range(100):
         p = gen_program(GenConfig(seed=seed, max_head=1, p_negneg=0.0))
-        assert di_stable_models(p) == stable_models(p), seed
+        assert model_tables(p).models("di") == stable_models(p), seed
 
 
 def test_closed_candidates_within_open_ones():
     for seed in range(100):
         p = gen_program(GenConfig(seed=seed))
-        assert set(csm_models(p, closed=True)) <= set(csm_models(p)), seed
+        m = model_tables(p)
+        assert set(m.models("csm-closed")) <= set(m.models("csm")), seed
 
 
 def test_immediate_consequences():
@@ -193,10 +195,10 @@ def test_disambiguate_head_sets_makes_closed_equal_open():
         al = p.atoms()
         heads = [r.head_set for r in q.rules if len(r.head_set) > 1]
         assert len(heads) == len(set(heads)), seed
-        open_csm = csm_models(p, al)
-        assert open_csm == project_models(csm_models(q, q.atoms() | al), al), seed
-        assert open_csm == project_models(
-            csm_models(q, q.atoms() | al, closed=True), al), seed
+        open_csm = model_tables(p, al).models("csm")
+        mq = model_tables(q, q.atoms() | al)
+        assert open_csm == project_models(mq.models("csm"), al), seed
+        assert open_csm == project_models(mq.models("csm-closed"), al), seed
 
 
 def test_selection_never_picks_falsum_on_models():

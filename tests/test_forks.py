@@ -7,15 +7,14 @@ from itertools import combinations
 import pytest
 
 from dlplab import forks as deno
+from dlplab.compare import model_tables
 from dlplab.forks import (BaseMismatchError, Support, View, closure,
                           complement, denotation, entails_forked,
-                          equilibrium_models, fork_stable_models,
-                          forked_stable_models, ideal, is_vocab_feasible,
+                          fork_stable_models, ideal, is_vocab_feasible,
                           pf_translate, preceq, project_models,
                           projected_denotation, restrict_support,
                           strongly_entails, strongly_equivalent,
                           support_of_formula)
-from dlplab.di import csm_models
 from dlplab.gen import GenConfig, gen_fork, gen_formula, gen_program
 from dlplab.ht import CapacityError, ht_sat, set_bits, stable_models, subsets
 from dlplab.justify import justified_models
@@ -23,6 +22,9 @@ from dlplab.parser import parse_fork, parse_formula, parse_program
 from dlplab.syntax import (FALSUM, And, Atom, ForkAnd, ForkImplies,
                            ForkPair, Formula, Implies, Or, Program, fork_and,
                            forked, rule)
+
+from families import cyclic
+from reference import naive_den, ref_entails, ref_gens
 
 
 def sup(base, *member_sets):
@@ -145,10 +147,6 @@ def test_explicit_enumeration_guard():
 
 # --- independent oracle: Def. 1 with explicit sets ------------------------
 
-def naive_den(phi, t):
-    return frozenset(h for h in subsets(t) if ht_sat(h, t, phi))
-
-
 def all_supports(t):
     universe = list(subsets(t))
     out = []
@@ -212,70 +210,7 @@ def test_denotation_matches_naive_oracle():
                     == naive_denotation(f, t), f
 
 
-# --- generator-level reference: frozenset set algebra ---------------------
-
-def _mask(base, h):
-    return sum(1 << i for i, a in enumerate(base) if a in h)
-
-
-def _support_key(s):
-    return len(s), sorted(s)
-
-
-def ref_minimize(cands):
-    kept = []
-    for c in sorted(set(cands), key=_support_key):
-        if c and not any(k <= c for k in kept):
-            kept.append(c)
-    return frozenset(kept)
-
-
-def ref_gens(f, t):
-    """The minimal supports of the view at T, computed clause by clause on
-    frozensets of here-masks, with formula supports from naive_den."""
-    t = frozenset(t)
-    base = tuple(sorted(t))
-    everything = frozenset(range(1 << len(base)))
-    full = (1 << len(base)) - 1
-
-    def support(phi):
-        return frozenset(_mask(base, h) for h in naive_den(phi, t))
-
-    def go(f):
-        if f == FALSUM:
-            return frozenset()
-        if isinstance(f, Atom):
-            s = support(f)
-            return frozenset((s,)) if s else frozenset()
-        if isinstance(f, (And, ForkAnd)):
-            return ref_minimize(a & b for a in go(f.left) for b in go(f.right))
-        if isinstance(f, Or):
-            gl = go(f.left) or frozenset((frozenset(),))
-            gr = go(f.right) or frozenset((frozenset(),))
-            return ref_minimize(a | b for a in gl for b in gr)
-        if isinstance(f, (Implies, ForkImplies)):
-            s = support(f.left)
-            if not s:
-                return frozenset((everything,))
-            comp = frozenset() if s == everything else everything - s | {full}
-            return ref_minimize(comp | g for g in go(f.right))
-        if isinstance(f, ForkPair):
-            return ref_minimize(go(f.left) | go(f.right))
-        raise TypeError(f)
-
-    return go(f)
-
-
-def ref_entails(f, g, pool):
-    """Strong entailment as a loop over the reference views: the verdict,
-    and on failure the first T and its first missing support."""
-    for t in subsets(pool):
-        left, right = ref_gens(f, t), ref_gens(g, t)
-        for gen in sorted(left, key=_support_key):
-            if not any(k <= gen for k in right):
-                return False, t, gen
-    return True, None, None
-
+# --- generator-level reference: ref_gens, frozensets of here-masks --------
 
 def entailment_key(res):
     support = res.witness_support
@@ -372,7 +307,7 @@ def test_fork_stable_models_equal_justified_and_candidate_models():
     for p in programs_6x8():
         al = p.atoms()
         assert fork_stable_models(forked(p), al) == justified_models(p, al) \
-            == csm_models(p, al), p
+            == model_tables(p, al).models("csm"), p
 
 
 def test_strong_entailment_matches_reference_loop():
@@ -651,9 +586,7 @@ def test_program_emitter_emits_the_tree_compile(cfg):
 
 
 def test_program_emitter_emits_the_tree_compile_on_edge_programs():
-    programs = [parse_program("".join(
-        f"x{i:02d} | x{(i + 1) % n:02d} :- not x{(i + 2) % n:02d}.\n"
-        for i in range(n))) for n in range(3, 13)]
+    programs = [cyclic(n) for n in range(3, 13)]
     programs += [Program(()), Program((rule(),)), Program((rule(), rule()))]
     programs += [parse_program(text) for text in (
         "a.", "a. b. a.", ":- a.", ":- not a.", ":- not not a, b.",
@@ -671,20 +604,23 @@ def test_program_entries_equal_the_tree_entries():
                         else GenConfig(atoms=6, rules=8, seed=seed))
         for al in (None, p.atoms() | {"zz"}):
             f, phi = forked(p), p.to_formula()
-            assert forked_stable_models(p, al) == fork_stable_models(f, al)
-            assert equilibrium_models(p, al) == fork_stable_models(phi, al)
-            assert entails_forked(p, al) == strongly_entails(phi, f, al)
+            m = model_tables(p, al)
+            assert m.models("fork") == fork_stable_models(f, al)
+            assert m.models("sm-formula") == fork_stable_models(phi, al)
+            assert entails_forked(m.registers, m.nonempty) == strongly_entails(phi, f, al)
+            assert entails_forked(m.registers) == strongly_entails(phi, f, al)
     p = parse_program("a | b :- not c.")
     # an alphabet given as an iterator is read once
     al = ("a", "b", "c", "d")
-    assert forked_stable_models(p, iter(al)) == fork_stable_models(forked(p), al)
-    assert equilibrium_models(p, iter(al)) == fork_stable_models(p.to_formula(), al)
-    for entry in (forked_stable_models, equilibrium_models, entails_forked):
+    m = model_tables(p, iter(al))
+    assert m.models("fork") == fork_stable_models(forked(p), al)
+    assert m.models("sm-formula") == fork_stable_models(p.to_formula(), al)
+    for row in ("fork", "sm-formula"):
         with pytest.raises(ValueError, match=r"missing atoms \['a', 'c'\]"):
-            entry(p, {"b"})
+            model_tables(p, {"b"}).models(row)
     wide = parse_program("".join(f"x{i} | y{i}.\n" for i in range(11)))
     with pytest.raises(CapacityError):
-        forked_stable_models(wide)
+        model_tables(wide).models("fork")
 
 
 @pytest.mark.parametrize("cfg", [GenConfig(), GenConfig(atoms=6, rules=8)],

@@ -1,7 +1,8 @@
 """Byte identity of ``dlplab models`` on a fixed set of programs.
 
-The set is the cyclic family ``x_i | x_{i+1} :- not x_{i+2}`` for n=3..12
-and 200 seeded programs of three generator configurations.  Each program
+The set, ``families.golden_programs``, is the cyclic family
+``x_i | x_{i+1} :- not x_{i+2}`` for n=3..12 and 200 seeded programs of
+three generator configurations.  Each program
 is written to a file and run through the command line in-process, once
 with ``--json`` (its ``timings`` dropped, since they vary from run to run)
 and once with ``--verbose``.  The digests were recorded before the
@@ -18,29 +19,19 @@ import hashlib
 import json
 
 from dlplab.cli import main
-from dlplab.gen import GenConfig, gen_program
 from dlplab.parser import render_program
 
-from families import cyclic
+from families import golden_programs
 
 JSON_DIGEST = "3984b5fa8897ccfc977524277da34b8a49be0bbc113297f6838644f45f86bc3b"
 VERBOSE_DIGEST = "abd6bed7bd825c95e5f39937aefa01e7b4373d69f81805d214eef65f436eb6df"
-
-
-def programs():
-    out = [cyclic(n) for n in range(3, 13)]
-    out += [gen_program(GenConfig(seed=s)) for s in range(100)]
-    out += [gen_program(GenConfig(atoms=6, rules=8, seed=s)) for s in range(50)]
-    out += [gen_program(GenConfig(atoms=3, rules=3, max_head=3, seed=s))
-            for s in range(50)]
-    return out
 
 
 def outputs(tmp_path, capsys):
     """Per program, its ``models --json`` output without timings and its
     ``models --verbose`` output."""
     found = []
-    for k, p in enumerate(programs()):
+    for k, p in enumerate(golden_programs()):
         path = tmp_path / f"p{k}.lp"
         path.write_text(render_program(p))
         assert main(["models", str(path), "--json"]) == 0

@@ -11,8 +11,6 @@ unpruned reference: model lists and first witnesses must be equal.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from dlplab import forks as deno
@@ -147,7 +145,7 @@ def test_a_rule_of_two_true_head_atoms_keeps_its_ssm_model():
 # default battery with one that does not, and why.
 AD_REASON = ("AD sits strictly between SM and SPM (the ad check is two "
              "inclusions) and equals no other semantics; it is compared with "
-             "Ref.ad() in tests/test_tables.py, which tests each body on the "
+             "Ref.ad() of tests/reference.py, which tests each body on the "
              "AST path (classical_sat) within the AST-path classical models")
 CLOSED_REASON = ("no result equates closed candidates with another semantics "
                  "of a program; t2 equates them with the open candidates of "

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dlplab import checks, di, forks, ht, justify, ssm
+from dlplab import checks, compare, di, forks, ht, justify, ssm
 from dlplab.di import immediate_consequences, reduct, selections
 from dlplab.gen import GenConfig, gen_formula, gen_program
 from dlplab.ht import (CapacityError, CompiledProgram, classical_models,
@@ -252,26 +252,20 @@ def test_set_bits_reads_tables_of_every_width_and_density():
 # ---------------------------------------------------------------------------
 
 WIDE = [f"x{i:02d}" for i in range(ht.MAX_ENUM_ATOMS + 1)]
-WIDE_PROGRAM = parse_program("".join(
-    f"{a} | {WIDE[(i + 1) % len(WIDE)]} :- not {WIDE[(i + 2) % len(WIDE)]}.\n"
-    for i, a in enumerate(WIDE)))
+WIDE_PROGRAM = cyclic(len(WIDE))
 WIDE_FORMULA = parse_formula(" & ".join(WIDE))
 WIDE_FORK = forked(WIDE_PROGRAM)
 WIDE_ENTRIES = {
     "classical_models": lambda: ht.classical_models(WIDE_PROGRAM),
     "stable_models": lambda: ht.stable_models(WIDE_PROGRAM),
-    "forked_stable_models": lambda: forks.forked_stable_models(WIDE_PROGRAM),
-    "equilibrium_models": lambda: forks.equilibrium_models(WIDE_PROGRAM),
-    "entails_forked": lambda: forks.entails_forked(WIDE_PROGRAM),
+    "entails_forked": lambda: forks.entails_forked(
+        compare.model_tables(WIDE_PROGRAM).registers),
     "justified_models": lambda: justify.justified_models(WIDE_PROGRAM),
     "supported_models_graph": lambda: justify.supported_models_graph(WIDE_PROGRAM),
     "ad_supported_models": lambda: justify.ad_supported_models(WIDE_PROGRAM),
     "candidate_stable_models": lambda: di.candidate_stable_models(WIDE_PROGRAM),
-    "csm_models": lambda: di.csm_models(WIDE_PROGRAM, closed=True),
-    "di_stable_models": lambda: di.di_stable_models(WIDE_PROGRAM),
     "supported_models_fixpoint": lambda: di.supported_models_fixpoint(WIDE_PROGRAM),
     "strongly_supported_models": lambda: ssm.strongly_supported_models(WIDE_PROGRAM),
-    "ssm_models": lambda: ssm.ssm_models(WIDE_PROGRAM),
     "fork_stable_models": lambda: forks.fork_stable_models(WIDE_FORK),
     "strongly_entails": lambda: forks.strongly_entails(WIDE_FORMULA, WIDE_FORK),
     "denotation": lambda: forks.denotation(WIDE_FORK, WIDE),
@@ -283,6 +277,10 @@ WIDE_ENTRIES = {
     "is_stable_model-formula": lambda: ht.is_stable_model(WIDE_FORMULA, WIDE),
     "check_pf_projection": lambda: checks.check_pf_projection(WIDE_PROGRAM),
     "Support.top": lambda: forks.Support.top(WIDE),
+    # rows read off the memo itself
+    **{f"model_tables-{row}":
+       lambda row=row: compare.model_tables(WIDE_PROGRAM).models(row)
+       for row in ("fork", "sm-formula", "csm-closed", "di", "ssm")},
 }
 
 

@@ -3,11 +3,12 @@ import itertools
 import pytest
 
 from dlplab import ht, justify
+from dlplab.compare import model_tables
 from dlplab.gen import GenConfig, gen_program
 from dlplab.ht import classical_models, classical_sat, stable_models
 from dlplab.justify import (ModelMismatchError, SupportGraph,
                             ad_supported_models, check_support_graph,
-                            explanations_of, justified_masks,
+                            explanations, justified_masks,
                             justified_models, node_forget, support_graphs_of,
                             supported_masks, supported_models_graph, to_dot)
 from dlplab.parser import parse_program
@@ -54,7 +55,7 @@ def test_check_support_graph_requires_exact_positive_body_edges():
 def test_justified_models_example():
     assert justified_models(P4) == [frozenset("a"), frozenset("ab"),
                                     frozenset("ac"), frozenset("bc")]
-    two = explanations_of(P4, {"a"})
+    two = list(explanations(P4, {"a"}))
     assert [g.labels for g in two] == [(("a", "l1"),), (("a", "l2"),)]
 
 
@@ -80,7 +81,7 @@ def test_self_loop_witness_graph():
     assert len(graphs) == 1
     assert graphs[0].edges == {("p", "p")}
     assert not graphs[0].is_acyclic()
-    assert explanations_of(P6, {"p"}) == []
+    assert list(explanations(P6, {"p"})) == []
 
 
 def test_ad_supported_example():
@@ -116,13 +117,12 @@ def test_justified_within_graph_supported():
 
 
 def test_spm_and_ssm_are_incomparable():
-    from dlplab.ssm import ssm_models
     # a positive loop is graph-supported but not strongly supported
     assert frozenset("p") in set(supported_models_graph(P6))
-    assert frozenset("p") not in set(ssm_models(P6))
+    assert frozenset("p") not in set(model_tables(P6).models("ssm"))
     # the full model of two disjunctions is strongly supported but admits
     # no support graph (two rules cannot label three atoms)
-    assert frozenset("abc") in set(ssm_models(P4))
+    assert frozenset("abc") in set(model_tables(P4).models("ssm"))
     assert frozenset("abc") not in set(supported_models_graph(P4))
 
 
@@ -130,7 +130,7 @@ def test_relabelling_does_not_change_models_or_explanation_count():
     p = parse_program("x: a | b.\ny: a | c.")
     assert justified_models(p) == justified_models(P4)
     for m in justified_models(p):
-        assert len(explanations_of(p, m)) == len(explanations_of(P4, m))
+        assert len(list(explanations(p, m))) == len(list(explanations(P4, m)))
 
 
 def test_node_forget_identity():
@@ -174,7 +174,7 @@ def test_dot_output():
 
 def test_unlabelled_program_gets_deterministic_labels():
     p = parse_program("a | b. a | c.")
-    assert [g.labels for g in explanations_of(p, {"a"})] \
+    assert [g.labels for g in explanations(p, {"a"})] \
         == [(("a", "r1"),), (("a", "r2"),)]
 
 
@@ -185,7 +185,7 @@ def test_support_graphs_are_not_bounded_by_recursion_depth():
     graphs = support_graphs_of(p, model)
     assert len(graphs) == 1 and len(graphs[0].edges) == 1499
     assert graphs[0].is_acyclic()
-    assert explanations_of(p, model) == graphs
+    assert list(explanations(p, model)) == graphs
     assert check_support_graph(graphs[0], p, model).kind == "valid-acyclic"
     ring = SupportGraph.of(graphs[0].vertices, graphs[0].edges | {("a1499", "a0")},
                            graphs[0].labels)
@@ -211,7 +211,7 @@ def test_all_pairs_program_has_only_the_empty_justified_model():
 
 
 def test_explanations_are_the_acyclic_support_graphs():
-    """explanations_of cuts cyclic labellings instead of filtering every
+    """explanations cuts cyclic labellings instead of filtering every
     graph: the same graphs, in the same order, as the filter."""
     programs = [all_pairs(4), parse_program(
         "a0 | a1. a2 :- a0. a2 :- a3. a3 :- a2. a3 :- a1, not a0. a0 :- a3.")]
@@ -220,7 +220,7 @@ def test_explanations_are_the_acyclic_support_graphs():
     for p in programs:
         for m in ht.classical_models(p):
             want = [g for g in support_graphs_of(p, m) if g.is_acyclic()]
-            assert explanations_of(p, m) == want, (p, m)
+            assert list(explanations(p, m)) == want, (p, m)
             explained += bool(want) and m != frozenset()
     assert explained
 

@@ -14,7 +14,7 @@ from dlplab.parser import (MAX_NESTING, ParseError, SourceSpan, parse_fork,
 from dlplab.syntax import (FALSUM, And, Atom, Falsum, ForkAnd, ForkImplies,
                            ForkPair, Implies, Or, Program, neg, rule)
 
-from test_golden import programs as golden_programs
+from families import golden_programs
 
 
 def test_parse_two_disjunctions():

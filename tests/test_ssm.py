@@ -2,14 +2,16 @@ import random
 
 import pytest
 
-from dlplab.di import csm_models
+from dlplab.compare import model_tables
 from dlplab.gen import GenConfig, gen_program
 from dlplab.ht import (CompiledProgram, classical_models, in_model_order,
                        stable_models, subsets)
 from dlplab.parser import parse_program
 from dlplab.ssm import (NonMonotoneChainError, SsmChain, check_chain,
-                        minimal_elements, minimal_masks, ssm_models,
+                        minimal_elements, minimal_masks,
                         strongly_supported_models)
+
+from reference import Ref, assert_chains_match, submasks
 
 P1 = parse_program("a | b. a | c.")
 P6 = parse_program("p :- p.")
@@ -62,28 +64,29 @@ def test_empty_program_empty_chain():
 
 
 def test_ssm_examples():
-    assert ssm_models(P1) == classical_models(P1)
-    assert ssm_models(P6) == [frozenset()]
+    assert model_tables(P1).models("ssm") == classical_models(P1)
+    assert model_tables(P6).models("ssm") == [frozenset()]
     p5 = parse_program("a | b. a. b :- not b.")
-    assert ssm_models(p5) == [frozenset("ab")]
+    assert model_tables(p5).models("ssm") == [frozenset("ab")]
 
 
 def test_ssm_equals_classical_for_sets_of_disjunctions():
     for seed in range(100):
         p = gen_program(GenConfig(seed=seed, max_body=0, p_constraint=0.0))
-        assert ssm_models(p) == classical_models(p), seed
+        assert model_tables(p).models("ssm") == classical_models(p), seed
 
 
 def test_ssm_equals_stable_for_non_disjunctive():
     for seed in range(150):
         p = gen_program(GenConfig(seed=seed, max_head=1))
-        assert ssm_models(p) == stable_models(p), seed
+        assert model_tables(p).models("ssm") == stable_models(p), seed
 
 
 def test_candidates_are_strongly_supported():
     for seed in range(150):
         p = gen_program(GenConfig(seed=seed))
-        assert set(csm_models(p)) <= set(ssm_models(p)), seed
+        m = model_tables(p)
+        assert set(m.models("csm")) <= set(m.models("ssm")), seed
 
 
 def test_witness_chains_verify_and_grow_strictly():
@@ -96,37 +99,11 @@ def test_witness_chains_verify_and_grow_strictly():
                 assert lo < hi
 
 
-def naive_ssm(p, atoms):
-    """Chain existence by brute enumeration of strictly growing stage
-    sequences, validated with the declarative checker."""
-    out = []
-    for t in classical_models(p, atoms):
-        found = False
-        stack = [()]
-        while stack and not found:
-            prefix = stack.pop()
-            for step in subsets(t):
-                if prefix and not prefix[-1] < step:
-                    continue
-                cand = prefix + (step,)
-                if step == t:
-                    try:
-                        if check_chain(SsmChain(cand, t), p):
-                            found = True
-                            break
-                    except NonMonotoneChainError:
-                        continue
-                elif len(cand) <= len(t):
-                    stack.append(cand)
-        if found:
-            out.append(t)
-    return sorted(out, key=lambda m: (len(m), tuple(sorted(m))))
-
-
 def test_search_matches_naive_chain_enumeration():
     for seed in range(60):
         p = gen_program(GenConfig(seed=seed, atoms=3, rules=4))
-        assert ssm_models(p) == naive_ssm(p, p.atoms()), seed
+        ref = Ref(p)
+        assert_chains_match(p, ref.atoms, ref, seed)
 
 
 def monotone_sequences(t, max_len):
@@ -174,15 +151,6 @@ def test_destuttering_preserves_validity():
                             (seed, stages)
 
 
-def submasks(m):
-    s = m
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & m
-
-
 def test_applicability_monotone_in_lower_component():
     # a rule applicable at (h1, t) stays applicable at any h2 between h1 and t
     for seed in range(60):
@@ -195,11 +163,11 @@ def test_applicability_monotone_in_lower_component():
 
 
 def test_minimal_elements():
-    assert minimal_elements(ssm_models(P1)) == stable_models(P1)
+    assert minimal_elements(model_tables(P1).models("ssm")) == stable_models(P1)
     assert minimal_elements([frozenset("a")]) == [frozenset("a")]
     p7 = parse_program("p.  :- c.  a | b.  b | a :- p.")
-    from dlplab.di import di_stable_models
-    assert minimal_elements(csm_models(p7, closed=True)) == di_stable_models(p7)
+    m = model_tables(p7)
+    assert minimal_elements(m.models("csm-closed")) == m.models("di")
 
 
 def test_minimal_masks_match_minimal_elements():
@@ -220,7 +188,7 @@ def test_minimal_masks_match_minimal_elements():
 def test_minimality_link_holds_without_negation():
     for seed in range(150):
         p = gen_program(GenConfig(seed=seed, p_neg=0.0, p_negneg=0.0))
-        assert minimal_elements(ssm_models(p)) == stable_models(p), seed
+        assert minimal_elements(model_tables(p).models("ssm")) == stable_models(p), seed
 
 
 def test_unconditional_minimality_link_is_refuted():
@@ -228,7 +196,7 @@ def test_unconditional_minimality_link_is_refuted():
     # program has a candidate but no stable model, so the minimal strongly
     # supported models cannot match the stable models in general
     p5 = parse_program("a | b. a. b :- not b.")
-    assert csm_models(p5) == [frozenset("ab")]
+    assert model_tables(p5).models("csm") == [frozenset("ab")]
     assert stable_models(p5) == []
-    assert ssm_models(p5) == [frozenset("ab")]
-    assert minimal_elements(ssm_models(p5)) != stable_models(p5)
+    assert model_tables(p5).models("ssm") == [frozenset("ab")]
+    assert minimal_elements(model_tables(p5).models("ssm")) != stable_models(p5)

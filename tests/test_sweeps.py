@@ -12,14 +12,16 @@ the program's view and each context's support off the contexts' supports
 sliced by member.  Both return one dict from a model mask to its context
 set, bit 0 for the program alone and bit j + 1 for the j-th context;
 ``per_context`` turns it into one model list per bit, and every list must
-equal the one-program result: ``ht.stable_models`` of the joined program,
-projected by ``forks.project_models``, and ``forks.fork_stable_models`` of
-the conjoined fork tree, the fork masks in the same order.
+equal the one-program result of ``one_by_one``: ``ht.stable_models`` of
+the joined program, projected by ``forks.project_models``, and
+``forks.fork_stable_models`` of the conjoined fork tree, the fork masks in
+the same order.
 
 The second part checks the pruned fork sweep of ``forks.fork_stable_models``
-against a sweep over every T, one fork at a time, and the entailment sweep
-of ``forks.strongly_entails`` and ``forks.entails_forked``, pruned by the
-register shadows, against one over every T.
+against a sweep over every T (``every_t``), one fork at a time, and the
+entailment sweep of ``forks.strongly_entails`` and ``forks.entails_forked``,
+pruned by the register shadows, against one over every T.  The oracles
+named here are those of ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -30,42 +32,23 @@ from itertools import combinations, permutations
 
 import pytest
 
+from dlplab import compare, ht
 from dlplab import forks as deno
-from dlplab import ht
 from dlplab.checks import check_pf_projection, context_family
+from dlplab.compare import model_tables
 from dlplab.gen import GenConfig, gen_fork, gen_formula, gen_program
 from dlplab.parser import parse_fork, parse_program
 from dlplab.syntax import (FALSUM, And, Atom, Falsum, ForkAnd, ForkImplies, ForkPair,
                            Formula, Implies, Or, Program, fork_and, forked, rule)
 
 from families import cyclic
-
-
-def one_by_one(p: Program, contexts) -> tuple[list, list, list]:
-    """Per context, one call each: the stable models of pf(p) joined with
-    it, those projected onto p's atoms, and the fork stable models of p's
-    fork conjoined with it.  The lists of projected and of fork stable
-    models begin with pf's and p's fork's alone."""
-    al = p.atoms()
-    f, pf = forked(p), deno.pf_translate(p)
-    sm = [ht.stable_models(Program(pf.rules + c.rules), pf.atoms() | al)
-          for c in contexts]
-    fork = [deno.fork_stable_models(fork_and(f, c.to_formula()), al) for c in contexts]
-    bare = ht.stable_models(pf, pf.atoms() | al)
-    return (sm, [deno.project_models(models, al) for models in [bare] + sm],
-            [deno.fork_stable_models(f, al)] + fork)
+from reference import (every_t, one_by_one, per_context, unpruned_fork_stable_models,
+                       unpruned_strongly_entails)
 
 
 def decoded(masks, pool) -> list:
     """Masks over a sorted pool as sorted models, each once."""
     return ht.sort_models(frozenset(pool[i] for i in ht.set_bits(m)) for m in masks)
-
-
-def per_context(found: dict[int, int], count: int) -> list[list[int]]:
-    """A sweep's map from model mask to context set as one mask list per
-    bit, bit 0 (the program alone) first, each in the map's order."""
-    assert all(found.values()) and max(found.values(), default=0) < 1 << count
-    return [[m for m, s in found.items() if s >> k & 1] for k in range(count)]
 
 
 def in_contexts(p: Program, contexts, atoms=None) -> list:
@@ -146,7 +129,7 @@ def test_no_contexts_give_no_lists():
                                        p.atoms()) == {0b010: 1}
     bare = deno.forked_masks_in_contexts(p, deno.ContextRegisters([], "abc"))
     assert [decoded(masks, "abc") for masks in per_context(bare, 1)] \
-        == [deno.forked_stable_models(p)]
+        == [deno.fork_stable_models(forked(p))]
 
 
 def test_contexts_reusing_a_label_sweep_like_one_call_each():
@@ -379,37 +362,6 @@ def test_random_forks_sharing_subforks():
 # The pruned fork sweep against the sweep over every T
 # ---------------------------------------------------------------------------
 
-def every_t(forks, atoms=None):
-    """The roots of the compiled forks, and their registers at every T of
-    ht.subsets: the fork sweep without the pre-pass that prunes it."""
-    pool, ops, roots = deno._compile_over(forks, atoms)
-
-    def runs():
-        for t in ht.subsets(pool):
-            combo = [pool.index(a) for a in sorted(t)]
-            regs = [0] * (len(pool) + 1)
-            for i, j in enumerate(combo):
-                regs[j] = ht._columns(len(combo))[i]
-            yield t, deno._run(ops, regs, len(combo))
-    return roots, runs()
-
-
-def unpruned_fork_stable_models(f, atoms=None):
-    (root,), runs = every_t([f], atoms)
-    return [t for t, regs in runs if ht._full_bit(len(t)) in regs[root]]
-
-
-def unpruned_strongly_entails(f, g, atoms=None):
-    (rf, rg), runs = every_t([f, g], atoms)
-    for t, regs in runs:
-        missing = [h for h in regs[rf] if all(k & ~h for k in regs[rg])]
-        if missing:
-            h = min(missing, key=deno._support_order)
-            return deno.EntailmentResult(
-                False, t, deno.Support(tuple(sorted(t)), h))
-    return deno.EntailmentResult(True)
-
-
 def assert_prune_is_exact(p, atoms=None):
     f, phi = forked(p), p.to_formula()
     assert deno.fork_stable_models(f, atoms) == unpruned_fork_stable_models(f, atoms), p
@@ -443,7 +395,8 @@ def test_entails_forked_matches_every_t(cfg, count):
     visits no T and the verdict rests on the shadow rules alone."""
     for seed in range(count):
         p = gen_program(replace(cfg, seed=seed))
-        assert deno.entails_forked(p) \
+        m = model_tables(p)
+        assert deno.entails_forked(m.registers, m.nonempty) \
             == unpruned_strongly_entails(p.to_formula(), forked(p)), p
 
 
@@ -652,7 +605,8 @@ def test_entailment_sweep_visits_pinned_counts(monkeypatch):
     monkeypatch.setattr(deno, "_run", counted)
     default = [gen_program(GenConfig(seed=seed)) for seed in range(300)]
     wide = [gen_program(GenConfig(atoms=6, rules=8, seed=seed)) for seed in range(100)]
-    assert [visited(deno.entails_forked, ps) for ps in (default, wide)] == [0, 0]
+    assert [visited(lambda p: deno.entails_forked(model_tables(p).registers), ps)
+            for ps in (default, wide)] == [0, 0]
 
     def into_formula(p):
         deno.strongly_entails(forked(p), p.to_formula(), p.atoms())
@@ -665,21 +619,26 @@ def test_entailment_sweep_visits_pinned_counts(monkeypatch):
 
 def test_fork_engine_reads_no_program_table(monkeypatch):
     """The fork sweep prunes on its own registers, and the program entries
-    compile the rules themselves, so the engine stays an oracle independent
-    of the truth tables of ht.CompiledProgram."""
+    take registers compiled from the rules themselves, so the engine stays
+    an oracle independent of the truth tables of ht.CompiledProgram, and
+    reads nothing of the memo of dlplab.compare."""
     def refuse(*args, **kwargs):
-        raise AssertionError("the fork engine compiled a program table")
+        raise AssertionError("the fork engine read a program table or the memo")
 
     p = parse_program("a | b :- not c. c :- not a. b :- c, not not b.")
     models = deno.fork_stable_models(forked(p))
     stable = ht.stable_models(p)
-    monkeypatch.setattr(ht, "CompiledProgram", refuse)
+    for owner, name in [(ht, "CompiledProgram"), (compare, "model_tables"),
+                        (compare, "ModelTables")]:
+        monkeypatch.setattr(owner, name, refuse)
     assert deno.fork_stable_models(forked(p)) == models
     assert not deno.strongly_entails(forked(p), p.to_formula())
     assert deno.strongly_entails(p.to_formula(), forked(p))
-    assert deno.forked_stable_models(p) == models
-    assert deno.equilibrium_models(p) == stable
-    assert deno.entails_forked(p)
+    regs = deno.program_registers(p, p.atoms())
+    nonempty = deno.pool_nonempty(regs[1], len(regs[0]))
+    assert decoded(deno.forked_stable_masks(regs, nonempty), "abc") == models
+    assert decoded(deno.equilibrium_masks(regs), "abc") == stable
+    assert deno.entails_forked(regs, nonempty)
     contexts = [Program(()), parse_program("a."), parse_program(":- b. c :- a.")]
     registers = deno.ContextRegisters(contexts, p.atoms())
     found = deno.forked_masks_in_contexts(p, registers)
